@@ -42,17 +42,20 @@ void GpuService::on_accept(int fd) {
   wire.max_frame_bytes = options_.max_frame_bytes;
   auto connection =
       std::make_shared<net::Connection>(loop_, fd, wire, options_.sink);
-  // Handlers look the connection up by fd instead of capturing the
+  // Handlers look the connection up by id instead of capturing the
   // shared_ptr: the connection owns its handlers, and a self-reference
-  // would leak the object past close.
-  connection->set_message_handler([this, fd](std::string_view payload) {
-    auto it = connections_.find(fd);
+  // would leak the object past close. Not by fd: a close frees the fd at
+  // once but erases the entry only in the deferred close handler, so an
+  // accept in between can reuse the number.
+  const std::uint64_t id = ++last_connection_id_;
+  connection->set_message_handler([this, id](std::string_view payload) {
+    auto it = connections_.find(id);
     if (it == connections_.end()) return;
     on_message(it->second, payload);
   });
   connection->set_close_handler(
-      [this, fd](const std::string&) { connections_.erase(fd); });
-  connections_.emplace(fd, std::move(connection));
+      [this, id](const std::string&) { connections_.erase(id); });
+  connections_.emplace(id, std::move(connection));
 }
 
 void GpuService::on_message(const std::shared_ptr<net::Connection>& connection,

@@ -67,9 +67,11 @@ class GpuService {
   Rng rng_;
   GpuServiceOptions options_;
   net::Acceptor acceptor_;
-  /// Keyed by fd; the shared_ptr is the only strong reference, so erasing
-  /// on close expires the weak_ptrs held by pending reply timers.
-  std::map<int, std::shared_ptr<net::Connection>> connections_;
+  /// Keyed by a per-service connection id; the shared_ptr is the only
+  /// strong reference, so erasing on close expires the weak_ptrs held by
+  /// pending reply timers.
+  std::map<std::uint64_t, std::shared_ptr<net::Connection>> connections_;
+  std::uint64_t last_connection_id_ = 0;
   GpuServiceStats stats_;
 
   obs::Counter* requests_counter_ = nullptr;

@@ -3,13 +3,17 @@
 // real on an epoll event loop, against a gpu_serverd over TCP, instead of
 // inside the discrete-event simulator.
 //
-// The protocol per offloaded job is exactly sim/simulator.hpp's:
+// The protocol per offloaded job is exactly sim/simulator.hpp's, because
+// it is the same code: the runtime is a driver of the shared protocol
+// core (sim/protocol_core.hpp) that SimEngine also drives.
 //   setup sub-job -> offload RPC -> compensation timer armed at the
 //   benefit point (send + R) -> timer cancelled on a timely reply
 //   (post-processing runs) or compensation released on timeout. Local
 //   jobs run as single sub-jobs. Scheduling is preemptive EDF (or DM)
 //   over the same split-deadline assignment; "preemption" here means the
 //   armed slice-end timer is re-pointed at the new head of the ready set.
+// The driver adds only what a real clock needs: time dilation, wheel
+// timers, the wire round-trip, late-reply classification and RPC counts.
 //
 // Time runs on two axes. *Protocol time* is the simulator's timeline
 // (releases at k*T, deadlines, response windows); *wall time* is

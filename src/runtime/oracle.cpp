@@ -21,19 +21,18 @@ struct PooledTotals {
   std::uint64_t timely = 0;
   std::uint64_t compensations = 0;
   std::uint64_t misses = 0;
-};
 
-PooledTotals totals_of(const sim::SimMetrics& m) {
-  PooledTotals t;
-  for (const auto& tm : m.per_task) {
-    t.released += tm.released;
-    t.attempts += tm.offload_attempts;
-    t.timely += tm.timely_results;
-    t.compensations += tm.compensations;
-    t.misses += tm.deadline_misses;
+  PooledTotals& operator+=(const sim::SimMetrics& m) {
+    for (const auto& tm : m.per_task) {
+      released += tm.released;
+      attempts += tm.offload_attempts;
+      timely += tm.timely_results;
+      compensations += tm.compensations;
+      misses += tm.deadline_misses;
+    }
+    return *this;
   }
-  return t;
-}
+};
 
 RateCheck make_rate_check(const std::string& metric, std::uint64_t sim_num,
                           std::uint64_t sim_den, std::uint64_t real_num,
@@ -111,14 +110,7 @@ OracleOutcome run_differential(const spec::ScenarioDoc& doc,
       engine.run(built.tasks, odm.decisions, *built.server, sim_config,
                  config.sim_replications, built.profile);
   PooledTotals sim_totals;
-  for (const auto& metrics : batch.per_replication) {
-    const PooledTotals t = totals_of(metrics);
-    sim_totals.released += t.released;
-    sim_totals.attempts += t.attempts;
-    sim_totals.timely += t.timely;
-    sim_totals.compensations += t.compensations;
-    sim_totals.misses += t.misses;
-  }
+  for (const auto& metrics : batch.per_replication) sim_totals += metrics;
 
   // --- real side: loopback daemon + OffloadRuntime -------------------
   GpuServiceOptions service_options;
@@ -145,7 +137,8 @@ OracleOutcome run_differential(const spec::ScenarioDoc& doc,
   outcome.sim_attempts = sim_totals.attempts;
   outcome.sim_released = sim_totals.released;
 
-  const PooledTotals real_totals = totals_of(outcome.real.metrics);
+  PooledTotals real_totals;
+  real_totals += outcome.real.metrics;
 
   // Released counts: deterministic under periodic releases (intended
   // release instants are k*T on both sides), so exact equality; sporadic

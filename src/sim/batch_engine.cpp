@@ -34,6 +34,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/engine_detail.hpp"
+#include "util/dary_heap.hpp"
 #include "util/rng.hpp"
 
 namespace rt::sim {
@@ -98,6 +99,11 @@ struct SkelEvent {
   std::uint64_t seq = 0;
   std::uint32_t kind = 0;  // 0 = release, 1 = slice end
   std::uint64_t arg = 0;   // task index or slice generation
+
+  friend bool operator<(const SkelEvent& a, const SkelEvent& b) {
+    if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
+    return a.seq < b.seq;
+  }
 };
 
 struct Skeleton {
@@ -156,7 +162,7 @@ class SkeletonBuilder {
     while (!events_.empty()) {
       const SkelEvent ev = events_[0];
       if (ev.time_ns >= horizon) break;
-      pop_event();
+      heap_pop(events_);
       // The serial engine advances the clock before it filters stale slice
       // ends, so even a stale pop charges cpu_busy for the running job --
       // mirror that, or a horizon-truncated run undercounts.
@@ -212,75 +218,13 @@ class SkeletonBuilder {
   }
 
  private:
-  static bool event_less(const SkelEvent& a, const SkelEvent& b) {
-    if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-    return a.seq < b.seq;
-  }
-
   void push_event(std::int64_t time, std::uint32_t kind, std::uint64_t arg) {
-    std::size_t i = events_.size();
-    events_.push_back(SkelEvent{time, event_seq_++, kind, arg});
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!event_less(events_[i], events_[parent])) break;
-      std::swap(events_[i], events_[parent]);
-      i = parent;
-    }
-  }
-
-  void pop_event() {
-    events_[0] = events_.back();
-    events_.pop_back();
-    const std::size_t n = events_.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t l = 2 * i + 1;
-      if (l >= n) break;
-      std::size_t best = l;
-      if (l + 1 < n && event_less(events_[l + 1], events_[l])) best = l + 1;
-      if (!event_less(events_[best], events_[i])) break;
-      std::swap(events_[i], events_[best]);
-      i = best;
-    }
-  }
-
-  struct ReadyNode {
-    std::int64_t key = 0;
-    std::uint64_t seq = 0;
-    std::uint32_t slot = 0;
-  };
-
-  static bool ready_less(const ReadyNode& a, const ReadyNode& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.seq < b.seq;
+    heap_push(events_, SkelEvent{time, event_seq_++, kind, arg});
   }
 
   void ready_push(std::uint32_t slot) {
     const SkeletonJob& j = jobs_[slot];
-    std::size_t i = ready_.size();
-    ready_.push_back(ReadyNode{j.key, j.seq, slot});
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!ready_less(ready_[i], ready_[parent])) break;
-      std::swap(ready_[i], ready_[parent]);
-      i = parent;
-    }
-  }
-
-  void ready_pop_min() {
-    ready_[0] = ready_.back();
-    ready_.pop_back();
-    const std::size_t n = ready_.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t l = 2 * i + 1;
-      if (l >= n) break;
-      std::size_t best = l;
-      if (l + 1 < n && ready_less(ready_[l + 1], ready_[l])) best = l + 1;
-      if (!ready_less(ready_[best], ready_[i])) break;
-      std::swap(ready_[i], ready_[best]);
-      i = best;
-    }
+    heap_push(ready_, detail::ReadyNode{j.key, j.seq, slot});
   }
 
   std::uint32_t alloc_job() {
@@ -324,7 +268,7 @@ class SkeletonBuilder {
   void handle_slice_end(const std::vector<TaskCache>& tc, Skeleton& sk) {
     slice_armed_ = false;
     const std::uint32_t slot = running_;
-    ready_pop_min();
+    heap_pop(ready_);
     // The segment ends here, not in dispatch(): by the time dispatch()
     // runs, running_ is already cleared, so the completion-terminated
     // segment (the common case) would never be recorded.
@@ -375,7 +319,7 @@ class SkeletonBuilder {
   }
 
   std::vector<SkelEvent> events_;
-  std::vector<ReadyNode> ready_;
+  std::vector<detail::ReadyNode> ready_;
   std::vector<SkeletonJob> jobs_;
   std::vector<std::uint32_t> free_;
   std::int64_t now_ = 0;

@@ -1,6 +1,11 @@
 #pragma once
 // Reusable zero-allocation event engine behind sim::simulate.
 //
+// SimEngine is the discrete-event driver of the shared protocol core
+// (protocol_core.hpp): the core runs the per-job state machine, and the
+// engine feeds it events from a simulated clock. The real runtime
+// (runtime/offload_runtime.hpp) drives the same core from an epoll loop.
+//
 // The batch sweep engine (exp::BatchRunner) runs thousands of simulations
 // per invocation, so the per-event cost of the engine dominates the whole
 // experiment pipeline. SimEngine keeps every internal structure as a flat

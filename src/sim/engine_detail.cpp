@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "core/deadline.hpp"
 
 namespace rt::sim::detail {
 
 void validate_decisions(const core::TaskSet& tasks,
-                        const core::DecisionVector& decisions) {
+                        const core::DecisionVector& decisions, const char* who) {
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const auto& d = decisions[i];
     if (d.offloaded()) {
@@ -16,11 +17,12 @@ void validate_decisions(const core::TaskSet& tasks,
            d.level >= tasks[i].setup_wcet_per_level.size()) ||
           (!tasks[i].compensation_wcet_per_level.empty() &&
            d.level >= tasks[i].compensation_wcet_per_level.size())) {
-        throw std::invalid_argument("simulate: decision level out of range");
+        throw std::invalid_argument(std::string(who) +
+                                    ": decision level out of range");
       }
       if (d.response_time >= tasks[i].deadline) {
         throw std::invalid_argument(
-            "simulate: R >= D leaves no room for compensation");
+            std::string(who) + ": R >= D leaves no room for compensation");
       }
     }
   }
@@ -46,6 +48,7 @@ void fill_task_cache(std::vector<TaskCache>& cache, const core::TaskSet& tasks,
     tc.post_wcet = task.post_wcet;
     tc.comp_wcet = task.compensation_for_level(decision.level);
     tc.response_time = decision.response_time;
+    tc.level = decision.level;
     const core::SplitDeadlines split =
         config.deadline_policy == DeadlinePolicy::kSplit
             ? core::split_deadlines(task, decision.response_time, decision.level)
@@ -62,19 +65,6 @@ void fill_task_cache(std::vector<TaskCache>& cache, const core::TaskSet& tasks,
       tc.req = profile[i][decision.level];
     }
     tc.req.stream_id = i;
-  }
-}
-
-void compute_dm_ranks(std::vector<std::int64_t>& ranks,
-                      const core::TaskSet& tasks) {
-  ranks.assign(tasks.size(), 0);
-  std::vector<std::size_t> order(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return tasks[a].deadline < tasks[b].deadline;
-  });
-  for (std::size_t rank = 0; rank < order.size(); ++rank) {
-    ranks[order[rank]] = static_cast<std::int64_t>(rank);
   }
 }
 

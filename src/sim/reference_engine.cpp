@@ -11,8 +11,6 @@
 #include <unordered_map>
 
 #include "core/deadline.hpp"
-#include "obs/sink.hpp"
-#include "obs/timer.hpp"
 
 namespace rt::sim {
 
@@ -104,23 +102,6 @@ class Engine {
     for (std::size_t rank = 0; rank < order.size(); ++rank) {
       dm_rank_[order[rank]] = static_cast<std::int64_t>(rank);
     }
-    // Resolve metric handles once, outside the event loop; with no sink
-    // every handle stays null and the per-event hooks are one branch each.
-    if (config_.sink != nullptr) {
-      auto& reg = config_.sink->registry();
-      events_counter_ = &reg.counter("sim.events");
-      released_counter_ = &reg.counter("sim.jobs_released");
-      run_hist_ = &reg.histogram("sim.run_ns");
-      timely_counters_.resize(tasks_.size());
-      comp_counters_.resize(tasks_.size());
-      miss_counters_.resize(tasks_.size());
-      for (std::size_t i = 0; i < tasks_.size(); ++i) {
-        const std::string prefix = "sim.task." + std::to_string(i);
-        timely_counters_[i] = &reg.counter(prefix + ".timely");
-        comp_counters_[i] = &reg.counter(prefix + ".compensations");
-        miss_counters_[i] = &reg.counter(prefix + ".misses");
-      }
-    }
   }
 
   std::int64_t priority_key_for(const SubJob& sj) const {
@@ -130,7 +111,6 @@ class Engine {
   }
 
   SimResult run() {
-    obs::ScopedTimer run_timer(run_hist_);
     for (std::size_t i = 0; i < tasks_.size(); ++i) {
       push_event(TimePoint::zero(), EventKind::kRelease, i);
     }
@@ -140,7 +120,6 @@ class Engine {
       // window and are dropped.
       if (ev.time >= TimePoint::zero() + config_.horizon) break;
       events_.pop();
-      obs::inc(events_counter_);
       advance_running(ev.time);
       now_ = ev.time;
       handle(ev);
@@ -228,7 +207,6 @@ class Engine {
     const auto& decision = decisions_[task_idx];
     auto& tm = metrics_.per_task[task_idx];
     ++tm.released;
-    obs::inc(released_counter_);
     const std::uint64_t job_id = ++job_counter_;
     trace_.record(now_, TraceKind::kRelease, task_idx, job_id);
 
@@ -285,7 +263,6 @@ class Engine {
   void note_miss(const SubJob& sj, bool final_phase) {
     auto& tm = metrics_.per_task[sj.task];
     ++tm.deadline_misses;
-    if (!miss_counters_.empty()) miss_counters_[sj.task]->inc();
     trace_.record(now_, TraceKind::kDeadlineMiss, sj.task, sj.job_id);
     if (config_.abort_on_deadline_miss) {
       throw std::logic_error("simulate: deadline miss for task '" +
@@ -383,7 +360,6 @@ class Engine {
     it->second.resolved = true;
     auto& tm = metrics_.per_task[it->second.task];
     ++tm.timely_results;
-    if (!timely_counters_.empty()) timely_counters_[it->second.task]->inc();
     trace_.record(now_, TraceKind::kResultTimely, it->second.task,
                   it->second.job_id);
     release_second_phase(it->second, /*via_compensation=*/false);
@@ -399,7 +375,6 @@ class Engine {
     it->second.resolved = true;
     auto& tm = metrics_.per_task[it->second.task];
     ++tm.compensations;
-    if (!comp_counters_.empty()) comp_counters_[it->second.task]->inc();
     trace_.record(now_, TraceKind::kTimerFired, it->second.task,
                   it->second.job_id);
     release_second_phase(it->second, /*via_compensation=*/true);
@@ -430,13 +405,6 @@ class Engine {
   std::uint64_t token_counter_ = 0;
   std::unordered_map<std::uint64_t, InFlight> in_flight_;
 
-  // Telemetry handles; all null (vectors empty) when config_.sink is null.
-  obs::Counter* events_counter_ = nullptr;
-  obs::Counter* released_counter_ = nullptr;
-  obs::LogHistogram* run_hist_ = nullptr;
-  std::vector<obs::Counter*> timely_counters_;
-  std::vector<obs::Counter*> comp_counters_;
-  std::vector<obs::Counter*> miss_counters_;
 };
 
 }  // namespace

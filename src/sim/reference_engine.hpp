@@ -11,12 +11,14 @@
 //
 // Do not "optimize" this file; its value is that it stays the simple,
 // obviously-correct version of the semantics documented in simulator.hpp.
+// An oracle needs no telemetry: SimConfig::sink is ignored here.
 
 #include "sim/simulator.hpp"
 
 namespace rt::sim {
 
-/// Same contract as sim::simulate, seed implementation.
+/// Same contract as sim::simulate, seed implementation; config.sink is
+/// ignored.
 SimResult simulate_reference(const core::TaskSet& tasks,
                              const core::DecisionVector& decisions,
                              server::ResponseModel& server,

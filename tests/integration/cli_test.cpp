@@ -167,6 +167,34 @@ TEST(CliTool, SpecRunMatchesLegacyTaskSetRun) {
   EXPECT_EQ(Json::parse(legacy_report), Json::parse(spec_report));
 }
 
+TEST(CliTool, RunRealReportsRuntimeCountsAndRpc) {
+  // An in-process loopback daemon serves the document's fixed 20 ms model;
+  // the 8 s horizon runs in 4 s of wall time (time_scale 0.5).
+  int rc = 0;
+  const std::string out = run_capture(
+      std::string(RTOFFLOAD_CLI_PATH) + " --run-real --spec " +
+          RTOFFLOAD_SPECS_DIR + "/runtime_fixed.json",
+      &rc);
+  // 2 flags deadline misses: timer jitter on a loaded host, not an error.
+  ASSERT_TRUE(rc == 0 || rc == 2) << "exit code " << rc;
+  const Json report = Json::parse(out);
+  EXPECT_TRUE(report.at("feasible").as_bool());
+  const Json& runtime = report.at("runtime");
+  // Releases are anchored at k*T in protocol time, so the count is exact:
+  // 80 (T = 100 ms) + 54 (T = 150 ms) + 100 (T = 80 ms) over 8 s.
+  EXPECT_EQ(runtime.at("released").as_number(), 234.0);
+  EXPECT_EQ(runtime.at("rpc").at("wire_errors").as_number(), 0.0);
+  EXPECT_EQ(runtime.at("rpc").at("connection_error").as_string(), "");
+  const Json::Array& per_task = runtime.at("per_task").as_array();
+  ASSERT_EQ(per_task.size(), 3u);
+  for (const Json& t : per_task) {
+    for (const char* key :
+         {"task", "released", "timely", "compensations", "misses", "benefit"}) {
+      EXPECT_TRUE(t.as_object().count(key) == 1) << "per-task key " << key;
+    }
+  }
+}
+
 TEST(CliTool, ReplicationsAddAggregateAndKeepRepZeroReport) {
   // --replications 1 (the default) must be byte-identical to the plain
   // run; K > 1 adds the cross-replication aggregate and reports the

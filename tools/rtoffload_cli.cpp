@@ -130,6 +130,59 @@ std::string slurp(const std::string& path) {
   return buf.str();
 }
 
+/// The ODM verdict both report kinds open with.
+rt::Json::Object decision_report(const rt::core::TaskSet& tasks,
+                                 const rt::core::OdmResult& odm) {
+  rt::Json::Object report;
+  report["feasible"] = odm.feasible;
+  report["theorem3_density"] = odm.density;
+  report["claimed_objective"] = odm.claimed_objective;
+  report["decisions"] =
+      rt::core::decisions_to_json(tasks, odm.decisions).at("decisions");
+  return report;
+}
+
+/// Counts, benefit and utilization of one run, simulated or real, with
+/// the per-task breakdown.
+rt::Json::Object metrics_report(const rt::core::TaskSet& tasks,
+                                const rt::sim::SimMetrics& metrics) {
+  rt::Json::Object out;
+  out["released"] = static_cast<std::int64_t>(metrics.total_released());
+  out["completed"] = static_cast<std::int64_t>(metrics.total_completed());
+  out["deadline_misses"] =
+      static_cast<std::int64_t>(metrics.total_deadline_misses());
+  out["timely_results"] =
+      static_cast<std::int64_t>(metrics.total_timely_results());
+  out["compensations"] =
+      static_cast<std::int64_t>(metrics.total_compensations());
+  out["total_benefit"] = metrics.total_benefit();
+  out["cpu_utilization"] = metrics.cpu_utilization();
+  rt::Json::Array per_task;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const auto& m = metrics.per_task[i];
+    rt::Json::Object t;
+    t["task"] = tasks[i].name;
+    t["released"] = static_cast<std::int64_t>(m.released);
+    t["timely"] = static_cast<std::int64_t>(m.timely_results);
+    t["compensations"] = static_cast<std::int64_t>(m.compensations);
+    t["misses"] = static_cast<std::int64_t>(m.deadline_misses);
+    t["benefit"] = m.accrued_benefit;
+    per_task.push_back(rt::Json(std::move(t)));
+  }
+  out["per_task"] = rt::Json(std::move(per_task));
+  return out;
+}
+
+/// Renders a run's trace into Chrome-trace lanes named after the tasks.
+void append_task_trace(rt::obs::ChromeTraceWriter& writer,
+                       const rt::sim::Trace& trace,
+                       const rt::core::TaskSet& tasks, int pid) {
+  std::vector<std::string> names;
+  names.reserve(tasks.size());
+  for (const auto& t : tasks) names.push_back(t.name);
+  rt::sim::append_chrome_trace(writer, trace, names, pid);
+}
+
 /// Optional robustness add-ons shared by every task-set input: a fault
 /// script overlaid on the configured server scenario, and the adaptive
 /// degraded-mode controller (all-local fallback vector by default).
@@ -162,13 +215,8 @@ int run_scenario(ScenarioRun run, std::ostream& os, rt::obs::Sink* sink,
   run.odm.sink = sink;
   const core::OdmResult odm = core::decide_offloading(run.tasks, run.odm);
 
-  Json::Object report;
-  report["feasible"] = odm.feasible;
-  report["theorem3_density"] = odm.density;
-  report["claimed_objective"] = odm.claimed_objective;
+  Json::Object report = decision_report(run.tasks, odm);
   report["lp_bound"] = odm.lp_bound;
-  report["decisions"] =
-      core::decisions_to_json(run.tasks, odm.decisions).at("decisions");
 
   if (run.exact_pda) {
     const core::PdaResult pda = core::pda_feasible(run.tasks, odm.decisions);
@@ -214,42 +262,14 @@ int run_scenario(ScenarioRun run, std::ostream& os, rt::obs::Sink* sink,
                                              *run.server, run.sim, run.profile);
     metrics = res.metrics;
     exit_misses = metrics.total_deadline_misses();
-    if (trace != nullptr) {
-      std::vector<std::string> names;
-      names.reserve(run.tasks.size());
-      for (const auto& t : run.tasks) names.push_back(t.name);
-      sim::append_chrome_trace(*trace, res.trace, names, pid);
-    }
+    if (trace != nullptr) append_task_trace(*trace, res.trace, run.tasks, pid);
   }
 
-  Json::Object sim_obj;
-  sim_obj["released"] = static_cast<std::int64_t>(metrics.total_released());
-  sim_obj["completed"] = static_cast<std::int64_t>(metrics.total_completed());
-  sim_obj["deadline_misses"] =
-      static_cast<std::int64_t>(metrics.total_deadline_misses());
-  sim_obj["timely_results"] =
-      static_cast<std::int64_t>(metrics.total_timely_results());
-  sim_obj["compensations"] =
-      static_cast<std::int64_t>(metrics.total_compensations());
-  sim_obj["total_benefit"] = metrics.total_benefit();
-  sim_obj["cpu_utilization"] = metrics.cpu_utilization();
+  Json::Object sim_obj = metrics_report(run.tasks, metrics);
   sim_obj["trace_truncated"] = metrics.trace_truncated;
   if (aggregate.has_value()) {
     sim_obj["replications"] = static_cast<std::int64_t>(run.replications);
   }
-  Json::Array per_task;
-  for (std::size_t i = 0; i < run.tasks.size(); ++i) {
-    const auto& m = metrics.per_task[i];
-    Json::Object t;
-    t["task"] = run.tasks[i].name;
-    t["released"] = static_cast<std::int64_t>(m.released);
-    t["timely"] = static_cast<std::int64_t>(m.timely_results);
-    t["compensations"] = static_cast<std::int64_t>(m.compensations);
-    t["misses"] = static_cast<std::int64_t>(m.deadline_misses);
-    t["benefit"] = m.accrued_benefit;
-    per_task.push_back(Json(std::move(t)));
-  }
-  sim_obj["per_task"] = Json(std::move(per_task));
   report["simulation"] = Json(std::move(sim_obj));
   if (aggregate.has_value()) {
     report["aggregate"] = aggregate->to_json();
@@ -505,51 +525,19 @@ int run_real_spec(const std::string& path, const std::string& server_addr,
       built.tasks, odm.decisions, config, built.profile, options);
   if (loopback.has_value()) loopback->stop();
 
-  Json::Object report;
-  report["feasible"] = odm.feasible;
-  report["theorem3_density"] = odm.density;
-  report["claimed_objective"] = odm.claimed_objective;
-  report["decisions"] =
-      core::decisions_to_json(built.tasks, odm.decisions).at("decisions");
+  Json::Object report = decision_report(built.tasks, odm);
 
   const sim::SimMetrics& metrics = result.metrics;
-  Json::Object runtime_obj;
-  runtime_obj["released"] = static_cast<std::int64_t>(metrics.total_released());
-  runtime_obj["completed"] =
-      static_cast<std::int64_t>(metrics.total_completed());
-  runtime_obj["deadline_misses"] =
-      static_cast<std::int64_t>(metrics.total_deadline_misses());
-  runtime_obj["timely_results"] =
-      static_cast<std::int64_t>(metrics.total_timely_results());
-  runtime_obj["compensations"] =
-      static_cast<std::int64_t>(metrics.total_compensations());
-  runtime_obj["total_benefit"] = metrics.total_benefit();
-  runtime_obj["cpu_utilization"] = metrics.cpu_utilization();
+  Json::Object runtime_obj = metrics_report(built.tasks, metrics);
   runtime_obj["server"] = options.server.to_string();
   runtime_obj["rpc"] = result.rpc_json();
-  Json::Array per_task;
-  for (std::size_t i = 0; i < built.tasks.size(); ++i) {
-    const auto& m = metrics.per_task[i];
-    Json::Object t;
-    t["task"] = built.tasks[i].name;
-    t["released"] = static_cast<std::int64_t>(m.released);
-    t["timely"] = static_cast<std::int64_t>(m.timely_results);
-    t["compensations"] = static_cast<std::int64_t>(m.compensations);
-    t["misses"] = static_cast<std::int64_t>(m.deadline_misses);
-    t["benefit"] = m.accrued_benefit;
-    per_task.push_back(Json(std::move(t)));
-  }
-  runtime_obj["per_task"] = Json(std::move(per_task));
   report["runtime"] = Json(std::move(runtime_obj));
   std::cout << Json(std::move(report)).dump(2) << "\n";
 
   if (want_metrics) write_metrics_file(sink, metrics_out);
   if (want_trace) {
     obs::ChromeTraceWriter writer;
-    std::vector<std::string> names;
-    names.reserve(built.tasks.size());
-    for (const auto& t : built.tasks) names.push_back(t.name);
-    sim::append_chrome_trace(writer, result.trace, names, 0);
+    append_task_trace(writer, result.trace, built.tasks, 0);
     write_trace_file(writer, trace_out);
   }
   return metrics.total_deadline_misses() == 0 ? 0 : 2;
