@@ -11,6 +11,7 @@
 #include "core/workload.hpp"
 #include "mckp/branch_bound.hpp"
 #include "mckp/solvers.hpp"
+#include "obs/sink.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -100,6 +101,14 @@ void BM_OdmEndToEnd(benchmark::State& state) {
   }
   state.counters["items"] = static_cast<double>(total);
   state.counters["items_after_pruning"] = static_cast<double>(kept);
+  // Cells the profit DP visits per decision, from one extra traced solve.
+  rt::obs::Sink sink;
+  rt::core::OdmConfig traced;
+  traced.sink = &sink;
+  benchmark::DoNotOptimize(rt::core::decide_offloading(tasks, traced));
+  const auto* cells = sink.registry().find_histogram("mckp.dp_cells");
+  state.counters["dp_cells"] =
+      cells != nullptr ? static_cast<double>(cells->sum()) : 0.0;
 }
 BENCHMARK(BM_OdmEndToEnd)->RangeMultiplier(2)->Range(8, 64);
 

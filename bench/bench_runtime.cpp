@@ -5,13 +5,15 @@
 //   * event-loop dispatch latency: the gap between a timer's deadline
 //     and its callback running on a real-clock loop, exact p50/p99 from
 //     the raw sample vector.
-// Argument-free like every harness here; writes BENCH_runtime.json.
+// Argument-free like every harness here; writes BENCH_runtime.json. Exits 1,
+// naming the RPC phase, if the daemon closes a client connection.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,9 +60,16 @@ struct RpcClient {
     connection->send(rt::net::encode(request));
   }
 
-  /// Pumps until `target` replies have arrived.
-  void pump_to(std::uint64_t target) {
-    while (replies < target && !connection->closed()) {
+  /// Pumps until `target` replies have arrived. Throws if the daemon
+  /// closes the connection first; `phase` names the RPC phase in the error.
+  void pump_to(std::uint64_t target, const char* phase) {
+    while (replies < target) {
+      if (connection->closed()) {
+        throw std::runtime_error(std::string(phase) +
+                                 ": daemon closed the connection after " +
+                                 std::to_string(replies) + " of " +
+                                 std::to_string(target) + " replies");
+      }
       loop.run_once(Duration::milliseconds(5));
     }
   }
@@ -83,7 +92,7 @@ Json rpc_sequential(const rt::net::SocketAddress& address, int rounds) {
   for (int i = 0; i < rounds; ++i) {
     const auto sent = std::chrono::steady_clock::now();
     client.send_request(static_cast<std::uint64_t>(i) + 1);
-    client.pump_to(static_cast<std::uint64_t>(i) + 1);
+    client.pump_to(static_cast<std::uint64_t>(i) + 1, "rpc sequential");
     rtt_us.push_back(
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - sent)
@@ -114,12 +123,12 @@ Json rpc_pipelined(const rt::net::SocketAddress& address, int total,
   while (client.replies + static_cast<std::uint64_t>(depth) <
          static_cast<std::uint64_t>(total)) {
     const std::uint64_t before = client.replies;
-    client.pump_to(before + 1);
+    client.pump_to(before + 1, "rpc pipelined");
     // Keep the window full: one new request per drained reply.
     const std::uint64_t drained = client.replies - before;
     for (std::uint64_t i = 0; i < drained; ++i) client.send_request(next_id++);
   }
-  client.pump_to(static_cast<std::uint64_t>(total));
+  client.pump_to(static_cast<std::uint64_t>(total), "rpc pipelined drain");
   const double elapsed = wall_seconds_since(start);
   Json::Object config;
   config["rounds"] = static_cast<std::int64_t>(total);
@@ -186,8 +195,14 @@ int main() {
       /*seed=*/1);
 
   Json::Array benchmarks;
-  benchmarks.push_back(rpc_sequential(server.address(), 2000));
-  benchmarks.push_back(rpc_pipelined(server.address(), 20000, 32));
+  try {
+    benchmarks.push_back(rpc_sequential(server.address(), 2000));
+    benchmarks.push_back(rpc_pipelined(server.address(), 20000, 32));
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "bench_runtime: %s\n", e.what());
+    server.stop();
+    return 1;
+  }
   benchmarks.push_back(loop_dispatch_latency(500));
   server.stop();
 

@@ -85,146 +85,6 @@ Selection solve_brute_force(const Instance& inst) {
   return best;
 }
 
-Selection solve_dp_profits(const Instance& inst, double profit_scale,
-                           DpWorkspace* ws, obs::Sink* sink) {
-  inst.validate();
-  if (!(profit_scale > 0.0)) {
-    throw std::invalid_argument("solve_dp_profits: profit_scale must be > 0");
-  }
-  obs::ScopedTimer solve_timer(
-      sink != nullptr ? &sink->registry().histogram("mckp.solve_ns") : nullptr);
-  const std::size_t m = inst.classes.size();
-  if (m == 0) {
-    Selection empty;
-    empty.feasible = true;
-    return empty;
-  }
-
-  thread_local DpWorkspace shared_ws;
-  DpWorkspace& w = ws != nullptr ? *ws : shared_ws;
-
-  // Plain-dominance reduction + profit discretization. A dominated item
-  // (another item with <= weight and >= profit, one strict) can never
-  // improve the DP's final (max fitting profit, min weight) answer, so the
-  // DP only visits the undominated subset of each class.
-  w.q.clear();
-  w.wt.clear();
-  w.item_of.clear();
-  w.class_begin.assign(1, 0);
-  std::int64_t total_q = 0;
-  std::int64_t min_weight_sum = 0;
-  for (std::size_t c = 0; c < m; ++c) {
-    const ReducedClass red = reduce_class(inst.classes[c]);
-    std::int64_t qmax = 0;
-    for (const int idx : red.undominated) {
-      const Item& item = inst.classes[c][static_cast<std::size_t>(idx)];
-      const auto v =
-          static_cast<std::int64_t>(std::llround(item.profit * profit_scale));
-      w.q.push_back(v);
-      w.wt.push_back(item.weight);
-      w.item_of.push_back(idx);
-      qmax = std::max(qmax, v);
-    }
-    w.class_begin.push_back(w.q.size());
-    // undominated.front() is the min-weight item of the class.
-    min_weight_sum = add_weight_sat(
-        min_weight_sum,
-        inst.classes[c][static_cast<std::size_t>(red.undominated.front())].weight);
-    total_q += qmax;
-  }
-  if (sink != nullptr) {
-    std::size_t items_total = 0;
-    for (const auto& cls : inst.classes) items_total += cls.size();
-    auto& reg = sink->registry();
-    reg.counter("mckp.solves").inc();
-    reg.counter("mckp.items_total").inc(items_total);
-    reg.counter("mckp.items_kept").inc(w.q.size());
-    reg.histogram("mckp.items_pruned")
-        .add(static_cast<std::int64_t>(items_total - w.q.size()));
-  }
-  if (min_weight_sum > inst.capacity) return min_weight_selection(inst);
-
-  // Truncate the profit axis with the LP relaxation (Dantzig) bound: a
-  // feasible selection's true profit is <= ub, so its scaled profit is
-  // <= ub*scale + m/2 (each llround adds at most 0.5). Every prefix sum of
-  // a feasible selection stays under that cap (profits are >= 0), so DP
-  // cells above it can only be reached by provably infeasible selections.
-  std::int64_t axis = total_q;
-  const double ub = lp_upper_bound(inst);
-  // min_weight_sum fits, so the bound is finite; guard anyway against
-  // pathological scales before the double -> int64 conversion.
-  const double scaled_ub = ub * profit_scale + 0.5 * static_cast<double>(m) + 1.0;
-  if (std::isfinite(scaled_ub) && scaled_ub < static_cast<double>(total_q) &&
-      scaled_ub < 9e15) {
-    axis = std::max<std::int64_t>(
-        0, static_cast<std::int64_t>(std::llround(scaled_ub)));
-  }
-  if (axis > 50'000'000 ||
-      static_cast<double>(axis + 1) * static_cast<double>(m) > 4e8) {
-    throw std::invalid_argument(
-        "solve_dp_profits: scaled profit space too large; lower profit_scale");
-  }
-
-  if (sink != nullptr) {
-    sink->registry().histogram("mckp.dp_cells")
-        .add((axis + 1) * static_cast<std::int64_t>(m));
-  }
-
-  const auto P = static_cast<std::size_t>(axis);
-  w.dp.assign(P + 1, kInfWeight);
-  w.next.resize(P + 1);
-  // choice[c*(P+1) + p]: flat kept-item index picked in class c on the
-  // min-weight path reaching scaled profit p after classes 0..c; -1 =
-  // unreachable.
-  w.choice.assign(m * (P + 1), -1);
-
-  for (std::size_t k = w.class_begin[0]; k < w.class_begin[1]; ++k) {
-    if (w.q[k] > axis) continue;  // above the LP cap: infeasible anyway
-    const auto p = static_cast<std::size_t>(w.q[k]);
-    if (w.wt[k] < w.dp[p]) {
-      w.dp[p] = w.wt[k];
-      w.choice[p] = static_cast<std::int32_t>(k);
-    }
-  }
-
-  for (std::size_t c = 1; c < m; ++c) {
-    std::fill(w.next.begin(), w.next.end(), kInfWeight);
-    std::int32_t* const row = w.choice.data() + c * (P + 1);
-    for (std::size_t p = 0; p <= P; ++p) {
-      if (w.dp[p] >= kInfWeight) continue;
-      for (std::size_t k = w.class_begin[c]; k < w.class_begin[c + 1]; ++k) {
-        const std::int64_t tgt64 = static_cast<std::int64_t>(p) + w.q[k];
-        if (tgt64 > axis) continue;
-        const auto tgt = static_cast<std::size_t>(tgt64);
-        const std::int64_t weight = add_weight_sat(w.dp[p], w.wt[k]);
-        if (weight < w.next[tgt]) {
-          w.next[tgt] = weight;
-          row[tgt] = static_cast<std::int32_t>(k);
-        }
-      }
-    }
-    w.dp.swap(w.next);
-  }
-
-  // Largest scaled profit whose minimal weight fits the capacity.
-  std::ptrdiff_t best_p = -1;
-  for (std::size_t p = 0; p <= P; ++p) {
-    if (w.dp[p] <= inst.capacity) best_p = static_cast<std::ptrdiff_t>(p);
-  }
-  if (best_p < 0) return min_weight_selection(inst);
-
-  // Reconstruct.
-  std::vector<int> pick(m, -1);
-  auto p = static_cast<std::size_t>(best_p);
-  for (std::size_t c = m; c-- > 0;) {
-    const std::int32_t k = w.choice[c * (P + 1) + p];
-    if (k < 0) throw std::logic_error("solve_dp_profits: broken DP path");
-    pick[c] = w.item_of[static_cast<std::size_t>(k)];
-    p -= static_cast<std::size_t>(w.q[static_cast<std::size_t>(k)]);
-  }
-  return evaluate(inst, std::move(pick));
-}
-
 Selection solve_dp_weights(const Instance& inst, std::size_t grid) {
   inst.validate();
   if (grid == 0) throw std::invalid_argument("solve_dp_weights: zero grid");
@@ -318,24 +178,23 @@ struct HullStep {
   double efficiency;
 };
 
-/// Builds the base selection (cheapest hull item per class) and the list of
-/// hull upgrade steps sorted by decreasing efficiency, preserving per-class
-/// order on ties.
+/// The base selection (cheapest hull item per class) and the list of hull
+/// upgrade steps sorted by decreasing efficiency, preserving per-class
+/// order on ties. Shared by HEU-OE, the LP bound and the profit DP, which
+/// needs both and reduces each class once for all three.
 struct GreedyState {
   std::vector<ReducedClass> reduced;
   Selection base;
   std::vector<HullStep> steps;
 };
 
-GreedyState prepare_greedy(const Instance& inst) {
+GreedyState prepare_greedy(const Instance& inst,
+                           std::vector<ReducedClass> reduced) {
   GreedyState st;
-  st.reduced.reserve(inst.classes.size());
+  st.reduced = std::move(reduced);
   std::vector<int> pick;
   pick.reserve(inst.classes.size());
-  for (const auto& cls : inst.classes) {
-    st.reduced.push_back(reduce_class(cls));
-    pick.push_back(st.reduced.back().hull.front());
-  }
+  for (const auto& red : st.reduced) pick.push_back(red.hull.front());
   st.base = evaluate(inst, std::move(pick));
 
   for (std::size_t c = 0; c < inst.classes.size(); ++c) {
@@ -363,18 +222,15 @@ GreedyState prepare_greedy(const Instance& inst) {
   return st;
 }
 
-}  // namespace
+GreedyState prepare_greedy(const Instance& inst) {
+  std::vector<ReducedClass> reduced;
+  reduced.reserve(inst.classes.size());
+  for (const auto& cls : inst.classes) reduced.push_back(reduce_class(cls));
+  return prepare_greedy(inst, std::move(reduced));
+}
 
-Selection solve_greedy_heu_oe(const Instance& inst) {
-  inst.validate();
-  if (inst.classes.empty()) {
-    Selection empty;
-    empty.feasible = true;
-    return empty;
-  }
-  GreedyState st = prepare_greedy(inst);
-  if (!st.base.feasible) return st.base;  // even the cheapest picks overflow
-
+/// HEU-OE on a prepared state whose base selection fits.
+Selection greedy_heu_oe(const Instance& inst, const GreedyState& st) {
   std::vector<std::size_t> pos(inst.classes.size(), 0);
   std::vector<int> pick = st.base.pick;
   std::int64_t weight = st.base.weight;
@@ -405,7 +261,7 @@ Selection solve_greedy_heu_oe(const Instance& inst) {
         const double gain = cand.profit - cur.profit;
         if (gain <= best_gain) continue;
         const std::int64_t dw = cand.weight - cur.weight;
-        if (dw > 0 && weight + dw > inst.capacity) continue;
+        if (dw > 0 && add_weight_sat(weight, dw) > inst.capacity) continue;
         best_gain = gain;
         best_cls = c;
         best_item = j;
@@ -421,12 +277,8 @@ Selection solve_greedy_heu_oe(const Instance& inst) {
   return evaluate(inst, std::move(pick));
 }
 
-double lp_upper_bound(const Instance& inst) {
-  inst.validate();
-  if (inst.classes.empty()) return 0.0;
-  GreedyState st = prepare_greedy(inst);
-  if (!st.base.feasible) return -std::numeric_limits<double>::infinity();
-
+/// Dantzig bound on a prepared state whose base selection fits.
+double lp_bound(const Instance& inst, const GreedyState& st) {
   std::vector<std::size_t> pos(inst.classes.size(), 0);
   double profit = st.base.profit;
   std::int64_t remaining = inst.capacity - st.base.weight;
@@ -443,6 +295,236 @@ double lp_upper_bound(const Instance& inst) {
     }
   }
   return profit;
+}
+
+}  // namespace
+
+Selection solve_greedy_heu_oe(const Instance& inst) {
+  inst.validate();
+  if (inst.classes.empty()) {
+    Selection empty;
+    empty.feasible = true;
+    return empty;
+  }
+  const GreedyState st = prepare_greedy(inst);
+  if (!st.base.feasible) return st.base;  // even the cheapest picks overflow
+  return greedy_heu_oe(inst, st);
+}
+
+double lp_upper_bound(const Instance& inst) {
+  inst.validate();
+  if (inst.classes.empty()) return 0.0;
+  const GreedyState st = prepare_greedy(inst);
+  if (!st.base.feasible) return -std::numeric_limits<double>::infinity();
+  return lp_bound(inst, st);
+}
+
+Selection solve_dp_profits(const Instance& inst, double profit_scale,
+                           DpWorkspace* ws, obs::Sink* sink) {
+  inst.validate();
+  if (!(profit_scale > 0.0)) {
+    throw std::invalid_argument("solve_dp_profits: profit_scale must be > 0");
+  }
+  obs::ScopedTimer solve_timer(
+      sink != nullptr ? &sink->registry().histogram("mckp.solve_ns") : nullptr);
+  const std::size_t m = inst.classes.size();
+  if (m == 0) {
+    Selection empty;
+    empty.feasible = true;
+    return empty;
+  }
+
+  thread_local DpWorkspace shared_ws;
+  DpWorkspace& w = ws != nullptr ? *ws : shared_ws;
+  const auto scaled = [profit_scale](const Item& item) {
+    return static_cast<std::int64_t>(std::llround(item.profit * profit_scale));
+  };
+
+  // Plain-dominance reduction + profit discretization. A dominated item
+  // (another item with <= weight and >= profit, one strict) can never
+  // improve the DP's final (max fitting profit, min weight) answer, so the
+  // DP only visits the undominated subset of each class. The reduced
+  // classes also feed the LP bound and the greedy below.
+  std::vector<ReducedClass> reduced;
+  reduced.reserve(m);
+  w.q.clear();
+  w.wt.clear();
+  w.item_of.clear();
+  w.class_begin.assign(1, 0);
+  w.lo.resize(m);
+  w.hi.resize(m);
+  std::int64_t total_q = 0;
+  std::int64_t min_weight_sum = 0;
+  for (std::size_t c = 0; c < m; ++c) {
+    reduced.push_back(reduce_class(inst.classes[c]));
+    std::int64_t qmin = std::numeric_limits<std::int64_t>::max();
+    std::int64_t qmax = 0;
+    for (const int idx : reduced.back().undominated) {
+      const Item& item = inst.classes[c][static_cast<std::size_t>(idx)];
+      const std::int64_t v = scaled(item);
+      w.q.push_back(v);
+      w.wt.push_back(item.weight);
+      w.item_of.push_back(idx);
+      qmin = std::min(qmin, v);
+      qmax = std::max(qmax, v);
+    }
+    w.class_begin.push_back(w.q.size());
+    w.lo[c] = qmin;
+    w.hi[c] = qmax;
+    // undominated.front() is the min-weight item of the class.
+    min_weight_sum = add_weight_sat(
+        min_weight_sum,
+        inst.classes[c][static_cast<std::size_t>(reduced.back().undominated.front())]
+            .weight);
+    total_q += qmax;
+  }
+  if (sink != nullptr) {
+    std::size_t items_total = 0;
+    for (const auto& cls : inst.classes) items_total += cls.size();
+    auto& reg = sink->registry();
+    reg.counter("mckp.solves").inc();
+    reg.counter("mckp.items_total").inc(items_total);
+    reg.counter("mckp.items_kept").inc(w.q.size());
+    reg.histogram("mckp.items_pruned")
+        .add(static_cast<std::int64_t>(items_total - w.q.size()));
+  }
+  if (min_weight_sum > inst.capacity) return min_weight_selection(inst);
+
+  // Truncate the profit axis with the LP relaxation (Dantzig) bound: a
+  // feasible selection's true profit is <= ub, so its scaled profit is
+  // <= ub*scale + m/2 (each llround adds at most 0.5). Every prefix sum of
+  // a feasible selection stays under that cap (profits are >= 0), so DP
+  // cells above it can only be reached by provably infeasible selections.
+  const GreedyState st = prepare_greedy(inst, std::move(reduced));
+  std::int64_t axis = total_q;
+  const double ub = lp_bound(inst, st);
+  // min_weight_sum fits, so the bound is finite; guard anyway against
+  // pathological scales before the double -> int64 conversion.
+  const double scaled_ub = ub * profit_scale + 0.5 * static_cast<double>(m) + 1.0;
+  if (std::isfinite(scaled_ub) && scaled_ub < static_cast<double>(total_q) &&
+      scaled_ub < 9e15) {
+    axis = std::max<std::int64_t>(
+        0, static_cast<std::int64_t>(std::llround(scaled_ub)));
+  }
+  if (axis > 50'000'000 ||
+      static_cast<double>(axis + 1) * static_cast<double>(m) > 4e8) {
+    throw std::invalid_argument(
+        "solve_dp_profits: scaled profit space too large; lower profit_scale");
+  }
+
+  // Lower cut: the HEU-OE selection fits and picks only undominated
+  // items, so its scaled profit lb is a fitting cell of the last row and
+  // the answer is >= lb. A cell (c, p) with p + sum_{c'>c} qmax[c'] < lb
+  // reaches no cell >= lb, and neither does any cell it feeds; every kept
+  // cell's predecessors are kept, so kept cells get the same minimum
+  // weight and the same first-wins choice as in the full table. A greedy
+  // profit above the LP cap would contradict the bound; cut nothing then.
+  std::int64_t lb = 0;
+  const Selection greedy = greedy_heu_oe(inst, st);
+  if (greedy.feasible) {
+    for (std::size_t c = 0; c < m; ++c) {
+      lb += scaled(inst.classes[c][static_cast<std::size_t>(greedy.pick[c])]);
+    }
+    if (lb > axis) lb = 0;
+  }
+
+  // Live band of class c: [lo, hi] = [max(sum_{<=c} qmin, lb - sum_{>c}
+  // qmax), min(axis, sum_{<=c} qmax)]; lo/hi arrive holding the class's
+  // own qmin/qmax. Row c of the choice table stores its band at
+  // row_off[c]; an empty band (lo > hi) takes no cells.
+  w.row_off.assign(1, 0);
+  std::int64_t prefix_qmin = 0;
+  std::int64_t prefix_qmax = 0;
+  std::size_t width_max = 0;
+  for (std::size_t c = 0; c < m; ++c) {
+    prefix_qmin += w.lo[c];
+    prefix_qmax += w.hi[c];
+    w.lo[c] = std::max(prefix_qmin, lb - (total_q - prefix_qmax));
+    w.hi[c] = std::min(axis, prefix_qmax);
+    const auto width = static_cast<std::size_t>(
+        std::max<std::int64_t>(0, w.hi[c] - w.lo[c] + 1));
+    w.row_off.push_back(w.row_off.back() + width);
+    width_max = std::max(width_max, width);
+  }
+  if (sink != nullptr) {
+    sink->registry().histogram("mckp.dp_cells")
+        .add(static_cast<std::int64_t>(w.row_off.back()));
+  }
+
+  // dp[i] / next[i]: min weight reaching scaled profit lo + i after the
+  // previous / current class. choice[row_off[c] + (p - lo[c])]: flat
+  // kept-item index picked in class c on the min-weight path reaching p
+  // after classes 0..c; -1 = unreachable.
+  w.dp.assign(width_max, kInfWeight);
+  w.next.resize(width_max);
+  w.choice.assign(w.row_off.back(), -1);
+
+  for (std::size_t k = w.class_begin[0]; k < w.class_begin[1]; ++k) {
+    if (w.q[k] < w.lo[0] || w.q[k] > w.hi[0]) continue;
+    const auto i = static_cast<std::size_t>(w.q[k] - w.lo[0]);
+    if (w.wt[k] < w.dp[i]) {
+      w.dp[i] = w.wt[k];
+      w.choice[i] = static_cast<std::int32_t>(k);
+    }
+  }
+
+  // Inner loop: both dp[i] and wt[k] are below kInfWeight (validate()), so
+  // their sum cannot overflow, and a sum >= kInfWeight never beats a
+  // next[] entry (<= kInfWeight) -- the same outcome as add_weight_sat.
+  const std::int64_t* const q = w.q.data();
+  const std::int64_t* const wt = w.wt.data();
+  for (std::size_t c = 1; c < m; ++c) {
+    const std::int64_t lo = w.lo[c];
+    const std::int64_t hi = w.hi[c];
+    const std::int64_t prev_lo = w.lo[c - 1];
+    const std::size_t prev_width = w.row_off[c] - w.row_off[c - 1];
+    const std::size_t k_begin = w.class_begin[c];
+    const std::size_t k_end = w.class_begin[c + 1];
+    const std::int64_t* const dp = w.dp.data();
+    std::int64_t* const next = w.next.data();
+    std::fill(next, next + (w.row_off[c + 1] - w.row_off[c]), kInfWeight);
+    std::int32_t* const row = w.choice.data() + w.row_off[c];
+    for (std::size_t i = 0; i < prev_width; ++i) {
+      const std::int64_t base = dp[i];
+      if (base >= kInfWeight) continue;
+      const std::int64_t p = prev_lo + static_cast<std::int64_t>(i);
+      for (std::size_t k = k_begin; k < k_end; ++k) {
+        const std::int64_t tgt = p + q[k];
+        if (tgt < lo || tgt > hi) continue;
+        const auto j = static_cast<std::size_t>(tgt - lo);
+        const std::int64_t weight = base + wt[k];
+        if (weight < next[j]) {
+          next[j] = weight;
+          row[j] = static_cast<std::int32_t>(k);
+        }
+      }
+    }
+    w.dp.swap(w.next);
+  }
+
+  // Largest scaled profit whose minimal weight fits the capacity.
+  const std::size_t last_width = w.row_off[m] - w.row_off[m - 1];
+  std::int64_t best_p = -1;
+  for (std::size_t i = 0; i < last_width; ++i) {
+    if (w.dp[i] <= inst.capacity) {
+      best_p = w.lo[m - 1] + static_cast<std::int64_t>(i);
+    }
+  }
+  if (best_p < 0) return min_weight_selection(inst);
+
+  // Reconstruct.
+  std::vector<int> pick(m, -1);
+  std::int64_t p = best_p;
+  for (std::size_t c = m; c-- > 0;) {
+    const std::int32_t k =
+        p < w.lo[c] || p > w.hi[c]
+            ? -1
+            : w.choice[w.row_off[c] + static_cast<std::size_t>(p - w.lo[c])];
+    if (k < 0) throw std::logic_error("solve_dp_profits: broken DP path");
+    pick[c] = w.item_of[static_cast<std::size_t>(k)];
+    p -= w.q[static_cast<std::size_t>(k)];
+  }
+  return evaluate(inst, std::move(pick));
 }
 
 Selection solve(const Instance& inst, SolverKind kind, double profit_scale,

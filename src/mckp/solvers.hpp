@@ -34,22 +34,28 @@ const char* to_string(SolverKind kind);
 /// defaults below both reference this constant so they cannot drift.
 inline constexpr double kDefaultProfitScale = 1000.0;
 
-/// Reusable scratch space for solve_dp_profits. The profit DP needs a
-/// (P+1)-entry weight table plus an m x (P+1) reconstruction table -- at
-/// paper scale that is megabytes, so the online ODM path (admission
-/// control, mode changes) reuses one workspace across calls instead of
-/// reallocating. A workspace serves one thread at a time; passing nullptr
-/// uses a per-thread (thread_local) workspace, which makes the plain call
-/// both allocation-free after warm-up and thread-safe. Contents are
-/// opaque scratch: valid only during a solve.
+/// Reusable scratch space for solve_dp_profits. The profit DP keeps, per
+/// class c, only the live band [lo[c], hi[c]] of scaled profits that can
+/// still lead to an answer (see solve_dp_profits): two weight rows as wide
+/// as the widest band plus one reconstruction row per class, stored back
+/// to back (row c starts at row_off[c], cell p at row_off[c] + (p - lo[c])).
+/// At paper scale that is still up to megabytes, so the online ODM path
+/// (admission control, mode changes) reuses one workspace across calls
+/// instead of reallocating. A workspace serves one thread at a time;
+/// passing nullptr uses a per-thread (thread_local) workspace, which makes
+/// the plain call both allocation-free after warm-up and thread-safe.
+/// Contents are opaque scratch: valid only during a solve.
 struct DpWorkspace {
-  std::vector<std::int64_t> dp;      ///< min weight per scaled profit
-  std::vector<std::int64_t> next;    ///< double buffer for dp
-  std::vector<std::int32_t> choice;  ///< flat m x (P+1) reconstruction table
+  std::vector<std::int64_t> dp;      ///< min weight per band cell, class c-1
+  std::vector<std::int64_t> next;    ///< the same for class c (double buffer)
+  std::vector<std::int32_t> choice;  ///< reconstruction rows, sum of band widths
   std::vector<std::int64_t> q;       ///< scaled profits of kept items, flat
   std::vector<std::int64_t> wt;      ///< weights of kept items, flat
   std::vector<std::int32_t> item_of; ///< original item index per kept item
   std::vector<std::size_t> class_begin;  ///< m+1 offsets into q/wt/item_of
+  std::vector<std::int64_t> lo;      ///< lowest live scaled profit per class
+  std::vector<std::int64_t> hi;      ///< highest live scaled profit per class
+  std::vector<std::size_t> row_off;  ///< m+1 offsets of the rows in choice
 };
 
 /// Exact enumeration. Complexity is the product of class sizes; intended as
@@ -69,18 +75,20 @@ Selection solve_brute_force(const Instance& inst);
 /// Returns feasible=false iff even the minimal-weight selection exceeds the
 /// capacity (no valid assignment of one item per class fits).
 ///
-/// Fast paths (transparent to the result): plain-dominance reduction
-/// shrinks every class to its undominated items before the DP (safe for
-/// exact solvers, unlike the hull), and the profit axis is truncated at
-/// the LP relaxation upper bound plus rounding slack, so the table never
-/// grows past the achievable profit. `ws` supplies reusable buffers;
+/// Fast paths (transparent to the result, `pick` included): plain-dominance
+/// reduction shrinks every class to its undominated items before the DP
+/// (safe for exact solvers, unlike the hull); the profit axis is truncated
+/// at the LP relaxation upper bound plus rounding slack; and each class
+/// keeps only its live band of profits -- between the prefix sums of the
+/// class minima and maxima, and no lower than the HEU-OE answer minus the
+/// most the remaining classes can add. `ws` supplies reusable buffers;
 /// nullptr selects a thread_local workspace.
 ///
 /// A non-null `sink` records per-solve telemetry (docs/ANALYSIS.md §8):
 /// mckp.solves / items_total / items_kept counters, the items-pruned and
-/// dp-cells histograms, and a solve wall-time histogram. The decision is
-/// a pure function of (inst, profit_scale) either way; telemetry never
-/// alters the result.
+/// dp-cells (cells in the live band) histograms, and a solve wall-time
+/// histogram. The decision is a pure function of (inst, profit_scale)
+/// either way; telemetry never alters the result.
 Selection solve_dp_profits(const Instance& inst,
                            double profit_scale = kDefaultProfitScale,
                            DpWorkspace* ws = nullptr,
