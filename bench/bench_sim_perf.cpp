@@ -26,7 +26,9 @@
 //   * BM_HoistedSerialLoop     -- ditto with the decision vector preset,
 //                                 isolating the engine-only comparison;
 //   * BM_BatchReplication      -- one spec with replications = K through
-//                                 sim::BatchSimEngine's shared skeleton.
+//                                 sim::BatchSimEngine's shared skeleton;
+//                                 also records fast_share, bail_window and
+//                                 bail_tie from one untimed run.
 //
 // All three are normalized by the same work unit (K x the serial engine's
 // event count for the scenario), so agg_events_per_sec ratios are exactly
@@ -43,6 +45,7 @@
 #include "core/odm.hpp"
 #include "core/workload.hpp"
 #include "exp/batch.hpp"
+#include "sim/batch_engine.hpp"
 #include "sim/benefit_response.hpp"
 #include "sim/engine.hpp"
 #include "sim/reference_engine.hpp"
@@ -263,6 +266,17 @@ void BM_BatchReplication(benchmark::State& state) {
     state.counters["speedup_vs_hoisted_loop"] =
         hoisted_loop_ms_per_rep() / batch_ms;
   }
+  // Where the replications went, from one extra run outside the timed
+  // loop under the seed the runner gives scenario 0.
+  sim::BatchSimEngine engine;
+  sim::SimConfig cfg = w.cfg;
+  cfg.seed = exp::scenario_seed(42, 0);
+  (void)engine.run(w.tasks, w.decisions, *w.server, cfg, kReplications);
+  const sim::BatchEngineStats& st = engine.stats();
+  state.counters["fast_share"] = static_cast<double>(st.fast_replications) /
+                                 static_cast<double>(kReplications);
+  state.counters["bail_window"] = static_cast<double>(st.bailed_window);
+  state.counters["bail_tie"] = static_cast<double>(st.bailed_tie);
 }
 BENCHMARK(BM_BatchReplication)->Unit(benchmark::kMillisecond);
 

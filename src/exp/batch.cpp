@@ -67,12 +67,13 @@ ScenarioOutcome BatchRunner::run_one(const ScenarioSpec& spec,
           batch->run(spec.tasks, out.decisions, *spec.server, cfg,
                      spec.replications, spec.profile);
       if (shard != nullptr) {
-        shard->registry()
-            .counter("batch.fast_replications")
-            .inc(batch->stats().fast_replications);
-        shard->registry()
-            .counter("batch.fallback_replications")
-            .inc(batch->stats().fallback_replications);
+        const sim::BatchEngineStats& st = batch->stats();
+        auto& reg = shard->registry();
+        reg.counter("batch.fast_replications").inc(st.fast_replications);
+        reg.counter("batch.fallback_replications").inc(st.fallback_replications);
+        reg.counter("sim.batch.bail.window").inc(st.bailed_window);
+        reg.counter("sim.batch.bail.tie").inc(st.bailed_tie);
+        reg.counter("sim.batch.tie_instants").inc(st.tie_instants);
       }
       return_batch_engine(std::move(batch));
       out.metrics = std::move(res.per_replication.front());

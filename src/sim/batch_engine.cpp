@@ -13,17 +13,32 @@
 // skeleton's busy segments to reproduce the serial engine's context-switch
 // count, completion bookkeeping and deadline checks.
 //
-// The replay refuses to guess whenever the serial outcome would hinge on
-// event-queue push order (seq tie-breaks) it does not track:
-//   * a result arrival at exactly the nanosecond of any skeleton event pop,
-//   * two arrivals in one replication at the same nanosecond,
-//   * an EDF key equal to the running/next segment's key,
-//   * any non-timely draw (response > R or no response), which spawns a
-//     compensation sub-job of nonzero length and perturbs the schedule.
-// Each hazard bails that single replication out to the serial engine with
-// the same derived seed. The skeleton itself is rejected up front when a
-// completion lands on the same nanosecond as any release pop (then even
-// the skeleton's tie-breaks could shift under replayed preemptions).
+// Where a post meets other work on one nanosecond, the serial outcome
+// hinges on its (time, seq) event order and (key, seq) ready order. Both
+// follow from facts the replay can compute:
+//   * Events on one nanosecond pop in push order. A release at T was pushed
+//     at T - period; a result arrival at its send instant, inside the
+//     setup's completion, before that event's dispatch arms a slice; the
+//     running job's completion at its last (re)dispatch. That job ran alone
+//     from its skeleton dispatch to T, so every arrival at T was sent no
+//     later -- in the same instant, the send first -- and pops before the
+//     completion; a post that preempted the job since only pushed the
+//     completion later still. A zero-length post's slice end is pushed at
+//     T itself, so it pops after every event at T pushed earlier: a second
+//     arrival or a release at T can still preempt that post.
+//   * A release and an arrival are never pushed on one nanosecond: the
+//     skeleton is rejected up front when a completion and a release share
+//     a nanosecond.
+//   * Ready-queue ties on the EDF key break on push order of the sub-jobs: a
+//     skeleton setup or local job is pushed at its release pop, a post at
+//     its arrival pop. A post therefore ranks behind exactly the skeleton
+//     jobs released before its arrival popped.
+// At such an instant the replay steps the serial engine's events over a
+// tiny local state (tie_step). Only a non-timely draw (response > R or no
+// response), which spawns a compensation sub-job of nonzero length and
+// really changes the schedule, bails that replication out to the serial
+// engine with the same derived seed -- and, counted apart, a zero
+// response, whose arrival is pushed at T itself.
 
 #include "sim/batch_engine.hpp"
 
@@ -44,8 +59,7 @@ namespace {
 using detail::TaskCache;
 
 constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-/// Segment key meaning "CPU idle": every pending post drains against it.
-constexpr std::int64_t kIdleKey = std::numeric_limits<std::int64_t>::max();
+constexpr std::size_t kNoPost = std::numeric_limits<std::size_t>::max();
 
 /// One request send point of the skeleton, in serial draw order.
 struct SkelDraw {
@@ -59,22 +73,47 @@ struct SkelDraw {
 struct SkelSegment {
   std::int64_t start_ns = 0;
   std::int64_t end_ns = 0;
-  std::int64_t key = 0;  ///< EDF priority of the job occupying the interval
+  std::int64_t key = 0;   ///< EDF priority of the job occupying the interval
+  std::uint64_t seq = 0;  ///< the job's sub-job seq: its release's rank
+};
+
+/// One live skeleton event pop, in pop order.
+struct SkelPop {
+  std::int64_t time_ns = 0;
+  /// Instant the event was pushed. The replay reads it for releases
+  /// only (pushed at their task's previous release): an arrival always
+  /// pops before a completion on its nanosecond (tie_step).
+  std::int64_t push_ns = 0;
+  /// Skeleton sub-jobs released so far, this pop included. A post whose
+  /// arrival pops after this one ranks behind exactly these on a key tie.
+  std::uint64_t releases = 0;
+  /// Segment running after this pop's dispatch, or kNoSlot (CPU idle).
+  std::uint32_t seg_after = kNoSlot;
+  bool completion = false;
+  bool switched = false;  ///< this pop's dispatch counted a context switch
 };
 
 /// A timely result arrival of one replication (zero-length post job).
 struct Arrival {
   std::int64_t time_ns = 0;
+  std::int64_t send_ns = 0;      ///< push instant of the arrival event
   std::int64_t deadline_ns = 0;  ///< job deadline = EDF key of the post
   std::uint32_t task = 0;
 };
 
-/// A post job waiting behind higher-priority skeleton work.
+/// A post job in the ready queue behind higher-priority work.
 struct Pending {
-  std::int64_t key = 0;
-  std::int64_t deadline_ns = 0;
+  std::int64_t deadline_ns = 0;  ///< also its EDF key
+  /// Skeleton releases popped before its arrival: the post runs before a
+  /// skeleton job of equal key iff that job's seq is larger.
+  std::uint64_t seq = 0;
   std::uint32_t task = 0;
 };
+
+/// Serial ready order between a post and a skeleton job: (key, seq).
+bool runs_before(const Pending& p, const SkelSegment& s) {
+  return p.deadline_ns < s.key || (p.deadline_ns == s.key && p.seq < s.seq);
+}
 
 // ---------------------------------------------------------------------
 // Skeleton construction: the serial engine's event loop restricted to the
@@ -96,6 +135,7 @@ struct SkeletonJob {
 
 struct SkelEvent {
   std::int64_t time_ns = 0;
+  std::int64_t push_ns = 0;
   std::uint64_t seq = 0;
   std::uint32_t kind = 0;  // 0 = release, 1 = slice end
   std::uint64_t arg = 0;   // task index or slice generation
@@ -119,9 +159,8 @@ struct Skeleton {
   /// cpu_busy charge beyond last_pop_ns.
   bool open_tail = false;
   std::int64_t tail_start_ns = 0;
-  /// Pop times of every live skeleton event, in pop (= time) order; a
-  /// replicated arrival landing on any of these bails out.
-  std::vector<std::int64_t> pop_times;
+  /// Every live skeleton event pop, in pop (= time) order.
+  std::vector<SkelPop> pops;
   /// Replication-invariant part of the metrics: releases, attempts, local
   /// completions/benefit, setup/local deadline misses, cpu time, skeleton
   /// context switches.
@@ -147,14 +186,12 @@ class SkeletonBuilder {
     free_.clear();
     running_ = kNoSlot;
     running_seg_start_ = 0;
+    now_ = 0;
     dispatch_time_ = 0;
     slice_generation_ = 0;
     slice_armed_ = false;
     event_seq_ = 0;
     subjob_seq_ = 0;
-
-    std::vector<std::int64_t> release_pops;
-    std::vector<std::int64_t> completion_pops;
 
     for (std::size_t i = 0; i < n; ++i) {
       push_event(0, 0, i);
@@ -171,13 +208,19 @@ class SkeletonBuilder {
       if (ev.kind == 1 && ev.arg != slice_generation_) continue;  // stale
       now_ = ev.time_ns;
       if (ev.kind == 0) {
-        release_pops.push_back(now_);
         handle_release(static_cast<std::size_t>(ev.arg), tc, sk);
       } else {
-        completion_pops.push_back(now_);
         handle_slice_end(tc, sk);
       }
+      const std::uint64_t switches = sk.base.context_switches;
       dispatch(sk);
+      // The running segment is the next one appended: every segment
+      // started earlier has already ended.
+      sk.pops.push_back(SkelPop{
+          ev.time_ns, ev.push_ns, subjob_seq_,
+          running_ != kNoSlot ? static_cast<std::uint32_t>(sk.segments.size())
+                              : kNoSlot,
+          ev.kind == 1, sk.base.context_switches != switches});
     }
     // Close the trailing segment at the horizon, like the serial engine's
     // final implicit advance (a running job keeps the CPU to the end, but
@@ -187,8 +230,7 @@ class SkeletonBuilder {
     // still extends to the horizon for replay purposes: the job holds the
     // CPU there).
     if (running_ != kNoSlot) {
-      sk.segments.push_back(
-          SkelSegment{running_seg_start_, horizon, jobs_[running_].key});
+      close_segment(horizon, sk);
       sk.open_tail = true;
       sk.tail_start_ns = running_seg_start_;
     }
@@ -197,29 +239,28 @@ class SkeletonBuilder {
 
     // Tie precheck: a completion on the same nanosecond as a release pop
     // means replayed preemptions could reorder the (time, seq) ties the
-    // skeleton resolved one way. Both lists are in pop order (sorted).
+    // skeleton resolved one way.
     sk.valid = true;
-    {
-      std::size_t i = 0;
-      for (const std::int64_t t : completion_pops) {
-        while (i < release_pops.size() && release_pops[i] < t) ++i;
-        if (i < release_pops.size() && release_pops[i] == t) {
-          sk.valid = false;
-          break;
-        }
+    for (std::size_t i = 0; i < sk.pops.size();) {
+      std::size_t j = i;
+      bool release = false;
+      bool completion = false;
+      for (; j < sk.pops.size() && sk.pops[j].time_ns == sk.pops[i].time_ns; ++j) {
+        (sk.pops[j].completion ? completion : release) = true;
       }
+      if (release && completion) {
+        sk.valid = false;
+        break;
+      }
+      i = j;
     }
-    sk.pop_times.resize(release_pops.size() + completion_pops.size());
-    std::merge(release_pops.begin(), release_pops.end(),
-               completion_pops.begin(), completion_pops.end(),
-               sk.pop_times.begin());
     for (const SkelDraw& d : sk.draws) ++sk.draws_per_task[d.task];
     return sk;
   }
 
  private:
   void push_event(std::int64_t time, std::uint32_t kind, std::uint64_t arg) {
-    heap_push(events_, SkelEvent{time, event_seq_++, kind, arg});
+    heap_push(events_, SkelEvent{time, now_, event_seq_++, kind, arg});
   }
 
   void ready_push(std::uint32_t slot) {
@@ -235,6 +276,11 @@ class SkeletonBuilder {
     }
     jobs_.emplace_back();
     return static_cast<std::uint32_t>(jobs_.size() - 1);
+  }
+
+  void close_segment(std::int64_t end, Skeleton& sk) {
+    const SkeletonJob& j = jobs_[running_];
+    sk.segments.push_back(SkelSegment{running_seg_start_, end, j.key, j.seq});
   }
 
   void advance_running(std::int64_t to, Skeleton& sk) {
@@ -272,8 +318,7 @@ class SkeletonBuilder {
     // The segment ends here, not in dispatch(): by the time dispatch()
     // runs, running_ is already cleared, so the completion-terminated
     // segment (the common case) would never be recorded.
-    sk.segments.push_back(
-        SkelSegment{running_seg_start_, now_, jobs_[slot].key});
+    close_segment(now_, sk);
     running_ = kNoSlot;
     const SkeletonJob& j = jobs_[slot];
     const TaskCache& c = tc[j.task];
@@ -299,10 +344,7 @@ class SkeletonBuilder {
     const std::uint32_t top = ready_.empty() ? kNoSlot : ready_[0].slot;
     if (top == running_ && slice_armed_) return;
     if (top != running_) {
-      if (running_ != kNoSlot) {
-        sk.segments.push_back(
-            SkelSegment{running_seg_start_, now_, jobs_[running_].key});
-      }
+      if (running_ != kNoSlot) close_segment(now_, sk);
       running_ = top;
       dispatch_time_ = now_;
       if (running_ != kNoSlot) {
@@ -332,6 +374,27 @@ class SkeletonBuilder {
   std::uint64_t subjob_seq_ = 0;
 };
 
+/// How one replication's replay ended.
+enum class Replay : std::uint8_t {
+  kFast,    ///< the skeleton represents it exactly
+  kWindow,  ///< a response later than R, or none: the schedule changes
+  kTie,     ///< a same-instant pattern the tie step does not model
+};
+
+/// Where one replication's walk over the skeleton stands.
+struct Cursor {
+  std::size_t seg = 0;    ///< first segment not yet fully passed
+  std::size_t pop = 0;    ///< first skeleton pop not yet passed
+  std::uint64_t ctx = 0;  ///< context switches beyond the skeleton's
+};
+
+/// A slice end armed during a tie step; it pops after every event pushed
+/// before the step's instant.
+struct LocalSliceEnd {
+  std::uint64_t generation = 0;
+  bool post = false;
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -355,9 +418,10 @@ struct BatchSimEngine::Impl {
 
   std::vector<Rng> lane_rngs_;
   std::vector<Duration> column_draws_;   // [column][lane] for one block
-  std::vector<Duration> rep_draws_;      // gathered per replication
+  std::vector<Duration> rep_draws_;      // one replication's, when stateful
   std::vector<Arrival> arrivals_;
   std::vector<Pending> pending_;
+  std::vector<LocalSliceEnd> slice_ends_;
 
   static bool skeleton_eligible(const SimConfig& cfg) {
     return cfg.scheduler_policy == SchedulerPolicy::kEdf &&
@@ -447,12 +511,12 @@ struct BatchSimEngine::Impl {
       }
       for (std::size_t j = 0; j < lanes; ++j) {
         const std::size_t r = r0 + j;
-        bool ok = true;
-        if (stateless) {
-          for (std::size_t c = 0; c < columns; ++c) {
-            rep_draws_[c] = column_draws_[c * lanes + j];
-          }
-        } else {
+        Replay outcome = Replay::kFast;
+        // Lane j's draws: column-major across the block, or sequential.
+        const Duration* draws =
+            stateless ? column_draws_.data() + j : rep_draws_.data();
+        const std::size_t stride = stateless ? lanes : 1;
+        if (!stateless) {
           server->reset();
           Rng rng(derive_seed(config.seed, r));
           for (std::size_t c = 0; c < columns; ++c) {
@@ -460,20 +524,24 @@ struct BatchSimEngine::Impl {
             req.send_time = TimePoint{sk.draws[c].send_ns};
             rep_draws_[c] = server->sample(req, rng);
             if (rep_draws_[c].ns() > sk.draws[c].window_ns) {
-              ok = false;  // schedule diverges; no need to keep drawing
+              outcome = Replay::kWindow;  // no need to keep drawing
               break;
             }
           }
         }
-        if (ok) ok = replay(sk, config.horizon.ns(), r, n);
-        if (!ok) {
-          ++stats_.bailed_replications;
-          bailed_[r] = 1;
-          if (!stateless) server->reset();
-          run_fallback(result, r, tasks, decisions, *server, config, profile);
-        } else {
-          ++stats_.fast_replications;
+        if (outcome == Replay::kFast) {
+          outcome = replay(sk, config.horizon.ns(), r, n, draws, stride);
         }
+        if (outcome == Replay::kFast) {
+          ++stats_.fast_replications;
+          continue;
+        }
+        ++(outcome == Replay::kWindow ? stats_.bailed_window
+                                      : stats_.bailed_tie);
+        ++stats_.bailed_replications;
+        bailed_[r] = 1;
+        if (!stateless) server->reset();
+        run_fallback(result, r, tasks, decisions, *server, config, profile);
       }
     }
 
@@ -499,26 +567,29 @@ struct BatchSimEngine::Impl {
     return result;
   }
 
-  /// Replays replication r's timely zero-length posts over the skeleton.
-  /// Returns false on any tie-break hazard (the caller falls back).
-  bool replay(const Skeleton& sk, std::int64_t horizon, std::size_t r,
-              std::size_t n) {
+  /// Replays replication r's timely zero-length posts over the skeleton;
+  /// draw c is draws[c * stride].
+  Replay replay(const Skeleton& sk, std::int64_t horizon, std::size_t r,
+                std::size_t n, const Duration* draws, std::size_t stride) {
     const std::size_t columns = sk.draws.size();
+    const std::size_t lane0 = r * n;
     // Draw validation + response statistics. The serial engine records
     // observed_response_ms at send time, i.e. in draw order, which is how
     // this loop visits them; a non-timely draw bails before the lane is
     // read, so partially filled stats are never observed.
     arrivals_.resize(columns);
     for (std::size_t c = 0; c < columns; ++c) {
-      const Duration resp = rep_draws_[c];
-      if (resp.ns() > sk.draws[c].window_ns) return false;
-      response_[r * n + sk.draws[c].task].add(resp.ms());
-      arrivals_[c] = Arrival{sk.draws[c].send_ns + resp.ns(),
-                             sk.draws[c].deadline_ns, sk.draws[c].task};
+      const SkelDraw& d = sk.draws[c];
+      const Duration resp = draws[c * stride];
+      if (resp.ns() > d.window_ns) return Replay::kWindow;
+      response_[lane0 + d.task].add(resp.ms());
+      arrivals_[c] =
+          Arrival{d.send_ns + resp.ns(), d.send_ns, d.deadline_ns, d.task};
     }
     // Draws are generated in send order and response windows are short
     // relative to send spacing, so arrivals_ is nearly sorted: insertion
-    // sort's adaptive O(n + inversions) beats std::sort here.
+    // sort's adaptive O(n + inversions) beats std::sort here. It is
+    // stable, so arrivals on one nanosecond stay in draw = push order.
     for (std::size_t i = 1; i < arrivals_.size(); ++i) {
       const Arrival a = arrivals_[i];
       std::size_t j = i;
@@ -530,94 +601,47 @@ struct BatchSimEngine::Impl {
     }
 
     pending_.clear();
-    std::size_t seg = 0;          // first segment not yet fully passed
-    std::size_t pop = 0;          // cursor into sk.pop_times
-    std::uint64_t ctx = 0;
-    std::int64_t prev_arrival = -1;
-
-    const auto complete_post = [&](std::uint32_t task, std::int64_t t,
-                                   std::int64_t deadline) {
-      const std::size_t lane = r * n + task;
-      ++completed_[lane];
-      if (t > deadline) {
-        ++misses_[lane];
-      } else {
-        benefit_[lane] += tcache_[task].timely_benefit;
-      }
-    };
-
-    // Drains every pending post eligible at boundary time t against the
-    // key that occupies the CPU next; returns false on a key tie.
-    const auto drain = [&](std::int64_t t, std::int64_t next_key) -> bool {
-      while (!pending_.empty()) {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < pending_.size(); ++i) {
-          if (pending_[i].key < pending_[best].key) best = i;
-        }
-        if (pending_[best].key > next_key) break;
-        if (pending_[best].key == next_key) return false;  // seq tie unknown
-        ++ctx;
-        complete_post(pending_[best].task, t, pending_[best].deadline_ns);
-        // Order-preserving removal: equal keys must drain in insertion
-        // order, the serial engine's sub-job seq tie-break.
-        pending_.erase(pending_.begin() +
-                       static_cast<std::ptrdiff_t>(best));
-      }
-      return true;
-    };
-
-    // Advances past every segment boundary strictly before t.
-    const auto advance_to = [&](std::int64_t t) -> bool {
-      while (seg < sk.segments.size() && sk.segments[seg].end_ns < t) {
-        if (pending_.empty()) {
-          // Draining is a no-op with nothing pending; skip straight past
-          // the remaining boundaries.
-          do {
-            ++seg;
-          } while (seg < sk.segments.size() && sk.segments[seg].end_ns < t);
-          return true;
-        }
-        const std::int64_t end = sk.segments[seg].end_ns;
-        const std::int64_t next_key =
-            (seg + 1 < sk.segments.size() &&
-             sk.segments[seg + 1].start_ns == end)
-                ? sk.segments[seg + 1].key
-                : kIdleKey;
-        if (!drain(end, next_key)) return false;
-        ++seg;
-      }
-      return true;
-    };
-
-    for (const Arrival& a : arrivals_) {
+    Cursor cur;
+    std::uint64_t ties = 0;
+    std::int64_t last_arrival = -1;
+    for (std::size_t i = 0; i < arrivals_.size();) {
+      const Arrival& a = arrivals_[i];
       if (a.time_ns >= horizon) break;  // never popped by the serial engine
-      if (a.time_ns == prev_arrival) return false;  // same-instant arrivals
-      prev_arrival = a.time_ns;
-      if (!advance_to(a.time_ns)) return false;
-      while (pop < sk.pop_times.size() && sk.pop_times[pop] < a.time_ns) ++pop;
-      if (pop < sk.pop_times.size() && sk.pop_times[pop] == a.time_ns) {
-        return false;  // collides with a skeleton event pop
+      last_arrival = a.time_ns;
+      advance_to(sk, cur, lane0, a.time_ns);
+      while (cur.pop < sk.pops.size() && sk.pops[cur.pop].time_ns < a.time_ns) {
+        ++cur.pop;
       }
-      ++timely_[r * n + a.task];
-      const bool busy = seg < sk.segments.size() &&
-                        sk.segments[seg].start_ns <= a.time_ns &&
-                        a.time_ns < sk.segments[seg].end_ns;
+      std::size_t end = i + 1;
+      while (end < arrivals_.size() && arrivals_[end].time_ns == a.time_ns) ++end;
+      if (end > i + 1 ||
+          (cur.pop < sk.pops.size() && sk.pops[cur.pop].time_ns == a.time_ns)) {
+        if (!tie_step(sk, cur, lane0, i, end)) return Replay::kTie;
+        ++ties;
+        i = end;
+        continue;
+      }
+      ++i;
+      // The only event at this instant: the post runs at once unless the
+      // running job precedes it. That job was released before the
+      // arrival, so an equal key keeps it running.
+      ++timely_[lane0 + a.task];
+      const bool busy = cur.seg < sk.segments.size() &&
+                        sk.segments[cur.seg].start_ns <= a.time_ns &&
+                        a.time_ns < sk.segments[cur.seg].end_ns;
       if (!busy) {
-        ctx += 1;  // idle -> post -> idle
-        complete_post(a.task, a.time_ns, a.deadline_ns);
+        cur.ctx += 1;  // idle -> post -> idle
+        complete_post(lane0, a.task, a.time_ns, a.deadline_ns);
+      } else if (a.deadline_ns < sk.segments[cur.seg].key) {
+        cur.ctx += 2;  // preempt + resume
+        complete_post(lane0, a.task, a.time_ns, a.deadline_ns);
       } else {
-        const std::int64_t run_key = sk.segments[seg].key;
-        if (a.deadline_ns < run_key) {
-          ctx += 2;  // preempt + resume
-          complete_post(a.task, a.time_ns, a.deadline_ns);
-        } else if (a.deadline_ns == run_key) {
-          return false;  // tie against the running job's seq
-        } else {
-          pending_.push_back(Pending{a.deadline_ns, a.deadline_ns, a.task});
-        }
+        pending_.push_back(Pending{
+            a.deadline_ns, cur.pop > 0 ? sk.pops[cur.pop - 1].releases : 0,
+            a.task});
       }
     }
-    if (!advance_to(horizon)) return false;
+    advance_to(sk, cur, lane0, horizon);
     // Posts still pending at the horizon never complete -- their timely
     // arrival was counted, the completion was cut off, like the serial
     // engine breaking its loop with jobs in the ready queue.
@@ -626,11 +650,200 @@ struct BatchSimEngine::Impl {
     // a job still holds the CPU at the horizon and this replication's last
     // arrival pops after the skeleton's last pop, the serial engine would
     // have charged the tail job up to that arrival.
-    if (sk.open_tail && prev_arrival > sk.last_pop_ns) {
+    if (sk.open_tail && last_arrival > sk.last_pop_ns) {
       const std::int64_t lo = std::max(sk.last_pop_ns, sk.tail_start_ns);
-      if (prev_arrival > lo) cpu_extra_[r] = prev_arrival - lo;
+      if (last_arrival > lo) cpu_extra_[r] = last_arrival - lo;
     }
-    ctx_delta_[r] = ctx;
+    ctx_delta_[r] = cur.ctx;
+    stats_.tie_instants += ties;
+    return Replay::kFast;
+  }
+
+  void complete_post(std::size_t lane0, std::uint32_t task, std::int64_t t,
+                     std::int64_t deadline) {
+    const std::size_t lane = lane0 + task;
+    ++completed_[lane];
+    if (t > deadline) {
+      ++misses_[lane];
+    } else {
+      benefit_[lane] += tcache_[task].timely_benefit;
+    }
+  }
+
+  /// Index of the ready post the serial engine would pick first: the
+  /// smallest key, the earliest push on ties (pending_ is in push order).
+  std::size_t best_post() const {
+    std::size_t best = kNoPost;
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      if (best == kNoPost || pending_[i].deadline_ns < pending_[best].deadline_ns) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  /// Runs every pending post that precedes segment `next` (kNoSlot: the CPU
+  /// goes idle) at boundary time t, one context switch each.
+  void drain(const Skeleton& sk, Cursor& cur, std::size_t lane0,
+             std::int64_t t, std::uint32_t next) {
+    while (!pending_.empty()) {
+      const std::size_t best = best_post();
+      if (next != kNoSlot && !runs_before(pending_[best], sk.segments[next])) {
+        break;
+      }
+      ++cur.ctx;
+      complete_post(lane0, pending_[best].task, t, pending_[best].deadline_ns);
+      // Order-preserving removal keeps pending_ in push order.
+      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
+    }
+  }
+
+  /// Advances past every segment boundary strictly before t.
+  void advance_to(const Skeleton& sk, Cursor& cur, std::size_t lane0,
+                  std::int64_t t) {
+    while (cur.seg < sk.segments.size() && sk.segments[cur.seg].end_ns < t) {
+      if (pending_.empty()) {
+        // Draining is a no-op with nothing pending; skip straight past
+        // the remaining boundaries.
+        do {
+          ++cur.seg;
+        } while (cur.seg < sk.segments.size() &&
+                 sk.segments[cur.seg].end_ns < t);
+        return;
+      }
+      const std::int64_t end = sk.segments[cur.seg].end_ns;
+      const bool next_starts = cur.seg + 1 < sk.segments.size() &&
+                               sk.segments[cur.seg + 1].start_ns == end;
+      drain(sk, cur, lane0, end,
+            next_starts ? static_cast<std::uint32_t>(cur.seg + 1) : kNoSlot);
+      ++cur.seg;
+    }
+  }
+
+  /// Steps the serial engine through every event at T, the instant of
+  /// arrivals_[a0, a1): those arrivals, the skeleton pops at T, and the
+  /// slice ends armed at T. Pre-T events pop in push order; slice ends
+  /// pushed at T pop after them, in arming order. Returns false on a zero
+  /// response, whose arrival is pushed at T itself.
+  bool tie_step(const Skeleton& sk, Cursor& cur, std::size_t lane0,
+                std::size_t a0, std::size_t a1) {
+    const std::int64_t t = arrivals_[a0].time_ns;
+    for (std::size_t a = a0; a < a1; ++a) {
+      if (arrivals_[a].send_ns == t) return false;  // zero response
+    }
+    const std::size_t p0 = cur.pop;
+    std::size_t p1 = p0;
+    std::int64_t skel_switches = 0;
+    for (; p1 < sk.pops.size() && sk.pops[p1].time_ns == t; ++p1) {
+      skel_switches += sk.pops[p1].switched ? 1 : 0;
+    }
+    // The skeleton job holding the CPU just before T.
+    const std::uint32_t before =
+        cur.seg < sk.segments.size() && sk.segments[cur.seg].start_ns < t
+            ? static_cast<std::uint32_t>(cur.seg)
+            : kNoSlot;
+    // No release pops at T when a completion does, so the pops at T are
+    // all releases or all completions. The first completion is
+    // `before`'s, pushed before T; each later one belongs to a job
+    // dispatched at T with no work left (preempted on the nanosecond its
+    // work ran out), so it is pushed at T, when that job is armed.
+    const bool completing = p1 > p0 && sk.pops[p0].completion;
+    std::size_t next_done = p0;  // the next completion pop to happen
+    const auto completes_next = [&](std::uint32_t seg) {
+      return completing && next_done < p1 &&
+             seg == (next_done == p0 ? before : sk.pops[next_done - 1].seg_after);
+    };
+
+    std::uint32_t skel_min = before;  // skeleton ready minimum (segment)
+    std::uint32_t run_seg = before;   // running skeleton job, or kNoSlot
+    std::size_t run_post = kNoPost;   // running post (pending_ index)
+    bool armed = before != kNoSlot;
+    std::uint64_t generation = 0;     // `before`'s pre-T slice end has 0
+    std::uint64_t releases = p0 > 0 ? sk.pops[p0 - 1].releases : 0;
+    std::int64_t switches = 0;
+    slice_ends_.clear();
+
+    const auto dispatch = [&] {
+      const std::size_t best = best_post();
+      const bool post_top =
+          best != kNoPost &&
+          (skel_min == kNoSlot ||
+           runs_before(pending_[best], sk.segments[skel_min]));
+      const std::uint32_t top_seg = post_top ? kNoSlot : skel_min;
+      const std::size_t top_post = post_top ? best : kNoPost;
+      const bool same = top_seg == run_seg && top_post == run_post;
+      if (same && armed) return;
+      if (!same) {
+        run_seg = top_seg;
+        run_post = top_post;
+        if (run_seg != kNoSlot || run_post != kNoPost) ++switches;
+      }
+      if (armed) ++generation;  // the armed slice end goes stale
+      armed = run_seg != kNoSlot || run_post != kNoPost;
+      if (run_post != kNoPost) {
+        slice_ends_.push_back(LocalSliceEnd{generation, true});
+      } else if (completes_next(run_seg)) {
+        slice_ends_.push_back(LocalSliceEnd{generation, false});
+      }
+    };
+    const auto complete_running = [&] {
+      run_seg = kNoSlot;
+      armed = false;
+      skel_min = sk.pops[next_done++].seg_after;
+    };
+
+    // Pre-T events, merged by push instant. A release's never equals a
+    // send (no release pop shares an instant with a completion pop). An
+    // arrival always precedes `before`'s completion: that job ran alone
+    // from its last dispatch to T, so the send came no later than that
+    // dispatch -- in the same instant, the send first -- and a post that
+    // preempted it since only pushed the completion later still.
+    const std::size_t pre_end = completing ? p0 + 1 : p1;
+    std::size_t p = p0;
+    std::size_t a = a0;
+    while (p < pre_end || a < a1) {
+      bool arrival = a < a1;
+      if (arrival && p < pre_end) {
+        arrival = sk.pops[p].completion ||
+                  arrivals_[a].send_ns < sk.pops[p].push_ns;
+      }
+      if (arrival) {
+        const Arrival& ar = arrivals_[a++];
+        ++timely_[lane0 + ar.task];
+        pending_.push_back(Pending{ar.deadline_ns, releases, ar.task});
+      } else {
+        const SkelPop& sp = sk.pops[p++];
+        if (!sp.completion) {
+          releases = sp.releases;
+          skel_min = sp.seg_after;
+        } else if (generation == 0) {
+          complete_running();
+        }  // else stale: a post preempted `before`, which re-arms at T
+      }
+      dispatch();
+    }
+    // Slice ends armed at T, in arming order.
+    for (std::size_t k = 0; k < slice_ends_.size(); ++k) {
+      const LocalSliceEnd ev = slice_ends_[k];
+      if (ev.generation == generation) {
+        if (ev.post) {
+          const Pending done = pending_[run_post];
+          pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(run_post));
+          run_post = kNoPost;
+          armed = false;
+          complete_post(lane0, done.task, t, done.deadline_ns);
+        } else {
+          complete_running();
+        }
+      }
+      dispatch();
+    }
+
+    cur.ctx += static_cast<std::uint64_t>(switches - skel_switches);
+    cur.pop = p1;
+    while (cur.seg < sk.segments.size() && sk.segments[cur.seg].end_ns <= t) {
+      ++cur.seg;
+    }
     return true;
   }
 

@@ -22,15 +22,24 @@
 //    lanes when the model is stateless), merge the zero-length result
 //    arrivals against the skeleton segments, and emit the per-replication
 //    counters from structure-of-arrays batch buffers.
-//  * Replications the skeleton cannot represent exactly -- a response
-//    later than its window R (compensation perturbs the schedule), an
-//    arrival colliding with a skeleton event at the same nanosecond (the
-//    serial tie-break depends on queue-push order), or an EDF key tie with
-//    a running job -- individually fall back to a serial-engine run with
-//    the same derived seed, which is bit-identical by construction.
-//    Configurations outside the skeleton preconditions (sporadic releases,
-//    stochastic execution times, fixed-priority dispatch, traces, mode
-//    controllers, ...) take the fallback for every replication.
+//  * Result arrivals that land on the same nanosecond as a release, a
+//    completion or another arrival stay on the fast path: the replay
+//    orders them exactly as the serial engine does. Events on one
+//    nanosecond pop in push order (a release was pushed one period
+//    earlier, an arrival at its send, the running job's completion at its
+//    last (re)dispatch, a zero-length post's slice end at the instant
+//    itself), and ready-queue ties on the EDF key break on push order of
+//    the sub-jobs (a skeleton job at its release pop, a post at its
+//    arrival pop).
+//  * Only a replication the skeleton cannot represent -- a response later
+//    than its window R, or none (compensation perturbs the schedule) --
+//    falls back to a serial-engine run with the same derived seed, which
+//    is bit-identical by construction; so does one with a zero response,
+//    the one same-instant pattern the replay does not step.
+//    Configurations outside the skeleton preconditions (sporadic
+//    releases, stochastic execution times, fixed-priority dispatch,
+//    traces, mode controllers, ...) take the fallback for every
+//    replication.
 
 #include <cstddef>
 #include <cstdint>
@@ -46,11 +55,19 @@ struct BatchEngineStats {
   /// Replications served by the shared-skeleton fast path.
   std::size_t fast_replications = 0;
   /// Replications that ran through the serial engine (ineligible
-  /// configuration, non-timely draw, or a tie-break hazard).
+  /// configuration, or a bail below).
   std::size_t fallback_replications = 0;
   /// Fast-path replications abandoned mid-replay (subset of
-  /// fallback_replications): a draw or arrival hit a bail condition.
+  /// fallback_replications): bailed_window + bailed_tie.
   std::size_t bailed_replications = 0;
+  /// Bails on a response later than R, or no response.
+  std::size_t bailed_window = 0;
+  /// Bails on a same-instant pattern the exact tie step declines: a zero
+  /// response, whose arrival is pushed on the instant it pops.
+  std::size_t bailed_tie = 0;
+  /// Same-instant events the tie step resolved, summed over the
+  /// fast-path replications (one per instant per replication).
+  std::size_t tie_instants = 0;
 };
 
 struct BatchResult {
