@@ -130,8 +130,6 @@ void BM_SimEngine(benchmark::State& state) {
       static_cast<double>(engine.stats().pool_slots_peak);
   state.counters["in_flight_peak"] =
       static_cast<double>(engine.stats().in_flight_peak);
-  state.counters["stale_compacted"] =
-      static_cast<double>(engine.stats().stale_events_compacted);
 }
 BENCHMARK(BM_SimEngine)->Unit(benchmark::kMillisecond);
 

@@ -60,6 +60,11 @@ using detail::TaskCache;
 
 constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 constexpr std::size_t kNoPost = std::numeric_limits<std::size_t>::max();
+/// Most response draws one replication block buffers (8 bytes each, so
+/// 1 MiB). A long horizon has thousands of draw columns: 128 lanes of them
+/// take megabytes, and where the allocator puts that buffer as it regrows
+/// from one scenario to the next moves peak RSS by as much.
+constexpr std::size_t kMaxBlockDraws = std::size_t{1} << 17;
 
 /// One request send point of the skeleton, in serial draw order.
 struct SkelDraw {
@@ -150,20 +155,11 @@ struct Skeleton {
   bool valid = false;  ///< false: a precondition or tie precheck failed
   std::vector<SkelDraw> draws;
   std::vector<SkelSegment> segments;
-  /// Time of the last event pop (< horizon), stale pops included: the
-  /// serial engine's cpu_busy charge stops here unless a replication's
-  /// arrivals pop later.
-  std::int64_t last_pop_ns = 0;
-  /// True when a job still holds the CPU at the horizon (the trailing
-  /// segment is cut off). Only then can later arrival pops extend the
-  /// cpu_busy charge beyond last_pop_ns.
-  bool open_tail = false;
-  std::int64_t tail_start_ns = 0;
   /// Every live skeleton event pop, in pop (= time) order.
   std::vector<SkelPop> pops;
   /// Replication-invariant part of the metrics: releases, attempts, local
-  /// completions/benefit, setup/local deadline misses, cpu time, skeleton
-  /// context switches.
+  /// completions/benefit, setup/local deadline misses, skeleton context
+  /// switches, and all of cpu_busy (the posts have zero length).
   SimMetrics base;
   /// Number of draws addressed to each task (sizes the per-task response
   /// stats without a counting pass per replication).
@@ -200,11 +196,8 @@ class SkeletonBuilder {
       const SkelEvent ev = events_[0];
       if (ev.time_ns >= horizon) break;
       heap_pop(events_);
-      // The serial engine advances the clock before it filters stale slice
-      // ends, so even a stale pop charges cpu_busy for the running job --
-      // mirror that, or a horizon-truncated run undercounts.
+      // A stale pop only splits the running job's busy interval in two.
       advance_running(ev.time_ns, sk);
-      sk.last_pop_ns = ev.time_ns;
       if (ev.kind == 1 && ev.arg != slice_generation_) continue;  // stale
       now_ = ev.time_ns;
       if (ev.kind == 0) {
@@ -222,17 +215,11 @@ class SkeletonBuilder {
                               : kNoSlot,
           ev.kind == 1, sk.base.context_switches != switches});
     }
-    // Close the trailing segment at the horizon, like the serial engine's
-    // final implicit advance (a running job keeps the CPU to the end, but
-    // cpu_busy only counts time advanced by popped events -- mirror that:
-    // the serial engine never advances past the last popped event, so the
-    // open segment's execution past it was never charged. The segment
-    // still extends to the horizon for replay purposes: the job holds the
-    // CPU there).
+    // A job still running holds the CPU, and is charged, up to the
+    // horizon, like the serial engine's final advance.
     if (running_ != kNoSlot) {
+      advance_running(horizon, sk);
       close_segment(horizon, sk);
-      sk.open_tail = true;
-      sk.tail_start_ns = running_seg_start_;
     }
     sk.base.end_time = TimePoint{horizon};
     sk.base.trace_truncated = false;
@@ -413,7 +400,6 @@ struct BatchSimEngine::Impl {
   std::vector<double> benefit_;
   std::vector<RunningStats> response_;
   std::vector<std::uint64_t> ctx_delta_;
-  std::vector<std::int64_t> cpu_extra_;
   std::vector<std::uint8_t> bailed_;
 
   std::vector<Rng> lane_rngs_;
@@ -482,12 +468,18 @@ struct BatchSimEngine::Impl {
     benefit_.assign(replications * n, 0.0);
     response_.assign(replications * n, RunningStats{});
     ctx_delta_.assign(replications, 0);
-    cpu_extra_.assign(replications, 0);
     bailed_.assign(replications, 0);
 
     const bool stateless = server->is_stateless();
     const std::size_t columns = sk.draws.size();
-    const std::size_t block = stateless ? std::min<std::size_t>(replications, 128) : 1;
+    // Up to 128 lanes per block, fewer when their draws would pass
+    // kMaxBlockDraws. Lane streams are independent, so the block size
+    // changes no result.
+    const std::size_t block =
+        stateless ? std::clamp<std::size_t>(
+                        kMaxBlockDraws / std::max<std::size_t>(columns, 1), 1,
+                        std::min<std::size_t>(replications, 128))
+                  : 1;
 
     rep_draws_.resize(columns);
     for (std::size_t r0 = 0; r0 < replications; r0 += block) {
@@ -559,7 +551,6 @@ struct BatchSimEngine::Impl {
           tm.observed_response_ms = response_[lane];
         }
         m.context_switches += ctx_delta_[r];
-        m.cpu_busy_ns += cpu_extra_[r];
         result.per_replication[r] = std::move(m);
       }
       result.aggregate.add(result.per_replication[r]);
@@ -603,11 +594,9 @@ struct BatchSimEngine::Impl {
     pending_.clear();
     Cursor cur;
     std::uint64_t ties = 0;
-    std::int64_t last_arrival = -1;
     for (std::size_t i = 0; i < arrivals_.size();) {
       const Arrival& a = arrivals_[i];
       if (a.time_ns >= horizon) break;  // never popped by the serial engine
-      last_arrival = a.time_ns;
       advance_to(sk, cur, lane0, a.time_ns);
       while (cur.pop < sk.pops.size() && sk.pops[cur.pop].time_ns < a.time_ns) {
         ++cur.pop;
@@ -645,15 +634,6 @@ struct BatchSimEngine::Impl {
     // Posts still pending at the horizon never complete -- their timely
     // arrival was counted, the completion was cut off, like the serial
     // engine breaking its loop with jobs in the ready queue.
-    //
-    // cpu_busy: the serial charge stops at the run's last event pop. When
-    // a job still holds the CPU at the horizon and this replication's last
-    // arrival pops after the skeleton's last pop, the serial engine would
-    // have charged the tail job up to that arrival.
-    if (sk.open_tail && last_arrival > sk.last_pop_ns) {
-      const std::int64_t lo = std::max(sk.last_pop_ns, sk.tail_start_ns);
-      if (last_arrival > lo) cpu_extra_[r] = last_arrival - lo;
-    }
     ctx_delta_[r] = cur.ctx;
     stats_.tie_instants += ties;
     return Replay::kFast;

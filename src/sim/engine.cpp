@@ -7,7 +7,8 @@
 // driver below only decides where events come from. The only degrees of
 // freedom taken are representational (d-ary heaps instead of
 // std::priority_queue, a generation-tagged slot map instead of
-// std::unordered_map with a deferred erase).
+// std::unordered_map with a deferred erase, and the one armed slice end in
+// a register beside the event heap instead of inside it).
 
 #include "sim/engine.hpp"
 
@@ -24,13 +25,13 @@ namespace rt::sim {
 
 namespace {
 
-enum class EventKind { kRelease, kSliceEnd, kOffloadArrival, kTimer };
+enum class EventKind { kRelease, kOffloadArrival, kTimer };
 
 struct Event {
   TimePoint time;
   std::uint64_t seq = 0;
   EventKind kind = EventKind::kRelease;
-  std::uint64_t arg = 0;  // task index, slice generation, or offload token
+  std::uint64_t arg = 0;  // task index or offload token
 
   friend bool operator<(const Event& a, const Event& b) {
     if (a.time != b.time) return a.time < b.time;
@@ -59,12 +60,13 @@ struct SimEngine::Impl : ProtocolCore<SimEngine::Impl> {
 
   // ---- per-run state ----
   server::ResponseModel* server_ = nullptr;
-  std::uint64_t slice_generation_ = 0;
   std::uint64_t event_seq_ = 0;
   std::size_t flights_live_ = 0;
-  /// Heap entries already known dead: superseded slice-ends plus timers
-  /// whose token was resolved by an arrival. Drives compaction.
-  std::size_t stale_events_ = 0;
+  /// The armed slice end, ordered against the heap on (time, seq). The core
+  /// arms at most one at a time, so it never enters the heap; TimePoint::max()
+  /// when disarmed, which the horizon check treats as "no event".
+  TimePoint slice_time_ = TimePoint::max();
+  std::uint64_t slice_seq_ = 0;
 
   // Telemetry handles; null when config_.sink is null.
   obs::Counter* events_counter_ = nullptr;
@@ -73,36 +75,17 @@ struct SimEngine::Impl : ProtocolCore<SimEngine::Impl> {
   // ---- event queue: 4-ary min-heap on (time, seq) ----
 
   void push_event(TimePoint time, EventKind kind, std::uint64_t arg) {
-    if (stale_events_ > 64 && stale_events_ * 2 > events_.size()) {
-      compact_events();
-    }
     heap_push(events_, Event{time, event_seq_++, kind, arg});
     stats_.event_heap_peak = std::max(stats_.event_heap_peak, events_.size());
   }
 
-  /// Is this heap entry already known to be a no-op when popped?
-  bool event_is_stale(const Event& ev) const {
-    switch (ev.kind) {
-      case EventKind::kSliceEnd:
-        return ev.arg != slice_generation_;
-      case EventKind::kTimer:
-        return flight_find(ev.arg) == nullptr;
-      default:
-        return false;
-    }
-  }
-
-  /// Removes every stale entry and re-heapifies (Floyd, O(n)). Popping
-  /// order of live events is unchanged: (time, seq) is a total order.
-  void compact_events() {
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < events_.size(); ++i) {
-      if (!event_is_stale(events_[i])) events_[kept++] = events_[i];
-    }
-    stats_.stale_events_compacted += events_.size() - kept;
-    events_.resize(kept);
-    stale_events_ = 0;
-    heap_make(events_);
+  /// Does the armed slice end pop before the heap top? Disarmed, it is at
+  /// TimePoint::max() and only "wins" an empty heap, past the horizon.
+  [[nodiscard]] bool slice_is_next() const {
+    if (events_.empty()) return true;
+    const Event& top = events_[0];
+    return slice_time_ < top.time ||
+           (slice_time_ == top.time && slice_seq_ < top.seq);
   }
 
   // ---- in-flight token slot map ----
@@ -148,10 +131,9 @@ struct SimEngine::Impl : ProtocolCore<SimEngine::Impl> {
     events_.clear();
     flights_.clear();
     flight_free_.clear();
-    slice_generation_ = 0;
     event_seq_ = 0;
     flights_live_ = 0;
-    stale_events_ = 0;
+    slice_time_ = TimePoint::max();
     events_counter_ = nullptr;
     run_hist_ = nullptr;
     ProtocolCore::reset(tasks, decisions, config, profile);
@@ -167,18 +149,30 @@ struct SimEngine::Impl : ProtocolCore<SimEngine::Impl> {
     for (std::size_t i = 0; i < tasks_->size(); ++i) {
       push_event(TimePoint::zero(), EventKind::kRelease, i);
     }
-    while (!events_.empty()) {
-      const Event ev = events_[0];
+    for (;;) {
+      const bool slice = slice_is_next();
       // Half-open horizon [0, H): events at exactly H belong to the next
       // window and are dropped.
-      if (ev.time >= horizon_end_) break;
-      heap_pop(events_);
+      if ((slice ? slice_time_ : events_[0].time) >= horizon_end_) break;
       ++stats_.events_processed;
       obs::inc(events_counter_);
-      advance_to(ev.time);
-      handle(ev);
+      if (slice) {
+        const TimePoint end = slice_time_;
+        slice_time_ = TimePoint::max();
+        advance_to(end);
+        if (!slice_end()) {
+          throw std::logic_error("simulate: live slice-end without a finished job");
+        }
+      } else {
+        const Event ev = events_[0];
+        heap_pop(events_);
+        advance_to(ev.time);
+        handle(ev);
+      }
       dispatch();
     }
+    // The running sub-job holds the CPU up to the horizon.
+    advance_to(horizon_end_);
     finish();
     stats_.pool_slots_peak = pool_slots_peak_;
     stats_.pool_slots_capacity = pool_.size();
@@ -189,8 +183,6 @@ struct SimEngine::Impl : ProtocolCore<SimEngine::Impl> {
           .add(static_cast<std::int64_t>(stats_.pool_slots_peak));
       reg.histogram("sim.in_flight_peak")
           .add(static_cast<std::int64_t>(stats_.in_flight_peak));
-      reg.counter("sim.stale_events_compacted")
-          .inc(stats_.stale_events_compacted);
       if (config_.controller != nullptr) {
         reg.counter("sim.mode_changes").inc(metrics_.mode_changes);
         reg.counter("sim.time_in_degraded_ns")
@@ -205,14 +197,14 @@ struct SimEngine::Impl : ProtocolCore<SimEngine::Impl> {
 
   // ---- the driver hooks of ProtocolCore ----
 
+  // The seq comes from the heap's counter, so same-instant ties pop in
+  // the order they would if the slice end were a heap entry.
   void arm_slice(TimePoint end) {
-    push_event(end, EventKind::kSliceEnd, slice_generation_);
+    slice_time_ = end;
+    slice_seq_ = event_seq_++;
   }
 
-  void cancel_slice() {
-    ++stale_events_;       // the armed event can never match again
-    ++slice_generation_;   // ... because its generation is now stale
-  }
+  void cancel_slice() { slice_time_ = TimePoint::max(); }
 
   void send_offload(const Offload& job, const detail::TaskCache& tc) {
     const std::uint64_t token = flight_alloc(job);
@@ -245,15 +237,6 @@ struct SimEngine::Impl : ProtocolCore<SimEngine::Impl> {
         push_event(release(task, now_), EventKind::kRelease, task);
         return;
       }
-      case EventKind::kSliceEnd:
-        if (ev.arg != slice_generation_) {  // superseded by a dispatch
-          --stale_events_;
-          return;
-        }
-        if (!slice_end()) {
-          throw std::logic_error("simulate: live slice-end without a finished job");
-        }
-        return;
       case EventKind::kOffloadArrival:
         return resolve_flight(ev.arg, /*timely=*/true);
       case EventKind::kTimer:
@@ -267,7 +250,6 @@ struct SimEngine::Impl : ProtocolCore<SimEngine::Impl> {
       // Unreachable by construction (arrivals resolve once, and timers are
       // only queued when no timely arrival exists), kept as a cheap guard
       // against future edits.
-      if (!timely) --stale_events_;
       return;
     }
     // A timer pops at exactly send + R, so the wait is R for a timer.

@@ -16,9 +16,11 @@
 //     the horizon;
 //   * the ready queue is an indexed 4-ary min-heap over slot indices keyed
 //     on (priority_key, seq) -- no tree nodes, no per-insert allocation;
-//   * the event queue is a 4-ary min-heap of plain Event values that
-//     compacts stale (generation-filtered) slice-end and timer events
-//     in place when they outnumber the live ones;
+//   * the event queue is a 4-ary min-heap of plain Event values holding
+//     only releases, timely arrivals and compensation timers: the core
+//     arms at most one slice end at a time, so that one lives in a
+//     (time, seq) register beside the heap, and re-arming or cancelling
+//     it overwrites the register instead of leaving a stale heap entry;
 //   * offload tokens index a generation-tagged slot map, erased eagerly at
 //     resolution, so the in-flight population equals outstanding offloads;
 //   * provably dead events are never queued: when a timely arrival is
@@ -43,7 +45,8 @@ namespace rt::sim {
 /// Internal accounting of the last run(); stable across identical runs.
 struct EngineStats {
   /// Events popped by this engine. Lower than the seed engine's count for
-  /// the same scenario: timers elided by a timely arrival never queue.
+  /// the same scenario: timers elided by a timely arrival never queue, and
+  /// a superseded slice end is overwritten instead of popped.
   std::uint64_t events_processed = 0;
   std::uint64_t jobs_released = 0;
   /// Most sub-job slots ever live at once (concurrent sub-jobs).
@@ -53,9 +56,9 @@ struct EngineStats {
   std::size_t pool_slots_capacity = 0;
   /// Most in-flight offload tokens ever live at once.
   std::size_t in_flight_peak = 0;
-  /// Stale events dropped by heap compaction (not by lazy pop filtering).
-  std::uint64_t stale_events_compacted = 0;
-  /// Largest event-heap population, stale events included.
+  /// Largest event-heap population: at most one release per task plus
+  /// one arrival or timer per in-flight offload (the armed slice end is
+  /// kept outside the heap).
   std::size_t event_heap_peak = 0;
 };
 

@@ -25,6 +25,8 @@ struct TaskMetrics {
 
 struct SimMetrics {
   std::vector<TaskMetrics> per_task;
+  /// Time some sub-job held the CPU in [0, H), a job still running at the
+  /// horizon included: the same definition the real runtime uses.
   std::int64_t cpu_busy_ns = 0;
   std::uint64_t context_switches = 0;  ///< dispatch changes to a live job
   /// True when the bounded sim::Trace hit its capacity and dropped events.

@@ -125,6 +125,8 @@ class Engine {
       handle(ev);
       dispatch();
     }
+    // The running sub-job holds the CPU up to the horizon.
+    advance_running(TimePoint::zero() + config_.horizon);
     metrics_.end_time = TimePoint::zero() + config_.horizon;
     metrics_.trace_truncated = trace_.truncated();
     SimResult result;

@@ -54,13 +54,4 @@ template <typename T>
   heap_sift_down(heap, 0);
 }
 
-/// Restores the heap property over arbitrary contents (Floyd, O(n)).
-template <typename T>
-void heap_make(std::vector<T>& heap) {
-  if (heap.size() < 2) return;
-  for (std::size_t i = (heap.size() - 2) / 4 + 1; i-- > 0;) {
-    heap_sift_down(heap, i);
-  }
-}
-
 }  // namespace rt

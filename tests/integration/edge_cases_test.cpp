@@ -45,10 +45,10 @@ TEST(EdgeCases, TaskFillingTheWholeCpu) {
   const sim::SimResult res = sim::simulate(tasks, core::all_local(1), srv, cfg);
   EXPECT_EQ(res.metrics.total_deadline_misses(), 0u);
   // 19 jobs complete inside the half-open horizon [0, 1s); the 20th is
-  // mid-execution when the window closes, and its in-flight slice is not
-  // accounted (busy time is booked at event processing).
+  // mid-execution when the window closes. It holds the CPU up to the
+  // horizon and is charged for it, so the CPU is busy the whole window.
   EXPECT_EQ(res.metrics.total_completed(), 19u);
-  EXPECT_NEAR(res.metrics.cpu_utilization(), 0.95, 1e-9);
+  EXPECT_NEAR(res.metrics.cpu_utilization(), 1.0, 1e-9);
 }
 
 TEST(EdgeCases, OffloadWithZeroSetupTime) {

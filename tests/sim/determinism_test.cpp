@@ -12,6 +12,7 @@
 #include "server/bursty.hpp"
 #include "server/faults.hpp"
 #include "server/gpu_server.hpp"
+#include "server/response_model.hpp"
 #include "server/routing.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/benefit_response.hpp"
@@ -29,10 +30,10 @@ struct Fixture {
   core::DecisionVector decisions;
 };
 
-Fixture make_setup(std::uint64_t seed) {
+Fixture make_setup(std::uint64_t seed, std::size_t num_tasks = 12) {
   Rng rng(seed);
   core::PaperSimConfig wl;
-  wl.num_tasks = 12;
+  wl.num_tasks = num_tasks;
   Fixture s;
   s.tasks = core::make_paper_simulation_taskset(rng, wl);
   s.decisions = core::decide_offloading(s.tasks).decisions;
@@ -438,6 +439,106 @@ TEST(BatchedDifferential, AdaptiveControllerPathMatchesSerial) {
       s.tasks, s.decisions, server, cfg, 4, "adaptive");
   EXPECT_EQ(st.fast_replications, 0u);
   EXPECT_EQ(st.fallback_replications, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Horizon cuts. A job still holding the CPU at the horizon is charged up to
+// it on every engine; the grids above run whole seconds, where the cut
+// rarely lands mid-slice. Here the horizons are arbitrary nanosecond
+// instants.
+
+TEST(Differential, BusyTimeRunsToTheHorizonOnEveryEngine) {
+  // L runs from 1 ms to past the horizon; O's setup (0-1 ms), its 2 ms
+  // reply and zero-length post leave the CPU no idle instant, and O's
+  // timer (51 ms) is elided by the timely reply. The last events pop at
+  // 3 ms (SimEngine and the batch skeleton) and 51 ms (the reference, which
+  // still queues the timer), but the CPU is busy for all 100 ms.
+  core::Task local = core::make_simple_task("L", 1_s, 200_ms, 1_ms, 200_ms);
+  core::Task off = core::make_simple_task("O", 100_ms, 10_ms, 1_ms, 10_ms);
+  off.benefit = core::BenefitFunction({{0_ms, 1.0}, {50_ms, 2.0}});
+  const core::TaskSet tasks{local, off};
+  const core::DecisionVector decisions{core::Decision::local(),
+                                       core::Decision::offload(1, 50_ms)};
+  const server::FixedResponse srv(2_ms);
+  SimConfig cfg;
+  cfg.horizon = 100_ms;
+
+  server::FixedResponse srv_ref(2_ms);
+  const SimResult ref = simulate_reference(tasks, decisions, srv_ref, cfg);
+  server::FixedResponse srv_opt(2_ms);
+  const SimResult opt = SimEngine().run(tasks, decisions, srv_opt, cfg);
+  BatchSimEngine batch;
+  const BatchResult bat = batch.run(tasks, decisions, srv, cfg, 1);
+  EXPECT_EQ(batch.stats().fast_replications, 1u);
+  EXPECT_EQ(ref.metrics.per_task[1].timely_results, 1u);
+  EXPECT_EQ(ref.metrics.cpu_busy_ns, (100_ms).ns());
+  EXPECT_EQ(opt.metrics.cpu_busy_ns, (100_ms).ns());
+  EXPECT_EQ(bat.per_replication[0].cpu_busy_ns, (100_ms).ns());
+}
+
+TEST(Differential, HorizonCutsMidSliceMatchAcrossEngines) {
+  // 30 random cut instants in [0.3 s, 5 s), each applied to the 12- and
+  // 30-task paper sets and a preemption-heavy pair under both dispatch
+  // policies. Always-WCET periodic runs keep the EDF cases on the batch
+  // engine's skeleton path; the fixed-priority ones take its serial
+  // fallback.
+  const Fixture paper12 = make_setup(41);
+  const Fixture paper30 = make_setup(43, 30);
+  const Fixture pair{{core::make_simple_task("short", 2_ms, 1_ms, 1_ms, 1_ms),
+                      core::make_simple_task("long", 1000_ms, 400_ms, 1_ms, 1_ms)},
+                     core::all_local(2)};
+  const std::pair<const char*, const Fixture*> sets[] = {
+      {"paper12", &paper12}, {"paper30", &paper30}, {"pair", &pair}};
+  constexpr std::size_t kReplications = 4;
+
+  SimEngine engine;
+  BatchSimEngine batch;
+  std::uint64_t fast = 0;
+  Rng meta(0xC07u);
+  for (int cut = 0; cut < 30; ++cut) {
+    const Duration horizon =
+        Duration::nanoseconds(meta.uniform_int((300_ms).ns(), (5_s).ns() - 1));
+    for (const auto& [name, set] : sets) {
+      const Fixture& s = *set;
+      std::vector<core::BenefitFunction> gs;
+      for (const auto& t : s.tasks) gs.push_back(t.benefit);
+      const BenefitDrivenResponse server(std::move(gs));
+      for (const auto sched : {SchedulerPolicy::kEdf,
+                               SchedulerPolicy::kFixedPriorityDm}) {
+        SimConfig cfg;
+        cfg.horizon = horizon;
+        cfg.seed = meta.next();
+        cfg.scheduler_policy = sched;
+        const std::string label =
+            std::string(name) + " H=" + std::to_string(horizon.ns()) + "ns " +
+            (sched == SchedulerPolicy::kEdf ? "edf" : "fp");
+
+        SimConfig traced = cfg;
+        traced.trace_capacity = 200'000;
+        auto srv_ref = server.clone();
+        auto srv_opt = server.clone();
+        const SimResult ref =
+            simulate_reference(s.tasks, s.decisions, *srv_ref, traced);
+        const SimResult opt = engine.run(s.tasks, s.decisions, *srv_opt, traced);
+        ASSERT_FALSE(ref.metrics.trace_truncated) << label;
+        expect_bit_identical(ref, opt, label);
+
+        const BatchResult bat =
+            batch.run(s.tasks, s.decisions, server, cfg, kReplications);
+        fast += batch.stats().fast_replications;
+        for (std::size_t r = 0; r < kReplications; ++r) {
+          SimConfig c = cfg;
+          c.seed = derive_seed(cfg.seed, r);
+          auto srv_r = server.clone();
+          const SimResult ref_r =
+              simulate_reference(s.tasks, s.decisions, *srv_r, c);
+          expect_metrics_bit_identical(ref_r.metrics, bat.per_replication[r],
+                                       label + " rep " + std::to_string(r));
+        }
+      }
+    }
+  }
+  EXPECT_GT(fast, 0u) << "no replication took the skeleton path";
 }
 
 TEST(BatchedDifferential, SingleReplicationEqualsPlainSerialRun) {

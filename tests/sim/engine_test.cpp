@@ -1,6 +1,6 @@
 // Zero-allocation engine internals (sim::SimEngine, docs/ANALYSIS.md §9):
-// bounded slot pools, eager in-flight cleanup, stale-event compaction, and
-// the reset/reuse contract BatchRunner relies on.
+// bounded slot pools, eager in-flight cleanup, an event heap free of slice
+// ends, and the reset/reuse contract BatchRunner relies on.
 
 #include "sim/engine.hpp"
 
@@ -52,6 +52,19 @@ bool metrics_equal(const SimMetrics& a, const SimMetrics& b) {
     }
   }
   return true;
+}
+
+void expect_same_trace(const Trace& ref, const Trace& opt) {
+  ASSERT_FALSE(ref.truncated());
+  ASSERT_EQ(ref.events().size(), opt.events().size());
+  for (std::size_t i = 0; i < ref.events().size(); ++i) {
+    const TraceEvent& a = ref.events()[i];
+    const TraceEvent& b = opt.events()[i];
+    EXPECT_EQ(a.time.ns(), b.time.ns()) << "trace event " << i;
+    EXPECT_EQ(a.kind, b.kind) << "trace event " << i;
+    EXPECT_EQ(a.task, b.task) << "trace event " << i;
+    EXPECT_EQ(a.job, b.job) << "trace event " << i;
+  }
 }
 
 // Regression for the seed engine's deferred in-flight cleanup: resolved
@@ -127,10 +140,11 @@ TEST(EngineInternals, ReusedEngineReproducesItsFirstRunBitForBit) {
   }
 }
 
-// A long job preempted every couple of milliseconds leaves a far-future
-// stale slice-end in the heap per preemption; compaction must keep the
-// event heap near the live population instead of letting them pile up.
-TEST(EngineInternals, StaleSliceEndsAreCompacted) {
+// A long job preempted every couple of milliseconds supersedes its armed
+// slice end at each preemption. The armed slice end lives beside the heap,
+// so the heap holds one release per task plus one arrival or timer per
+// in-flight offload, never a superseded slice end.
+TEST(EngineInternals, EventHeapHoldsOnlyReleasesAndReplies) {
   const core::TaskSet tasks{
       make_simple_task("short", 2_ms, 1_ms, 1_ms, 1_ms),
       make_simple_task("long", 1000_ms, 400_ms, 1_ms, 1_ms),
@@ -138,19 +152,54 @@ TEST(EngineInternals, StaleSliceEndsAreCompacted) {
   server::FixedResponse srv(1_ms);
   SimConfig cfg;
   cfg.horizon = 4_s;
+  cfg.trace_capacity = 50'000;
 
   SimEngine engine;
   const SimResult opt = engine.run(tasks, core::all_local(2), srv, cfg);
   const EngineStats& st = engine.stats();
-  EXPECT_GT(st.stale_events_compacted, 0u);
-  // Without compaction the heap peak tracks the preemption count (hundreds);
-  // with it, it stays within a small multiple of the live events.
-  EXPECT_LT(st.event_heap_peak, 200u);
+  EXPECT_GT(opt.metrics.context_switches, 1000u) << "not preemption-heavy";
+  EXPECT_LE(st.event_heap_peak, tasks.size() + st.in_flight_peak);
 
-  // And compaction must not change behaviour.
+  // The register must not change behaviour.
   server::FixedResponse srv_ref(1_ms);
   const SimResult ref = simulate_reference(tasks, core::all_local(2), srv_ref, cfg);
   EXPECT_TRUE(metrics_equal(ref.metrics, opt.metrics));
+  expect_same_trace(ref.trace, opt.trace);
+}
+
+// The armed slice end keeps the seq it was armed with. "long" (key 100 ms)
+// is re-armed at 84 ms, when short's job of 80 ms completes, then keeps
+// the CPU through short's release at 90 ms (an equal key, a later seq) and
+// completes at 100 ms, the instant of short's next release, pushed at
+// 90 ms. The slice end was armed first, so it pops first: long completes
+// and short's 90 ms job is dispatched before the 100 ms release is
+// recorded. (The set is overloaded: short's 90 ms job cannot finish by
+// its deadline.)
+TEST(EngineInternals, SliceEndArmedBeforeAReleaseOnItsInstantPopsFirst) {
+  core::TaskSet tasks{
+      make_simple_task("short", 10_ms, 4_ms, 1_ms, 4_ms),
+      make_simple_task("long", 200_ms, 64_ms, 1_ms, 64_ms),
+  };
+  tasks[1].deadline = 100_ms;  // long's next release stays off 100 ms
+  server::FixedResponse srv(1_ms);
+  SimConfig cfg;
+  cfg.horizon = 101_ms;
+  cfg.trace_capacity = 1'000;
+
+  SimEngine engine;
+  const SimResult opt = engine.run(tasks, core::all_local(2), srv, cfg);
+  const SimResult ref = simulate_reference(tasks, core::all_local(2), srv, cfg);
+  EXPECT_TRUE(metrics_equal(ref.metrics, opt.metrics));
+  expect_same_trace(ref.trace, opt.trace);
+
+  std::vector<TraceKind> at_100ms;
+  for (const TraceEvent& ev : opt.trace.events()) {
+    if (ev.time == TimePoint::zero() + 100_ms) at_100ms.push_back(ev.kind);
+  }
+  const std::vector<TraceKind> expected{TraceKind::kJobComplete,
+                                        TraceKind::kDispatch,
+                                        TraceKind::kRelease};
+  EXPECT_EQ(at_100ms, expected);
 }
 
 TEST(EngineInternals, StatsReachTheSinkAsMetrics) {
@@ -169,7 +218,6 @@ TEST(EngineInternals, StatsReachTheSinkAsMetrics) {
   EXPECT_EQ(pool_peak->max(),
             static_cast<std::int64_t>(engine.stats().pool_slots_peak));
   ASSERT_NE(sink.registry().find_histogram("sim.in_flight_peak"), nullptr);
-  ASSERT_NE(sink.registry().find_counter("sim.stale_events_compacted"), nullptr);
 }
 
 TEST(TraceBuffer, ResetRearmsCapacityAndClearsTruncation) {
