@@ -101,7 +101,8 @@ void BM_OdmEndToEnd(benchmark::State& state) {
   }
   state.counters["items"] = static_cast<double>(total);
   state.counters["items_after_pruning"] = static_cast<double>(kept);
-  // Cells the profit DP visits per decision, from one extra traced solve.
+  // Cells the profit DP computes per decision (its live rows, before dead
+  // cells are dropped), from one extra traced solve.
   rt::obs::Sink sink;
   rt::core::OdmConfig traced;
   traced.sink = &sink;

@@ -277,24 +277,32 @@ Selection greedy_heu_oe(const Instance& inst, const GreedyState& st) {
   return evaluate(inst, std::move(pick));
 }
 
+/// The LP relaxation's value and its multiplier: the efficiency of the
+/// first hull step that does not fit (the critical item), 0 if all fit.
+struct LpBound {
+  double value = 0.0;
+  double lambda = 0.0;
+};
+
 /// Dantzig bound on a prepared state whose base selection fits.
-double lp_bound(const Instance& inst, const GreedyState& st) {
+LpBound lp_bound(const Instance& inst, const GreedyState& st) {
   std::vector<std::size_t> pos(inst.classes.size(), 0);
-  double profit = st.base.profit;
+  LpBound lp{st.base.profit, 0.0};
   std::int64_t remaining = inst.capacity - st.base.weight;
   for (const auto& s : st.steps) {
     if (pos[s.cls] + 1 != s.hull_pos) continue;
     if (s.dw <= remaining) {
       remaining -= s.dw;
-      profit += s.dp;
+      lp.value += s.dp;
       pos[s.cls] = s.hull_pos;
     } else {
       // First non-fitting step taken fractionally: Dantzig bound.
-      profit += s.efficiency * static_cast<double>(remaining);
-      return profit;
+      lp.value += s.efficiency * static_cast<double>(remaining);
+      lp.lambda = s.efficiency;
+      return lp;
     }
   }
-  return profit;
+  return lp;
 }
 
 }  // namespace
@@ -316,7 +324,7 @@ double lp_upper_bound(const Instance& inst) {
   if (inst.classes.empty()) return 0.0;
   const GreedyState st = prepare_greedy(inst);
   if (!st.base.feasible) return -std::numeric_limits<double>::infinity();
-  return lp_bound(inst, st);
+  return lp_bound(inst, st).value;
 }
 
 Selection solve_dp_profits(const Instance& inst, double profit_scale,
@@ -397,10 +405,11 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
   // cells above it can only be reached by provably infeasible selections.
   const GreedyState st = prepare_greedy(inst, std::move(reduced));
   std::int64_t axis = total_q;
-  const double ub = lp_bound(inst, st);
+  const LpBound lp = lp_bound(inst, st);
   // min_weight_sum fits, so the bound is finite; guard anyway against
   // pathological scales before the double -> int64 conversion.
-  const double scaled_ub = ub * profit_scale + 0.5 * static_cast<double>(m) + 1.0;
+  const double scaled_ub =
+      lp.value * profit_scale + 0.5 * static_cast<double>(m) + 1.0;
   if (std::isfinite(scaled_ub) && scaled_ub < static_cast<double>(total_q) &&
       scaled_ub < 9e15) {
     axis = std::max<std::int64_t>(
@@ -415,10 +424,8 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
   // Lower cut: the HEU-OE selection fits and picks only undominated
   // items, so its scaled profit lb is a fitting cell of the last row and
   // the answer is >= lb. A cell (c, p) with p + sum_{c'>c} qmax[c'] < lb
-  // reaches no cell >= lb, and neither does any cell it feeds; every kept
-  // cell's predecessors are kept, so kept cells get the same minimum
-  // weight and the same first-wins choice as in the full table. A greedy
-  // profit above the LP cap would contradict the bound; cut nothing then.
+  // reaches no cell >= lb. A greedy profit above the LP cap would
+  // contradict the bound; cut nothing then.
   std::int64_t lb = 0;
   const Selection greedy = greedy_heu_oe(inst, st);
   if (greedy.feasible) {
@@ -428,65 +435,105 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
     if (lb > axis) lb = 0;
   }
 
-  // Live band of class c: [lo, hi] = [max(sum_{<=c} qmin, lb - sum_{>c}
-  // qmax), min(axis, sum_{<=c} qmax)]; lo/hi arrive holding the class's
-  // own qmin/qmax. Row c of the choice table stores its band at
-  // row_off[c]; an empty band (lo > hi) takes no cells.
-  w.row_off.assign(1, 0);
-  std::int64_t prefix_qmin = 0;
-  std::int64_t prefix_qmax = 0;
-  std::size_t width_max = 0;
-  for (std::size_t c = 0; c < m; ++c) {
-    prefix_qmin += w.lo[c];
-    prefix_qmax += w.hi[c];
-    w.lo[c] = std::max(prefix_qmin, lb - (total_q - prefix_qmax));
-    w.hi[c] = std::min(axis, prefix_qmax);
-    const auto width = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, w.hi[c] - w.lo[c] + 1));
-    w.row_off.push_back(w.row_off.back() + width);
-    width_max = std::max(width_max, width);
-  }
-  if (sink != nullptr) {
-    sink->registry().histogram("mckp.dp_cells")
-        .add(static_cast<std::int64_t>(w.row_off.back()));
-  }
-
-  // dp[i] / next[i]: min weight reaching scaled profit lo + i after the
-  // previous / current class. choice[row_off[c] + (p - lo[c])]: flat
-  // kept-item index picked in class c on the min-weight path reaching p
-  // after classes 0..c; -1 = unreachable.
-  w.dp.assign(width_max, kInfWeight);
-  w.next.resize(width_max);
-  w.choice.assign(w.row_off.back(), -1);
-
-  for (std::size_t k = w.class_begin[0]; k < w.class_begin[1]; ++k) {
-    if (w.q[k] < w.lo[0] || w.q[k] > w.hi[0]) continue;
-    const auto i = static_cast<std::size_t>(w.q[k] - w.lo[0]);
-    if (w.wt[k] < w.dp[i]) {
-      w.dp[i] = w.wt[k];
-      w.choice[i] = static_cast<std::int32_t>(k);
+  // Capacity cut. For the LP multiplier lambda >= 0 and any items of
+  // classes > c weighing at most x in total, weak duality gives
+  //   sum profit <= S[c+1] + lambda * x,
+  //   S[c] = sum_{c' >= c} max_k (profit_k - lambda * weight_k),
+  // and llround adds at most 1/2 per class. So a cell (c, p) of minimum
+  // weight W is dead -- no completion fits and reaches lb -- when
+  // W > capacity or p + reach[c] + slope * (capacity - W) < lb, where
+  // reach[c] + slope * x = scale * (S[c+1] + lambda * x) + (m-1-c)/2 +
+  // margin. The margin covers the floating-point error of S and of
+  // lambda * x, so it is sized against the magnitudes summed, not against
+  // S, which can cancel to near zero: eps * scale * (T[c+1] + lambda * x)
+  // with T[c] = sum_{c' >= c} max_k (profit_k + lambda * weight_k) and
+  // eps = (m+16) machine epsilons, plus one scaled unit.
+  const double eps =
+      static_cast<double>(m + 16) * std::numeric_limits<double>::epsilon();
+  const double slope = profit_scale * lp.lambda * (1.0 + eps);
+  w.reach.resize(m);
+  double s_sum = 0.0;
+  double t_sum = 0.0;
+  for (std::size_t c = m; c-- > 0;) {
+    w.reach[c] = profit_scale * (s_sum + eps * t_sum) +
+                 0.5 * static_cast<double>(m - 1 - c) + 1.0;
+    double best = -std::numeric_limits<double>::infinity();
+    double magnitude = 0.0;
+    for (std::size_t k = w.class_begin[c]; k < w.class_begin[c + 1]; ++k) {
+      const double profit =
+          inst.classes[c][static_cast<std::size_t>(w.item_of[k])].profit;
+      const double priced = lp.lambda * static_cast<double>(w.wt[k]);
+      best = std::max(best, profit - priced);
+      magnitude = std::max(magnitude, profit + priced);
     }
+    s_sum += best;
+    t_sum += magnitude;
   }
 
+  // Rows are built as the DP goes. Row c's targets are the previous row's
+  // live range shifted by the class's [qmin, qmax] (lo/hi hold them until
+  // row c overwrites them), cut to [lb - sum_{c'>c} qmax, axis]. After the
+  // row is computed its dead ends are trimmed, so lo[c]/hi[c] end as the
+  // row's first/last live profit and choice[row_off[c] + (p - lo[c])]
+  // holds the flat kept-item index picked in class c on the min-weight
+  // path to p (-1 = unreachable). Dead cells inside the row are skipped
+  // where the next row reads them, beside the unreachable ones: most
+  // cells of a coarse-ladder row (Fig. 3) are unreachable, and a separate
+  // pass over them would cost more than the cut saves. Cells on a
+  // min-weight path to the answer are never dead, so they get the same
+  // weight and first-wins choice as in the full table; any other cell can
+  // only come out heavier (docs/ANALYSIS.md §7).
+  //
   // Inner loop: both dp[i] and wt[k] are below kInfWeight (validate()), so
   // their sum cannot overflow, and a sum >= kInfWeight never beats a
   // next[] entry (<= kInfWeight) -- the same outcome as add_weight_sat.
   const std::int64_t* const q = w.q.data();
   const std::int64_t* const wt = w.wt.data();
-  for (std::size_t c = 1; c < m; ++c) {
-    const std::int64_t lo = w.lo[c];
-    const std::int64_t hi = w.hi[c];
-    const std::int64_t prev_lo = w.lo[c - 1];
-    const std::size_t prev_width = w.row_off[c] - w.row_off[c - 1];
+  const std::int64_t capacity = inst.capacity;
+  const auto need = static_cast<double>(lb);
+  // Whether reachable cell j of row c, of min weight `weight`, is dead;
+  // `reach` is the row's first profit plus reach[c].
+  const auto dead = [capacity, slope, need](double reach, std::size_t j,
+                                            std::int64_t weight) {
+    return weight > capacity ||
+           reach + static_cast<double>(j) +
+                   slope * static_cast<double>(capacity - weight) <
+               need;
+  };
+  w.row_off.resize(m);
+  w.choice.clear();
+  w.dp.assign(1, 0);  // before class 0: the single cell p = 0, weight 0
+  std::size_t dp_at = 0;
+  std::int64_t prev_lo = 0;
+  std::int64_t prev_hi = 0;
+  double prev_reach = std::numeric_limits<double>::infinity();  // never dead
+  std::int64_t prefix_qmax = 0;
+  std::int64_t cells = 0;
+  bool answered = true;
+  for (std::size_t c = 0; c < m; ++c) {
+    prefix_qmax += w.hi[c];
+    const std::int64_t lo =
+        std::max(prev_lo + w.lo[c], lb - (total_q - prefix_qmax));
+    const std::int64_t hi = std::min(prev_hi + w.hi[c], axis);
+    if (lo > hi) {
+      answered = false;
+      break;
+    }
+    const auto width = static_cast<std::size_t>(hi - lo + 1);
+    cells += hi - lo + 1;
+    w.next.assign(width, kInfWeight);
+    const std::size_t row_begin = w.choice.size();
+    w.choice.resize(row_begin + width, -1);
+
     const std::size_t k_begin = w.class_begin[c];
     const std::size_t k_end = w.class_begin[c + 1];
-    const std::int64_t* const dp = w.dp.data();
+    const std::size_t prev_width = static_cast<std::size_t>(prev_hi - prev_lo) + 1;
+    const std::int64_t* const dp = w.dp.data() + dp_at;
     std::int64_t* const next = w.next.data();
-    std::fill(next, next + (w.row_off[c + 1] - w.row_off[c]), kInfWeight);
-    std::int32_t* const row = w.choice.data() + w.row_off[c];
+    std::int32_t* const row = w.choice.data() + row_begin;
     for (std::size_t i = 0; i < prev_width; ++i) {
       const std::int64_t base = dp[i];
-      if (base >= kInfWeight) continue;
+      if (base >= kInfWeight || dead(prev_reach, i, base)) continue;
       const std::int64_t p = prev_lo + static_cast<std::int64_t>(i);
       for (std::size_t k = k_begin; k < k_end; ++k) {
         const std::int64_t tgt = p + q[k];
@@ -499,22 +546,36 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
         }
       }
     }
-    w.dp.swap(w.next);
-  }
 
-  // Largest scaled profit whose minimal weight fits the capacity.
-  const std::size_t last_width = w.row_off[m] - w.row_off[m - 1];
-  std::int64_t best_p = -1;
-  for (std::size_t i = 0; i < last_width; ++i) {
-    if (w.dp[i] <= inst.capacity) {
-      best_p = w.lo[m - 1] + static_cast<std::int64_t>(i);
+    const double reach = static_cast<double>(lo) + w.reach[c];
+    const auto live = [&](std::size_t j) {
+      return next[j] < kInfWeight && !dead(reach, j, next[j]);
+    };
+    std::size_t first = 0;
+    while (first < width && !live(first)) ++first;
+    if (first == width) {
+      answered = false;
+      break;
     }
+    std::size_t last = width - 1;
+    while (!live(last)) --last;
+    w.lo[c] = lo + static_cast<std::int64_t>(first);
+    w.hi[c] = lo + static_cast<std::int64_t>(last);
+    w.row_off[c] = row_begin + first;
+    w.choice.resize(row_begin + last + 1);
+    w.dp.swap(w.next);
+    dp_at = first;
+    prev_lo = w.lo[c];
+    prev_hi = w.hi[c];
+    prev_reach = static_cast<double>(prev_lo) + w.reach[c];
   }
-  if (best_p < 0) return min_weight_selection(inst);
+  if (sink != nullptr) sink->registry().histogram("mckp.dp_cells").add(cells);
+  if (!answered) return min_weight_selection(inst);
 
-  // Reconstruct.
+  // The last row's last live cell is the largest scaled profit that fits
+  // (heavier cells are dead): the answer.
   std::vector<int> pick(m, -1);
-  std::int64_t p = best_p;
+  std::int64_t p = w.hi[m - 1];
   for (std::size_t c = m; c-- > 0;) {
     const std::int32_t k =
         p < w.lo[c] || p > w.hi[c]

@@ -35,27 +35,29 @@ const char* to_string(SolverKind kind);
 inline constexpr double kDefaultProfitScale = 1000.0;
 
 /// Reusable scratch space for solve_dp_profits. The profit DP keeps, per
-/// class c, only the live band [lo[c], hi[c]] of scaled profits that can
-/// still lead to an answer (see solve_dp_profits): two weight rows as wide
-/// as the widest band plus one reconstruction row per class, stored back
-/// to back (row c starts at row_off[c], cell p at row_off[c] + (p - lo[c])).
-/// At paper scale that is still up to megabytes, so the online ODM path
-/// (admission control, mode changes) reuses one workspace across calls
-/// instead of reallocating. A workspace serves one thread at a time;
-/// passing nullptr uses a per-thread (thread_local) workspace, which makes
-/// the plain call both allocation-free after warm-up and thread-safe.
-/// Contents are opaque scratch: valid only during a solve.
+/// class c, only the live cells of its row -- those that can still lead to
+/// an answer (see solve_dp_profits) -- and builds the rows as it goes: two
+/// weight rows as wide as the widest computed row plus one reconstruction
+/// row per class, appended back to back to `choice` (row c starts at
+/// row_off[c], cell p at row_off[c] + (p - lo[c])). At paper scale that is
+/// still up to megabytes, so the online ODM path (admission control, mode
+/// changes) reuses one workspace across calls instead of reallocating. A
+/// workspace serves one thread at a time; passing nullptr uses a
+/// per-thread (thread_local) workspace, which makes the plain call both
+/// allocation-free after warm-up and thread-safe. Contents are opaque
+/// scratch: valid only during a solve.
 struct DpWorkspace {
-  std::vector<std::int64_t> dp;      ///< min weight per band cell, class c-1
+  std::vector<std::int64_t> dp;      ///< min weight per row cell, class c-1
   std::vector<std::int64_t> next;    ///< the same for class c (double buffer)
-  std::vector<std::int32_t> choice;  ///< reconstruction rows, sum of band widths
+  std::vector<std::int32_t> choice;  ///< reconstruction rows, live ranges only
   std::vector<std::int64_t> q;       ///< scaled profits of kept items, flat
   std::vector<std::int64_t> wt;      ///< weights of kept items, flat
   std::vector<std::int32_t> item_of; ///< original item index per kept item
   std::vector<std::size_t> class_begin;  ///< m+1 offsets into q/wt/item_of
-  std::vector<std::int64_t> lo;      ///< lowest live scaled profit per class
-  std::vector<std::int64_t> hi;      ///< highest live scaled profit per class
-  std::vector<std::size_t> row_off;  ///< m+1 offsets of the rows in choice
+  std::vector<std::int64_t> lo;      ///< first live scaled profit per class
+  std::vector<std::int64_t> hi;      ///< last live scaled profit per class
+  std::vector<std::size_t> row_off;  ///< m offsets of the rows in choice
+  std::vector<double> reach;         ///< capacity cut: bound on classes > c
 };
 
 /// Exact enumeration. Complexity is the product of class sizes; intended as
@@ -78,17 +80,19 @@ Selection solve_brute_force(const Instance& inst);
 /// Fast paths (transparent to the result, `pick` included): plain-dominance
 /// reduction shrinks every class to its undominated items before the DP
 /// (safe for exact solvers, unlike the hull); the profit axis is truncated
-/// at the LP relaxation upper bound plus rounding slack; and each class
-/// keeps only its live band of profits -- between the prefix sums of the
-/// class minima and maxima, and no lower than the HEU-OE answer minus the
-/// most the remaining classes can add. `ws` supplies reusable buffers;
-/// nullptr selects a thread_local workspace.
+/// at the LP relaxation upper bound plus rounding slack; and each row keeps
+/// only its live cells. A cell is dropped when no completion of it can
+/// fit and reach the HEU-OE answer: by profit alone (the most the
+/// remaining classes can add) and by capacity (a Lagrangian bound at the
+/// LP's multiplier over the capacity the cell leaves). Rows are built as
+/// the DP runs, each from the previous row's live range. `ws` supplies
+/// reusable buffers; nullptr selects a thread_local workspace.
 ///
 /// A non-null `sink` records per-solve telemetry (docs/ANALYSIS.md §8):
 /// mckp.solves / items_total / items_kept counters, the items-pruned and
-/// dp-cells (cells in the live band) histograms, and a solve wall-time
-/// histogram. The decision is a pure function of (inst, profit_scale)
-/// either way; telemetry never alters the result.
+/// dp-cells (cells computed, before dead cells are dropped) histograms,
+/// and a solve wall-time histogram. The decision is a pure function of
+/// (inst, profit_scale) either way; telemetry never alters the result.
 Selection solve_dp_profits(const Instance& inst,
                            double profit_scale = kDefaultProfitScale,
                            DpWorkspace* ws = nullptr,

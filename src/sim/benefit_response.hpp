@@ -35,17 +35,20 @@ class BenefitDrivenResponse final : public server::ResponseModel {
   [[nodiscard]] std::size_t num_streams() const { return per_stream_.size(); }
 
   /// The scalar draw with the virtual dispatch and stream lookup peeled
-  /// off: exactly one uniform() per call, walking the breakpoints of a
-  /// known-valid stream. The batch engine calls this directly in its inner
-  /// loop; sample()/sample_n() delegate here so all paths share one
-  /// definition.
+  /// off: exactly one uniform() per call on a known-valid stream. The
+  /// batch engine calls this directly in its inner loop; sample()/
+  /// sample_n() delegate here so all paths share one definition. Values
+  /// are non-decreasing (BenefitFunction validates it), so the first
+  /// breakpoint j >= 1 with value >= u is 1 + #{j >= 1 : value_j < u}:
+  /// a branch-free count instead of a walk with a data-dependent exit.
   Duration sample_stream(std::size_t stream, Rng& rng) const {
-    const core::BenefitFunction& g = per_stream_[stream];
+    const std::vector<core::BenefitPoint>& points = per_stream_[stream].points();
     const double u = rng.uniform();
-    for (std::size_t j = 1; j < g.size(); ++j) {
-      if (g.point(j).value >= u) return g.point(j).response_time;
+    std::size_t j = 1;
+    for (std::size_t k = 1; k < points.size(); ++k) {
+      j += static_cast<std::size_t>(points[k].value < u);
     }
-    return server::kNoResponse;
+    return j < points.size() ? points[j].response_time : server::kNoResponse;
   }
 
  private:

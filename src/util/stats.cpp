@@ -6,16 +6,6 @@
 
 namespace rt {
 
-void RunningStats::add(double x) {
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
 double RunningStats::variance() const {
   if (n_ < 2) return 0.0;
   // m2_ is non-negative in exact arithmetic, but the merge() formula can

@@ -1,6 +1,7 @@
 #pragma once
 // Streaming and batch statistics used by the estimator and the benches.
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -10,7 +11,16 @@ namespace rt {
 /// Numerically stable streaming accumulator (Welford).
 class RunningStats {
  public:
-  void add(double x);
+  /// Inline: every engine calls it once per offload.
+  void add(double x) {
+    ++n_;
+    sum_ += x;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(n_);
+    m2_ += delta * (x - mean_);
+    min_ = std::min(min_, x);
+    max_ = std::max(max_, x);
+  }
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] bool empty() const { return n_ == 0; }

@@ -1,14 +1,16 @@
-// Differential test for the profit DP's live band (solvers.cpp).
+// Differential test for the profit DP's live cells (solvers.cpp).
 //
-// solve_dp_profits keeps, per class, only the band of scaled profits that
-// can still reach the HEU-OE answer and stay under the LP cap. The claim
-// is that this changes nothing: every surviving cell has the same minimum
-// weight and the same first-wins choice as in the full table. The
-// reference below is the full m x (axis+1) table the band replaced, kept
-// here (and only here) so the claim stays checked: pick, weight, profit
-// and feasible must be equal on ODM instances, paper task sets at every
-// Fig. 3 estimation error, bounded-response tasks, the bench's random
-// shape, tie-heavy small-integer instances and the edge cases.
+// solve_dp_profits computes, per class, only the cells that can still
+// reach the HEU-OE answer: by profit (the band under the LP cap) and by
+// capacity (a Lagrangian bound over the capacity a cell leaves). The
+// claim is that this changes nothing: every cell on a min-weight path to
+// the answer has the same minimum weight and the same first-wins choice
+// as in the full table. The reference below is the full m x (axis+1)
+// table, kept here (and only here) so the claim stays checked: pick,
+// weight, profit and feasible must be equal on ODM instances, paper task
+// sets at every Fig. 3 estimation error, bounded-response tasks, the
+// bench's random shape, tie-heavy small-integer instances, capacities
+// swept across the binding range, huge weights and the edge cases.
 
 #include <gtest/gtest.h>
 
@@ -58,6 +60,10 @@ Selection min_weight_selection(const Instance& inst) {
 struct Reference {
   Selection sel;
   std::int64_t table_cells = 0;  ///< (axis+1) * m; 0 on early returns
+  /// Cells of the profit-only band: per class, [max(sum_{<=c} qmin,
+  /// lb - sum_{>c} qmax), min(axis, sum_{<=c} qmax)], lb the HEU-OE
+  /// answer's scaled profit. The capacity cut must compute fewer.
+  std::int64_t band_cells = 0;
 };
 
 /// The full-table profit DP: dominance reduction, LP cap, then every cell
@@ -76,10 +82,13 @@ Reference reference_dp_profits(const Instance& inst, double profit_scale) {
   w.wt.clear();
   w.item_of.clear();
   w.class_begin.assign(1, 0);
+  std::vector<std::int64_t> qmins;
+  std::vector<std::int64_t> qmaxs;
   std::int64_t total_q = 0;
   std::int64_t min_weight_sum = 0;
   for (std::size_t c = 0; c < m; ++c) {
     const rt::mckp::ReducedClass red = rt::mckp::reduce_class(inst.classes[c]);
+    std::int64_t qmin = std::numeric_limits<std::int64_t>::max();
     std::int64_t qmax = 0;
     for (const int idx : red.undominated) {
       const Item& item = inst.classes[c][static_cast<std::size_t>(idx)];
@@ -88,8 +97,11 @@ Reference reference_dp_profits(const Instance& inst, double profit_scale) {
       w.q.push_back(v);
       w.wt.push_back(item.weight);
       w.item_of.push_back(idx);
+      qmin = std::min(qmin, v);
       qmax = std::max(qmax, v);
     }
+    qmins.push_back(qmin);
+    qmaxs.push_back(qmax);
     w.class_begin.push_back(w.q.size());
     min_weight_sum = add_weight_sat(
         min_weight_sum,
@@ -115,6 +127,23 @@ Reference reference_dp_profits(const Instance& inst, double profit_scale) {
         "solve_dp_profits: scaled profit space too large; lower profit_scale");
   }
   out.table_cells = (axis + 1) * static_cast<std::int64_t>(m);
+
+  const Selection greedy = rt::mckp::solve_greedy_heu_oe(inst);
+  std::int64_t lb = 0;
+  for (std::size_t c = 0; c < m; ++c) {
+    const Item& item = inst.classes[c][static_cast<std::size_t>(greedy.pick[c])];
+    lb += static_cast<std::int64_t>(std::llround(item.profit * profit_scale));
+  }
+  if (lb > axis) lb = 0;
+  std::int64_t prefix_qmin = 0;
+  std::int64_t prefix_qmax = 0;
+  for (std::size_t c = 0; c < m; ++c) {
+    prefix_qmin += qmins[c];
+    prefix_qmax += qmaxs[c];
+    const std::int64_t lo = std::max(prefix_qmin, lb - (total_q - prefix_qmax));
+    const std::int64_t hi = std::min(axis, prefix_qmax);
+    out.band_cells += std::max<std::int64_t>(0, hi - lo + 1);
+  }
 
   const auto P = static_cast<std::size_t>(axis);
   w.dp.assign(P + 1, kInfWeight);
@@ -171,13 +200,20 @@ Reference reference_dp_profits(const Instance& inst, double profit_scale) {
 }
 
 struct Cells {
-  std::int64_t band = 0;
-  std::int64_t table = 0;
+  std::int64_t band = 0;         ///< cells computed (mckp.dp_cells)
+  std::int64_t table = 0;        ///< the full table's cells
+  std::int64_t profit_band = 0;  ///< the profit-only band's cells
+
+  void operator+=(const Cells& o) {
+    band += o.band;
+    table += o.table;
+    profit_band += o.profit_band;
+  }
 };
 
-/// Banded solve == full table on `inst`, with one shared workspace (the
+/// Pruned solve == full table on `inst`, with one shared workspace (the
 /// ODM's reuse pattern) and a sink whose dp_cells may not exceed the
-/// table the band replaced. Adds both cell counts to `cells`.
+/// profit-only band, itself within the table. Returns the cell counts.
 Cells expect_same(const Instance& inst, rt::mckp::DpWorkspace& ws,
                  const std::string& what,
                  double scale = rt::mckp::kDefaultProfitScale) {
@@ -194,8 +230,10 @@ Cells expect_same(const Instance& inst, rt::mckp::DpWorkspace& ws,
     EXPECT_NE(band, nullptr) << what;
     if (band == nullptr) return cells;
     EXPECT_LE(band->sum(), ref.table_cells) << what;
+    EXPECT_LE(band->sum(), ref.band_cells) << what;
     cells.band = band->sum();
     cells.table = ref.table_cells;
+    cells.profit_band = ref.band_cells;
   }
   return cells;
 }
@@ -219,18 +257,20 @@ TEST(DpBand, RandomOdmInstances) {
         cfg.num_tasks = n;
         cfg.benefit_points = points;
         const auto tasks = rt::core::make_random_taskset(rng, cfg);
-        const Cells cells = expect_same(
+        total += expect_same(
             odm_instance(tasks), ws,
             "random n=" + std::to_string(n) + " points=" +
                 std::to_string(points) + " seed=" + std::to_string(seed));
-        total.band += cells.band;
-        total.table += cells.table;
       }
     }
   }
   // The lower cut does most of the work on ODM traffic: this grid visits
   // ~9% of the full table with it and ~55% with the prefix bounds alone.
   EXPECT_LT(4 * total.band, total.table);
+  // The capacity cut computes ~36% of the profit-only band here; a change
+  // that silently disables it computes all of it.
+  EXPECT_LT(100 * total.band, 45 * total.profit_band)
+      << total.band << " of " << total.profit_band;
 }
 
 TEST(DpBand, PaperSetsAtEveryFig3EstimationError) {
@@ -357,6 +397,154 @@ TEST(DpBand, MinWeightOverflowAndSingleClass) {
   expect_same(single, ws, "single class");
   single.capacity = 3;
   expect_same(single, ws, "single class, only the cheapest fits");
+}
+
+/// The capacities over which the capacity binds: sum of the lightest item
+/// per class (only the cheapest picks fit) to sum of the heaviest (every
+/// pick fits, so the LP multiplier is 0). Solves `inst` at steps + 1
+/// evenly spaced capacities, both ends included.
+void sweep_capacity(Instance inst, int steps, rt::mckp::DpWorkspace& ws,
+                    const std::string& what,
+                    double scale = rt::mckp::kDefaultProfitScale) {
+  std::int64_t wmin_sum = 0;
+  std::int64_t wmax_sum = 0;
+  for (const auto& cls : inst.classes) {
+    std::int64_t wmin = cls.front().weight;
+    std::int64_t wmax = cls.front().weight;
+    for (const Item& item : cls) {
+      wmin = std::min(wmin, item.weight);
+      wmax = std::max(wmax, item.weight);
+    }
+    wmin_sum += wmin;
+    wmax_sum += wmax;
+  }
+  const auto span = static_cast<double>(wmax_sum - wmin_sum);
+  for (int s = 0; s <= steps; ++s) {
+    inst.capacity = wmin_sum + static_cast<std::int64_t>(span * s / steps);
+    expect_same(inst, ws, what + " capacity step " + std::to_string(s), scale);
+  }
+}
+
+TEST(DpBand, CapacitySweptAcrossTheBindingRange) {
+  rt::mckp::DpWorkspace ws;
+  for (const int n : {10, 30}) {
+    for (const int points : {5, 10}) {
+      for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+        rt::Rng rng(seed * 77 + static_cast<std::uint64_t>(n + points));
+        rt::core::RandomTasksetConfig cfg;
+        cfg.num_tasks = n;
+        cfg.benefit_points = points;
+        sweep_capacity(odm_instance(rt::core::make_random_taskset(rng, cfg)), 10,
+                       ws,
+                       "odm n=" + std::to_string(n) + " points=" +
+                           std::to_string(points) + " seed=" + std::to_string(seed));
+      }
+    }
+  }
+  for (const int classes : {4, 16, 32}) {
+    for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{43}}) {
+      sweep_capacity(bench_shape(classes, 10, seed), 10, ws,
+                     "bench classes=" + std::to_string(classes) +
+                         " seed=" + std::to_string(seed));
+    }
+  }
+}
+
+TEST(DpBand, HalfIntegerProfitsAtEveryCapacity) {
+  // Profits k + 1/2 at scale 1: llround adds exactly 1/2 per class, and
+  // small integer weights make the Lagrangian bound tight on many cells,
+  // so the cut's rounding slack is what keeps the answer's path alive.
+  rt::mckp::DpWorkspace ws;
+  rt::Rng rng(11);
+  for (int trial = 0; trial < 150; ++trial) {
+    Instance inst;
+    const int classes = static_cast<int>(rng.uniform_int(2, 10));
+    for (int c = 0; c < classes; ++c) {
+      std::vector<Item> cls;
+      const int items = static_cast<int>(rng.uniform_int(1, 5));
+      for (int j = 0; j < items; ++j) {
+        const auto weight = rng.uniform_int(0, 6);
+        cls.push_back({weight, static_cast<double>(weight + rng.uniform_int(0, 2)) + 0.5});
+      }
+      inst.classes.push_back(std::move(cls));
+    }
+    sweep_capacity(inst, 12, ws, "half trial=" + std::to_string(trial), 1.0);
+  }
+}
+
+TEST(DpBand, HugeWeightsAtEveryProfitScale) {
+  // Weights of 1e15..1e17 make lambda * x the product of a tiny multiplier
+  // and a huge capacity, and profit - lambda * weight cancel: the cut's
+  // float margin must hold at every profit scale.
+  rt::mckp::DpWorkspace ws;
+  rt::Rng rng(17);
+  for (const double scale : {100.0, 1000.0, 1e6}) {
+    const double max_profit = scale > 1e5 ? 0.2 : 1.0;
+    for (const int classes : {1, 3, 8, 20}) {
+      if (scale > 1e5 && classes > 3) continue;  // keeps the reference small
+      for (int trial = 0; trial < 3; ++trial) {
+        Instance inst;
+        for (int c = 0; c < classes; ++c) {
+          std::vector<Item> cls;
+          for (int j = 0; j < 5; ++j) {
+            cls.push_back({rng.uniform_int(1'000'000'000'000'000,
+                                           100'000'000'000'000'000),
+                           rng.uniform(0.0, max_profit)});
+          }
+          inst.classes.push_back(std::move(cls));
+        }
+        sweep_capacity(inst, 6, ws,
+                       "huge scale=" + std::to_string(scale) + " classes=" +
+                           std::to_string(classes) + " trial=" + std::to_string(trial),
+                       scale);
+      }
+    }
+  }
+}
+
+TEST(DpBand, CapacityCutEdgeCases) {
+  rt::mckp::DpWorkspace ws;
+
+  // Everything fits: no hull step is critical, lambda = 0.
+  Instance roomy = bench_shape(8, 6, 5);
+  roomy.capacity = 1'000'000'000;
+  expect_same(roomy, ws, "lambda = 0");
+
+  // Only the cheapest picks fit and they are worth nothing: lb = 0.
+  Instance zero_lb;
+  zero_lb.classes = {{{2, 0.0}, {5, 1.0}}, {{1, 0.0}, {3, 0.25}}, {{4, 0.0}, {9, 2.0}}};
+  zero_lb.capacity = 7;
+  expect_same(zero_lb, ws, "lb = 0");
+  // Not even the cheapest picks fit: the greedy is infeasible.
+  zero_lb.capacity = 6;
+  const Selection overflow = rt::mckp::solve_dp_profits(zero_lb, 1000.0, &ws);
+  EXPECT_FALSE(overflow.feasible);
+  expect_same(zero_lb, ws, "greedy infeasible");
+
+  // Zero-weight items, alone and beside heavier ones, at capacity 0 up.
+  Instance weightless;
+  weightless.classes = {{{0, 0.5}, {0, 0.75}, {3, 1.0}},
+                        {{0, 0.0}},
+                        {{0, 0.25}, {2, 0.5}, {4, 2.0}},
+                        {{0, 1.0}, {0, 1.0}, {1, 1.5}}};
+  for (std::int64_t cap = 0; cap <= 9; ++cap) {
+    weightless.capacity = cap;
+    expect_same(weightless, ws, "zero weights capacity=" + std::to_string(cap));
+  }
+
+  // A single class: the last row is the first.
+  Instance single;
+  single.classes = {{{0, 0.0}, {4, 1.5}, {10, 2.25}, {11, 9.0}, {7, 1.0}, {7, 1.75}}};
+  sweep_capacity(single, 11, ws, "single class", 1000.0);
+
+  // m = 80: the rounding slack and the float margin sum over many classes.
+  rt::Rng rng(80);
+  rt::core::RandomTasksetConfig cfg;
+  cfg.num_tasks = 80;
+  cfg.benefit_points = 6;
+  expect_same(odm_instance(rt::core::make_random_taskset(rng, cfg)), ws,
+              "odm m=80");
+  sweep_capacity(bench_shape(80, 6, 80), 4, ws, "bench m=80");
 }
 
 }  // namespace
