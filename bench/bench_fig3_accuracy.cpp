@@ -15,19 +15,22 @@
 // true G_i. Everything is normalized to the perfect-estimation DP value.
 //
 // The whole grid is declared in examples/specs/fig3.json (schema v1,
-// docs/SCENARIOS.md) and mapped onto exp::run_fig3_sweep -- the parallel
-// BatchRunner with deterministic per-scenario seeding -- so the table is
-// bit-identical for every worker count and reproducible from the CLI via
-// `rtoffload_cli --spec examples/specs/fig3.json`.
+// docs/SCENARIOS.md) and run through spec::plan_batch and exp::BatchRunner
+// -- the parallel runner with deterministic per-scenario seeding, the same
+// path as `rtoffload_cli --spec examples/specs/fig3.json` -- so the table is
+// bit-identical for every worker count.
 //
 // Expected shape: maximum at x = 0, monotone-ish decay to both sides,
 // DP >= HEU-OE, zero deadline misses for every x (the guarantee).
 
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
-#include "exp/sweep.hpp"
+#include "exp/batch.hpp"
 #include "spec/grid.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -44,6 +47,31 @@ std::string slurp(const char* path) {
   return ss.str();
 }
 
+/// One (error, solver) grid point.
+struct Cell {
+  /// Analytic expected timely higher-performance results per job wave:
+  /// sum_i G_i(R_i) over the offloaded decisions.
+  double analytic = 0.0;
+  /// Simulated timely-result benefit per job wave.
+  double simulated = 0.0;
+};
+
+Cell fig3_cell(const rt::core::TaskSet& tasks,
+               const rt::exp::ScenarioOutcome& outcome) {
+  Cell cell;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (outcome.decisions[i].offloaded()) {
+      cell.analytic +=
+          tasks[i].benefit.value_at(outcome.decisions[i].response_time);
+    }
+    const auto& m = outcome.metrics.per_task[i];
+    if (m.released > 0) {
+      cell.simulated += m.accrued_benefit / static_cast<double>(m.released);
+    }
+  }
+  return cell;
+}
+
 }  // namespace
 
 int main() {
@@ -53,11 +81,26 @@ int main() {
 
   constexpr const char* kSpecFile = RTOFFLOAD_SPECS_DIR "/fig3.json";
   const spec::ScenarioDoc doc = spec::ScenarioDoc::parse_text(slurp(kSpecFile));
-  exp::Fig3SweepConfig cfg = spec::fig3_config_from_doc(doc);
-  cfg.batch.jobs = util::default_jobs();
-  const exp::Fig3SweepResult sweep = exp::run_fig3_sweep(cfg);
+  spec::BatchPlan plan = spec::plan_batch(doc);
+  plan.batch.jobs = util::default_jobs();
+  const std::vector<exp::ScenarioOutcome> outcomes =
+      exp::BatchRunner(plan.batch).run(plan.specs);
 
-  const exp::Fig3Cell& base = sweep.cell(0.0, mckp::SolverKind::kDpProfits);
+  std::uint64_t total_misses = 0;
+  for (const exp::ScenarioOutcome& o : outcomes) {
+    total_misses += o.metrics.total_deadline_misses();
+  }
+  const auto cell = [&](double x, mckp::SolverKind solver) {
+    for (const exp::ScenarioOutcome& o : outcomes) {
+      const exp::ScenarioSpec& spec = plan.specs[o.index];
+      if (spec.odm.estimation_error == x && spec.odm.solver == solver) {
+        return fig3_cell(spec.tasks, o);
+      }
+    }
+    throw std::out_of_range("fig3.json has no such grid point");
+  };
+
+  const Cell base = cell(0.0, mckp::SolverKind::kDpProfits);
   if (base.analytic <= 0.0) {
     std::cerr << "baseline benefit is zero -- workload misconfigured\n";
     return 1;
@@ -66,9 +109,11 @@ int main() {
   Table table({"accuracy ratio x", "DP (analytic)", "HEU-OE (analytic)",
                "DP (simulated)", "HEU-OE (simulated)"});
   double dp_at_zero = 0.0, dp_at_edge = 1e9;
-  for (const double x : cfg.errors) {
-    const exp::Fig3Cell& dp = sweep.cell(x, mckp::SolverKind::kDpProfits);
-    const exp::Fig3Cell& heu = sweep.cell(x, mckp::SolverKind::kHeuOe);
+  for (const exp::ScenarioSpec& spec : plan.specs) {
+    if (spec.odm.solver != mckp::SolverKind::kDpProfits) continue;
+    const double x = spec.odm.estimation_error;
+    const Cell dp = cell(x, mckp::SolverKind::kDpProfits);
+    const Cell heu = cell(x, mckp::SolverKind::kHeuOe);
     const int pct = static_cast<int>(x * 100.0 + (x < 0 ? -0.5 : 0.5));
     if (pct == 0) dp_at_zero = dp.analytic / base.analytic;
     if (pct == -40 || pct == 40) {
@@ -83,12 +128,12 @@ int main() {
   table.print(std::cout);
 
   std::cout << "\nDeadline misses across all runs (must be 0): "
-            << sweep.total_misses << "\n"
+            << total_misses << "\n"
             << "Shape: peak at x = 0 (" << Table::fmt(dp_at_zero)
             << "), degraded at the +/-40% edges (min " << Table::fmt(dp_at_edge)
             << ").\nAt x = 0 the DP is provably at least the heuristic; under "
                "estimation error both optimize a *wrong* objective, so either "
                "can come out ahead on true benefit -- exactly the paper's "
                "point that the estimate quality, not the solver, dominates.\n";
-  return sweep.total_misses == 0 ? 0 : 1;
+  return total_misses == 0 ? 0 : 1;
 }

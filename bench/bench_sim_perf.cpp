@@ -77,7 +77,8 @@ namespace {
 using namespace rt;
 
 /// One Fig3-sweep scenario: the paper task set under the benefit-derived
-/// response distribution with timely-count semantics (exp/sweep.cpp).
+/// response distribution with timely-count semantics
+/// (examples/specs/fig3.json).
 struct Workload {
   core::TaskSet tasks;
   core::DecisionVector decisions;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "exp/batch.hpp"
-#include "exp/sweep.hpp"
 #include "spec/scenario_doc.hpp"
 #include "util/json.hpp"
 
@@ -46,12 +45,5 @@ struct BatchPlan {
 };
 
 BatchPlan plan_batch(const ScenarioDoc& doc);
-
-/// Maps a document onto the canonical Figure 3 sweep engine
-/// (exp::run_fig3_sweep). The document must use the paper workload, a
-/// sweep over exactly ["odm.estimation_error", "odm.solver"], the
-/// benefit-driven server, timely-count semantics, and unweighted ODM --
-/// anything else is a SpecError naming the offending path.
-exp::Fig3SweepConfig fig3_config_from_doc(const ScenarioDoc& doc);
 
 }  // namespace rt::spec

@@ -10,26 +10,85 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/odm.hpp"
 #include "core/workload.hpp"
 #include "exp/batch.hpp"
-#include "exp/sweep.hpp"
 #include "obs/sink.hpp"
 #include "sim/benefit_response.hpp"
+#include "spec/grid.hpp"
 
 namespace {
 
 using namespace rt;
 
-exp::Fig3SweepConfig small_sweep_config(unsigned jobs) {
-  exp::Fig3SweepConfig cfg;
-  cfg.workload.num_tasks = 10;
-  cfg.errors = {-0.2, 0.0, 0.2};
-  cfg.horizon = Duration::seconds(5);
-  cfg.batch.jobs = jobs;
-  return cfg;
+/// A small Figure 3 grid: the paper workload (seed 7, 10 tasks), errors
+/// {-0.2, 0, 0.2} x both solvers, 5 s horizons.
+constexpr std::string_view kSmallSweepDoc = R"json({
+  "workload": {"type": "paper", "seed": 7, "num_tasks": 10},
+  "odm": {"apply_task_weights": false},
+  "server": {"type": "benefit-driven"},
+  "sim": {"benefit_semantics": "timely-count", "horizon_ms": 5000},
+  "sweep": {
+    "axes": [
+      {"path": "odm.estimation_error", "values": [-0.2, 0.0, 0.2]},
+      {"path": "odm.solver", "values": ["dp-profits", "heu-oe"]}
+    ]
+  }
+})json";
+
+/// Runs the small grid on `jobs` workers, reporting into `sink` if given.
+std::vector<exp::ScenarioOutcome> run_small_sweep(unsigned jobs,
+                                                  obs::Sink* sink = nullptr) {
+  spec::BatchPlan plan =
+      spec::plan_batch(spec::ScenarioDoc::parse_text(kSmallSweepDoc));
+  plan.batch.jobs = jobs;
+  return exp::BatchRunner(plan.batch).run(plan.specs, sink);
+}
+
+/// Bit-identical outcomes: decisions, claimed objective and every
+/// SimMetrics field (exact double equality, not tolerances).
+void expect_outcomes_equal(const exp::ScenarioOutcome& a,
+                           const exp::ScenarioOutcome& b) {
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.odm.claimed_objective, b.odm.claimed_objective);
+  ASSERT_EQ(a.decisions.size(), b.decisions.size());
+  for (std::size_t i = 0; i < a.decisions.size(); ++i) {
+    SCOPED_TRACE("decision " + std::to_string(i));
+    EXPECT_EQ(a.decisions[i].level, b.decisions[i].level);
+    EXPECT_EQ(a.decisions[i].response_time, b.decisions[i].response_time);
+    EXPECT_EQ(a.decisions[i].claimed_benefit, b.decisions[i].claimed_benefit);
+  }
+  const sim::SimMetrics& x = a.metrics;
+  const sim::SimMetrics& y = b.metrics;
+  ASSERT_EQ(x.per_task.size(), y.per_task.size());
+  for (std::size_t i = 0; i < x.per_task.size(); ++i) {
+    SCOPED_TRACE("task " + std::to_string(i));
+    const sim::TaskMetrics& p = x.per_task[i];
+    const sim::TaskMetrics& q = y.per_task[i];
+    EXPECT_EQ(p.released, q.released);
+    EXPECT_EQ(p.completed, q.completed);
+    EXPECT_EQ(p.deadline_misses, q.deadline_misses);
+    EXPECT_EQ(p.local_runs, q.local_runs);
+    EXPECT_EQ(p.offload_attempts, q.offload_attempts);
+    EXPECT_EQ(p.timely_results, q.timely_results);
+    EXPECT_EQ(p.compensations, q.compensations);
+    EXPECT_EQ(p.late_results, q.late_results);
+    EXPECT_EQ(p.accrued_benefit, q.accrued_benefit);
+    EXPECT_EQ(p.observed_response_ms.count(), q.observed_response_ms.count());
+    EXPECT_EQ(p.observed_response_ms.sum(), q.observed_response_ms.sum());
+    EXPECT_EQ(p.observed_response_ms.min(), q.observed_response_ms.min());
+    EXPECT_EQ(p.observed_response_ms.max(), q.observed_response_ms.max());
+  }
+  EXPECT_EQ(x.cpu_busy_ns, y.cpu_busy_ns);
+  EXPECT_EQ(x.context_switches, y.context_switches);
+  EXPECT_EQ(x.trace_truncated, y.trace_truncated);
+  EXPECT_EQ(x.mode_changes, y.mode_changes);
+  EXPECT_EQ(x.time_in_degraded_ns, y.time_in_degraded_ns);
+  EXPECT_TRUE(x.end_time == y.end_time);
 }
 
 TEST(ScenarioSeed, DeterministicAndDistinct) {
@@ -46,46 +105,31 @@ TEST(ScenarioSeed, DeterministicAndDistinct) {
 }
 
 TEST(BatchDeterminism, SweepIdenticalAcrossWorkerCounts) {
-  // One fixed task set so all three runs sweep the same grid.
-  Rng rng(7);
-  core::PaperSimConfig wl;
-  wl.num_tasks = 10;
-  const core::TaskSet tasks = core::make_paper_simulation_taskset(rng, wl);
+  const std::vector<exp::ScenarioOutcome> r1 = run_small_sweep(1);
+  const std::vector<exp::ScenarioOutcome> r2 = run_small_sweep(2);
+  const std::vector<exp::ScenarioOutcome> r8 = run_small_sweep(8);
 
-  const exp::Fig3SweepResult r1 =
-      exp::run_fig3_sweep(tasks, small_sweep_config(1));
-  const exp::Fig3SweepResult r2 =
-      exp::run_fig3_sweep(tasks, small_sweep_config(2));
-  const exp::Fig3SweepResult r8 =
-      exp::run_fig3_sweep(tasks, small_sweep_config(8));
-
-  ASSERT_EQ(r1.cells.size(), 3u * 2u);
-  ASSERT_EQ(r2.cells.size(), r1.cells.size());
-  ASSERT_EQ(r8.cells.size(), r1.cells.size());
-  EXPECT_EQ(r1.total_misses, r2.total_misses);
-  EXPECT_EQ(r1.total_misses, r8.total_misses);
-
-  for (std::size_t i = 0; i < r1.cells.size(); ++i) {
+  ASSERT_EQ(r1.size(), 3u * 2u);
+  ASSERT_EQ(r2.size(), r1.size());
+  ASSERT_EQ(r8.size(), r1.size());
+  for (std::size_t i = 0; i < r1.size(); ++i) {
     SCOPED_TRACE(i);
-    for (const exp::Fig3SweepResult* other : {&r2, &r8}) {
-      EXPECT_EQ(r1.cells[i].error, other->cells[i].error);
-      EXPECT_EQ(r1.cells[i].solver, other->cells[i].solver);
-      // Bit-identical, not approximately equal.
-      EXPECT_EQ(r1.cells[i].analytic, other->cells[i].analytic);
-      EXPECT_EQ(r1.cells[i].simulated, other->cells[i].simulated);
-      EXPECT_EQ(r1.cells[i].misses, other->cells[i].misses);
-    }
+    expect_outcomes_equal(r1[i], r2[i]);
+    expect_outcomes_equal(r1[i], r8[i]);
   }
 
   // The sweep must have produced real signal, or the equalities above are
   // vacuous.
-  double analytic_sum = 0.0, simulated_sum = 0.0;
-  for (const auto& c : r1.cells) {
-    analytic_sum += c.analytic;
-    simulated_sum += c.simulated;
+  std::size_t offloaded = 0;
+  double claimed_sum = 0.0, benefit_sum = 0.0;
+  for (const exp::ScenarioOutcome& o : r1) {
+    for (const core::Decision& d : o.decisions) offloaded += d.offloaded();
+    claimed_sum += o.odm.claimed_objective;
+    benefit_sum += o.metrics.total_benefit();
   }
-  EXPECT_GT(analytic_sum, 0.0);
-  EXPECT_GT(simulated_sum, 0.0);
+  EXPECT_GT(offloaded, 0u);
+  EXPECT_GT(claimed_sum, 0.0);
+  EXPECT_GT(benefit_sum, 0.0);
 }
 
 TEST(BatchDeterminism, DecideOffloadingBatchMatchesSerial) {
@@ -122,32 +166,20 @@ TEST(BatchDeterminism, DecideOffloadingBatchMatchesSerial) {
 }
 
 TEST(BatchDeterminism, TelemetryDoesNotPerturbResults) {
-  // Attaching a sink must be pure observation: the sweep's cells stay
+  // Attaching a sink must be pure observation: the sweep's outcomes stay
   // bit-identical to a telemetry-free run.
-  Rng rng(7);
-  core::PaperSimConfig wl;
-  wl.num_tasks = 10;
-  const core::TaskSet tasks = core::make_paper_simulation_taskset(rng, wl);
-
-  const exp::Fig3SweepResult bare =
-      exp::run_fig3_sweep(tasks, small_sweep_config(2));
-
+  const std::vector<exp::ScenarioOutcome> bare = run_small_sweep(2);
   obs::Sink sink;
-  exp::Fig3SweepConfig cfg = small_sweep_config(2);
-  cfg.sink = &sink;
-  const exp::Fig3SweepResult observed = exp::run_fig3_sweep(tasks, cfg);
+  const std::vector<exp::ScenarioOutcome> observed = run_small_sweep(2, &sink);
 
-  ASSERT_EQ(observed.cells.size(), bare.cells.size());
-  for (std::size_t i = 0; i < bare.cells.size(); ++i) {
+  ASSERT_EQ(observed.size(), bare.size());
+  for (std::size_t i = 0; i < bare.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(observed.cells[i].analytic, bare.cells[i].analytic);
-    EXPECT_EQ(observed.cells[i].simulated, bare.cells[i].simulated);
-    EXPECT_EQ(observed.cells[i].misses, bare.cells[i].misses);
+    expect_outcomes_equal(observed[i], bare[i]);
   }
 
   // The merged counters must have recorded the sweep.
-  EXPECT_EQ(sink.registry().counter("batch.scenarios").value(),
-            bare.cells.size());
+  EXPECT_EQ(sink.registry().counter("batch.scenarios").value(), bare.size());
   EXPECT_GT(sink.registry().counter("sim.events").value(), 0u);
   EXPECT_GT(sink.registry().counter("odm.decisions").value(), 0u);
   EXPECT_GT(sink.registry().histogram("mckp.items_pruned").count(), 0u);
@@ -158,19 +190,9 @@ TEST(BatchDeterminism, MergedCountersIdenticalAcrossWorkerCounts) {
   // Counters and value histograms (not the *_ns wall-clock ones) are
   // integer sums over per-scenario work, so the merged totals must be
   // identical for every worker count.
-  Rng rng(7);
-  core::PaperSimConfig wl;
-  wl.num_tasks = 10;
-  const core::TaskSet tasks = core::make_paper_simulation_taskset(rng, wl);
-
-  auto run_with_sink = [&](unsigned jobs, obs::Sink& sink) {
-    exp::Fig3SweepConfig cfg = small_sweep_config(jobs);
-    cfg.sink = &sink;
-    (void)exp::run_fig3_sweep(tasks, cfg);
-  };
   obs::Sink s1, s8;
-  run_with_sink(1, s1);
-  run_with_sink(8, s8);
+  (void)run_small_sweep(1, &s1);
+  (void)run_small_sweep(8, &s8);
 
   ASSERT_EQ(s1.registry().counters().size(), s8.registry().counters().size());
   for (const auto& [name, c] : s1.registry().counters()) {

@@ -1,6 +1,7 @@
 // End-to-end test of the rtoffload_cli tool: generate the sample file, run
 // the pipeline on it, and validate the JSON report. Exercises the real
-// binary (path injected by CMake), argument handling, and exit codes.
+// binary (path injected by CMake), argument handling, and exit codes, plus
+// the gpu_serverd daemon's error path.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +32,38 @@ std::string run_capture(const std::string& cmd, int* exit_code) {
   buf << in.rdbuf();
   std::remove(out_path.c_str());
   return buf.str();
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+}
+
+/// The scenario document a task-set file stands for: inline workload,
+/// scenario server (its seed defaults to the document's sim seed), and the
+/// file's solver/estimation_error/exact_pda/horizon/seed.
+Json taskset_as_doc(const Json& taskset) {
+  const Json& config = taskset.at("config");
+  return Json(Json::Object{
+      {"workload", Json(Json::Object{{"type", Json("inline")},
+                                     {"tasks", taskset.at("tasks")}})},
+      {"odm", Json(Json::Object{{"solver", config.at("solver")},
+                                {"estimation_error",
+                                 config.at("estimation_error")},
+                                {"exact_pda", config.at("exact_pda")}})},
+      {"server", Json(Json::Object{{"type", Json("scenario")},
+                                   {"name", config.at("scenario")}})},
+      {"sim", Json(Json::Object{{"horizon_ms", config.at("horizon_ms")},
+                                {"seed", config.at("seed")}})},
+  });
+}
+
+Json sample_taskset() {
+  int rc = 0;
+  const std::string sample =
+      run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --sample", &rc);
+  EXPECT_EQ(rc, 0);
+  return Json::parse(sample);
 }
 
 TEST(CliTool, SampleRoundTripProducesCleanReport) {
@@ -125,7 +158,6 @@ TEST(CliTool, SpecRunMatchesLegacyTaskSetRun) {
       run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --sample", &rc);
   ASSERT_EQ(rc, 0);
   const Json sample_doc = Json::parse(sample);
-  const Json& config = sample_doc.at("config");
 
   const std::string legacy_path = scratch_path("legacy.json");
   {
@@ -137,21 +169,8 @@ TEST(CliTool, SpecRunMatchesLegacyTaskSetRun) {
   std::remove(legacy_path.c_str());
   ASSERT_EQ(rc, 0);
 
-  // The same run declared as a scenario-spec document: inline workload,
-  // scenario server (seed defaults to the document's sim seed, exactly the
-  // legacy behavior), same solver/horizon/exact_pda.
-  const Json spec_doc(Json::Object{
-      {"workload", Json(Json::Object{{"type", Json("inline")},
-                                     {"tasks", sample_doc.at("tasks")}})},
-      {"odm", Json(Json::Object{{"solver", config.at("solver")},
-                                {"estimation_error",
-                                 config.at("estimation_error")},
-                                {"exact_pda", config.at("exact_pda")}})},
-      {"server", Json(Json::Object{{"type", Json("scenario")},
-                                   {"name", config.at("scenario")}})},
-      {"sim", Json(Json::Object{{"horizon_ms", config.at("horizon_ms")},
-                                {"seed", config.at("seed")}})},
-  });
+  // The same run declared as a scenario-spec document.
+  const Json spec_doc = taskset_as_doc(sample_doc);
   const std::string spec_path = scratch_path("spec_equiv.json");
   {
     std::ofstream out(spec_path);
@@ -196,20 +215,28 @@ TEST(CliTool, RunRealReportsRuntimeCountsAndRpc) {
 }
 
 TEST(CliTool, ReplicationsAddAggregateAndKeepRepZeroReport) {
-  // --replications 1 (the default) must be byte-identical to the plain
+  // sim.replications 1 (the default) must be byte-identical to the plain
   // run; K > 1 adds the cross-replication aggregate and reports the
   // metrics of replication 0.
   int rc = 0;
   const std::string base =
       run_capture(std::string(RTOFFLOAD_CLI_PATH), &rc);
   ASSERT_EQ(rc, 0);
-  const std::string one =
-      run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --replications 1", &rc);
+  Json doc = taskset_as_doc(sample_taskset());
+  const std::string doc_path = scratch_path("replicated.json");
+
+  doc.as_object().at("sim").as_object()["replications"] = Json(1);
+  write_file(doc_path, doc.dump(2));
+  const std::string one = run_capture(
+      std::string(RTOFFLOAD_CLI_PATH) + " --spec " + doc_path, &rc);
   ASSERT_EQ(rc, 0);
   EXPECT_EQ(base, one);
 
-  const std::string many =
-      run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --replications 8", &rc);
+  doc.as_object().at("sim").as_object()["replications"] = Json(8);
+  write_file(doc_path, doc.dump(2));
+  const std::string many = run_capture(
+      std::string(RTOFFLOAD_CLI_PATH) + " --spec " + doc_path, &rc);
+  std::remove(doc_path.c_str());
   ASSERT_EQ(rc, 0);
   const Json report = Json::parse(many);
   const Json& sim = report.at("simulation");
@@ -225,15 +252,155 @@ TEST(CliTool, ReplicationsAddAggregateAndKeepRepZeroReport) {
 
 TEST(CliTool, ReplicationsFlagRejectsBadValues) {
   int rc = 0;
-  run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --replications 0", &rc);
+  Json doc = taskset_as_doc(sample_taskset());
+  const std::string doc_path = scratch_path("bad_replications.json");
+  const auto run_with = [&](const Json& replications,
+                            const std::string& extra) {
+    doc.as_object().at("sim").as_object()["replications"] = replications;
+    write_file(doc_path, doc.dump(2));
+    run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --spec " + doc_path +
+                    extra,
+                &rc);
+    return rc;
+  };
+  EXPECT_EQ(run_with(Json(0), ""), 1);
+  EXPECT_EQ(run_with(Json("nope"), ""), 1);
+  // Traces record a single serial run; K > 1 is rejected.
+  EXPECT_EQ(run_with(Json(4), " --trace-out /tmp/never_written.json"), 1);
+  std::remove(doc_path.c_str());
+  // The count is a document field, not a flag.
+  run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --replications 8", &rc);
   EXPECT_EQ(rc, 1);
-  run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --replications nope", &rc);
-  EXPECT_EQ(rc, 1);
-  // Traces record a single serial run; K > 1 is rejected up front.
-  run_capture(std::string(RTOFFLOAD_CLI_PATH) +
-                  " --replications 4 --trace-out /tmp/never_written.json",
-              &rc);
-  EXPECT_EQ(rc, 1);
+}
+
+TEST(CliTool, UnknownAndRetiredFlagsAreRejected) {
+  // An unknown option is an error, never a file name to open.
+  int rc = 0;
+  for (const char* args :
+       {" --fig3", " --fgi3", " --faults x.json", " --adaptive"}) {
+    SCOPED_TRACE(args);
+    run_capture(std::string(RTOFFLOAD_CLI_PATH) + args, &rc);
+    EXPECT_EQ(rc, 1);
+  }
+  const std::string err_path = scratch_path("err.txt");
+  std::system((std::string(RTOFFLOAD_CLI_PATH) + " --fgi3 2> " + err_path +
+               " > /dev/null")
+                  .c_str());
+  std::ifstream err_in(err_path);
+  std::ostringstream err;
+  err << err_in.rdbuf();
+  std::remove(err_path.c_str());
+  EXPECT_EQ(err.str(), "error: unknown option '--fgi3' (see --help)\n");
+}
+
+TEST(CliTool, JobsFlagRejectsGarbageAndOverflow) {
+  int rc = 0;
+  for (const char* value : {"2x", "-1", "99999999999", "", "two"}) {
+    SCOPED_TRACE(value);
+    run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --jobs '" + value + "'",
+                &rc);
+    EXPECT_EQ(rc, 1);
+  }
+  run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --jobs 2", &rc);
+  EXPECT_EQ(rc, 0);
+}
+
+TEST(CliTool, TaskSetReportsEqualTheirDocumentsAcrossScenarios) {
+  // The sample at 2 s under every scenario and solver: each task-set
+  // report (and exit code) is byte-equal to its document's.
+  const Json sample = sample_taskset();
+  const std::string taskset_path = scratch_path("family_taskset.json");
+  const std::string doc_path = scratch_path("family_doc.json");
+  for (const char* scenario : {"idle", "not-busy", "busy", "dead"}) {
+    for (const char* solver : {"dp-profits", "heu-oe", "dp-weights"}) {
+      SCOPED_TRACE(std::string(scenario) + " / " + solver);
+      Json taskset = sample;
+      Json::Object& config = taskset.as_object().at("config").as_object();
+      config["scenario"] = Json(scenario);
+      config["solver"] = Json(solver);
+      config["horizon_ms"] = Json(2000);
+      write_file(taskset_path, taskset.dump(2));
+      write_file(doc_path, taskset_as_doc(taskset).dump(2));
+
+      int taskset_rc = 0, doc_rc = 0;
+      const std::string taskset_report = run_capture(
+          std::string(RTOFFLOAD_CLI_PATH) + " " + taskset_path, &taskset_rc);
+      const std::string doc_report = run_capture(
+          std::string(RTOFFLOAD_CLI_PATH) + " --spec " + doc_path, &doc_rc);
+      EXPECT_EQ(taskset_rc, doc_rc);
+      EXPECT_NE(taskset_report, "");
+      EXPECT_EQ(taskset_report, doc_report);
+    }
+  }
+  std::remove(taskset_path.c_str());
+  std::remove(doc_path.c_str());
+}
+
+TEST(CliTool, Fig3DocumentWritesPerWorkerScenarioTelemetry) {
+  // The paper's Figure 3 sweep as a document: per-worker scenario slices
+  // in the trace, odm and sim counters in the metrics snapshot.
+  const std::string trace_path = scratch_path("fig3_trace.json");
+  const std::string metrics_path = scratch_path("fig3_metrics.json");
+  int rc = 0;
+  const std::string table = run_capture(
+      std::string(RTOFFLOAD_CLI_PATH) + " --spec " + RTOFFLOAD_SPECS_DIR +
+          "/fig3.json --jobs 2 --trace-out " + trace_path +
+          " --metrics-out " + metrics_path,
+      &rc);
+  EXPECT_EQ(rc, 0);
+  EXPECT_NE(table.find("scenarios: 18  total misses: 0"), std::string::npos);
+
+  std::ifstream trace_in(trace_path);
+  std::ostringstream trace_text;
+  trace_text << trace_in.rdbuf();
+  std::ifstream metrics_in(metrics_path);
+  std::ostringstream metrics_text;
+  metrics_text << metrics_in.rdbuf();
+  std::remove(trace_path.c_str());
+  std::remove(metrics_path.c_str());
+
+  const Json trace = Json::parse(trace_text.str());
+  std::size_t scenario_slices = 0, worker_lanes = 0;
+  for (const Json& ev : trace.at("traceEvents").as_array()) {
+    const std::string& name = ev.at("name").as_string();
+    if (ev.at("ph").as_string() == "X" && name.rfind("scenario ", 0) == 0) {
+      ++scenario_slices;
+    }
+    if (name == "thread_name" &&
+        ev.at("args").at("name").as_string().rfind("worker ", 0) == 0) {
+      ++worker_lanes;
+    }
+  }
+  EXPECT_EQ(scenario_slices, 18u);
+  EXPECT_GE(worker_lanes, 1u);
+
+  const Json metrics = Json::parse(metrics_text.str());
+  const Json& counters = metrics.at("counters");
+  EXPECT_GT(counters.at("odm.decisions").as_number(), 0.0);
+  EXPECT_GT(counters.at("sim.events").as_number(), 0.0);
+}
+
+TEST(GpuServerd, DocumentWithoutServerFailsOnStderr) {
+  // Harnesses scrape stdout for "listening on"; the error must not go
+  // there, and it must name the server section.
+  const std::string doc_path = scratch_path("no_server.json");
+  write_file(doc_path, R"({"workload": {"type": "random", "num_tasks": 3}})");
+  const std::string out_path = scratch_path("serverd_out.txt");
+  const std::string err_path = scratch_path("serverd_err.txt");
+  const int status =
+      std::system((std::string(GPU_SERVERD_PATH) + " --spec " + doc_path +
+                   " > " + out_path + " 2> " + err_path)
+                      .c_str());
+  std::ifstream out_in(out_path), err_in(err_path);
+  std::ostringstream out, err;
+  out << out_in.rdbuf();
+  err << err_in.rdbuf();
+  for (const std::string& path : {doc_path, out_path, err_path}) {
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  EXPECT_EQ(out.str().find("listening on"), std::string::npos) << out.str();
+  EXPECT_NE(err.str().find("server section"), std::string::npos) << err.str();
 }
 
 TEST(CliTool, MalformedInputFailsCleanly) {

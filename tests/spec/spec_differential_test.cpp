@@ -4,8 +4,8 @@
 // (faults(routing(bursty(lognormal))) plus an adaptive controller) built
 // from one JSON document must produce the exact SimMetrics and ODM results
 // of hand-written C++ over a fixed seed grid; likewise a sweep grid run
-// through plan_batch() vs an inline ScenarioSpec vector, and a Figure-3
-// document vs an inline Fig3SweepConfig.
+// through plan_batch() vs an inline ScenarioSpec vector, and the Figure 3
+// document vs the inline spec vector the paper's sweep is defined by.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +15,12 @@
 #include "core/odm.hpp"
 #include "core/workload.hpp"
 #include "exp/batch.hpp"
-#include "exp/sweep.hpp"
 #include "rt/health.hpp"
 #include "server/bursty.hpp"
 #include "server/faults.hpp"
 #include "server/response_model.hpp"
 #include "server/routing.hpp"
+#include "sim/benefit_response.hpp"
 #include "sim/simulator.hpp"
 #include "spec/grid.hpp"
 #include "spec/scenario_doc.hpp"
@@ -265,27 +265,54 @@ TEST(SpecDifferential, Fig3DocMatchesInlineSweepConfig) {
       ]
     }
   })json");
-  const exp::Fig3SweepResult spec_sweep =
-      exp::run_fig3_sweep(spec::fig3_config_from_doc(doc));
+  const spec::BatchPlan plan = spec::plan_batch(doc);
+  ASSERT_EQ(plan.specs.size(), 6u);
+  const std::vector<exp::ScenarioOutcome> spec_out =
+      exp::BatchRunner(plan.batch).run(plan.specs);
 
-  exp::Fig3SweepConfig inline_cfg;
-  inline_cfg.workload.num_tasks = 8;
-  inline_cfg.taskset_seed = 123;
-  inline_cfg.errors = {-0.2, 0.0, 0.2};
-  inline_cfg.horizon = Duration::from_ms(4000);
-  inline_cfg.batch.jobs = 2;
-  const exp::Fig3SweepResult inline_sweep = exp::run_fig3_sweep(inline_cfg);
-
-  ASSERT_EQ(spec_sweep.cells.size(), inline_sweep.cells.size());
-  EXPECT_EQ(spec_sweep.total_misses, inline_sweep.total_misses);
-  for (std::size_t i = 0; i < spec_sweep.cells.size(); ++i) {
-    SCOPED_TRACE("cell " + std::to_string(i));
-    EXPECT_EQ(spec_sweep.cells[i].error, inline_sweep.cells[i].error);
-    EXPECT_EQ(spec_sweep.cells[i].solver, inline_sweep.cells[i].solver);
-    EXPECT_EQ(spec_sweep.cells[i].analytic, inline_sweep.cells[i].analytic);
-    EXPECT_EQ(spec_sweep.cells[i].simulated, inline_sweep.cells[i].simulated);
-    EXPECT_EQ(spec_sweep.cells[i].misses, inline_sweep.cells[i].misses);
+  // Inline reference, built the way the paper's sweep is defined: one task
+  // set, one shared benefit-driven prototype (the true response
+  // distribution is the benefit function itself), unweighted ODM,
+  // timely-count semantics, errors outer and solvers inner.
+  core::PaperSimConfig wl;
+  wl.num_tasks = 8;
+  Rng rng(123);
+  const core::TaskSet tasks = core::make_paper_simulation_taskset(rng, wl);
+  std::vector<core::BenefitFunction> gs;
+  for (const core::Task& t : tasks) gs.push_back(t.benefit);
+  const auto server =
+      std::make_shared<const sim::BenefitDrivenResponse>(std::move(gs));
+  std::vector<exp::ScenarioSpec> inline_specs;
+  for (const double error : {-0.2, 0.0, 0.2}) {
+    for (const mckp::SolverKind solver :
+         {mckp::SolverKind::kDpProfits, mckp::SolverKind::kHeuOe}) {
+      exp::ScenarioSpec s;
+      s.tasks = tasks;
+      s.odm.solver = solver;
+      s.odm.estimation_error = error;
+      s.odm.apply_task_weights = false;
+      s.server = server;
+      s.sim.horizon = Duration::from_ms(4000);
+      s.sim.benefit_semantics = sim::BenefitSemantics::kTimelyCount;
+      inline_specs.push_back(std::move(s));
+    }
   }
+  exp::BatchConfig batch;
+  batch.jobs = 2;
+  const std::vector<exp::ScenarioOutcome> inline_out =
+      exp::BatchRunner(batch).run(inline_specs);
+
+  ASSERT_EQ(spec_out.size(), inline_out.size());
+  std::uint64_t timely = 0;
+  for (std::size_t i = 0; i < spec_out.size(); ++i) {
+    SCOPED_TRACE("scenario " + std::to_string(i));
+    expect_decisions_equal(spec_out[i].decisions, inline_out[i].decisions);
+    EXPECT_EQ(spec_out[i].odm.claimed_objective,
+              inline_out[i].odm.claimed_objective);
+    expect_metrics_equal(spec_out[i].metrics, inline_out[i].metrics);
+    timely += spec_out[i].metrics.total_timely_results();
+  }
+  EXPECT_GT(timely, 0u) << "the grid offloaded nothing; the match is vacuous";
 }
 
 }  // namespace

@@ -59,11 +59,23 @@ TEST(SpecExamples, AllShippedSpecsParseExpandAndBuild) {
 TEST(SpecExamples, Fig3DocMapsOntoTheSweepEngine) {
   const spec::ScenarioDoc doc = spec::ScenarioDoc::parse_text(
       slurp(std::filesystem::path(RTOFFLOAD_SPECS_DIR) / "fig3.json"));
-  const exp::Fig3SweepConfig cfg = spec::fig3_config_from_doc(doc);
-  EXPECT_EQ(cfg.taskset_seed, 20140601u);
-  EXPECT_EQ(cfg.errors.size(), 9u);
-  EXPECT_EQ(cfg.solvers.size(), 2u);
-  EXPECT_EQ(cfg.horizon, Duration::seconds(200));
+  const spec::BatchPlan plan = spec::plan_batch(doc);
+  // 9 estimation errors x 2 solvers, row-major: errors outer, solvers inner.
+  ASSERT_EQ(plan.specs.size(), 18u);
+  const double errors[] = {-0.4, -0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3, 0.4};
+  const mckp::SolverKind solvers[] = {mckp::SolverKind::kDpProfits,
+                                      mckp::SolverKind::kHeuOe};
+  for (std::size_t i = 0; i < plan.specs.size(); ++i) {
+    SCOPED_TRACE(i);
+    const exp::ScenarioSpec& s = plan.specs[i];
+    EXPECT_EQ(s.odm.estimation_error, errors[i / 2]);
+    EXPECT_EQ(s.odm.solver, solvers[i % 2]);
+    EXPECT_FALSE(s.odm.apply_task_weights);
+    EXPECT_EQ(s.sim.horizon, Duration::seconds(200));
+    EXPECT_EQ(s.sim.benefit_semantics, sim::BenefitSemantics::kTimelyCount);
+    EXPECT_EQ(s.tasks.size(), 30u);
+  }
+  EXPECT_EQ(plan.docs.front().workload.at("seed").as_number(), 20140601.0);
 }
 
 }  // namespace

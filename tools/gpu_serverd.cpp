@@ -8,8 +8,10 @@
 //
 // Prints "listening on IP:PORT" once bound (port 0 asks the kernel for an
 // ephemeral port -- harnesses scrape this line), serves until
-// SIGINT/SIGTERM, then prints a stats JSON object and exits 0.
+// SIGINT/SIGTERM, then prints a stats JSON object and exits 0. Errors go to
+// stderr, so stdout carries only those two lines.
 
+#include <csignal>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -17,8 +19,55 @@
 #include <string>
 
 #include "net/socket.hpp"
-#include "runtime/serve.hpp"
+#include "runtime/gpu_service.hpp"
 #include "spec/scenario_doc.hpp"
+#include "util/rng.hpp"
+
+namespace {
+
+// Signal bridge: request_stop() is async-signal-safe by contract (one
+// atomic store plus one write() on the wakeup eventfd).
+rt::net::EventLoop* g_serving_loop = nullptr;
+
+void on_signal(int) {
+  if (g_serving_loop != nullptr) g_serving_loop->request_stop();
+}
+
+/// Serves `doc`'s server stack (with the fault overlay applied) until
+/// SIGINT/SIGTERM; `listen` (when set) replaces $.runtime.listen.
+int serve(const rt::spec::ScenarioDoc& doc,
+          const std::optional<rt::net::SocketAddress>& listen) {
+  using namespace rt;
+  spec::BuiltScenario built = spec::build_scenario(doc);
+  if (built.server == nullptr) {
+    std::cerr << "error: the document has no server section (gpu_serverd "
+                 "serves $.server)\n";
+    return 1;
+  }
+
+  runtime::GpuServiceOptions options;
+  options.apply_spec_section(doc.runtime);
+  net::EventLoop loop;
+  runtime::GpuService service(
+      loop, std::move(built.server), derive_seed(built.sim.seed, 0x6775),
+      listen.value_or(runtime::listen_address_from_spec(doc.runtime)),
+      options);
+  std::cout << "listening on " << service.address().to_string() << std::endl;
+
+  g_serving_loop = &loop;
+  struct sigaction action {};
+  action.sa_handler = on_signal;
+  sigemptyset(&action.sa_mask);
+  sigaction(SIGINT, &action, nullptr);
+  sigaction(SIGTERM, &action, nullptr);
+  loop.run();
+  g_serving_loop = nullptr;
+
+  std::cout << service.stats().to_json().dump() << "\n";
+  return 0;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   try {
@@ -57,10 +106,7 @@ int main(int argc, char** argv) {
     }
     std::ostringstream buf;
     buf << in.rdbuf();
-    const rt::spec::ScenarioDoc doc =
-        rt::spec::ScenarioDoc::parse_text(buf.str());
-    return rt::runtime::serve_gpu(doc, listen.has_value() ? &*listen : nullptr,
-                                  std::cout);
+    return serve(rt::spec::ScenarioDoc::parse_text(buf.str()), listen);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

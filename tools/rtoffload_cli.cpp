@@ -1,7 +1,7 @@
-// rtoffload_cli -- run the offloading pipeline on a task set described in
-// JSON: build decisions (MCKP + Theorem 3), optionally verify with the
-// exact processor-demand analysis, simulate against a chosen server
-// scenario, and print a machine-readable JSON report.
+// rtoffload_cli -- run the offloading pipeline on a scenario document:
+// build decisions (MCKP + Theorem 3), optionally verify with the exact
+// processor-demand analysis, simulate against the document's server stack,
+// and print a machine-readable JSON report.
 //
 // Usage:
 //   rtoffload_cli <taskset.json> ...    analyze + simulate each file
@@ -9,34 +9,36 @@
 //   rtoffload_cli --spec spec.json      run a declarative scenario document
 //   rtoffload_cli --validate spec.json  check a document, print it normalized
 //   rtoffload_cli --list-types          list registered component types
-//   rtoffload_cli --fig3                run the paper's Figure 3 sweep
+//   rtoffload_cli --run-real --spec d   run a document on the real runtime
 //   rtoffload_cli --sample              print a sample task-set file
 //   rtoffload_cli                       run the built-in sample (demo)
 //
 // --spec runs a scenario-spec document (schema in docs/SCENARIOS.md): one
 // JSON object describing workload, server stack, faults, controller, sim
 // parameters, and an optional sweep grid. Without a sweep it prints the
-// same report as a task-set file; with one it expands the grid through
-// exp::BatchRunner and prints a per-scenario summary table.
+// standard report; with one it expands the grid through exp::BatchRunner
+// and prints a per-scenario summary table (the paper's Figure 3 sweep is
+// --spec examples/specs/fig3.json).
 //
 // Telemetry (docs/ANALYSIS.md §8), available in every mode:
 //   --metrics-out PATH   write a metric snapshot (.csv -> CSV, else JSON)
 //   --trace-out PATH     write a Chrome trace-event JSON timeline; load it
-//                        in ui.perfetto.dev or chrome://tracing. File mode
-//                        renders per-task CPU swimlanes (pid = file index);
-//                        --fig3 renders per-worker scenario swimlanes.
+//                        in ui.perfetto.dev or chrome://tracing. A single
+//                        scenario renders per-task CPU swimlanes (pid =
+//                        file index); a sweep renders per-worker scenario
+//                        swimlanes.
 //
 // With several input files the reports are computed in parallel (--jobs N,
 // default 1) but always printed in argument order; the exit status is the
 // worst one (1 error > 2 deadline misses > 0 clean).
 //
-// Top-level task-set schema: {"tasks": [...], "config": {...}} where config
-// accepts
+// A task-set file {"tasks": [...], "config": {...}} is shorthand for a
+// scenario document with an inline workload; config accepts
 //   solver: "dp-profits" | "heu-oe" | "dp-weights"   (default dp-profits)
 //   scenario: "idle" | "not-busy" | "busy" | "dead"  (default not-busy)
 //   horizon_ms, seed, estimation_error, exact_pda (bool)
-// and each task follows core/serialization.hpp. Solver and scenario names
-// resolve through the same spec-layer registries as --spec documents.
+// and each task follows core/serialization.hpp. Every input runs as the
+// document it converts to, so both styles print byte-identical reports.
 
 #include <cstdio>
 #include <fstream>
@@ -49,14 +51,11 @@
 #include "core/schedulability.hpp"
 #include "core/serialization.hpp"
 #include "exp/batch.hpp"
-#include "exp/sweep.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/sink.hpp"
 #include "rt/health.hpp"
 #include "runtime/gpu_service.hpp"
 #include "runtime/offload_runtime.hpp"
-#include "runtime/serve.hpp"
-#include "server/faults.hpp"
 #include "sim/simulator.hpp"
 #include "sim/trace_export.hpp"
 #include "spec/grid.hpp"
@@ -183,35 +182,17 @@ void append_task_trace(rt::obs::ChromeTraceWriter& writer,
   rt::sim::append_chrome_trace(writer, trace, names, pid);
 }
 
-/// Optional robustness add-ons shared by every task-set input: a fault
-/// script overlaid on the configured server scenario, and the adaptive
-/// degraded-mode controller (all-local fallback vector by default).
-struct RobustnessOptions {
-  std::optional<rt::server::FaultScript> faults;
-  bool adaptive = false;
-};
-
-/// One fully materialized scenario, however it was described -- a legacy
-/// task-set file or a spec document. run_scenario is the single report
-/// path for both, which is what makes the two input styles byte-identical
-/// on equivalent inputs.
-struct ScenarioRun {
-  rt::core::TaskSet tasks;
-  rt::sim::RequestProfile profile;
-  rt::core::OdmConfig odm;
-  bool exact_pda = false;
-  std::unique_ptr<rt::server::ResponseModel> server;  ///< null = ODM only
-  std::shared_ptr<const rt::health::ModeControllerConfig> controller;
-  rt::sim::SimConfig sim;
-  /// Monte-Carlo replication count (--replications / $.sim.replications):
-  /// 1 runs the serial engine exactly as before; K > 1 runs the batched
-  /// engine and adds a cross-replication "aggregate" object to the report.
-  std::size_t replications = 1;
-};
-
-int run_scenario(ScenarioRun run, std::ostream& os, rt::obs::Sink* sink,
-                 rt::obs::ChromeTraceWriter* trace, int pid) {
+/// Runs one built (sweep-free) scenario and prints its report. A document
+/// without a server section stops after the ODM verdict.
+int run_scenario(rt::spec::BuiltScenario run, std::ostream& os,
+                 rt::obs::Sink* sink, rt::obs::ChromeTraceWriter* trace,
+                 int pid) {
   using namespace rt;
+  if (run.replications > 1 && trace != nullptr) {
+    throw std::runtime_error(
+        "trace output records a single serial run; not available with "
+        "sim.replications > 1");
+  }
   run.odm.sink = sink;
   const core::OdmResult odm = core::decide_offloading(run.tasks, run.odm);
 
@@ -242,11 +223,6 @@ int run_scenario(ScenarioRun run, std::ostream& os, rt::obs::Sink* sink,
   std::optional<sim::BatchMetrics> aggregate;
   std::uint64_t exit_misses = 0;
   if (run.replications > 1) {
-    if (trace != nullptr) {
-      throw std::runtime_error(
-          "trace output records a single serial run; not available with "
-          "replications > 1");
-    }
     sim::BatchSimEngine engine;
     sim::BatchResult bres =
         engine.run(run.tasks, odm.decisions, *run.server, run.sim,
@@ -286,74 +262,38 @@ int run_scenario(ScenarioRun run, std::ostream& os, rt::obs::Sink* sink,
   return exit_misses == 0 ? 0 : 2;
 }
 
-/// Legacy task-set file -> ScenarioRun. Solver and scenario strings resolve
-/// through the spec registries (the CLI has no private name tables).
-ScenarioRun scenario_from_taskset(const std::string& text,
-                                  const RobustnessOptions& robust) {
-  using namespace rt;
-  const Json doc = Json::parse(text);
-
-  ScenarioRun run;
-  run.tasks = core::task_set_from_json(doc);
-
-  Json config = Json(Json::Object{});
-  if (doc.contains("config")) config = doc.at("config");
-
-  run.odm.solver = spec::solver_from_string(
-      config.string_or("solver", "dp-profits"),
-      spec::SpecPath() / "config" / "solver");
-  run.odm.estimation_error = config.number_or("estimation_error", 0.0);
-  run.exact_pda = config.bool_or("exact_pda", false);
-
-  const auto seed = static_cast<std::uint64_t>(config.number_or("seed", 1));
-  Json model(Json::Object{{"type", Json("scenario")},
-                          {"name", Json(config.string_or("scenario", "not-busy"))}});
-  spec::BuildContext ctx;
-  ctx.default_seed = seed;
-  run.server = spec::build_model(
-      spec::normalize_model(model, spec::SpecPath() / "config" / "scenario"), ctx);
-  if (robust.faults.has_value()) {
-    run.server = std::make_unique<server::FaultInjector>(std::move(run.server),
-                                                         *robust.faults);
-  }
-  if (robust.adaptive) {
-    // Default config: all-local degraded vector.
-    run.controller = std::make_shared<health::ModeControllerConfig>();
-  }
-  run.sim.horizon = Duration::from_ms(config.number_or("horizon_ms", 10'000.0));
-  run.sim.seed = seed;
-  return run;
-}
-
-/// Spec document -> ScenarioRun (the document carries everything).
-ScenarioRun scenario_from_doc(const rt::spec::ScenarioDoc& doc) {
-  rt::spec::BuiltScenario built = rt::spec::build_scenario(doc);
-  ScenarioRun run;
-  run.tasks = std::move(built.tasks);
-  run.profile = std::move(built.profile);
-  run.odm = built.odm;
-  run.exact_pda = built.exact_pda;
-  run.server = std::move(built.server);
-  run.controller = std::move(built.controller);
-  run.sim = built.sim;
-  run.replications = built.replications;
-  return run;
-}
-
-int run(const std::string& text, std::ostream& os, rt::obs::Sink* sink,
-        rt::obs::ChromeTraceWriter* trace, int pid,
-        const RobustnessOptions& robust, std::size_t replications) {
-  ScenarioRun scenario = scenario_from_taskset(text, robust);
-  scenario.replications = replications;
-  return run_scenario(std::move(scenario), os, sink, trace, pid);
+/// A task-set file as the scenario document it stands for: the file's
+/// tasks as an inline workload, its config keys (with the same defaults)
+/// in the odm, server and sim sections.
+rt::spec::ScenarioDoc doc_from_taskset(const std::string& text) {
+  using rt::Json;
+  const Json file = Json::parse(text);
+  const Json config =
+      file.contains("config") ? file.at("config") : Json(Json::Object{});
+  const auto field = [&](const char* key, Json fallback) {
+    return config.contains(key) ? config.at(key) : std::move(fallback);
+  };
+  return rt::spec::ScenarioDoc::parse(Json(Json::Object{
+      {"workload", Json(Json::Object{{"type", Json("inline")},
+                                     {"tasks", file.at("tasks")}})},
+      {"odm", Json(Json::Object{
+                  {"solver", field("solver", Json("dp-profits"))},
+                  {"estimation_error", field("estimation_error", Json(0.0))},
+                  {"exact_pda", field("exact_pda", Json(false))}})},
+      {"server", Json(Json::Object{
+                     {"type", Json("scenario")},
+                     {"name", field("scenario", Json("not-busy"))}})},
+      {"sim", Json(Json::Object{
+                  {"horizon_ms", field("horizon_ms", Json(10000.0))},
+                  {"seed", field("seed", Json(1.0))}})},
+  }));
 }
 
 // Analyze every file on `jobs` workers; reports print in argument order.
 // Telemetry is collected per file (its own sink / trace track) and merged
 // in that same order, so the outputs are identical for every jobs value.
 int run_files(const std::vector<std::string>& files, unsigned jobs,
-              const std::string& metrics_out, const std::string& trace_out,
-              const RobustnessOptions& robust, std::size_t replications) {
+              const std::string& metrics_out, const std::string& trace_out) {
   const bool want_metrics = !metrics_out.empty();
   const bool want_trace = !trace_out.empty();
   struct FileResult {
@@ -381,8 +321,9 @@ int run_files(const std::vector<std::string>& files, unsigned jobs,
         std::ostringstream buf;
         buf << in.rdbuf();
         std::ostringstream report;
-        r.code = run(buf.str(), report, r.sink.get(), r.trace.get(),
-                     static_cast<int>(i), robust, replications);
+        r.code = run_scenario(
+            rt::spec::build_scenario(doc_from_taskset(buf.str())), report,
+            r.sink.get(), r.trace.get(), static_cast<int>(i));
         r.output = report.str();
       } catch (const std::exception& e) {
         r.error = std::string("error: ") + e.what() + " (in '" + files[i] + "')";
@@ -408,41 +349,36 @@ int run_files(const std::vector<std::string>& files, unsigned jobs,
   return worst;
 }
 
-// A spec document: a single scenario prints the standard report; a sweep
-// grid runs through exp::BatchRunner and prints a summary row per cell.
-int run_spec(const std::string& path, std::optional<unsigned> jobs_override,
-             const std::string& metrics_out, const std::string& trace_out,
-             std::optional<std::size_t> replications_override) {
-  using namespace rt;
-  const spec::ScenarioDoc doc = spec::ScenarioDoc::parse_text(slurp(path));
-
-  const bool has_grid =
-      !doc.sweep.is_null() && !doc.sweep.at("axes").as_array().empty();
+// One sweep-free document on the calling thread, with its telemetry files.
+int run_single(const rt::spec::ScenarioDoc& doc, const std::string& metrics_out,
+               const std::string& trace_out) {
+  rt::obs::Sink sink;
+  rt::obs::ChromeTraceWriter trace;
   const bool want_metrics = !metrics_out.empty();
   const bool want_trace = !trace_out.empty();
+  const int code = run_scenario(rt::spec::build_scenario(doc), std::cout,
+                                want_metrics ? &sink : nullptr,
+                                want_trace ? &trace : nullptr, 0);
+  if (want_metrics) write_metrics_file(sink, metrics_out);
+  if (want_trace) write_trace_file(trace, trace_out);
+  return code;
+}
 
-  if (!has_grid) {
-    obs::Sink sink;
-    obs::ChromeTraceWriter trace;
-    ScenarioRun scenario = scenario_from_doc(doc);
-    if (replications_override.has_value()) {
-      scenario.replications = *replications_override;
-    }
-    const int code = run_scenario(std::move(scenario), std::cout,
-                                  want_metrics ? &sink : nullptr,
-                                  want_trace ? &trace : nullptr, 0);
-    if (want_metrics) write_metrics_file(sink, metrics_out);
-    if (want_trace) write_trace_file(trace, trace_out);
-    return code;
+// A spec document: a single scenario prints the standard report; a sweep
+// grid runs through exp::BatchRunner and prints a summary row per cell,
+// with per-worker scenario swimlanes in the trace.
+int run_spec(const std::string& path, std::optional<unsigned> jobs_override,
+             const std::string& metrics_out, const std::string& trace_out) {
+  using namespace rt;
+  const spec::ScenarioDoc doc = spec::ScenarioDoc::parse_text(slurp(path));
+  if (doc.sweep.is_null() || doc.sweep.at("axes").as_array().empty()) {
+    return run_single(doc, metrics_out, trace_out);
   }
 
+  const bool want_metrics = !metrics_out.empty();
+  const bool want_trace = !trace_out.empty();
   spec::BatchPlan plan = spec::plan_batch(doc);
   if (jobs_override.has_value()) plan.batch.jobs = *jobs_override;
-  if (replications_override.has_value()) {
-    for (exp::ScenarioSpec& spec : plan.specs) {
-      spec.replications = *replications_override;
-    }
-  }
   exp::BatchRunner runner(plan.batch);
   obs::Sink sink;
   const std::vector<exp::ScenarioOutcome> outcomes =
@@ -575,36 +511,20 @@ int list_types() {
   return 0;
 }
 
-// The paper's Figure 3 sweep with batch telemetry: per-worker scenario
-// swimlanes in the trace, odm/mckp/sim counters in the metrics snapshot.
-int run_fig3(unsigned jobs, double horizon_ms, const std::string& metrics_out,
-             const std::string& trace_out) {
-  rt::exp::Fig3SweepConfig cfg;
-  cfg.horizon = rt::Duration::from_ms(horizon_ms);
-  cfg.batch.jobs = jobs;
-  rt::obs::Sink sink;
-  const bool want_telemetry = !metrics_out.empty() || !trace_out.empty();
-  cfg.sink = want_telemetry ? &sink : nullptr;
-
-  const rt::exp::Fig3SweepResult result = rt::exp::run_fig3_sweep(cfg);
-
-  std::printf("%8s  %-10s  %10s  %10s  %7s\n", "error", "solver", "analytic",
-              "simulated", "misses");
-  for (const rt::exp::Fig3Cell& c : result.cells) {
-    std::printf("%+7.0f%%  %-10s  %10.3f  %10.3f  %7llu\n", c.error * 100.0,
-                rt::spec::solver_name(c.solver), c.analytic, c.simulated,
-                static_cast<unsigned long long>(c.misses));
+/// The --jobs value: a whole number >= 0 (0 = one worker per core).
+unsigned parse_jobs(const std::string& flag, const std::string& text) {
+  std::size_t end = 0;
+  int v = -1;
+  try {
+    v = std::stoi(text, &end);
+  } catch (const std::exception&) {
+    end = 0;
   }
-  std::printf("total misses: %llu\n",
-              static_cast<unsigned long long>(result.total_misses));
-
-  if (!metrics_out.empty()) write_metrics_file(sink, metrics_out);
-  if (!trace_out.empty()) {
-    rt::obs::ChromeTraceWriter writer;
-    rt::obs::append_phase_events(writer, sink);
-    write_trace_file(writer, trace_out);
+  if (end == 0 || end != text.size() || v < 0) {
+    throw std::invalid_argument(flag + " expects a whole number >= 0, got '" +
+                                text + "'");
   }
-  return result.total_misses == 0 ? 0 : 2;
+  return v == 0 ? rt::util::default_jobs() : static_cast<unsigned>(v);
 }
 
 }  // namespace
@@ -612,18 +532,12 @@ int run_fig3(unsigned jobs, double horizon_ms, const std::string& metrics_out,
 int main(int argc, char** argv) {
   try {
     std::optional<unsigned> jobs_flag;
-    std::optional<std::size_t> replications_flag;
-    bool fig3 = false;
-    double horizon_ms = 20'000.0;
     std::string metrics_out;
     std::string trace_out;
     std::string spec_path;
     std::string validate_path;
     bool run_real = false;
-    bool serve_gpu_flag = false;
     std::string server_addr;
-    std::string listen_addr;
-    RobustnessOptions robust;
     std::vector<std::string> files;
     const auto need_value = [&](int& i, const std::string& flag) -> const char* {
       if (i + 1 >= argc) {
@@ -640,49 +554,37 @@ int main(int argc, char** argv) {
       if (arg == "-h" || arg == "--help") {
         std::cout << "usage: rtoffload_cli [--jobs N] [--metrics-out PATH] "
                      "[--trace-out PATH]\n"
-                     "                     [--faults script.json] "
-                     "[--adaptive] [--replications N]\n"
                      "                     [taskset.json ...] | --spec "
                      "spec.json | --validate spec.json\n"
-                     "                     | --list-types | --fig3 "
-                     "[--horizon-ms MS] | --sample\n"
+                     "                     | --run-real --spec spec.json "
+                     "[--server HOST:PORT]\n"
+                     "                     | --list-types | --sample\n"
                      "With no input files, runs the built-in sample task "
                      "set.\nSeveral files are analyzed on N workers (default "
-                     "1) and reported in argument order.\n--spec runs a "
-                     "declarative scenario document (docs/SCENARIOS.md): a "
-                     "single scenario\nprints the standard report; a sweep "
+                     "1) and reported in argument order;\neach task-set file "
+                     "runs as the scenario document it converts to.\n--spec "
+                     "runs a declarative scenario document "
+                     "(docs/SCENARIOS.md): "
+                     "a single scenario\nprints the standard report; a sweep "
                      "grid prints one summary row per cell\n(--jobs "
-                     "overrides the document's worker count).\n--validate "
-                     "parses and checks a document, prints it normalized "
-                     "with every default\nmaterialized, and exits 1 with a "
-                     "JSON-path-qualified message on any error.\n"
+                     "overrides the document's worker count). The paper's "
+                     "Figure 3 sweep is\n--spec examples/specs/fig3.json.\n"
+                     "--validate parses and checks a document, prints it "
+                     "normalized with every default\nmaterialized, and exits "
+                     "1 with a JSON-path-qualified message on any error.\n"
                      "--list-types lists the registered component types per "
-                     "registry.\n--fig3 runs the paper's Figure 3 sweep "
-                     "(default horizon 20000 ms).\n"
-                     "--metrics-out writes a telemetry snapshot (.csv for "
-                     "CSV, JSON otherwise);\n--trace-out writes a Chrome "
-                     "trace-event timeline for ui.perfetto.dev.\n--faults "
-                     "overlays a fault script (docs/ANALYSIS.md §10, "
-                     "example in examples/) on the\nserver scenario; "
-                     "--adaptive enables the degraded-mode health "
-                     "controller and adds\nits mode-change stats to the "
-                     "report.\n--replications N runs N Monte-Carlo "
-                     "replications per scenario through the\nbatched engine "
-                     "(seeds derived per replication) and adds a "
-                     "cross-replication\n\"aggregate\" object to the report "
-                     "(overrides a spec document's "
-                     "sim.replications).\n--run-real executes a sweep-free "
-                     "spec document through the real epoll\nruntime "
-                     "(docs/RUNTIME.md); without --server HOST:PORT an "
-                     "in-process loopback\ndaemon serves the document's own "
-                     "model stack.\n--serve-gpu runs the document's server "
-                     "stack as a daemon (--listen HOST:PORT\noverrides "
-                     "$.runtime.listen) until SIGINT/SIGTERM.\n";
+                     "registry.\n--metrics-out writes a telemetry snapshot "
+                     "(.csv for CSV, JSON otherwise);\n--trace-out writes a "
+                     "Chrome trace-event timeline for ui.perfetto.dev.\n"
+                     "--run-real executes a sweep-free spec document through "
+                     "the real epoll\nruntime (docs/RUNTIME.md); without "
+                     "--server HOST:PORT an in-process loopback\ndaemon "
+                     "serves the document's own model stack (gpu_serverd "
+                     "serves it out of process).\nFault scripts, the "
+                     "degraded-mode controller and Monte-Carlo replications "
+                     "are\ndocument sections: faults, controller, "
+                     "sim.replications.\n";
         return 0;
-      }
-      if (arg == "--fig3") {
-        fig3 = true;
-        continue;
       }
       if (arg == "--spec") {
         spec_path = need_value(i, arg);
@@ -703,30 +605,6 @@ int main(int argc, char** argv) {
         server_addr = need_value(i, arg);
         continue;
       }
-      if (arg == "--serve-gpu") {
-        serve_gpu_flag = true;
-        continue;
-      }
-      if (arg == "--listen") {
-        listen_addr = need_value(i, arg);
-        continue;
-      }
-      if (arg == "--faults") {
-        const std::string path = need_value(i, arg);
-        std::ifstream in(path);
-        if (!in) {
-          std::cerr << "error: cannot open fault script '" << path << "'\n";
-          return 1;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        robust.faults = rt::server::FaultScript::parse(buf.str());
-        continue;
-      }
-      if (arg == "--adaptive") {
-        robust.adaptive = true;
-        continue;
-      }
       if (arg == "--metrics-out") {
         metrics_out = need_value(i, arg);
         continue;
@@ -735,134 +613,43 @@ int main(int argc, char** argv) {
         trace_out = need_value(i, arg);
         continue;
       }
-      if (arg == "--replications") {
-        long v = 0;
-        try {
-          v = std::stol(need_value(i, arg));
-        } catch (const std::exception&) {
-          std::cerr << "error: --replications expects a number\n";
-          return 1;
-        }
-        if (v < 1) {
-          std::cerr << "error: --replications must be >= 1\n";
-          return 1;
-        }
-        replications_flag = static_cast<std::size_t>(v);
-        continue;
-      }
-      if (arg == "--horizon-ms") {
-        horizon_ms = std::stod(need_value(i, arg));
-        if (!(horizon_ms > 0.0)) {
-          std::cerr << "error: --horizon-ms must be > 0\n";
-          return 1;
-        }
-        continue;
-      }
       if (arg == "--jobs" || arg == "-j") {
-        int v = 0;
-        try {
-          v = std::stoi(need_value(i, arg));
-        } catch (const std::invalid_argument&) {
-          std::cerr << "error: --jobs expects a number\n";
-          return 1;
-        }
-        if (v < 0) {
-          std::cerr << "error: --jobs must be >= 0\n";
-          return 1;
-        }
-        jobs_flag = v == 0 ? rt::util::default_jobs() : static_cast<unsigned>(v);
+        jobs_flag = parse_jobs(arg, need_value(i, arg));
         continue;
+      }
+      if (arg.starts_with("-")) {
+        std::cerr << "error: unknown option '" << arg << "' (see --help)\n";
+        return 1;
       }
       files.push_back(arg);
     }
-    const unsigned jobs = jobs_flag.value_or(1);
-    if (replications_flag.value_or(1) > 1 && !trace_out.empty()) {
-      std::cerr << "error: --trace-out records a single serial run; it "
-                   "cannot be combined with --replications N > 1\n";
-      return 1;
-    }
-    if (serve_gpu_flag) {
-      if (spec_path.empty() || run_real || fig3 || !files.empty()) {
-        std::cerr << "error: --serve-gpu needs --spec spec.json and no other "
-                     "inputs\n";
-        return 1;
-      }
-      const rt::spec::ScenarioDoc doc =
-          rt::spec::ScenarioDoc::parse_text(slurp(spec_path));
-      std::optional<rt::net::SocketAddress> listen;
-      if (!listen_addr.empty()) {
-        listen = rt::net::SocketAddress::parse(listen_addr);
-      }
-      return rt::runtime::serve_gpu(
-          doc, listen.has_value() ? &*listen : nullptr, std::cout);
-    }
     if (run_real) {
-      if (spec_path.empty() || fig3 || !files.empty()) {
+      if (spec_path.empty() || !files.empty()) {
         std::cerr << "error: --run-real needs --spec spec.json and no other "
                      "inputs\n";
-        return 1;
-      }
-      if (replications_flag.has_value()) {
-        std::cerr << "error: --replications does not apply to --run-real "
-                     "(one real execution per invocation)\n";
         return 1;
       }
       return run_real_spec(spec_path, server_addr, metrics_out, trace_out);
     }
     if (!validate_path.empty()) {
-      if (fig3 || !spec_path.empty() || !files.empty()) {
+      if (!spec_path.empty() || !files.empty()) {
         std::cerr << "error: --validate takes exactly one spec document\n";
         return 1;
       }
       return validate_spec(validate_path);
     }
     if (!spec_path.empty()) {
-      if (fig3 || !files.empty()) {
+      if (!files.empty()) {
         std::cerr << "error: --spec takes no other inputs\n";
         return 1;
       }
-      if (robust.faults.has_value() || robust.adaptive) {
-        std::cerr << "error: --faults/--adaptive apply to task-set inputs; "
-                     "a spec document carries its own faults/controller "
-                     "sections\n";
-        return 1;
-      }
-      return run_spec(spec_path, jobs_flag, metrics_out, trace_out,
-                      replications_flag);
-    }
-    if (fig3) {
-      if (!files.empty()) {
-        std::cerr << "error: --fig3 takes no input files\n";
-        return 1;
-      }
-      if (robust.faults.has_value() || robust.adaptive) {
-        std::cerr << "error: --faults/--adaptive apply to task-set inputs, "
-                     "not --fig3\n";
-        return 1;
-      }
-      if (replications_flag.has_value()) {
-        std::cerr << "error: --replications does not apply to --fig3 (the "
-                     "sweep replicates across its seed axis)\n";
-        return 1;
-      }
-      return run_fig3(jobs, horizon_ms, metrics_out, trace_out);
+      return run_spec(spec_path, jobs_flag, metrics_out, trace_out);
     }
     if (files.empty()) {
       std::cerr << "(no input file: running the built-in sample; see --help)\n";
-      rt::obs::Sink sink;
-      rt::obs::ChromeTraceWriter trace;
-      const bool want_metrics = !metrics_out.empty();
-      const bool want_trace = !trace_out.empty();
-      const int code = run(kSampleFile, std::cout,
-                           want_metrics ? &sink : nullptr,
-                           want_trace ? &trace : nullptr, 0, robust,
-                           replications_flag.value_or(1));
-      if (want_metrics) write_metrics_file(sink, metrics_out);
-      if (want_trace) write_trace_file(trace, trace_out);
-      return code;
+      return run_single(doc_from_taskset(kSampleFile), metrics_out, trace_out);
     }
-    return run_files(files, jobs, metrics_out, trace_out, robust,
-                     replications_flag.value_or(1));
+    return run_files(files, jobs_flag.value_or(1), metrics_out, trace_out);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
