@@ -8,8 +8,9 @@
 //
 //   * BM_SimEngine      -- the zero-allocation engine, one reused instance
 //                          (how exp::BatchRunner drives it);
-//   * BM_SimReference   -- the seed engine kept in reference_engine.cpp,
-//                          the pre-optimization baseline;
+//   * BM_SimReference   -- the seed engine, the pre-optimization
+//                          baseline, kept as a test oracle in
+//                          tests/support/reference_engine.cpp;
 //
 // and reports events_per_sec for both, plus the engine's speedup, peak
 // pool slots, and steady-state allocations per event (counted with a
@@ -48,7 +49,7 @@
 #include "sim/batch_engine.hpp"
 #include "sim/benefit_response.hpp"
 #include "sim/engine.hpp"
-#include "sim/reference_engine.hpp"
+#include "support/reference_engine.hpp"
 #include "json_summary_gbench.hpp"
 
 namespace {

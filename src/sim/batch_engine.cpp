@@ -6,12 +6,14 @@
 // release/setup/local work cannot depend on the server draws as long as
 // every draw is timely: the only sub-jobs whose timing depends on a draw
 // are result posts, and those have zero length, so they occupy the CPU for
-// an instant without delaying anything else. The skeleton run below IS that
-// shared schedule; a replication only has to (a) draw the responses in the
-// skeleton's request order -- the only RNG consumption in this
-// configuration -- and (b) replay the zero-length posts against the
-// skeleton's busy segments to reproduce the serial engine's context-switch
-// count, completion bookkeeping and deadline checks.
+// an instant without delaying anything else. The skeleton recorded below is
+// that shared schedule, produced by the protocol core itself (a third
+// driver of protocol_core.hpp, beside SimEngine and the real runtime). A
+// replication only has to (a) draw the responses in the skeleton's request
+// order -- the only RNG consumption in this configuration -- and (b) replay
+// the zero-length posts against the skeleton's busy segments to reproduce
+// the serial engine's context-switch count, completion bookkeeping and
+// deadline checks.
 //
 // Where a post meets other work on one nanosecond, the serial outcome
 // hinges on its (time, seq) event order and (key, seq) ready order. Both
@@ -49,6 +51,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/engine_detail.hpp"
+#include "sim/protocol_core.hpp"
 #include "util/dary_heap.hpp"
 #include "util/rng.hpp"
 
@@ -58,7 +61,7 @@ namespace {
 
 using detail::TaskCache;
 
-constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+using detail::kNoSlot;
 constexpr std::size_t kNoPost = std::numeric_limits<std::size_t>::max();
 /// Most response draws one replication block buffers (8 bytes each, so
 /// 1 MiB). A long horizon has thousands of draw columns: 128 lanes of them
@@ -82,7 +85,7 @@ struct SkelSegment {
   std::uint64_t seq = 0;  ///< the job's sub-job seq: its release's rank
 };
 
-/// One live skeleton event pop, in pop order.
+/// One skeleton event pop, in pop order.
 struct SkelPop {
   std::int64_t time_ns = 0;
   /// Instant the event was pushed. The replay reads it for releases
@@ -121,244 +124,156 @@ bool runs_before(const Pending& p, const SkelSegment& s) {
 }
 
 // ---------------------------------------------------------------------
-// Skeleton construction: the serial engine's event loop restricted to the
-// replication-invariant work (releases, setup and local sub-jobs). Every
-// ordering rule -- (time, seq) event pops, (key, seq) ready picks, the
-// dispatch idempotence check -- mirrors engine.cpp so the recorded times,
-// counters and segments are the serial ones bit for bit.
-
-struct SkeletonJob {
-  std::int64_t key = 0;       // EDF: absolute deadline in ns
-  std::int64_t remaining_ns = 0;
-  std::int64_t release_ns = 0;
-  std::int64_t deadline_ns = 0;  // job deadline
-  std::int64_t sub_deadline_ns = 0;  // abs deadline of this sub-job
-  std::uint64_t seq = 0;
-  std::uint32_t task = 0;
-  bool is_setup = false;
-};
-
-struct SkelEvent {
-  std::int64_t time_ns = 0;
-  std::int64_t push_ns = 0;
-  std::uint64_t seq = 0;
-  std::uint32_t kind = 0;  // 0 = release, 1 = slice end
-  std::uint64_t arg = 0;   // task index or slice generation
-
-  friend bool operator<(const SkelEvent& a, const SkelEvent& b) {
-    if (a.time_ns != b.time_ns) return a.time_ns < b.time_ns;
-    return a.seq < b.seq;
-  }
-};
+// Skeleton recording. The skeleton is the protocol core's own schedule:
+// SkeletonRecorder drives ProtocolCore the way SimEngine does (engine.cpp)
+// -- a heap of releases plus the one armed slice end in a register beside
+// it, both ordered on (time, seq) from one counter -- so every pop,
+// dispatch and metric it records is the serial engine's. A request send
+// becomes a draw and is never resolved: its zero-length post belongs to
+// each replication's replay, not to the shared schedule.
 
 struct Skeleton {
   bool valid = false;  ///< false: a precondition or tie precheck failed
   std::vector<SkelDraw> draws;
   std::vector<SkelSegment> segments;
-  /// Every live skeleton event pop, in pop (= time) order.
+  /// Every skeleton event pop, in pop (= time) order.
   std::vector<SkelPop> pops;
   /// Replication-invariant part of the metrics: releases, attempts, local
   /// completions/benefit, setup/local deadline misses, skeleton context
   /// switches, and all of cpu_busy (the posts have zero length).
   SimMetrics base;
-  /// Number of draws addressed to each task (sizes the per-task response
-  /// stats without a counting pass per replication).
-  std::vector<std::uint32_t> draws_per_task;
 };
 
-class SkeletonBuilder {
- public:
-  Skeleton build(const core::TaskSet& tasks, const std::vector<TaskCache>& tc,
-                 const SimConfig& config) {
-    const std::int64_t horizon = config.horizon.ns();
-    const std::size_t n = tasks.size();
-    Skeleton sk;
-    sk.base.per_task.resize(n);
-    sk.draws_per_task.assign(n, 0);
-
-    events_.clear();
-    ready_.clear();
-    jobs_.clear();
-    free_.clear();
-    running_ = kNoSlot;
-    running_seg_start_ = 0;
-    now_ = 0;
-    dispatch_time_ = 0;
-    slice_generation_ = 0;
-    slice_armed_ = false;
-    event_seq_ = 0;
-    subjob_seq_ = 0;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      push_event(0, 0, i);
+/// Tie precheck: a completion on the same nanosecond as a release pop
+/// means replayed preemptions could reorder the (time, seq) ties the
+/// skeleton resolved one way.
+bool ties_replayable(const std::vector<SkelPop>& pops) {
+  for (std::size_t i = 0; i < pops.size();) {
+    const std::int64_t t = pops[i].time_ns;
+    bool release = false;
+    bool completion = false;
+    for (; i < pops.size() && pops[i].time_ns == t; ++i) {
+      (pops[i].completion ? completion : release) = true;
     }
-    while (!events_.empty()) {
-      const SkelEvent ev = events_[0];
-      if (ev.time_ns >= horizon) break;
-      heap_pop(events_);
-      // A stale pop only splits the running job's busy interval in two.
-      advance_running(ev.time_ns, sk);
-      if (ev.kind == 1 && ev.arg != slice_generation_) continue;  // stale
-      now_ = ev.time_ns;
-      if (ev.kind == 0) {
-        handle_release(static_cast<std::size_t>(ev.arg), tc, sk);
+    if (release && completion) return false;
+  }
+  return true;
+}
+
+class SkeletonRecorder : public ProtocolCore<SkeletonRecorder> {
+ public:
+  static constexpr const char* kName = "simulate";
+  static constexpr const char* kMetricPrefix = "sim";
+
+  Skeleton record(const core::TaskSet& tasks, const core::DecisionVector& decisions,
+                  const SimConfig& config, const RequestProfile& profile) {
+    sk_ = Skeleton{};
+    releases_.clear();
+    event_seq_ = 0;
+    slice_time_ = TimePoint::max();
+    reset(tasks, decisions, config, profile);
+    for (std::uint32_t i = 0; i < tasks.size(); ++i) {
+      push_release(TimePoint::zero(), i);
+    }
+    for (;;) {
+      const bool slice = slice_is_next();
+      const TimePoint t = slice ? slice_time_ : releases_[0].time;
+      if (t >= horizon_end_) break;
+      // The sub-job running into this pop; seqs start at 1, so 0 is idle.
+      const SubJob* ran = running_subjob();
+      const std::uint64_t ran_seq = ran != nullptr ? ran->seq : 0;
+      const std::int64_t ran_key = ran != nullptr ? ran->priority_key : 0;
+      advance_to(t);
+      TimePoint pushed = slice_pushed_;
+      if (slice) {
+        slice_time_ = TimePoint::max();
+        if (!slice_end()) {
+          throw std::logic_error("simulate: live slice-end without a finished job");
+        }
       } else {
-        handle_slice_end(tc, sk);
+        const Release ev = releases_[0];
+        heap_pop(releases_);
+        pushed = ev.pushed;
+        push_release(release(ev.task, now_), ev.task);
       }
-      const std::uint64_t switches = sk.base.context_switches;
-      dispatch(sk);
+      const std::uint64_t switches = metrics_.context_switches;
+      dispatch();
+      const SubJob* runs = running_subjob();
+      if ((runs != nullptr ? runs->seq : 0) != ran_seq) {
+        if (ran_seq != 0) {
+          sk_.segments.push_back(SkelSegment{seg_start_, t.ns(), ran_key, ran_seq});
+        }
+        seg_start_ = t.ns();
+      }
       // The running segment is the next one appended: every segment
       // started earlier has already ended.
-      sk.pops.push_back(SkelPop{
-          ev.time_ns, ev.push_ns, subjob_seq_,
-          running_ != kNoSlot ? static_cast<std::uint32_t>(sk.segments.size())
-                              : kNoSlot,
-          ev.kind == 1, sk.base.context_switches != switches});
+      sk_.pops.push_back(SkelPop{
+          t.ns(), pushed.ns(), job_counter_,
+          runs != nullptr ? static_cast<std::uint32_t>(sk_.segments.size()) : kNoSlot,
+          slice, metrics_.context_switches != switches});
     }
     // A job still running holds the CPU, and is charged, up to the
     // horizon, like the serial engine's final advance.
-    if (running_ != kNoSlot) {
-      advance_running(horizon, sk);
-      close_segment(horizon, sk);
+    advance_to(horizon_end_);
+    if (const SubJob* sj = running_subjob()) {
+      sk_.segments.push_back(
+          SkelSegment{seg_start_, horizon_end_.ns(), sj->priority_key, sj->seq});
     }
-    sk.base.end_time = TimePoint{horizon};
-    sk.base.trace_truncated = false;
+    finish();
+    sk_.base = std::move(metrics_);
 
-    // Tie precheck: a completion on the same nanosecond as a release pop
-    // means replayed preemptions could reorder the (time, seq) ties the
-    // skeleton resolved one way.
-    sk.valid = true;
-    for (std::size_t i = 0; i < sk.pops.size();) {
-      std::size_t j = i;
-      bool release = false;
-      bool completion = false;
-      for (; j < sk.pops.size() && sk.pops[j].time_ns == sk.pops[i].time_ns; ++j) {
-        (sk.pops[j].completion ? completion : release) = true;
-      }
-      if (release && completion) {
-        sk.valid = false;
-        break;
-      }
-      i = j;
-    }
-    for (const SkelDraw& d : sk.draws) ++sk.draws_per_task[d.task];
-    return sk;
+    sk_.valid = ties_replayable(sk_.pops);
+    return std::move(sk_);
+  }
+
+  // ---- the driver hooks of ProtocolCore ----
+
+  void arm_slice(TimePoint end) {
+    slice_time_ = end;
+    slice_seq_ = event_seq_++;
+    slice_pushed_ = now_;
+  }
+
+  void cancel_slice() { slice_time_ = TimePoint::max(); }
+
+  void send_offload(const Offload& job, const TaskCache& tc) {
+    sk_.draws.push_back(SkelDraw{job.send.ns(), tc.response_time.ns(),
+                                 job.job_deadline.ns(), job.task});
   }
 
  private:
-  void push_event(std::int64_t time, std::uint32_t kind, std::uint64_t arg) {
-    heap_push(events_, SkelEvent{time, now_, event_seq_++, kind, arg});
-  }
+  struct Release {
+    TimePoint time;
+    std::uint64_t seq = 0;
+    TimePoint pushed;  ///< the task's previous release
+    std::uint32_t task = 0;
 
-  void ready_push(std::uint32_t slot) {
-    const SkeletonJob& j = jobs_[slot];
-    heap_push(ready_, detail::ReadyNode{j.key, j.seq, slot});
-  }
-
-  std::uint32_t alloc_job() {
-    if (!free_.empty()) {
-      const std::uint32_t s = free_.back();
-      free_.pop_back();
-      return s;
+    friend bool operator<(const Release& a, const Release& b) {
+      if (a.time != b.time) return a.time < b.time;
+      return a.seq < b.seq;
     }
-    jobs_.emplace_back();
-    return static_cast<std::uint32_t>(jobs_.size() - 1);
+  };
+
+  void push_release(TimePoint time, std::uint32_t task) {
+    heap_push(releases_, Release{time, event_seq_++, now_, task});
   }
 
-  void close_segment(std::int64_t end, Skeleton& sk) {
-    const SkeletonJob& j = jobs_[running_];
-    sk.segments.push_back(SkelSegment{running_seg_start_, end, j.key, j.seq});
+  /// Does the armed slice end pop before the next release? Disarmed, it is
+  /// at TimePoint::max() and only "wins" an empty heap, past the horizon.
+  [[nodiscard]] bool slice_is_next() const {
+    if (releases_.empty()) return true;
+    const Release& top = releases_[0];
+    return slice_time_ < top.time ||
+           (slice_time_ == top.time && slice_seq_ < top.seq);
   }
 
-  void advance_running(std::int64_t to, Skeleton& sk) {
-    if (running_ == kNoSlot) return;
-    const std::int64_t elapsed = to - dispatch_time_;
-    SkeletonJob& j = jobs_[running_];
-    j.remaining_ns -= elapsed;
-    if (j.remaining_ns < 0) j.remaining_ns = 0;
-    sk.base.cpu_busy_ns += elapsed;
-    dispatch_time_ = to;
-  }
-
-  void handle_release(std::size_t task, const std::vector<TaskCache>& tc,
-                      Skeleton& sk) {
-    const TaskCache& c = tc[task];
-    ++sk.base.per_task[task].released;
-    const std::uint32_t slot = alloc_job();
-    SkeletonJob& j = jobs_[slot];
-    j.task = static_cast<std::uint32_t>(task);
-    j.release_ns = now_;
-    j.deadline_ns = now_ + c.deadline.ns();
-    j.seq = ++subjob_seq_;
-    j.is_setup = c.offloaded;
-    j.sub_deadline_ns = c.offloaded ? now_ + c.d1.ns() : j.deadline_ns;
-    j.key = j.sub_deadline_ns;  // EDF only (precondition)
-    j.remaining_ns = c.exec_wcet.ns();  // always-WCET (precondition)
-    ready_push(slot);
-    push_event(now_ + c.period.ns(), 0, task);
-  }
-
-  void handle_slice_end(const std::vector<TaskCache>& tc, Skeleton& sk) {
-    slice_armed_ = false;
-    const std::uint32_t slot = running_;
-    heap_pop(ready_);
-    // The segment ends here, not in dispatch(): by the time dispatch()
-    // runs, running_ is already cleared, so the completion-terminated
-    // segment (the common case) would never be recorded.
-    close_segment(now_, sk);
-    running_ = kNoSlot;
-    const SkeletonJob& j = jobs_[slot];
-    const TaskCache& c = tc[j.task];
-    auto& tm = sk.base.per_task[j.task];
-    if (j.is_setup) {
-      if (now_ > j.sub_deadline_ns) ++tm.deadline_misses;
-      ++tm.offload_attempts;
-      sk.draws.push_back(SkelDraw{now_, c.response_time.ns(), j.deadline_ns,
-                                  j.task});
-    } else {
-      ++tm.completed;
-      if (now_ > j.deadline_ns) {
-        ++tm.deadline_misses;
-      } else {
-        ++tm.local_runs;
-        tm.accrued_benefit += c.local_benefit;
-      }
-    }
-    free_.push_back(slot);
-  }
-
-  void dispatch(Skeleton& sk) {
-    const std::uint32_t top = ready_.empty() ? kNoSlot : ready_[0].slot;
-    if (top == running_ && slice_armed_) return;
-    if (top != running_) {
-      if (running_ != kNoSlot) close_segment(now_, sk);
-      running_ = top;
-      dispatch_time_ = now_;
-      if (running_ != kNoSlot) {
-        ++sk.base.context_switches;
-        running_seg_start_ = now_;
-      }
-    }
-    ++slice_generation_;
-    slice_armed_ = false;
-    if (running_ != kNoSlot) {
-      push_event(now_ + jobs_[running_].remaining_ns, 1, slice_generation_);
-      slice_armed_ = true;
-    }
-  }
-
-  std::vector<SkelEvent> events_;
-  std::vector<detail::ReadyNode> ready_;
-  std::vector<SkeletonJob> jobs_;
-  std::vector<std::uint32_t> free_;
-  std::int64_t now_ = 0;
-  std::int64_t dispatch_time_ = 0;
-  std::int64_t running_seg_start_ = 0;
-  std::uint32_t running_ = kNoSlot;
-  std::uint64_t slice_generation_ = 0;
-  bool slice_armed_ = false;
+  Skeleton sk_;  ///< the skeleton record() is filling
+  std::vector<Release> releases_;  // 4-ary min-heap keyed on (time, seq)
   std::uint64_t event_seq_ = 0;
-  std::uint64_t subjob_seq_ = 0;
+  TimePoint slice_time_ = TimePoint::max();
+  std::uint64_t slice_seq_ = 0;
+  TimePoint slice_pushed_;
+  std::int64_t seg_start_ = 0;  ///< start of the running sub-job's segment
 };
 
 /// How one replication's replay ended.
@@ -389,7 +304,7 @@ struct LocalSliceEnd {
 struct BatchSimEngine::Impl {
   BatchEngineStats stats_;
   SimEngine fallback_;
-  SkeletonBuilder builder_;
+  SkeletonRecorder recorder_;
   std::vector<TaskCache> tcache_;
 
   // Per-run replication state (structure-of-arrays batch buffers: one lane
@@ -449,7 +364,7 @@ struct BatchSimEngine::Impl {
 
     Skeleton sk;
     if (fast) {
-      sk = builder_.build(tasks, tcache_, config);
+      sk = recorder_.record(tasks, decisions, config, profile);
       fast = sk.valid;
     }
 
@@ -532,7 +447,6 @@ struct BatchSimEngine::Impl {
                                       : stats_.bailed_tie);
         ++stats_.bailed_replications;
         bailed_[r] = 1;
-        if (!stateless) server->reset();
         run_fallback(result, r, tasks, decisions, *server, config, profile);
       }
     }

@@ -14,14 +14,15 @@
 //  * Under the paper's evaluation configuration (EDF, always-WCET
 //    execution, periodic releases, zero context-switch overhead, zero
 //    post-processing WCET) the CPU schedule of release/setup/local work is
-//    the same in every replication: only the server draws differ. The
-//    engine runs that shared skeleton once, recording the busy segments,
-//    the request send points and the replication-invariant metric
-//    template, then replays each replication as: draw the per-request
-//    responses (ResponseModel::sample_n across the replication block's RNG
-//    lanes when the model is stateless), merge the zero-length result
-//    arrivals against the skeleton segments, and emit the per-replication
-//    counters from structure-of-arrays batch buffers.
+//    the same in every replication: only the server draws differ. A third
+//    driver of the protocol core (protocol_core.hpp) runs that shared
+//    skeleton once, recording the busy segments, the request send points
+//    and the replication-invariant metric template, then the engine
+//    replays each replication as: draw the per-request responses
+//    (ResponseModel::sample_n across the replication block's RNG lanes
+//    when the model is stateless), merge the zero-length result arrivals
+//    against the skeleton segments, and emit the per-replication counters
+//    from structure-of-arrays batch buffers.
 //  * Result arrivals that land on the same nanosecond as a release, a
 //    completion or another arrival stay on the fast path: the replay
 //    orders them exactly as the serial engine does. Events on one

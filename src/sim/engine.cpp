@@ -1,14 +1,14 @@
 // Zero-allocation event engine (see engine.hpp for the design contract):
 // the discrete-event driver of the shared protocol core.
 //
-// Bit-identical parity with reference_engine.cpp is load-bearing: the
-// core's handlers (protocol_core.hpp) draw RNG values, push events, and
-// record trace/metric updates in exactly the seed engine's order, and the
-// driver below only decides where events come from. The only degrees of
-// freedom taken are representational (d-ary heaps instead of
-// std::priority_queue, a generation-tagged slot map instead of
-// std::unordered_map with a deferred erase, and the one armed slice end in
-// a register beside the event heap instead of inside it).
+// Bit-identical parity with tests/support/reference_engine.cpp is
+// load-bearing: the core's handlers (protocol_core.hpp) draw RNG values,
+// push events, and record trace/metric updates in exactly the seed
+// engine's order, and the driver below only decides where events come
+// from. The only degrees of freedom taken are representational (d-ary
+// heaps instead of std::priority_queue, a generation-tagged slot map
+// instead of std::unordered_map with a deferred erase, and the one armed
+// slice end in a register beside the event heap instead of inside it).
 
 #include "sim/engine.hpp"
 

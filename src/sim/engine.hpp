@@ -27,9 +27,9 @@
 //     scheduled, its compensation timer (which the arrival always beats)
 //     is elided instead of queued-then-skipped.
 //
-// Results are bit-identical to the seed engine (reference_engine.hpp);
-// tests/sim/determinism_test.cpp enforces this over a randomized grid of
-// scheduler x deadline x release configurations.
+// Results are bit-identical to the seed engine (reference_engine.hpp in
+// tests/support); tests/sim/determinism_test.cpp enforces this over a
+// randomized grid of scheduler x deadline x release configurations.
 //
 // A SimEngine is single-threaded and reusable: run() fully re-seeds the
 // engine from its arguments, so one engine per worker amortizes all buffer

@@ -1,7 +1,7 @@
 #pragma once
-// The paper's per-job protocol as one state machine, shared by the
-// discrete-event simulator (SimEngine, engine.cpp) and the real runtime
-// (OffloadRuntime, runtime/offload_runtime.cpp).
+// The paper's per-job protocol as one state machine with three drivers:
+// SimEngine (engine.cpp), the batch engine's SkeletonRecorder
+// (batch_engine.cpp) and OffloadRuntime (runtime/offload_runtime.cpp).
 //
 // Per job: release under the current mode's decision vector; the setup
 // (or local) sub-job runs under its split deadline d1; setup completion
@@ -22,12 +22,14 @@
 //   void send_offload(const Offload& job, const detail::TaskCache& tc);
 //
 // and calls, for each of its events, advance_to(t), one handler (release,
-// slice_end or resolve), then dispatch(). Each send_offload ends in
-// exactly one resolve() for the job, unless the horizon comes first.
+// slice_end or resolve), then dispatch(). Every send ends in exactly one
+// resolve() unless the horizon comes first, except in the skeleton
+// recorder, which records sends as draws and leaves their posts to the
+// per-replication replay.
 //
 // The handlers draw RNG values, record trace events and touch metrics in
-// exactly the order of the seed engine (reference_engine.cpp), which is
-// what keeps SimEngine bit-identical to it.
+// exactly the order of the seed engine (tests/support/reference_engine.cpp),
+// which is what keeps SimEngine bit-identical to it.
 
 #include <algorithm>
 #include <cstdint>
@@ -338,6 +340,11 @@ class ProtocolCore {
 
   // ---- state the drivers read ----
 
+  /// The running sub-job, or null when the CPU is idle.
+  [[nodiscard]] const SubJob* running_subjob() const {
+    return running_ == kNoSlot ? nullptr : &pool_[running_];
+  }
+
   const core::TaskSet* tasks_ = nullptr;
   SimConfig config_;
   TimePoint horizon_end_;
@@ -497,7 +504,7 @@ class ProtocolCore {
   std::size_t pool_live_ = 0;
   /// Degraded-mode controller state; inert (cur_mode_ stays 0) when
   /// controller_ is null, which keeps the static path bit-identical to
-  /// simulate_reference.
+  /// the seed engine (tests/support/reference_engine.hpp).
   health::ModeController* controller_ = nullptr;
   std::uint8_t cur_mode_ = 0;
   TimePoint mode_since_;

@@ -105,10 +105,10 @@ struct SimConfig {
   /// boundary: the released job runs under the controller's current
   /// vector, while in-flight jobs keep the vector they were released with
   /// (docs/ANALYSIS.md §10). nullptr (the default) keeps the engine on the
-  /// static vector with zero overhead and bit-identical results to
-  /// simulate_reference. The controller is stateful and single-threaded:
-  /// one per concurrent simulation (exp::ScenarioSpec::adaptive replicates
-  /// from a config prototype).
+  /// static vector with zero overhead and bit-identical results to the
+  /// seed engine (tests/support/reference_engine.hpp). The controller is
+  /// stateful and single-threaded: one per concurrent simulation
+  /// (exp::ScenarioSpec::adaptive replicates from a config prototype).
   health::ModeController* controller = nullptr;
 };
 

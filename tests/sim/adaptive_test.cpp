@@ -17,8 +17,8 @@
 #include "server/faults.hpp"
 #include "sim/benefit_response.hpp"
 #include "sim/engine.hpp"
-#include "sim/reference_engine.hpp"
 #include "sim/simulator.hpp"
+#include "support/reference_engine.hpp"
 
 namespace rt::sim {
 namespace {

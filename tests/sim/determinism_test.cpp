@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+
 #include "core/odm.hpp"
 #include "core/workload.hpp"
+#include "obs/sink.hpp"
 #include "rt/health.hpp"
 #include "server/bursty.hpp"
 #include "server/faults.hpp"
@@ -17,8 +22,8 @@
 #include "sim/batch_engine.hpp"
 #include "sim/benefit_response.hpp"
 #include "sim/engine.hpp"
-#include "sim/reference_engine.hpp"
 #include "sim/simulator.hpp"
+#include "support/reference_engine.hpp"
 
 namespace rt::sim {
 namespace {
@@ -133,8 +138,9 @@ TEST(Conservation, BenefitIsBoundedByReleasesTimesMaxValue) {
 
 // ---------------------------------------------------------------------------
 // Differential: the zero-allocation engine (engine.hpp) must reproduce the
-// seed engine (reference_engine.hpp) bit for bit -- every metric field and
-// every trace event -- across the full scheduler x deadline x release grid.
+// seed engine (support/reference_engine.hpp) bit for bit -- every metric
+// field and every trace event -- across the full scheduler x deadline x
+// release grid.
 
 void expect_bit_identical(const SimResult& ref, const SimResult& opt,
                           const std::string& label) {
@@ -329,39 +335,80 @@ TEST(BatchedDifferential, FastPathMatchesSerialOnBenefitDrivenWorkload) {
 }
 
 TEST(BatchedDifferential, ScenarioServerMatchesAcrossConfigGrid) {
-  // One skeleton-eligible configuration (late draws individually bail to
-  // the serial engine) plus every ineligibility dimension: fixed-priority
+  // Two skeleton-eligible configurations (the naive deadline policy stays
+  // eligible) plus every precondition of the skeleton gate: fixed-priority
   // dispatch, sporadic releases, stochastic execution, dispatch overhead,
-  // and the naive deadline policy (which stays eligible).
+  // a nonzero post WCET, a trace, abort-on-miss and a telemetry sink. Each
+  // runs against the scenario servers, whose late draws bail to the
+  // serial engine one replication at a time, and against the all-timely
+  // benefit-driven server, on which an eligible configuration must take
+  // the fast path and an ineligible one must fall back for every
+  // replication.
+  obs::Sink sink;
   struct Variant {
     const char* name;
-    void (*mutate)(SimConfig&);
+    bool eligible;
+    std::function<void(SimConfig&, core::TaskSet&)> mutate;
   };
   const Variant variants[] = {
-      {"eligible", [](SimConfig&) {}},
-      {"naive-deadline",
-       [](SimConfig& c) { c.deadline_policy = DeadlinePolicy::kNaive; }},
-      {"fp-dm",
-       [](SimConfig& c) { c.scheduler_policy = SchedulerPolicy::kFixedPriorityDm; }},
-      {"sporadic",
-       [](SimConfig& c) { c.release_policy = ReleasePolicy::kSporadic; }},
-      {"uniform-exec",
-       [](SimConfig& c) { c.exec_policy = ExecTimePolicy::kUniformFraction; }},
-      {"ctx-overhead",
-       [](SimConfig& c) { c.context_switch_overhead = 10_us; }},
+      {"eligible", true, [](SimConfig&, core::TaskSet&) {}},
+      {"naive-deadline", true,
+       [](SimConfig& c, core::TaskSet&) {
+         c.deadline_policy = DeadlinePolicy::kNaive;
+       }},
+      {"fp-dm", false,
+       [](SimConfig& c, core::TaskSet&) {
+         c.scheduler_policy = SchedulerPolicy::kFixedPriorityDm;
+       }},
+      {"sporadic", false,
+       [](SimConfig& c, core::TaskSet&) {
+         c.release_policy = ReleasePolicy::kSporadic;
+       }},
+      {"uniform-exec", false,
+       [](SimConfig& c, core::TaskSet&) {
+         c.exec_policy = ExecTimePolicy::kUniformFraction;
+       }},
+      {"ctx-overhead", false,
+       [](SimConfig& c, core::TaskSet&) { c.context_switch_overhead = 10_us; }},
+      {"post-wcet", false,
+       [](SimConfig&, core::TaskSet& tasks) {
+         for (auto& t : tasks) t.post_wcet = std::min(t.compensation_wcet, 100_us);
+       }},
+      {"trace", false,
+       [](SimConfig& c, core::TaskSet&) { c.trace_capacity = 256; }},
+      {"abort-on-miss", false,
+       [](SimConfig& c, core::TaskSet&) { c.abort_on_deadline_miss = true; }},
+      {"sink", false, [&sink](SimConfig& c, core::TaskSet&) { c.sink = &sink; }},
   };
   const Fixture s = make_setup(101);
-  for (const auto scenario :
-       {server::Scenario::kNotBusy, server::Scenario::kBusy}) {
-    const auto server = server::make_scenario_server(scenario, 3);
+  std::vector<core::BenefitFunction> gs;
+  for (const auto& t : s.tasks) gs.push_back(t.benefit);
+  struct Server {
+    const char* name;
+    std::unique_ptr<server::ResponseModel> model;
+    bool all_timely;
+  };
+  Server servers[] = {
+      {"not-busy", server::make_scenario_server(server::Scenario::kNotBusy, 3),
+       false},
+      {"busy", server::make_scenario_server(server::Scenario::kBusy, 3), false},
+      {"benefit-driven", std::make_unique<BenefitDrivenResponse>(std::move(gs)),
+       true},
+  };
+  for (const Server& srv : servers) {
     for (const auto& v : variants) {
       SimConfig cfg = batch_base_config();
       cfg.horizon = 3_s;
-      v.mutate(cfg);
-      expect_batch_matches_serial(
-          s.tasks, s.decisions, *server, cfg, 6,
-          std::string(v.name) + "/" +
-              (scenario == server::Scenario::kNotBusy ? "not-busy" : "busy"));
+      core::TaskSet tasks = s.tasks;
+      v.mutate(cfg, tasks);
+      const std::string label = std::string(v.name) + "/" + srv.name;
+      const BatchEngineStats st = expect_batch_matches_serial(
+          tasks, s.decisions, *srv.model, cfg, 6, label);
+      if (!v.eligible) {
+        EXPECT_EQ(st.fast_replications, 0u) << label;
+      } else if (srv.all_timely) {
+        EXPECT_GT(st.fast_replications, 0u) << label;
+      }
     }
   }
 }

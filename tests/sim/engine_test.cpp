@@ -12,7 +12,7 @@
 #include "obs/sink.hpp"
 #include "server/gpu_server.hpp"
 #include "server/response_model.hpp"
-#include "sim/reference_engine.hpp"
+#include "support/reference_engine.hpp"
 
 namespace rt::sim {
 namespace {

@@ -1,7 +1,7 @@
 // Seed event engine (see reference_engine.hpp). Kept as the bit-identical
 // oracle for the zero-allocation production engine; intentionally simple.
 
-#include "sim/reference_engine.hpp"
+#include "support/reference_engine.hpp"
 
 #include <algorithm>
 #include <deque>
