@@ -74,6 +74,7 @@ ScenarioOutcome BatchRunner::run_one(const ScenarioSpec& spec,
         reg.counter("sim.batch.bail.window").inc(st.bailed_window);
         reg.counter("sim.batch.bail.tie").inc(st.bailed_tie);
         reg.counter("sim.batch.tie_instants").inc(st.tie_instants);
+        reg.counter("sim.batch.exact_replays").inc(st.exact_replays);
       }
       return_batch_engine(std::move(batch));
       out.metrics = std::move(res.per_replication.front());

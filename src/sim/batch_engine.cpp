@@ -15,6 +15,16 @@
 // the serial engine's context-switch count, completion bookkeeping and
 // deadline checks.
 //
+// A post alone on its nanosecond -- strictly between two skeleton pops, on
+// no other arrival's instant -- cannot change another post's outcome: it
+// runs at its arrival or right after the segment end it waits for, after
+// every event pushed before that instant, and takes no time. Its outcome
+// depends only on which gap between consecutive pops its arrival lands in.
+// So each draw column's window is split at the pops (and at the deadline
+// and the horizon) into intervals, each with the outcome the merge rules
+// give it (the outcome table), and a lane's replay is one table lookup per
+// draw, fused into the column loop that draws it.
+//
 // Where a post meets other work on one nanosecond, the serial outcome
 // hinges on its (time, seq) event order and (key, seq) ready order. Both
 // follow from facts the replay can compute:
@@ -35,16 +45,18 @@
 //     skeleton setup or local job is pushed at its release pop, a post at
 //     its arrival pop. A post therefore ranks behind exactly the skeleton
 //     jobs released before its arrival popped.
-// At such an instant the replay steps the serial engine's events over a
-// tiny local state (tie_step). Only a non-timely draw (response > R or no
-// response), which spawns a compensation sub-job of nonzero length and
-// really changes the schedule, bails that replication out to the serial
-// engine with the same derived seed -- and, counted apart, a zero
-// response, whose arrival is pushed at T itself.
+// A lane with such an instant leaves the column loop for the exact merge,
+// which redraws its responses and steps the serial engine's events at each
+// such instant over a tiny local state (tie_step). Only a non-timely draw
+// (response > R or no response), which spawns a compensation sub-job of
+// nonzero length and really changes the schedule, bails that replication
+// out to the serial engine with the same derived seed -- and, counted
+// apart, a zero response, whose arrival is pushed at T itself.
 
 #include "sim/batch_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -63,11 +75,6 @@ using detail::TaskCache;
 
 using detail::kNoSlot;
 constexpr std::size_t kNoPost = std::numeric_limits<std::size_t>::max();
-/// Most response draws one replication block buffers (8 bytes each, so
-/// 1 MiB). A long horizon has thousands of draw columns: 128 lanes of them
-/// take megabytes, and where the allocator puts that buffer as it regrows
-/// from one scenario to the next moves peak RSS by as much.
-constexpr std::size_t kMaxBlockDraws = std::size_t{1} << 17;
 
 /// One request send point of the skeleton, in serial draw order.
 struct SkelDraw {
@@ -107,6 +114,7 @@ struct Arrival {
   std::int64_t send_ns = 0;      ///< push instant of the arrival event
   std::int64_t deadline_ns = 0;  ///< job deadline = EDF key of the post
   std::uint32_t task = 0;
+  std::uint32_t interval = 0;    ///< its interval of the outcome table
 };
 
 /// A post job in the ready queue behind higher-priority work.
@@ -164,6 +172,10 @@ class SkeletonRecorder : public ProtocolCore<SkeletonRecorder> {
  public:
   static constexpr const char* kName = "simulate";
   static constexpr const char* kMetricPrefix = "sim";
+
+  /// The run's TaskCache, which the replay reads: record() validated the
+  /// inputs and filled it, through ProtocolCore::reset.
+  using ProtocolCore::task_cache;
 
   Skeleton record(const core::TaskSet& tasks, const core::DecisionVector& decisions,
                   const SimConfig& config, const RequestProfile& profile) {
@@ -281,6 +293,7 @@ enum class Replay : std::uint8_t {
   kFast,    ///< the skeleton represents it exactly
   kWindow,  ///< a response later than R, or none: the schedule changes
   kTie,     ///< a same-instant pattern the tie step does not model
+  kExact,   ///< a same-instant event: the lane needs the exact merge
 };
 
 /// Where one replication's walk over the skeleton stands.
@@ -297,6 +310,53 @@ struct LocalSliceEnd {
   bool post = false;
 };
 
+/// What one timely post adds to its lane when its arrival lands inside
+/// one interval of its column's table, packed in 16-bit fields so one
+/// addition counts them all.
+enum OutcomeField : unsigned {
+  kTimelyAt = 0,  ///< 0 past the horizon: the arrival never pops
+  kDoneAt = 16,   ///< the post completes before the horizon
+  kMissAt = 32,   ///< ... after its job deadline
+  kCtxAt = 48,    ///< context switches beyond the skeleton's
+};
+/// A column adds at most 2 to a field, so packed counters are unpacked
+/// at least this often.
+constexpr std::size_t kUnpackColumns = 0x7FFF;
+
+std::uint64_t field(std::uint64_t packed, OutcomeField at) {
+  return (packed >> at) & 0xFFFF;
+}
+
+/// Index of the interval of arrival t: the boundaries below it, counted
+/// without a data-dependent branch.
+std::uint32_t interval_of(const std::int64_t* bounds, std::uint32_t n,
+                          std::int64_t t) {
+  std::uint32_t k = 0;
+  for (std::uint32_t b = 0; b < n; ++b) {
+    k += static_cast<std::uint32_t>(bounds[b] < t);
+  }
+  return k;
+}
+
+/// Draw column c's slice of the outcome table: its window (send, send + R]
+/// split at the boundaries bounds_[bound0, bound0 + bounds), interval k
+/// holding the arrivals in (bound k-1, bound k].
+struct Column {
+  std::uint32_t bound0 = 0;
+  std::uint32_t bounds = 0;
+  std::uint32_t interval0 = 0;  ///< first of the column's bounds + 1 intervals
+  std::uint32_t reach0 = 0;     ///< first of its entries in reach_rows_
+  std::uint32_t reaches = 0;    ///< earlier columns whose windows pass its send
+};
+
+/// Lanes one block advances together.
+constexpr std::size_t kLanes = 128;
+/// Counter stride: the block's lanes plus the exact merge's scratch slot.
+constexpr std::size_t kStride = kLanes + 1;
+constexpr std::size_t kScratch = kLanes;
+/// An interval whose upper end is no pop instant: no arrival equals it.
+constexpr std::int64_t kNoPopAt = std::numeric_limits<std::int64_t>::min();
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -305,21 +365,39 @@ struct BatchSimEngine::Impl {
   BatchEngineStats stats_;
   SimEngine fallback_;
   SkeletonRecorder recorder_;
-  std::vector<TaskCache> tcache_;
 
-  // Per-run replication state (structure-of-arrays batch buffers: one lane
-  // per replication x task, materialized into SimMetrics at the end).
+  // Outcome table, one slice per draw column, built as the first block
+  // reaches the column.
+  std::vector<Column> columns_;
+  std::vector<std::int64_t> bounds_;
+  std::vector<std::int64_t> pop_at_;  ///< per interval: the pop at its upper end
+  std::vector<std::uint64_t> outcomes_;  ///< per interval, packed
+  std::size_t built_ = 0;             ///< columns built so far
+  std::size_t build_pop_ = 0;         ///< first pop after the last built send
+  /// Per column, ring rows of the earlier columns whose windows pass its
+  /// send: the only draws one of its arrivals can share a nanosecond with.
+  std::vector<std::uint32_t> reach_rows_;
+  std::size_t ring_rows_ = 1;  ///< a power of two
+
+  // One block's lanes. Counters are [task][slot] with stride kStride, slot
+  // kScratch being the exact merge's; a lane leaving the fused loop hands
+  // its slot to the last live one. A task's benefit is its hit count's
+  // entry in benefit_sums_: the serial engine adds the same value per hit.
+  std::vector<Rng> rngs_;
+  std::vector<std::uint32_t> lane_of_;  ///< [slot] replication - block start
+  std::vector<Duration> row_;           ///< [slot] one column's draws
+  std::vector<Replay> fate_;            ///< [slot] after one column
   std::vector<std::uint64_t> timely_;
   std::vector<std::uint64_t> completed_;
   std::vector<std::uint64_t> misses_;
-  std::vector<double> benefit_;
+  std::vector<std::uint64_t> packed_;  ///< the lane loop's, unpacked above
   std::vector<RunningStats> response_;
-  std::vector<std::uint64_t> ctx_delta_;
-  std::vector<std::uint8_t> bailed_;
+  std::vector<std::uint64_t> ctx_delta_;  ///< [slot]
+  std::vector<std::int64_t> ring_;        ///< [column % ring_rows_][slot] arrivals
+  std::vector<std::vector<double>> benefit_sums_;  ///< [task][hits]
 
-  std::vector<Rng> lane_rngs_;
-  std::vector<Duration> column_draws_;   // [column][lane] for one block
-  std::vector<Duration> rep_draws_;      // one replication's, when stateful
+  // The exact merge.
+  std::vector<Duration> rep_draws_;
   std::vector<Arrival> arrivals_;
   std::vector<Pending> pending_;
   std::vector<LocalSliceEnd> slice_ends_;
@@ -333,6 +411,10 @@ struct BatchSimEngine::Impl {
            !cfg.abort_on_deadline_miss;
   }
 
+  const TaskCache& cache(std::uint32_t task) const {
+    return recorder_.task_cache()[task];
+  }
+
   BatchResult run(const core::TaskSet& tasks,
                   const core::DecisionVector& decisions,
                   const server::ResponseModel& prototype,
@@ -343,153 +425,367 @@ struct BatchSimEngine::Impl {
     result.per_replication.resize(replications);
     if (replications == 0) return result;
 
+    // Both paths validate the inputs in ProtocolCore::reset; only the
+    // arity has to hold before the eligibility check indexes decisions.
     if (tasks.size() != decisions.size()) {
       throw std::invalid_argument("simulate: decisions arity mismatch");
     }
-    core::validate_task_set(tasks);
-    detail::validate_decisions(tasks, decisions);
-    detail::fill_task_cache(tcache_, tasks, decisions, config, profile);
-
     const std::unique_ptr<server::ResponseModel> server = prototype.clone();
 
     bool fast = skeleton_eligible(config);
-    if (fast) {
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        if (tcache_[i].offloaded && !tcache_[i].post_wcet.is_zero()) {
-          fast = false;
-          break;
-        }
-      }
+    for (std::size_t i = 0; fast && i < tasks.size(); ++i) {
+      fast = !decisions[i].offloaded() || tasks[i].post_wcet.is_zero();
     }
-
     Skeleton sk;
     if (fast) {
       sk = recorder_.record(tasks, decisions, config, profile);
       fast = sk.valid;
     }
-
-    if (!fast) {
+    if (fast) {
+      prepare(sk, config.horizon.ns(), tasks.size());
+      const std::size_t block = server->is_stateless() ? kLanes : 1;
+      for (std::size_t r0 = 0; r0 < replications; r0 += block) {
+        run_block(result, sk, r0, std::min(block, replications - r0), tasks,
+                  decisions, *server, config, profile);
+      }
+    } else {
       for (std::size_t r = 0; r < replications; ++r) {
         run_fallback(result, r, tasks, decisions, *server, config, profile);
-        result.aggregate.add(result.per_replication[r]);
-      }
-      return result;
-    }
-
-    const std::size_t n = tasks.size();
-    timely_.assign(replications * n, 0);
-    completed_.assign(replications * n, 0);
-    misses_.assign(replications * n, 0);
-    benefit_.assign(replications * n, 0.0);
-    response_.assign(replications * n, RunningStats{});
-    ctx_delta_.assign(replications, 0);
-    bailed_.assign(replications, 0);
-
-    const bool stateless = server->is_stateless();
-    const std::size_t columns = sk.draws.size();
-    // Up to 128 lanes per block, fewer when their draws would pass
-    // kMaxBlockDraws. Lane streams are independent, so the block size
-    // changes no result.
-    const std::size_t block =
-        stateless ? std::clamp<std::size_t>(
-                        kMaxBlockDraws / std::max<std::size_t>(columns, 1), 1,
-                        std::min<std::size_t>(replications, 128))
-                  : 1;
-
-    rep_draws_.resize(columns);
-    for (std::size_t r0 = 0; r0 < replications; r0 += block) {
-      const std::size_t lanes = std::min(block, replications - r0);
-      if (stateless) {
-        // Columnar draw phase: request c is identical across replications,
-        // so one sample_n per skeleton send point serves every lane -- the
-        // per-lane RNG streams consume exactly the sequence the serial
-        // engine would (its only RNG use in this configuration).
-        lane_rngs_.clear();
-        for (std::size_t j = 0; j < lanes; ++j) {
-          lane_rngs_.emplace_back(derive_seed(config.seed, r0 + j));
-        }
-        column_draws_.resize(columns * lanes);
-        for (std::size_t c = 0; c < columns; ++c) {
-          server::Request req = tcache_[sk.draws[c].task].req;
-          req.send_time = TimePoint{sk.draws[c].send_ns};
-          server->sample_n(req, std::span<Rng>(lane_rngs_.data(), lanes),
-                           std::span<Duration>(&column_draws_[c * lanes], lanes));
-        }
-      }
-      for (std::size_t j = 0; j < lanes; ++j) {
-        const std::size_t r = r0 + j;
-        Replay outcome = Replay::kFast;
-        // Lane j's draws: column-major across the block, or sequential.
-        const Duration* draws =
-            stateless ? column_draws_.data() + j : rep_draws_.data();
-        const std::size_t stride = stateless ? lanes : 1;
-        if (!stateless) {
-          server->reset();
-          Rng rng(derive_seed(config.seed, r));
-          for (std::size_t c = 0; c < columns; ++c) {
-            server::Request req = tcache_[sk.draws[c].task].req;
-            req.send_time = TimePoint{sk.draws[c].send_ns};
-            rep_draws_[c] = server->sample(req, rng);
-            if (rep_draws_[c].ns() > sk.draws[c].window_ns) {
-              outcome = Replay::kWindow;  // no need to keep drawing
-              break;
-            }
-          }
-        }
-        if (outcome == Replay::kFast) {
-          outcome = replay(sk, config.horizon.ns(), r, n, draws, stride);
-        }
-        if (outcome == Replay::kFast) {
-          ++stats_.fast_replications;
-          continue;
-        }
-        ++(outcome == Replay::kWindow ? stats_.bailed_window
-                                      : stats_.bailed_tie);
-        ++stats_.bailed_replications;
-        bailed_[r] = 1;
-        run_fallback(result, r, tasks, decisions, *server, config, profile);
       }
     }
-
-    // Materialize: skeleton template + per-replication SoA lanes.
-    for (std::size_t r = 0; r < replications; ++r) {
-      if (!bailed_[r]) {
-        SimMetrics m = sk.base;
-        for (std::size_t i = 0; i < n; ++i) {
-          TaskMetrics& tm = m.per_task[i];
-          const std::size_t lane = r * n + i;
-          tm.timely_results += timely_[lane];
-          tm.completed += completed_[lane];
-          tm.deadline_misses += misses_[lane];
-          tm.accrued_benefit += benefit_[lane];
-          tm.observed_response_ms = response_[lane];
-        }
-        m.context_switches += ctx_delta_[r];
-        result.per_replication[r] = std::move(m);
-      }
-      result.aggregate.add(result.per_replication[r]);
-    }
+    for (const SimMetrics& m : result.per_replication) result.aggregate.add(m);
     return result;
   }
 
-  /// Replays replication r's timely zero-length posts over the skeleton;
-  /// draw c is draws[c * stride].
-  Replay replay(const Skeleton& sk, std::int64_t horizon, std::size_t r,
-                std::size_t n, const Duration* draws, std::size_t stride) {
+  /// Per-skeleton setup: sizes the lane buffers, finds each column's
+  /// colliding columns, and empties the outcome table.
+  void prepare(const Skeleton& sk, std::int64_t horizon, std::size_t n) {
     const std::size_t columns = sk.draws.size();
-    const std::size_t lane0 = r * n;
-    // Draw validation + response statistics. The serial engine records
-    // observed_response_ms at send time, i.e. in draw order, which is how
-    // this loop visits them; a non-timely draw bails before the lane is
-    // read, so partially filled stats are never observed.
+    // An arrival of column c lies in (send_c, send_c + R_c], so it can
+    // share a nanosecond only with a column whose window passes send_c.
+    // Draws are in send order, so those columns are the "active" ones.
+    std::vector<std::uint32_t> active;
+    std::vector<std::uint32_t> reach;  // column indices for now
+    columns_.assign(columns, Column{});
+    std::size_t span = 0;
+    for (std::size_t c = 0; c < columns; ++c) {
+      const std::int64_t send = sk.draws[c].send_ns;
+      std::erase_if(active, [&](std::uint32_t e) {
+        return sk.draws[e].send_ns + sk.draws[e].window_ns <= send;
+      });
+      columns_[c].reach0 = static_cast<std::uint32_t>(reach.size());
+      columns_[c].reaches = static_cast<std::uint32_t>(active.size());
+      reach.insert(reach.end(), active.begin(), active.end());
+      if (!active.empty()) span = std::max<std::size_t>(span, c - active.front());
+      active.push_back(static_cast<std::uint32_t>(c));
+    }
+    ring_rows_ = std::bit_ceil(span + 1);
+    reach_rows_.resize(reach.size());
+    for (std::size_t k = 0; k < reach.size(); ++k) {
+      reach_rows_[k] =
+          static_cast<std::uint32_t>((reach[k] & (ring_rows_ - 1)) * kLanes);
+    }
+    bounds_.clear();
+    pop_at_.clear();
+    outcomes_.clear();
+    built_ = 0;
+    build_pop_ = 0;
+    horizon_ = horizon;
+
+    rngs_.assign(kLanes, Rng(0));
+    lane_of_.resize(kLanes);
+    row_.resize(kLanes);
+    fate_.resize(kLanes);
+    ring_.resize(ring_rows_ * kLanes);
+    timely_.resize(n * kStride);
+    completed_.resize(n * kStride);
+    misses_.resize(n * kStride);
+    packed_.resize(n * kStride);
+    benefit_sums_.assign(n, std::vector<double>{0.0});
+    response_.resize(n * kStride);
+    ctx_delta_.resize(kStride);
+    rep_draws_.resize(columns);
+    n_ = n;
+  }
+
+  // ---- the outcome table ----
+
+  /// Appends column c's intervals. Within one interval no skeleton event
+  /// happens, and a post is zero-length: so the interval its arrival lands
+  /// in decides everything the post does (classify).
+  void build_column(const Skeleton& sk, std::size_t c) {
+    const SkelDraw& d = sk.draws[c];
+    const std::int64_t top = d.send_ns + d.window_ns;
+    const std::int64_t last_ns = horizon_ - 1;  // the last instant that pops
+    Column& col = columns_[c];
+    col.bound0 = static_cast<std::uint32_t>(bounds_.size());
+    col.interval0 = static_cast<std::uint32_t>(outcomes_.size());
+    // Sends are in order, so the first pop after the send only moves
+    // forward; the window's walk starts there.
+    while (build_pop_ < sk.pops.size() && sk.pops[build_pop_].time_ns <= d.send_ns) {
+      ++build_pop_;
+    }
+    std::size_t q = build_pop_;
+    std::int64_t lo = d.send_ns;
+    for (;;) {
+      while (q < sk.pops.size() && sk.pops[q].time_ns <= lo) ++q;
+      if (lo >= last_ns) {
+        outcomes_.push_back(0);  // never popped
+        pop_at_.push_back(kNoPopAt);
+        break;
+      }
+      outcomes_.push_back(classify(sk, q, lo, d.deadline_ns));
+      // The interval ends at the next pop, the deadline or the last
+      // instant before the horizon, whichever comes first.
+      std::int64_t hi = std::min(top, last_ns);
+      if (lo < d.deadline_ns) hi = std::min(hi, d.deadline_ns);
+      const bool pop = q < sk.pops.size() && sk.pops[q].time_ns <= hi;
+      if (pop) hi = sk.pops[q].time_ns;
+      pop_at_.push_back(pop ? hi : kNoPopAt);
+      if (hi >= top) break;
+      bounds_.push_back(hi);
+      lo = hi;
+    }
+    col.bounds = static_cast<std::uint32_t>(bounds_.size() - col.bound0);
+  }
+
+  /// The outcome of a post with key `deadline` arriving after lo and before
+  /// pops[q], the first pop after lo.
+  std::uint64_t classify(const Skeleton& sk, std::size_t q, std::int64_t lo,
+                         std::int64_t deadline) const {
+    const SkelPop* before = q > 0 ? &sk.pops[q - 1] : nullptr;
+    const std::uint32_t seg = before != nullptr ? before->seg_after : kNoSlot;
+    const auto done = [](bool miss, std::uint64_t switches) {
+      return std::uint64_t{1} << kTimelyAt | std::uint64_t{1} << kDoneAt |
+             std::uint64_t{miss} << kMissAt | switches << kCtxAt;
+    };
+    // Run at once, the post completes at its arrival: past the deadline
+    // iff the whole interval is.
+    if (seg == kNoSlot) return done(lo >= deadline, 1);  // idle -> post -> idle
+    if (deadline < sk.segments[seg].key) {
+      return done(lo >= deadline, 2);  // preempt + resume
+    }
+    // Pending behind the running job, it completes at the first segment
+    // end where the next segment does not start at once or does not run
+    // before it.
+    const Pending post{deadline, before->releases, 0};
+    std::size_t s = seg;
+    while (s + 1 < sk.segments.size() &&
+           sk.segments[s + 1].start_ns == sk.segments[s].end_ns &&
+           !runs_before(post, sk.segments[s + 1])) {
+      ++s;
+    }
+    const std::int64_t end = sk.segments[s].end_ns;
+    if (end < horizon_) return done(end > deadline, 1);
+    // Cut off by the horizon, like a serial run with it queued.
+    return std::uint64_t{1} << kTimelyAt;
+  }
+
+  // ---- the lanes ----
+
+  std::size_t at(std::uint32_t task, std::size_t slot) const {
+    return task * kStride + slot;
+  }
+
+  void clear_slot(std::size_t slot) {
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      const std::size_t k = at(i, slot);
+      timely_[k] = completed_[k] = misses_[k] = packed_[k] = 0;
+      response_[k] = RunningStats{};
+    }
+    ctx_delta_[slot] = 0;
+  }
+
+  void move_slot(std::size_t from, std::size_t to) {
+    rngs_[to] = rngs_[from];
+    lane_of_[to] = lane_of_[from];
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      const std::size_t f = at(i, from);
+      const std::size_t t = at(i, to);
+      timely_[t] = timely_[f];
+      completed_[t] = completed_[f];
+      misses_[t] = misses_[f];
+      packed_[t] = packed_[f];
+      response_[t] = response_[f];
+    }
+    ctx_delta_[to] = ctx_delta_[from];
+    for (std::size_t row = 0; row < ring_.size(); row += kLanes) {
+      ring_[row + to] = ring_[row + from];
+    }
+  }
+
+  /// Adds the live slots' packed counters into their wide ones.
+  void unpack(std::size_t live) {
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      for (std::size_t s = 0; s < live; ++s) {
+        const std::size_t k = at(i, s);
+        const std::uint64_t p = packed_[k];
+        timely_[k] += field(p, kTimelyAt);
+        completed_[k] += field(p, kDoneAt);
+        misses_[k] += field(p, kMissAt);
+        ctx_delta_[s] += field(p, kCtxAt);
+        packed_[k] = 0;
+      }
+    }
+  }
+
+  /// `hits` additions of the task's timely benefit, in a row from 0.
+  double benefit_of(std::uint32_t task, std::uint64_t hits) {
+    std::vector<double>& sums = benefit_sums_[task];
+    while (sums.size() <= hits) {
+      sums.push_back(sums.back() + cache(task).timely_benefit);
+    }
+    return sums[hits];
+  }
+
+  /// The skeleton's metrics plus slot's (unpacked) counters.
+  SimMetrics materialize(const Skeleton& sk, std::size_t slot) {
+    SimMetrics m = sk.base;
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      TaskMetrics& tm = m.per_task[i];
+      const std::size_t k = at(i, slot);
+      tm.timely_results += timely_[k];
+      tm.completed += completed_[k];
+      tm.deadline_misses += misses_[k];
+      tm.accrued_benefit += benefit_of(i, completed_[k] - misses_[k]);
+      tm.observed_response_ms = response_[k];
+    }
+    m.context_switches += ctx_delta_[slot];
+    return m;
+  }
+
+  /// Replications [r0, r0 + lanes) in one column loop: per column one
+  /// sample_n for the live lanes, then each lane's window check, response
+  /// statistics and table lookup. A stateful model runs one lane a block.
+  void run_block(BatchResult& result, const Skeleton& sk, std::size_t r0,
+                 std::size_t lanes, const core::TaskSet& tasks,
+                 const core::DecisionVector& decisions,
+                 server::ResponseModel& server, const SimConfig& config,
+                 const RequestProfile& profile) {
+    server.reset();
+    for (std::size_t s = 0; s < lanes; ++s) {
+      rngs_[s] = Rng(derive_seed(config.seed, r0 + s));
+      lane_of_[s] = static_cast<std::uint32_t>(s);
+      clear_slot(s);
+    }
+    std::size_t live = lanes;
+    const std::size_t ring_mask = ring_rows_ - 1;
+    for (std::size_t c = 0; c < sk.draws.size() && live > 0; ++c) {
+      if (c == built_) build_column(sk, built_++);
+      if (c % kUnpackColumns == kUnpackColumns - 1) unpack(live);
+      const SkelDraw& d = sk.draws[c];
+      server::Request req = cache(d.task).req;
+      req.send_time = TimePoint{d.send_ns};
+      server.sample_n(req, std::span<Rng>(rngs_.data(), live),
+                      std::span<Duration>(row_.data(), live));
+
+      const Column& col = columns_[c];
+      const std::int64_t* bounds = bounds_.data() + col.bound0;
+      const std::int64_t* pop_at = pop_at_.data() + col.interval0;
+      const std::uint64_t* outcomes = outcomes_.data() + col.interval0;
+      const std::uint32_t* reach = reach_rows_.data() + col.reach0;
+      const std::size_t base = at(d.task, 0);
+      std::uint64_t* packed = packed_.data() + base;
+      RunningStats* response = response_.data() + base;
+      const std::int64_t* ring = ring_.data();
+      std::int64_t* here = ring_.data() + (c & ring_mask) * kLanes;
+      bool any_left = false;
+      for (std::size_t s = 0; s < live; ++s) {
+        const Duration resp = row_[s];
+        // Statistics in draw order, as the serial engine records them at
+        // send; a late lane's are never read.
+        response[s].add(resp.ms());
+        const bool late = resp.ns() > d.window_ns;
+        const std::int64_t a = d.send_ns + (late ? d.window_ns : resp.ns());
+        const std::uint32_t k = interval_of(bounds, col.bounds, a);
+        bool same_ns = false;
+        for (std::uint32_t e = 0; e < col.reaches; ++e) {
+          same_ns |= ring[reach[e] + s] == a;
+        }
+        here[s] = a;
+        const bool exact = (a == pop_at[k]) | (resp.ns() <= 0) |
+                           (same_ns & (a < horizon_));
+        packed[s] += outcomes[k];
+        const Replay fate =
+            late ? Replay::kWindow : (exact ? Replay::kExact : Replay::kFast);
+        fate_[s] = fate;
+        any_left |= fate != Replay::kFast;
+      }
+      if (!any_left) continue;
+      // Top down, so the last live slot moved into a leaving one's place
+      // has already been checked.
+      for (std::size_t s = live; s-- > 0;) {
+        if (fate_[s] == Replay::kFast) continue;
+        const std::size_t r = r0 + lane_of_[s];
+        if (fate_[s] == Replay::kWindow) {
+          bail(result, r, Replay::kWindow, tasks, decisions, server, config,
+               profile);
+        } else {
+          exact_replay(result, sk, r, tasks, decisions, server, config,
+                       profile);
+        }
+        if (s != --live) move_slot(live, s);
+      }
+    }
+    unpack(live);
+    for (std::size_t s = 0; s < live; ++s) {
+      ++stats_.fast_replications;
+      result.per_replication[r0 + lane_of_[s]] = materialize(sk, s);
+    }
+  }
+
+  // ---- the exact merge, for lanes with a same-instant event ----
+
+  /// Redraws replication r's responses and replays them exactly, or
+  /// bails the replication to the serial engine.
+  void exact_replay(BatchResult& result, const Skeleton& sk, std::size_t r,
+                    const core::TaskSet& tasks,
+                    const core::DecisionVector& decisions,
+                    server::ResponseModel& server, const SimConfig& config,
+                    const RequestProfile& profile) {
+    ++stats_.exact_replays;
+    clear_slot(kScratch);
+    while (built_ < sk.draws.size()) build_column(sk, built_++);
+    // The sample_n == sample contract makes these the lane's draws.
+    server.reset();
+    Rng rng(derive_seed(config.seed, r));
+    Replay outcome = Replay::kFast;
+    for (std::size_t c = 0; c < sk.draws.size(); ++c) {
+      server::Request req = cache(sk.draws[c].task).req;
+      req.send_time = TimePoint{sk.draws[c].send_ns};
+      rep_draws_[c] = server.sample(req, rng);
+      if (rep_draws_[c].ns() > sk.draws[c].window_ns) {
+        outcome = Replay::kWindow;
+        break;
+      }
+    }
+    if (outcome == Replay::kFast) outcome = replay(sk, kScratch);
+    if (outcome != Replay::kFast) {
+      bail(result, r, outcome, tasks, decisions, server, config, profile);
+      return;
+    }
+    ++stats_.fast_replications;
+    result.per_replication[r] = materialize(sk, kScratch);
+  }
+
+  /// Replays the posts of the timely draws rep_draws_ over the skeleton
+  /// into `slot`'s counters: the outcome table's for a post alone on its
+  /// nanosecond, a tie step for each instant where posts meet other events.
+  Replay replay(const Skeleton& sk, std::size_t slot) {
+    const std::size_t columns = sk.draws.size();
+    // Response statistics, in draw order as the serial engine records them,
+    // and each arrival's interval of the outcome table.
     arrivals_.resize(columns);
     for (std::size_t c = 0; c < columns; ++c) {
       const SkelDraw& d = sk.draws[c];
-      const Duration resp = draws[c * stride];
-      if (resp.ns() > d.window_ns) return Replay::kWindow;
-      response_[lane0 + d.task].add(resp.ms());
+      const Duration resp = rep_draws_[c];
+      response_[at(d.task, slot)].add(resp.ms());
+      const std::int64_t t = d.send_ns + resp.ns();
+      const Column& col = columns_[c];
+      const std::uint32_t k =
+          interval_of(bounds_.data() + col.bound0, col.bounds, t);
       arrivals_[c] =
-          Arrival{d.send_ns + resp.ns(), d.send_ns, d.deadline_ns, d.task};
+          Arrival{t, d.send_ns, d.deadline_ns, d.task, col.interval0 + k};
     }
     // Draws are generated in send order and response windows are short
     // relative to send spacing, so arrivals_ is nearly sorted: insertion
@@ -510,58 +806,44 @@ struct BatchSimEngine::Impl {
     std::uint64_t ties = 0;
     for (std::size_t i = 0; i < arrivals_.size();) {
       const Arrival& a = arrivals_[i];
-      if (a.time_ns >= horizon) break;  // never popped by the serial engine
-      advance_to(sk, cur, lane0, a.time_ns);
+      if (a.time_ns >= horizon_) break;  // never popped by the serial engine
+      std::size_t end = i + 1;
+      while (end < arrivals_.size() && arrivals_[end].time_ns == a.time_ns) ++end;
+      if (end == i + 1 && a.time_ns > a.send_ns &&
+          pop_at_[a.interval] != a.time_ns) {
+        // Alone on its nanosecond, the post is independent of every other
+        // post: the table holds its outcome.
+        const std::uint64_t o = outcomes_[a.interval];
+        const std::size_t k = at(a.task, slot);
+        timely_[k] += field(o, kTimelyAt);
+        completed_[k] += field(o, kDoneAt);
+        misses_[k] += field(o, kMissAt);
+        cur.ctx += field(o, kCtxAt);
+        ++i;
+        continue;
+      }
+      advance_to(sk, cur, slot, a.time_ns);
       while (cur.pop < sk.pops.size() && sk.pops[cur.pop].time_ns < a.time_ns) {
         ++cur.pop;
       }
-      std::size_t end = i + 1;
-      while (end < arrivals_.size() && arrivals_[end].time_ns == a.time_ns) ++end;
-      if (end > i + 1 ||
-          (cur.pop < sk.pops.size() && sk.pops[cur.pop].time_ns == a.time_ns)) {
-        if (!tie_step(sk, cur, lane0, i, end)) return Replay::kTie;
-        ++ties;
-        i = end;
-        continue;
-      }
-      ++i;
-      // The only event at this instant: the post runs at once unless the
-      // running job precedes it. That job was released before the
-      // arrival, so an equal key keeps it running.
-      ++timely_[lane0 + a.task];
-      const bool busy = cur.seg < sk.segments.size() &&
-                        sk.segments[cur.seg].start_ns <= a.time_ns &&
-                        a.time_ns < sk.segments[cur.seg].end_ns;
-      if (!busy) {
-        cur.ctx += 1;  // idle -> post -> idle
-        complete_post(lane0, a.task, a.time_ns, a.deadline_ns);
-      } else if (a.deadline_ns < sk.segments[cur.seg].key) {
-        cur.ctx += 2;  // preempt + resume
-        complete_post(lane0, a.task, a.time_ns, a.deadline_ns);
-      } else {
-        pending_.push_back(Pending{
-            a.deadline_ns, cur.pop > 0 ? sk.pops[cur.pop - 1].releases : 0,
-            a.task});
-      }
+      if (!tie_step(sk, cur, slot, i, end)) return Replay::kTie;
+      ++ties;
+      i = end;
     }
-    advance_to(sk, cur, lane0, horizon);
+    advance_to(sk, cur, slot, horizon_);
     // Posts still pending at the horizon never complete -- their timely
     // arrival was counted, the completion was cut off, like the serial
     // engine breaking its loop with jobs in the ready queue.
-    ctx_delta_[r] = cur.ctx;
+    ctx_delta_[slot] = cur.ctx;
     stats_.tie_instants += ties;
     return Replay::kFast;
   }
 
-  void complete_post(std::size_t lane0, std::uint32_t task, std::int64_t t,
+  void complete_post(std::size_t slot, std::uint32_t task, std::int64_t t,
                      std::int64_t deadline) {
-    const std::size_t lane = lane0 + task;
-    ++completed_[lane];
-    if (t > deadline) {
-      ++misses_[lane];
-    } else {
-      benefit_[lane] += tcache_[task].timely_benefit;
-    }
+    const std::size_t k = at(task, slot);
+    ++completed_[k];
+    if (t > deadline) ++misses_[k];
   }
 
   /// Index of the ready post the serial engine would pick first: the
@@ -578,7 +860,7 @@ struct BatchSimEngine::Impl {
 
   /// Runs every pending post that precedes segment `next` (kNoSlot: the CPU
   /// goes idle) at boundary time t, one context switch each.
-  void drain(const Skeleton& sk, Cursor& cur, std::size_t lane0,
+  void drain(const Skeleton& sk, Cursor& cur, std::size_t slot,
              std::int64_t t, std::uint32_t next) {
     while (!pending_.empty()) {
       const std::size_t best = best_post();
@@ -586,14 +868,14 @@ struct BatchSimEngine::Impl {
         break;
       }
       ++cur.ctx;
-      complete_post(lane0, pending_[best].task, t, pending_[best].deadline_ns);
+      complete_post(slot, pending_[best].task, t, pending_[best].deadline_ns);
       // Order-preserving removal keeps pending_ in push order.
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
     }
   }
 
   /// Advances past every segment boundary strictly before t.
-  void advance_to(const Skeleton& sk, Cursor& cur, std::size_t lane0,
+  void advance_to(const Skeleton& sk, Cursor& cur, std::size_t slot,
                   std::int64_t t) {
     while (cur.seg < sk.segments.size() && sk.segments[cur.seg].end_ns < t) {
       if (pending_.empty()) {
@@ -608,7 +890,7 @@ struct BatchSimEngine::Impl {
       const std::int64_t end = sk.segments[cur.seg].end_ns;
       const bool next_starts = cur.seg + 1 < sk.segments.size() &&
                                sk.segments[cur.seg + 1].start_ns == end;
-      drain(sk, cur, lane0, end,
+      drain(sk, cur, slot, end,
             next_starts ? static_cast<std::uint32_t>(cur.seg + 1) : kNoSlot);
       ++cur.seg;
     }
@@ -617,13 +899,13 @@ struct BatchSimEngine::Impl {
   /// Steps the serial engine through every event at T, the instant of
   /// arrivals_[a0, a1): those arrivals, the skeleton pops at T, and the
   /// slice ends armed at T. Pre-T events pop in push order; slice ends
-  /// pushed at T pop after them, in arming order. Returns false on a zero
-  /// response, whose arrival is pushed at T itself.
-  bool tie_step(const Skeleton& sk, Cursor& cur, std::size_t lane0,
+  /// pushed at T pop after them, in arming order. Returns false on a
+  /// response of zero or less, whose arrival is not pushed before T.
+  bool tie_step(const Skeleton& sk, Cursor& cur, std::size_t slot,
                 std::size_t a0, std::size_t a1) {
     const std::int64_t t = arrivals_[a0].time_ns;
     for (std::size_t a = a0; a < a1; ++a) {
-      if (arrivals_[a].send_ns == t) return false;  // zero response
+      if (arrivals_[a].send_ns >= t) return false;  // response <= 0
     }
     const std::size_t p0 = cur.pop;
     std::size_t p1 = p0;
@@ -703,7 +985,7 @@ struct BatchSimEngine::Impl {
       }
       if (arrival) {
         const Arrival& ar = arrivals_[a++];
-        ++timely_[lane0 + ar.task];
+        ++timely_[at(ar.task, slot)];
         pending_.push_back(Pending{ar.deadline_ns, releases, ar.task});
       } else {
         const SkelPop& sp = sk.pops[p++];
@@ -725,7 +1007,7 @@ struct BatchSimEngine::Impl {
           pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(run_post));
           run_post = kNoPost;
           armed = false;
-          complete_post(lane0, done.task, t, done.deadline_ns);
+          complete_post(slot, done.task, t, done.deadline_ns);
         } else {
           complete_running();
         }
@@ -741,6 +1023,18 @@ struct BatchSimEngine::Impl {
     return true;
   }
 
+
+  /// Counts a replication the skeleton cannot represent and runs it
+  /// through the serial engine.
+  void bail(BatchResult& result, std::size_t r, Replay why,
+            const core::TaskSet& tasks, const core::DecisionVector& decisions,
+            server::ResponseModel& server, const SimConfig& config,
+            const RequestProfile& profile) {
+    ++(why == Replay::kWindow ? stats_.bailed_window : stats_.bailed_tie);
+    ++stats_.bailed_replications;
+    run_fallback(result, r, tasks, decisions, server, config, profile);
+  }
+
   void run_fallback(BatchResult& result, std::size_t r,
                     const core::TaskSet& tasks,
                     const core::DecisionVector& decisions,
@@ -753,6 +1047,9 @@ struct BatchSimEngine::Impl {
     result.per_replication[r] =
         fallback_.run(tasks, decisions, server, cfg, profile).metrics;
   }
+
+  std::int64_t horizon_ = 0;
+  std::size_t n_ = 0;  ///< tasks
 };
 
 BatchSimEngine::BatchSimEngine() : impl_(std::make_unique<Impl>()) {}

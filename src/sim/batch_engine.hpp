@@ -17,21 +17,24 @@
 //    the same in every replication: only the server draws differ. A third
 //    driver of the protocol core (protocol_core.hpp) runs that shared
 //    skeleton once, recording the busy segments, the request send points
-//    and the replication-invariant metric template, then the engine
-//    replays each replication as: draw the per-request responses
-//    (ResponseModel::sample_n across the replication block's RNG lanes
-//    when the model is stateless), merge the zero-length result arrivals
-//    against the skeleton segments, and emit the per-replication counters
-//    from structure-of-arrays batch buffers.
-//  * Result arrivals that land on the same nanosecond as a release, a
-//    completion or another arrival stay on the fast path: the replay
-//    orders them exactly as the serial engine does. Events on one
-//    nanosecond pop in push order (a release was pushed one period
-//    earlier, an arrival at its send, the running job's completion at its
-//    last (re)dispatch, a zero-length post's slice end at the instant
-//    itself), and ready-queue ties on the EDF key break on push order of
-//    the sub-jobs (a skeleton job at its release pop, a post at its
-//    arrival pop).
+//    and the replication-invariant metric template. Each draw column's
+//    response window is split at the skeleton's pop instants into
+//    intervals, and a post arriving inside one has an outcome that depends
+//    on nothing else (it takes no time), computed once per skeleton. A
+//    block of up to 128 replications then walks the columns once: one
+//    ResponseModel::sample_n draws the column for every live lane, and each
+//    lane checks its window, adds the response to its statistics and adds
+//    its interval's outcome to structure-of-arrays counters. A stateful
+//    model runs the same loop one lane at a time.
+//  * A lane whose result arrival lands on the nanosecond of a release, a
+//    completion or another of its arrivals leaves the column loop for the
+//    exact merge, which orders those events exactly as the serial engine
+//    does. Events on one nanosecond pop in push order (a release was
+//    pushed one period earlier, an arrival at its send, the running job's
+//    completion at its last (re)dispatch, a zero-length post's slice end
+//    at the instant itself), and ready-queue ties on the EDF key break on
+//    push order of the sub-jobs (a skeleton job at its release pop, a
+//    post at its arrival pop).
 //  * Only a replication the skeleton cannot represent -- a response later
 //    than its window R, or none (compensation perturbs the schedule) --
 //    falls back to a serial-engine run with the same derived seed, which
@@ -69,6 +72,11 @@ struct BatchEngineStats {
   /// Same-instant events the tie step resolved, summed over the
   /// fast-path replications (one per instant per replication).
   std::size_t tie_instants = 0;
+  /// Replications handed to the exact merge: a result arrival on a
+  /// skeleton pop or on another of its arrivals' nanosecond, or a zero
+  /// response, drawn before any late response. Each then ends fast or
+  /// bailed like any other.
+  std::size_t exact_replays = 0;
 };
 
 struct BatchResult {

@@ -15,6 +15,13 @@ BenefitDrivenResponse::BenefitDrivenResponse(
       throw std::invalid_argument(
           "BenefitDrivenResponse: benefit values must be probabilities");
     }
+    const std::vector<core::BenefitPoint>& points = g.points();
+    streams_.push_back(Stream{values_.size(), points.size() - 1});
+    for (std::size_t j = 1; j < points.size(); ++j) {
+      values_.push_back(points[j].value);
+      responses_.push_back(points[j].response_time);
+    }
+    responses_.push_back(server::kNoResponse);
   }
 }
 

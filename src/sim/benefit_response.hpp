@@ -35,24 +35,36 @@ class BenefitDrivenResponse final : public server::ResponseModel {
   [[nodiscard]] std::size_t num_streams() const { return per_stream_.size(); }
 
   /// The scalar draw with the virtual dispatch and stream lookup peeled
-  /// off: exactly one uniform() per call on a known-valid stream. The
-  /// batch engine calls this directly in its inner loop; sample()/
-  /// sample_n() delegate here so all paths share one definition. Values
-  /// are non-decreasing (BenefitFunction validates it), so the first
-  /// breakpoint j >= 1 with value >= u is 1 + #{j >= 1 : value_j < u}:
-  /// a branch-free count instead of a walk with a data-dependent exit.
+  /// off: exactly one uniform() per call on a known-valid stream;
+  /// sample()/sample_n() delegate here so both share one definition.
+  /// Values are non-decreasing (BenefitFunction validates it), so the
+  /// first breakpoint j >= 1 with value >= u is 1 + #{j >= 1 : value_j <
+  /// u}: a branch-free count over the stream's packed values instead of a
+  /// walk with a data-dependent exit.
   Duration sample_stream(std::size_t stream, Rng& rng) const {
-    const std::vector<core::BenefitPoint>& points = per_stream_[stream].points();
+    const Stream& s = streams_[stream];
+    const double* values = values_.data() + s.first;
     const double u = rng.uniform();
-    std::size_t j = 1;
-    for (std::size_t k = 1; k < points.size(); ++k) {
-      j += static_cast<std::size_t>(points[k].value < u);
+    std::size_t j = 0;
+    for (std::size_t k = 0; k < s.count; ++k) {
+      j += static_cast<std::size_t>(values[k] < u);
     }
-    return j < points.size() ? points[j].response_time : server::kNoResponse;
+    return responses_[s.first + stream + j];
   }
 
  private:
+  /// Stream i's breakpoints j >= 1 are values_[first + j - 1] and
+  /// responses_[first + i + j - 1]; responses_[first + i + count] is
+  /// kNoResponse, the draw past the last breakpoint.
+  struct Stream {
+    std::size_t first = 0;
+    std::size_t count = 0;
+  };
+
   std::vector<core::BenefitFunction> per_stream_;
+  std::vector<Stream> streams_;
+  std::vector<double> values_;
+  std::vector<Duration> responses_;
 };
 
 }  // namespace rt::sim

@@ -345,6 +345,9 @@ class ProtocolCore {
     return running_ == kNoSlot ? nullptr : &pool_[running_];
   }
 
+  /// The per-(task, decision) constants reset() resolved for this run.
+  [[nodiscard]] const std::vector<TaskCache>& task_cache() const { return tcache_; }
+
   const core::TaskSet* tasks_ = nullptr;
   SimConfig config_;
   TimePoint horizon_end_;

@@ -91,12 +91,13 @@ BatchEngineStats expect_parity(const Scenario& s, std::size_t replications,
 }
 
 /// Asserts every replication stayed on the fast path and at least one tie
-/// was stepped there.
+/// was stepped there, by the exact merge.
 void expect_ties_resolved(const BatchEngineStats& st, std::size_t replications,
                           const std::string& label) {
   EXPECT_EQ(st.fast_replications, replications) << label;
   EXPECT_EQ(st.bailed_tie, 0u) << label;
   EXPECT_GT(st.tie_instants, 0u) << label;
+  EXPECT_GT(st.exact_replays, 0u) << label;
 }
 
 core::Task local_task(const std::string& name, Duration period,
@@ -143,12 +144,14 @@ SimConfig tie_config(Duration horizon,
   return cfg;  // EDF, always-WCET, periodic: skeleton-eligible
 }
 
-/// Asserts every replication stayed on the fast path (for ties the walk
-/// resolves between instants, at a segment boundary).
+/// Asserts every replication stayed on the fast path without the exact
+/// merge (for ties the outcome table resolves between instants, at a
+/// segment boundary).
 void expect_all_fast(const BatchEngineStats& st, std::size_t replications,
                      const std::string& label) {
   EXPECT_EQ(st.fast_replications, replications) << label;
   EXPECT_EQ(st.bailed_replications, 0u) << label;
+  EXPECT_EQ(st.exact_replays, 0u) << label;
 }
 
 // Hand-built timelines, in milliseconds. Every case is deterministic
@@ -336,6 +339,86 @@ TEST(BatchTie, EqualKeyNextJobPushedBeforeThePostRunsFirst) {
 }
 
 // ---------------------------------------------------------------------
+// The outcome table's reach: the draw columns an arrival is compared with,
+// and how long a waiting post stays in the ready queue. Split deadlines
+// give A's setup the key 1, so it runs first, [0, 1), and sends at 1; its
+// post has the key 100.
+
+core::Task first_sender() {
+  return offload_task("A", 200_ms, 100_ms, 1_ms, 9_ms, 90_ms);
+}
+
+TEST(BatchTie, TwoArrivalsOnOneInstantFromSendsTwoColumnsApart) {
+  // Setups: A (key 1) [0, 1), M (key 10) [1, 2), B (key 20) [2, 3). A's
+  // long response and B's short one both land at 40; M's, between them in
+  // draw order, at 7. The arrivals pop in send order: A's post runs on the
+  // idle CPU, B's (key 90) preempts it, and A's resumes -- one switch more
+  // than two posts on two instants.
+  Scenario s;
+  s.tasks = {first_sender(), offload_task("M", 200_ms, 80_ms, 1_ms, 1_ms, 60_ms),
+             offload_task("B", 200_ms, 90_ms, 1_ms, 1_ms, 50_ms)};
+  s.decisions = {offload(s.tasks[0]), offload(s.tasks[1]), offload(s.tasks[2])};
+  s.server = fixed_per_task({39_ms, 5_ms, 37_ms});
+  s.cfg = tie_config(1_s, DeadlinePolicy::kSplit);
+  expect_ties_resolved(expect_parity(s, 2, "two columns apart"), 2,
+                       "two columns apart");
+}
+
+TEST(BatchTie, PostWaitsAcrossTwoSegmentBoundaries) {
+  // X [1, 11), Y [11, 21) and Z [21, 31) all precede A's post, which
+  // arrives at 6 and waits through both boundaries; the horizon at 26
+  // cuts Z's segment, so the post never completes. Completing it at X's
+  // end would count it.
+  Scenario s;
+  s.tasks = {first_sender(), local_task("X", 200_ms, 60_ms, 10_ms),
+             local_task("Y", 200_ms, 70_ms, 10_ms),
+             local_task("Z", 200_ms, 80_ms, 10_ms)};
+  s.decisions = {offload(s.tasks[0]), core::Decision::local(),
+                 core::Decision::local(), core::Decision::local()};
+  s.server = fixed_per_task({5_ms, 0_ms, 0_ms, 0_ms});
+  s.cfg = tie_config(26_ms, DeadlinePolicy::kSplit);
+  expect_all_fast(expect_parity(s, 2, "two boundaries"), 2, "two boundaries");
+}
+
+TEST(BatchTie, PostWaitingWhenAnIdleGapBeginsRunsThere) {
+  // Y's first job runs [1, 3), X [3, 13); A's post arrives at 6 behind
+  // X. The CPU then idles until Y's release at 20, and that job (key 40)
+  // would precede the post: the post runs at 13, where the gap begins.
+  // Waiting for Y, whose segment the horizon at 21 cuts, would leave it
+  // uncompleted.
+  Scenario s;
+  s.tasks = {first_sender(), local_task("X", 200_ms, 60_ms, 10_ms),
+             local_task("Y", 20_ms, 20_ms, 2_ms)};
+  s.decisions = {offload(s.tasks[0]), core::Decision::local(),
+                 core::Decision::local()};
+  s.server = fixed_per_task({5_ms, 0_ms, 0_ms});
+  s.cfg = tie_config(21_ms, DeadlinePolicy::kSplit);
+  expect_all_fast(expect_parity(s, 2, "idle gap"), 2, "idle gap");
+}
+
+TEST(BatchTie, PostStillWaitingAtTheHorizon) {
+  // A's post arrives at 6 behind X [1, 51), whose segment the horizon at
+  // 40 cuts: the arrival counts as timely, the post never completes.
+  Scenario s;
+  s.tasks = {first_sender(), local_task("X", 200_ms, 60_ms, 50_ms)};
+  s.decisions = {offload(s.tasks[0]), core::Decision::local()};
+  s.server = fixed_per_task({5_ms, 0_ms});
+  s.cfg = tie_config(40_ms, DeadlinePolicy::kSplit);
+  expect_all_fast(expect_parity(s, 2, "horizon"), 2, "horizon");
+}
+
+TEST(BatchTie, CountersSurviveMoreThan65536Columns) {
+  // A 1 ms task for 70 s: 70,000 draw columns, each adding a timely post
+  // that runs on the idle CPU, past what one 16-bit packed field holds.
+  Scenario s;
+  s.tasks = {offload_task("A", 1_ms, 1_ms, 100_us, 200_us, 500_us)};
+  s.decisions = {offload(s.tasks[0])};
+  s.server = fixed_per_task({300_us});
+  s.cfg = tie_config(70_s);
+  expect_all_fast(expect_parity(s, 2, "long"), 2, "long");
+}
+
+// ---------------------------------------------------------------------
 // Lattice workloads: every period, WCET and response a whole number of
 // milliseconds, so arrivals pile onto releases, completions and each other.
 
@@ -392,10 +475,12 @@ TEST(BatchTie, RandomLatticeSetsMatchSerialAndStayFast) {
     total.fast_replications += st.fast_replications;
     total.bailed_replications += st.bailed_replications;
     total.tie_instants += st.tie_instants;
+    total.exact_replays += st.exact_replays;
   }
   EXPECT_EQ(total.bailed_replications, 0u);
   EXPECT_GT(total.fast_replications, 0u);
   EXPECT_GT(total.tie_instants, 0u);
+  EXPECT_GT(total.exact_replays, 0u);
 }
 
 TEST(BatchTie, RoughLatticeSetsMatchSerialOnBothPaths) {
@@ -412,6 +497,66 @@ TEST(BatchTie, RoughLatticeSetsMatchSerialOnBothPaths) {
   EXPECT_GT(total.bailed_window, 0u);
   EXPECT_GT(total.bailed_tie, 0u);
   EXPECT_GT(total.tie_instants, 0u);
+}
+
+/// Like random_lattice without `rough`, but every period, deadline, WCET
+/// and response is off the millisecond lattice by a few hundred odd
+/// nanoseconds, so no two events share a nanosecond.
+Scenario random_off_lattice(std::uint64_t seed) {
+  Rng rng(seed);
+  Scenario s;
+  const auto jitter = [&] {
+    return Duration::nanoseconds(2 * rng.uniform_int(1, 499) + 1);
+  };
+  const std::size_t n = 2 + rng.uniform_int(0, 3);
+  std::vector<std::unique_ptr<server::ResponseModel>> routes;
+  std::vector<std::size_t> route_of_stream;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Duration period = 5_ms * rng.uniform_int(2, 12) + jitter();
+    const Duration deadline = period - 1_ms * rng.uniform_int(0, 4) - jitter();
+    const std::string name = "t" + std::to_string(i);
+    if (rng.uniform() < 0.35) {
+      s.tasks.push_back(local_task(name, period, deadline,
+                                   1_ms * rng.uniform_int(1, 4) + jitter()));
+      s.decisions.push_back(core::Decision::local());
+    } else {
+      const Duration window = 1_ms * rng.uniform_int(1, deadline.ns() / 1'000'000 - 1);
+      s.tasks.push_back(offload_task(name, period, deadline,
+                                     1_ms * rng.uniform_int(1, 3) + jitter(),
+                                     1_ms * rng.uniform_int(1, 4) + jitter(), window));
+      s.decisions.push_back(offload(s.tasks.back()));
+    }
+    std::vector<Duration> bag;
+    const std::int64_t top = s.decisions.back().response_time.ns();
+    for (int k = 0; k < 8; ++k) {
+      bag.push_back(
+          Duration::nanoseconds(rng.uniform_int(1, std::max<std::int64_t>(top, 1))));
+    }
+    route_of_stream.push_back(routes.size());
+    routes.push_back(std::make_unique<server::EmpiricalResponse>(std::move(bag)));
+  }
+  s.server = std::make_unique<server::RoutingResponse>(std::move(routes),
+                                                       std::move(route_of_stream));
+  s.cfg = tie_config(400_ms, seed % 2 == 0 ? DeadlinePolicy::kNaive
+                                           : DeadlinePolicy::kSplit);
+  return s;
+}
+
+TEST(BatchTie, OffLatticeSetsNeverTakeTheExactMerge) {
+  // Nothing shares a nanosecond, so the outcome table serves every lane.
+  BatchEngineStats total;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const BatchEngineStats st = expect_parity(
+        random_off_lattice(seed), 8, "off-lattice seed " + std::to_string(seed));
+    total.fast_replications += st.fast_replications;
+    total.bailed_replications += st.bailed_replications;
+    total.exact_replays += st.exact_replays;
+    total.tie_instants += st.tie_instants;
+  }
+  EXPECT_EQ(total.bailed_replications, 0u);
+  EXPECT_GT(total.fast_replications, 0u);
+  EXPECT_EQ(total.exact_replays, 0u);
+  EXPECT_EQ(total.tie_instants, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -478,6 +623,7 @@ TEST(BatchTie, RunnerReportsWhereReplicationsWent) {
   EXPECT_LE(value("sim.batch.bail.window") + value("sim.batch.bail.tie"),
             value("batch.fallback_replications"));
   (void)value("sim.batch.tie_instants");
+  (void)value("sim.batch.exact_replays");
 }
 
 }  // namespace

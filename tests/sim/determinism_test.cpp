@@ -9,6 +9,9 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/odm.hpp"
 #include "core/workload.hpp"
@@ -586,6 +589,58 @@ TEST(Differential, HorizonCutsMidSliceMatchAcrossEngines) {
     }
   }
   EXPECT_GT(fast, 0u) << "no replication took the skeleton path";
+}
+
+/// The std::invalid_argument message `run` throws, or "" if none.
+std::string invalid_argument_of(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BatchedDifferential, InvalidInputThrowsTheSerialMessagesOnBothPaths) {
+  // The batch engine checks the arity itself and leaves every other check
+  // to the protocol core; an eligible configuration and an ineligible one
+  // (fixed priority) must both reject bad input as the serial engine does.
+  const Fixture s = make_setup(3);
+  const server::FixedResponse server(1_ms);
+  std::size_t offloaded = 0;
+  while (!s.decisions[offloaded].offloaded()) ++offloaded;
+  struct Bad {
+    std::string what;
+    core::TaskSet tasks;
+    core::DecisionVector decisions;
+  };
+  std::vector<Bad> bad;
+  bad.push_back({"arity", s.tasks,
+                 core::DecisionVector(s.decisions.begin(), s.decisions.end() - 1)});
+  bad.push_back({"level", s.tasks, s.decisions});
+  core::Task& leveled = bad.back().tasks[offloaded];
+  leveled.setup_wcet_per_level.assign(leveled.benefit.size(), leveled.setup_wcet);
+  bad.back().decisions[offloaded].level = leveled.benefit.size();
+  bad.push_back({"R >= D", s.tasks, s.decisions});
+  bad.back().decisions[offloaded].response_time = s.tasks[offloaded].deadline;
+  for (const bool eligible : {true, false}) {
+    SimConfig cfg = batch_base_config();
+    if (!eligible) cfg.scheduler_policy = SchedulerPolicy::kFixedPriorityDm;
+    for (const Bad& b : bad) {
+      const std::string label = b.what + (eligible ? " eligible" : " ineligible");
+      const std::string serial = invalid_argument_of([&] {
+        SimEngine engine;
+        server::FixedResponse srv(1_ms);
+        (void)engine.run(b.tasks, b.decisions, srv, cfg);
+      });
+      const std::string batch = invalid_argument_of([&] {
+        BatchSimEngine engine;
+        (void)engine.run(b.tasks, b.decisions, server, cfg, 4);
+      });
+      EXPECT_EQ(serial.rfind("simulate: ", 0), 0u) << label << ": " << serial;
+      EXPECT_EQ(batch, serial) << label;
+    }
+  }
 }
 
 TEST(BatchedDifferential, SingleReplicationEqualsPlainSerialRun) {
