@@ -145,7 +145,7 @@ Json rpc_pipelined(const rt::net::SocketAddress& address, int total,
 Json loop_dispatch_latency(int samples) {
   // Real-clock loop; each timer records (fire_time - deadline). Timers
   // are spaced 2 ms apart so each run_once sleeps in epoll and the
-  // wakeup path (timerfd -> wheel -> callback) is what gets measured.
+  // wakeup path (timerfd -> timer queue -> callback) is what gets measured.
   rt::net::EventLoop loop;
   std::vector<double> late_us;
   late_us.reserve(static_cast<std::size_t>(samples));

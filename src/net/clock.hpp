@@ -1,5 +1,5 @@
 #pragma once
-// Monotonic-clock abstraction for the event loop and timer wheel.
+// Monotonic-clock abstraction for the event loop and its timer queue.
 //
 // Everything in src/net/ reads time through this interface so the unit
 // suites (tests/net/) can drive the loop with a FakeClock and no real

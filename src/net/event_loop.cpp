@@ -33,7 +33,7 @@ std::uint32_t interest_mask(bool read, bool write) {
 EventLoop::EventLoop(EventLoopOptions options)
     : clock_(options.clock != nullptr ? options.clock
                                       : &SystemClock::instance()),
-      wheel_(clock_->now(), options.timer_tick, options.sink),
+      timers_(clock_->now(), options.sink),
       real_clock_(dynamic_cast<SystemClock*>(clock_) != nullptr),
       sink_(options.sink) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -159,7 +159,7 @@ std::size_t EventLoop::run_once(Duration max_wait) {
       const std::lock_guard<std::mutex> lock(deferred_mu_);
       have_deferred = !deferred_.empty();
     }
-    arm_timerfd(wheel_.next_deadline());
+    arm_timerfd(timers_.next_deadline());
     if (have_deferred || stop_requested() || max_wait <= Duration::zero()) {
       timeout_ms = 0;
     } else if (max_wait == Duration::max()) {
@@ -180,7 +180,7 @@ std::size_t EventLoop::run_once(Duration max_wait) {
   const std::int64_t wait_end = sink_ != nullptr ? sink_->now_ns() : 0;
   obs::observe(poll_wait_ns_, wait_end - wait_start);
 
-  std::size_t dispatched = wheel_.advance(clock_->now());
+  std::size_t dispatched = timers_.advance(clock_->now());
   for (int i = 0; i < ready; ++i) {
     const int fd = events[i].data.fd;
     if (fd == wake_fd_) {
@@ -204,7 +204,7 @@ std::size_t EventLoop::run_once(Duration max_wait) {
     callback(readable, writable);
     ++dispatched;
   }
-  dispatched += wheel_.advance(clock_->now());
+  dispatched += timers_.advance(clock_->now());
   dispatched += drain_deferred();
   obs::observe(dispatch_ns_,
                sink_ != nullptr ? sink_->now_ns() - wait_end : 0);

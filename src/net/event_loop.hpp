@@ -1,6 +1,6 @@
 #pragma once
-// Single-threaded epoll event loop: fd watchers + hierarchical timer
-// wheel + deferred-task queue, over an injectable monotonic clock.
+// Single-threaded epoll event loop: fd watchers + (deadline, seq) timer
+// queue + deferred-task queue, over an injectable monotonic clock.
 //
 // Threading contract: every method except stop()/request_stop()/post()
 // must be called from the loop's thread (the thread running run() /
@@ -8,13 +8,13 @@
 // task and wakes the loop through an eventfd; request_stop() is
 // additionally async-signal-safe (one atomic store + one write()).
 //
-// Timer resolution: the wheel ticks at ~100 µs, far below epoll_wait's
-// millisecond timeout granularity, so the loop arms a timerfd with the
-// wheel's next deadline (absolute CLOCK_MONOTONIC) and sleeps in epoll
-// until either an fd or the timerfd fires. Under a FakeClock the loop
-// never sleeps at all: run_once() polls ready fds and fires whatever the
-// manually-advanced clock says is due -- the tests/net/ suites run with
-// zero real sleeps.
+// Timer resolution: timers keep their exact nanosecond deadlines, far
+// below epoll_wait's millisecond timeout granularity, so the loop arms a
+// timerfd with the queue's next deadline (absolute CLOCK_MONOTONIC) and
+// sleeps in epoll until either an fd or the timerfd fires. Under a
+// FakeClock the loop never sleeps at all: run_once() polls ready fds and
+// fires whatever the manually-advanced clock says is due -- the
+// tests/net/ suites run with zero real sleeps.
 
 #include <atomic>
 #include <cstdint>
@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "net/clock.hpp"
-#include "net/timer_wheel.hpp"
+#include "net/timer_queue.hpp"
 #include "util/time.hpp"
 
 namespace rt::obs {
@@ -39,7 +39,6 @@ namespace rt::net {
 struct EventLoopOptions {
   /// Null selects the process-wide SystemClock.
   Clock* clock = nullptr;
-  Duration timer_tick = Duration::microseconds(100);
   obs::Sink* sink = nullptr;
 };
 
@@ -65,12 +64,12 @@ class EventLoop {
   [[nodiscard]] bool watching(int fd) const { return watchers_.count(fd) != 0; }
 
   TimerId add_timer(TimePoint deadline, std::function<void()> callback) {
-    return wheel_.schedule(deadline, std::move(callback));
+    return timers_.schedule(deadline, std::move(callback));
   }
   TimerId add_timer_after(Duration delay, std::function<void()> callback) {
-    return wheel_.schedule(clock_->now() + delay, std::move(callback));
+    return timers_.schedule(clock_->now() + delay, std::move(callback));
   }
-  bool cancel_timer(TimerId id) { return wheel_.cancel(id); }
+  bool cancel_timer(TimerId id) { return timers_.cancel(id); }
 
   /// Enqueues a task to run on the loop thread after fd and timer
   /// dispatch of the current (or next) iteration; FIFO order. Safe from
@@ -78,8 +77,6 @@ class EventLoop {
   void post(std::function<void()> task);
 
   [[nodiscard]] TimePoint now() const { return clock_->now(); }
-  [[nodiscard]] TimerWheel& wheel() { return wheel_; }
-  [[nodiscard]] Clock& clock() { return *clock_; }
 
   /// Runs until stop(); requires a real clock (a FakeClock never moves on
   /// its own, so tests drive run_once() instead).
@@ -111,12 +108,12 @@ class EventLoop {
   [[nodiscard]] std::size_t drain_deferred();
 
   Clock* clock_;
-  TimerWheel wheel_;
+  TimerQueue timers_;
   bool real_clock_;
 
   int epoll_fd_ = -1;
   int wake_fd_ = -1;   ///< eventfd: cross-thread post()/stop() wakeup
-  int timer_fd_ = -1;  ///< timerfd slaved to the wheel's next deadline
+  int timer_fd_ = -1;  ///< timerfd slaved to the queue's next deadline
 
   std::unordered_map<int, Watcher> watchers_;
   std::atomic<bool> stop_{false};

@@ -1,6 +1,6 @@
 // The real-time driver of the shared protocol core (sim/protocol_core.hpp):
 // the simulator's event heap is replaced by an epoll loop, slice ends and
-// compensation windows by timer-wheel timers, and the in-process
+// compensation windows by event-loop timers, and the in-process
 // ResponseModel by a wire round-trip to gpu_serverd.
 
 #include "runtime/offload_runtime.hpp"
@@ -42,8 +42,7 @@ class Runtime : public sim::ProtocolCore<Runtime> {
           const RuntimeOptions& options)
       : options_(options),
         sink_(options.sink != nullptr ? options.sink : config.sink),
-        loop_(net::EventLoopOptions{nullptr, Duration::microseconds(100),
-                                    sink_}) {
+        loop_(net::EventLoopOptions{nullptr, sink_}) {
     if (!(options_.time_scale > 0.0)) {
       throw std::invalid_argument("runtime: time_scale must be > 0");
     }
@@ -68,7 +67,7 @@ class Runtime : public sim::ProtocolCore<Runtime> {
     connect();
 
     // Epoch with a small grace so the first releases (protocol time 0)
-    // land in the wheel's future, not its past.
+    // land in the loop's future, not its past.
     epoch_ = loop_.now() + Duration::milliseconds(20);
     for (std::size_t i = 0; i < tasks_->size(); ++i) {
       schedule_release(i);
@@ -89,8 +88,8 @@ class Runtime : public sim::ProtocolCore<Runtime> {
     slice_timer_ = loop_.add_timer(wall_at(end), [this]() {
       on_event([this]() {
         slice_timer_ = net::kInvalidTimer;
-        // Returns false when wall->protocol rounding left sub-tick residue;
-        // the dispatch() after this body then re-points the timer.
+        // Returns false when wall->protocol scaling left a residue of
+        // work; the dispatch() after this body then re-points the timer.
         slice_end();
       });
     });

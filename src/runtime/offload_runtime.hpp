@@ -12,7 +12,7 @@
 //   jobs run as single sub-jobs. Scheduling is preemptive EDF (or DM)
 //   over the same split-deadline assignment; "preemption" here means the
 //   armed slice-end timer is re-pointed at the new head of the ready set.
-// The driver adds only what a real clock needs: time dilation, wheel
+// The driver adds only what a real clock needs: time dilation, loop
 // timers, the wire round-trip, late-reply classification and RPC counts.
 //
 // Time runs on two axes. *Protocol time* is the simulator's timeline

@@ -20,8 +20,7 @@ namespace {
 
 struct LoopFixture : ::testing::Test {
   FakeClock clock{TimePoint(1'000'000)};  // nonzero epoch, like the kernel's
-  EventLoop loop{EventLoopOptions{&clock, Duration::microseconds(100),
-                                  nullptr}};
+  EventLoop loop{EventLoopOptions{&clock, nullptr}};
 
   // Pump until the loop goes quiet; under a FakeClock every call returns
   // immediately, so this is bounded work, not a wait.
@@ -168,7 +167,7 @@ TEST_F(LoopFixture, StopAndClearStop) {
 
 TEST_F(LoopFixture, TimerScheduledByTimerNeedsNextIteration) {
   // A callback arming a zero-delay timer must not livelock run_once; the
-  // child fires on a later iteration (wheel generation contract).
+  // child waits for the next advance (the timer queue's firing contract).
   int fired = 0;
   loop.add_timer_after(Duration::zero(), [&] {
     ++fired;
@@ -177,6 +176,33 @@ TEST_F(LoopFixture, TimerScheduledByTimerNeedsNextIteration) {
   clock.advance(Duration::microseconds(100));
   pump();
   EXPECT_EQ(fired, 2);
+}
+
+TEST_F(LoopFixture, ClockJumpFiresTimersInDeadlineOrder) {
+  // One run_once after the clock jumps past a release, a slice end and a
+  // compensation window, armed in a different order from their deadlines.
+  // They fire as the simulator pops them, and the release's re-pointing
+  // of the next slice end (a cancel) stops that sibling, though it was
+  // already due.
+  const TimePoint t0 = loop.now();
+  std::vector<std::string> order;
+  TimerId next_slice = kInvalidTimer;
+  loop.add_timer(t0 + Duration::microseconds(150), [&] {
+    order.push_back("release");
+    EXPECT_TRUE(loop.cancel_timer(next_slice));
+  });
+  loop.add_timer(t0 + Duration::microseconds(120),
+                 [&] { order.push_back("slice_end"); });
+  loop.add_timer(t0 + Duration::microseconds(180),
+                 [&] { order.push_back("compensation"); });
+  next_slice = loop.add_timer(t0 + Duration::microseconds(190),
+                              [&] { order.push_back("next_slice_end"); });
+  clock.advance(Duration::milliseconds(1));
+  EXPECT_EQ(loop.run_once(Duration::zero()), 3u);
+  EXPECT_EQ(order, (std::vector<std::string>{"slice_end", "release",
+                                             "compensation"}));
+  pump();
+  EXPECT_EQ(order.size(), 3u);
 }
 
 TEST(EventLoopRealClockTest, RunStopsFromTimer) {

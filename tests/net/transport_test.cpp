@@ -76,8 +76,7 @@ TEST(WireCodecTest, MalformedPayloadsThrow) {
 /// loopback, all pumped by hand under a FakeClock.
 struct TransportFixture : ::testing::Test {
   FakeClock clock{TimePoint(5'000'000)};
-  EventLoop loop{EventLoopOptions{&clock, Duration::microseconds(100),
-                                  nullptr}};
+  EventLoop loop{EventLoopOptions{&clock, nullptr}};
   std::unique_ptr<Acceptor> acceptor;
   std::unique_ptr<Connection> server;  // accept side
   std::unique_ptr<Connection> client;  // connect side

@@ -49,8 +49,7 @@ bool frame_complete(const std::string& bytes) {
 
 TEST(GpuServiceTest, ConnectionAcceptedOnAJustClosedFdIsServed) {
   net::FakeClock clock{TimePoint(5'000'000)};
-  net::EventLoop loop{net::EventLoopOptions{&clock, Duration::microseconds(100),
-                                            nullptr}};
+  net::EventLoop loop{net::EventLoopOptions{&clock, nullptr}};
   GpuService service(loop,
                      std::make_unique<server::FixedResponse>(Duration::zero()),
                      /*seed=*/1, net::SocketAddress{});
