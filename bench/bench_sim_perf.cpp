@@ -28,8 +28,8 @@
 //                                 isolating the engine-only comparison;
 //   * BM_BatchReplication      -- one spec with replications = K through
 //                                 sim::BatchSimEngine's shared skeleton;
-//                                 also records fast_share, bail_window and
-//                                 bail_tie from one untimed run.
+//                                 also records fast_share and
+//                                 resync_windows from one untimed run.
 //
 // All three are normalized by the same work unit (K x the serial engine's
 // event count for the scenario), so agg_events_per_sec ratios are exactly
@@ -275,8 +275,7 @@ void BM_BatchReplication(benchmark::State& state) {
   const sim::BatchEngineStats& st = engine.stats();
   state.counters["fast_share"] = static_cast<double>(st.fast_replications) /
                                  static_cast<double>(kReplications);
-  state.counters["bail_window"] = static_cast<double>(st.bailed_window);
-  state.counters["bail_tie"] = static_cast<double>(st.bailed_tie);
+  state.counters["resync_windows"] = static_cast<double>(st.resync_windows);
 }
 BENCHMARK(BM_BatchReplication)->Unit(benchmark::kMillisecond);
 

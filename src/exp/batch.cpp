@@ -71,10 +71,11 @@ ScenarioOutcome BatchRunner::run_one(const ScenarioSpec& spec,
         auto& reg = shard->registry();
         reg.counter("batch.fast_replications").inc(st.fast_replications);
         reg.counter("batch.fallback_replications").inc(st.fallback_replications);
-        reg.counter("sim.batch.bail.window").inc(st.bailed_window);
-        reg.counter("sim.batch.bail.tie").inc(st.bailed_tie);
-        reg.counter("sim.batch.tie_instants").inc(st.tie_instants);
-        reg.counter("sim.batch.exact_replays").inc(st.exact_replays);
+        reg.counter("sim.batch.resync_windows").inc(st.resync_windows);
+        reg.counter("sim.batch.resync_events").inc(st.resync_events);
+        reg.counter("sim.batch.ineligible.config").inc(st.ineligible_config);
+        reg.counter("sim.batch.ineligible.post_wcet").inc(st.ineligible_post_wcet);
+        reg.counter("sim.batch.ineligible.ties").inc(st.ineligible_ties);
       }
       return_batch_engine(std::move(batch));
       out.metrics = std::move(res.per_replication.front());

@@ -1,57 +1,47 @@
 // Batched replication engine (see batch_engine.hpp for the contract).
 //
-// Parity argument, in one place. Under the skeleton preconditions (EDF,
-// always-WCET, periodic releases, zero context-switch overhead, zero post
-// WCET, no controller/sink/trace/abort) the serial engine's schedule of
-// release/setup/local work cannot depend on the server draws as long as
-// every draw is timely: the only sub-jobs whose timing depends on a draw
-// are result posts, and those have zero length, so they occupy the CPU for
-// an instant without delaying anything else. The skeleton recorded below is
-// that shared schedule, produced by the protocol core itself (a third
-// driver of protocol_core.hpp, beside SimEngine and the real runtime). A
-// replication only has to (a) draw the responses in the skeleton's request
-// order -- the only RNG consumption in this configuration -- and (b) replay
-// the zero-length posts against the skeleton's busy segments to reproduce
-// the serial engine's context-switch count, completion bookkeeping and
-// deadline checks.
+// Parity argument, in one place. Under the skeleton preconditions the
+// serial engine's schedule of release/setup/local work cannot depend on
+// the server draws as long as every draw is timely: the only sub-jobs whose
+// timing depends on a draw are result posts, which have zero length. A
+// post alone on its nanosecond -- strictly between two skeleton pops, on
+// no other arrival's instant -- runs at its arrival or right after the
+// segment end it waits for, after every event pushed before that instant,
+// and takes no time, so it changes no other post's outcome. Each draw
+// column's window is therefore split at the pops (and at the deadline and
+// the horizon) into intervals with one outcome each, looked up in the
+// column loop that draws the column.
 //
-// A post alone on its nanosecond -- strictly between two skeleton pops, on
-// no other arrival's instant -- cannot change another post's outcome: it
-// runs at its arrival or right after the segment end it waits for, after
-// every event pushed before that instant, and takes no time. Its outcome
-// depends only on which gap between consecutive pops its arrival lands in.
-// So each draw column's window is split at the pops (and at the deadline
-// and the horizon) into intervals, each with the outcome the merge rules
-// give it (the outcome table), and a lane's replay is one table lookup per
-// draw, fused into the column loop that draws it.
+// Resync windows. A lane leaves that path on a non-timely draw (its
+// compensation has nonzero length), a zero response (the arrival pops on
+// its send instant) or an arrival on the nanosecond of a skeleton pop or
+// of another of its arrivals (the order there hinges on push order). Its
+// divergence is the timer's or the arrival's instant. The lane draws on
+// until the loop reaches t0, the last instant at or before that divergence
+// just before which the skeleton's CPU was idle; the real protocol core
+// then runs for the lane alone from t0 until its CPU is idle again (t1),
+// and the lane rejoins the column loop at the first column sent at or
+// after t1. Both instants are states the skeleton can resume from: no work
+// is pending in either schedule (the lane runs the skeleton's work plus
+// compensations, so its backlog is never the smaller), periodic releases
+// make both wait for each task's next release, and pending releases keep
+// their relative (time, seq) order, which follows from the release
+// history alone. Only the lane's offloads in flight differ: a timely
+// arrival alone on its nanosecond off the skeleton's pops is classified
+// like a table entry (a loose arrival); any other is the lane's next
+// divergence. The window seeds its core with the offloads in flight at t0
+// in push order (a release and a send never share a push instant in the
+// skeleton: ties_replayable), sends the columns the loop drew from t0 on
+// again with their draws, and draws later sends from the lane's Rng in the
+// core's send order, so at t1 the Rng stands where the serial run's does.
+// The lane's counters trade the table outcomes of its posts arriving at or
+// after t0 for the core's metrics over [t0, t1) minus the skeleton's.
 //
-// Where a post meets other work on one nanosecond, the serial outcome
-// hinges on its (time, seq) event order and (key, seq) ready order. Both
-// follow from facts the replay can compute:
-//   * Events on one nanosecond pop in push order. A release at T was pushed
-//     at T - period; a result arrival at its send instant, inside the
-//     setup's completion, before that event's dispatch arms a slice; the
-//     running job's completion at its last (re)dispatch. That job ran alone
-//     from its skeleton dispatch to T, so every arrival at T was sent no
-//     later -- in the same instant, the send first -- and pops before the
-//     completion; a post that preempted the job since only pushed the
-//     completion later still. A zero-length post's slice end is pushed at
-//     T itself, so it pops after every event at T pushed earlier: a second
-//     arrival or a release at T can still preempt that post.
-//   * A release and an arrival are never pushed on one nanosecond: the
-//     skeleton is rejected up front when a completion and a release share
-//     a nanosecond.
-//   * Ready-queue ties on the EDF key break on push order of the sub-jobs: a
-//     skeleton setup or local job is pushed at its release pop, a post at
-//     its arrival pop. A post therefore ranks behind exactly the skeleton
-//     jobs released before its arrival popped.
-// A lane with such an instant leaves the column loop for the exact merge,
-// which redraws its responses and steps the serial engine's events at each
-// such instant over a tiny local state (tie_step). Only a non-timely draw
-// (response > R or no response), which spawns a compensation sub-job of
-// nonzero length and really changes the schedule, bails that replication
-// out to the serial engine with the same derived seed -- and, counted
-// apart, a zero response, whose arrival is pushed at T itself.
+// Two sums keep the serial order. accrued_benefit adds in completion
+// order: a lane folds its table hits into its running sum before each
+// window, whose core continues it; a lane with no window reads a running-
+// sum table. observed_response_ms is a Welford accumulator in draw order:
+// the column loop adds every draw it makes, a window only its own.
 
 #include "sim/batch_engine.hpp"
 
@@ -71,16 +61,29 @@ namespace rt::sim {
 
 namespace {
 
-using detail::TaskCache;
-
 using detail::kNoSlot;
-constexpr std::size_t kNoPost = std::numeric_limits<std::size_t>::max();
+using detail::TaskCache;
+/// No instant: no arrival or pop equals it, and every instant is above it.
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::min();
+/// No instant yet: above every instant.
+constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
+/// No column: a lane that waits for none.
+constexpr std::size_t kNoColumn = std::numeric_limits<std::size_t>::max();
+/// Lanes one block advances together.
+constexpr std::size_t kLanes = 128;
+/// A window that would close with the lane's next divergence due within
+/// this many columns' average spacing keeps running: reopening costs more
+/// than the columns the lane would draw in between. And while the run's
+/// lanes draw fewer columns than this per window, a window runs to the
+/// horizon: divergences are so dense that closing only adds cost.
+constexpr std::size_t kMinGap = 8;
 
 /// One request send point of the skeleton, in serial draw order.
 struct SkelDraw {
   std::int64_t send_ns = 0;      ///< setup completion = request send time
   std::int64_t window_ns = 0;    ///< decision R: timely iff response <= R
   std::int64_t deadline_ns = 0;  ///< job deadline (also the post's EDF key)
+  std::int64_t idle_ns = 0;      ///< idle_before(send_ns)
   std::uint32_t task = 0;
 };
 
@@ -92,60 +95,45 @@ struct SkelSegment {
   std::uint64_t seq = 0;  ///< the job's sub-job seq: its release's rank
 };
 
+/// What one skeleton pop did, for a window's share of the metrics.
+enum PopFlag : std::uint8_t {
+  kCompletion = 1,  ///< a slice end; otherwise a release
+  kSwitched = 2,    ///< its dispatch counted a context switch
+  kSetupDone = 4,   ///< it completed a setup (an offload attempt)
+  kLocalDone = 8,   ///< it completed a local job
+  kMissed = 16,     ///< that completion was past its deadline
+};
+
 /// One skeleton event pop, in pop order.
 struct SkelPop {
   std::int64_t time_ns = 0;
-  /// Instant the event was pushed. The replay reads it for releases
-  /// only (pushed at their task's previous release): an arrival always
-  /// pops before a completion on its nanosecond (tie_step).
-  std::int64_t push_ns = 0;
   /// Skeleton sub-jobs released so far, this pop included. A post whose
   /// arrival pops after this one ranks behind exactly these on a key tie.
   std::uint64_t releases = 0;
   /// Segment running after this pop's dispatch, or kNoSlot (CPU idle).
   std::uint32_t seg_after = kNoSlot;
-  bool completion = false;
-  bool switched = false;  ///< this pop's dispatch counted a context switch
+  std::uint32_t task = 0;  ///< the task released or completed
+  std::uint8_t flags = 0;  ///< PopFlag bits
 };
 
-/// A timely result arrival of one replication (zero-length post job).
-struct Arrival {
+/// One release of the run, in pop order.
+struct SkelRelease {
   std::int64_t time_ns = 0;
-  std::int64_t send_ns = 0;      ///< push instant of the arrival event
-  std::int64_t deadline_ns = 0;  ///< job deadline = EDF key of the post
+  std::int64_t pushed_ns = 0;  ///< the previous release (kNever: at start)
   std::uint32_t task = 0;
-  std::uint32_t interval = 0;    ///< its interval of the outcome table
+  /// Its rank among the pushes on `pushed_ns`: the releases popped there
+  /// before the one that pushed it (at start: the task index).
+  std::uint32_t rank = 0;
 };
-
-/// A post job in the ready queue behind higher-priority work.
-struct Pending {
-  std::int64_t deadline_ns = 0;  ///< also its EDF key
-  /// Skeleton releases popped before its arrival: the post runs before a
-  /// skeleton job of equal key iff that job's seq is larger.
-  std::uint64_t seq = 0;
-  std::uint32_t task = 0;
-};
-
-/// Serial ready order between a post and a skeleton job: (key, seq).
-bool runs_before(const Pending& p, const SkelSegment& s) {
-  return p.deadline_ns < s.key || (p.deadline_ns == s.key && p.seq < s.seq);
-}
-
-// ---------------------------------------------------------------------
-// Skeleton recording. The skeleton is the protocol core's own schedule:
-// SkeletonRecorder drives ProtocolCore the way SimEngine does (engine.cpp)
-// -- a heap of releases plus the one armed slice end in a register beside
-// it, both ordered on (time, seq) from one counter -- so every pop,
-// dispatch and metric it records is the serial engine's. A request send
-// becomes a draw and is never resolved: its zero-length post belongs to
-// each replication's replay, not to the shared schedule.
 
 struct Skeleton {
-  bool valid = false;  ///< false: a precondition or tie precheck failed
+  bool valid = false;  ///< false: the tie precheck failed
+  std::vector<SkelRelease> releases;
   std::vector<SkelDraw> draws;
   std::vector<SkelSegment> segments;
-  /// Every skeleton event pop, in pop (= time) order.
   std::vector<SkelPop> pops;
+  /// Pop instants just before which the CPU was idle: busy period starts.
+  std::vector<std::int64_t> idle_starts;
   /// Replication-invariant part of the metrics: releases, attempts, local
   /// completions/benefit, setup/local deadline misses, skeleton context
   /// switches, and all of cpu_busy (the posts have zero length).
@@ -153,161 +141,387 @@ struct Skeleton {
 };
 
 /// Tie precheck: a completion on the same nanosecond as a release pop
-/// means replayed preemptions could reorder the (time, seq) ties the
-/// skeleton resolved one way.
+/// would push a request and a release in one instant, and a window could
+/// not order the two from push instants alone.
 bool ties_replayable(const std::vector<SkelPop>& pops) {
   for (std::size_t i = 0; i < pops.size();) {
     const std::int64_t t = pops[i].time_ns;
     bool release = false;
     bool completion = false;
     for (; i < pops.size() && pops[i].time_ns == t; ++i) {
-      (pops[i].completion ? completion : release) = true;
+      ((pops[i].flags & kCompletion) != 0 ? completion : release) = true;
     }
     if (release && completion) return false;
   }
   return true;
 }
 
-class SkeletonRecorder : public ProtocolCore<SkeletonRecorder> {
+/// Index of the first element of `v` (sorted on `time`) at or after t.
+template <typename T>
+std::size_t first_at(const std::vector<T>& v, std::int64_t T::*time, std::int64_t t) {
+  return static_cast<std::size_t>(
+      std::lower_bound(v.begin(), v.end(), t,
+                       [time](const T& x, std::int64_t y) { return x.*time < y; }) -
+      v.begin());
+}
+
+/// The last instant at or before t just before which the skeleton's CPU
+/// was idle: t itself, or the start of the busy period holding t.
+std::int64_t idle_before(const Skeleton& sk, std::int64_t t) {
+  const std::size_t q = first_at(sk.pops, &SkelPop::time_ns, t);
+  if (q == 0 || sk.pops[q - 1].seg_after == kNoSlot) return t;
+  return *(std::upper_bound(sk.idle_starts.begin(), sk.idle_starts.end(), t - 1) - 1);
+}
+
+/// An offload of one lane in flight: one a window inherits at t0, or one
+/// it leaves behind at t1 (loose).
+struct Flight {
+  std::int64_t time_ns = 0;      ///< arrival, or the compensation timer
+  std::int64_t send_ns = 0;      ///< push instant of its event
+  std::int64_t deadline_ns = 0;  ///< job deadline = EDF key of the post
+  std::uint32_t task = 0;
+  /// Releases popped on the send's instant before the send (a window can
+  /// put a release and a send on one instant).
+  std::uint32_t rank = 0;
+  bool timer = false;
+  /// Its outcome is in the lane's table counters: a timely arrival alone on
+  /// its nanosecond, off the skeleton's pops.
+  bool counted = false;
+};
+
+// ---------------------------------------------------------------------
+// The protocol core's driver. One CoreRunner records the skeleton -- a run
+// from 0 in which a request send becomes a draw and is never resolved, so
+// its zero-length post belongs to each replication's replay -- and then
+// runs every window, which resolves its sends. Both take the releases,
+// the same in every replication, from one schedule (Skeleton::releases)
+// and queue only offloads; every other step is SimEngine's (engine.cpp),
+// so every pop, dispatch and metric is the serial engine's.
+
+class CoreRunner : public ProtocolCore<CoreRunner> {
  public:
   static constexpr const char* kName = "simulate";
   static constexpr const char* kMetricPrefix = "sim";
 
-  /// The run's TaskCache, which the replay reads: record() validated the
-  /// inputs and filled it, through ProtocolCore::reset.
+  /// The run's TaskCache: record() validated the inputs and filled it,
+  /// through ProtocolCore::reset.
   using ProtocolCore::task_cache;
 
   Skeleton record(const core::TaskSet& tasks, const core::DecisionVector& decisions,
                   const SimConfig& config, const RequestProfile& profile) {
-    sk_ = Skeleton{};
-    releases_.clear();
-    event_seq_ = 0;
-    slice_time_ = TimePoint::max();
     reset(tasks, decisions, config, profile);
-    for (std::uint32_t i = 0; i < tasks.size(); ++i) {
-      push_release(TimePoint::zero(), i);
-    }
-    for (;;) {
-      const bool slice = slice_is_next();
-      const TimePoint t = slice ? slice_time_ : releases_[0].time;
-      if (t >= horizon_end_) break;
-      // The sub-job running into this pop; seqs start at 1, so 0 is idle.
-      const SubJob* ran = running_subjob();
-      const std::uint64_t ran_seq = ran != nullptr ? ran->seq : 0;
-      const std::int64_t ran_key = ran != nullptr ? ran->priority_key : 0;
-      advance_to(t);
-      TimePoint pushed = slice_pushed_;
-      if (slice) {
-        slice_time_ = TimePoint::max();
-        if (!slice_end()) {
-          throw std::logic_error("simulate: live slice-end without a finished job");
-        }
-      } else {
-        const Release ev = releases_[0];
-        heap_pop(releases_);
-        pushed = ev.pushed;
-        push_release(release(ev.task, now_), ev.task);
-      }
-      const std::uint64_t switches = metrics_.context_switches;
-      dispatch();
-      const SubJob* runs = running_subjob();
-      if ((runs != nullptr ? runs->seq : 0) != ran_seq) {
-        if (ran_seq != 0) {
-          sk_.segments.push_back(SkelSegment{seg_start_, t.ns(), ran_key, ran_seq});
-        }
-        seg_start_ = t.ns();
-      }
-      // The running segment is the next one appended: every segment
-      // started earlier has already ended.
-      sk_.pops.push_back(SkelPop{
-          t.ns(), pushed.ns(), job_counter_,
-          runs != nullptr ? static_cast<std::uint32_t>(sk_.segments.size()) : kNoSlot,
-          slice, metrics_.context_switches != switches});
-    }
+    sk_ = Skeleton{};
+    schedule_releases();
+    recording_ = true;
+    const std::vector<Flight> none;
+    open(sk_, 0, {}, none, nullptr, nullptr, nullptr, metrics_.per_task);
+    std::uint64_t events = 0;
+    run(kNone, events);
+    recording_ = false;
     // A job still running holds the CPU, and is charged, up to the
     // horizon, like the serial engine's final advance.
-    advance_to(horizon_end_);
     if (const SubJob* sj = running_subjob()) {
       sk_.segments.push_back(
           SkelSegment{seg_start_, horizon_end_.ns(), sj->priority_key, sj->seq});
     }
     finish();
     sk_.base = std::move(metrics_);
-
     sk_.valid = ties_replayable(sk_.pops);
     return std::move(sk_);
   }
 
-  // ---- the driver hooks of ProtocolCore ----
+  /// A window does not stop at an idle instant while a compensation timer
+  /// fires within `gap_ns` of it.
+  void set_gap(std::int64_t gap_ns) { gap_ns_ = gap_ns; }
 
-  void arm_slice(TimePoint end) {
-    slice_time_ = end;
-    slice_seq_ = event_seq_++;
-    slice_pushed_ = now_;
+  /// Re-enters the run at t0 with the skeleton's releases from t0 on, the
+  /// lane's `flights` and no other work; `reuse` lists the columns the
+  /// core sends first, with their draws (a timer's late_results already
+  /// counted), and later draws come from `rng` into the lane's
+  /// Welford accumulators (one per task, kLanes apart). The core counts
+  /// into the lane's `metrics` until close(); its CPU time and context
+  /// switches restart from zero.
+  void open(const Skeleton& sk, std::int64_t t0, const std::vector<Flight>& flights,
+            const std::vector<Flight>& reuse, Rng* rng, server::ResponseModel* server,
+            RunningStats* response, std::vector<TaskMetrics>& metrics) {
+    resume_idle(TimePoint{t0});
+    metrics_.per_task.swap(metrics);
+    metrics_.cpu_busy_ns = 0;
+    metrics_.context_switches = 0;
+    releases_ = &sk.releases;
+    next_release_ = first_at(sk.releases, &SkelRelease::time_ns, t0);
+    reuse_ = &reuse;
+    reuse_next_ = 0;
+    rng_ = rng;
+    server_ = server;
+    response_ = response;
+    events_.clear();
+    timers_.clear();
+    event_seq_ = 0;
+    slice_key_ = Key{};
+    instant_ = kNever;
+    for (const Flight& f : flights) {
+      heap_push(events_, Event{{f.time_ns, f.send_ns, 2 * std::uint64_t{f.rank}, event_seq_++},
+                               f.deadline_ns, f.task, f.rank, f.timer});
+      if (f.timer) add_timer(f.time_ns);
+    }
   }
 
-  void cancel_slice() { slice_time_ = TimePoint::max(); }
+  /// Hands the lane's metrics back.
+  void close(std::vector<TaskMetrics>& metrics) { metrics_.per_task.swap(metrics); }
 
+  /// Steps events until, past `must_pass` and the reused draws, the lane's
+  /// CPU is idle with no timer due within the gap, returning that instant
+  /// t1; or to the horizon, returning kNever. The skeleton is idle at t1
+  /// too: the lane runs the skeleton's work plus compensations, so under a
+  /// work-conserving scheduler its backlog is never the smaller. Events
+  /// popped are counted into `events`. Called again, it continues.
+  std::int64_t run(std::int64_t must_pass, std::uint64_t& events) {
+    std::int64_t last = now_.ns() - 1;  // the last instant stepped
+    for (;;) {
+      // The next event: the armed slice end, the next release or the
+      // earliest offload, in (time, push instant, rank, seq) order.
+      enum { kSlice, kRelease, kOffload } next = kSlice;
+      Key key = slice_key_;
+      if (next_release_ < releases_->size() &&
+          key_of((*releases_)[next_release_]) < key) {
+        next = kRelease;
+        key = key_of((*releases_)[next_release_]);
+      }
+      if (!events_.empty() && events_[0].key < key) {
+        next = kOffload;
+        key = events_[0].key;
+      }
+      if (key.time >= horizon_end_.ns()) break;
+      if (key.time > last && last >= must_pass && reuse_next_ == reuse_->size() &&
+          running_subjob() == nullptr &&
+          (timers_.empty() || timers_.front() - last > gap_ns_)) {
+        return last + 1;
+      }
+      if (recording_) begin_pop(key.time, last);
+      last = key.time;
+      ++events;
+      advance_to(TimePoint{key.time});
+      if (next == kSlice) {
+        slice_key_.time = kNone;
+        const std::uint64_t misses = metrics_.per_task[ran_.task].deadline_misses;
+        if (!slice_end()) {
+          throw std::logic_error("simulate: live slice-end without a finished job");
+        }
+        if (recording_) {
+          pop_.flags = static_cast<std::uint8_t>(
+              kCompletion |
+              (ran_.phase == detail::Phase::kSetup ? kSetupDone : kLocalDone) |
+              (metrics_.per_task[ran_.task].deadline_misses != misses ? kMissed : 0));
+        }
+      } else if (next == kRelease) {
+        if (now_.ns() != instant_) {
+          instant_ = now_.ns();
+          released_ = 0;
+        }
+        ++released_;
+        pop_.task = (*releases_)[next_release_++].task;
+        (void)release(pop_.task, now_);
+      } else {
+        const Event ev = events_[0];
+        heap_pop(events_);
+        if (ev.timer) {  // timers pop in time order: this is the earliest
+          std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
+          timers_.pop_back();
+        }
+        const Offload job{TimePoint{ev.deadline}, TimePoint{ev.key.pushed}, 0, ev.task, 0};
+        resolve(job, !ev.timer, now_ - job.send);
+      }
+      const std::uint64_t switches = metrics_.context_switches;
+      dispatch();
+      if (recording_) end_pop(switches);
+    }
+    advance_to(horizon_end_);
+    return kNever;
+  }
+
+  /// The CPU time and context switches of the window so far.
+  [[nodiscard]] std::int64_t busy_ns() const { return metrics_.cpu_busy_ns; }
+  [[nodiscard]] std::uint64_t switches() const { return metrics_.context_switches; }
+
+  /// The offloads in flight before the horizon when run() returned, in
+  /// push order.
+  void in_flight(std::vector<Flight>& out) {
+    flying_.clear();
+    for (const Event& e : events_) {
+      if (e.key.time < horizon_end_.ns()) flying_.push_back(e);
+    }
+    std::sort(flying_.begin(), flying_.end(), [](const Event& a, const Event& b) {
+      return a.key.pushed != b.key.pushed ? a.key.pushed < b.key.pushed
+                                          : a.key.seq < b.key.seq;
+    });
+    out.clear();
+    for (const Event& e : flying_) {
+      out.push_back(Flight{e.key.time, e.key.pushed, e.deadline, e.task, e.rank, e.timer,
+                           false});
+    }
+  }
+
+  // ---- the driver hooks of ProtocolCore ----
+
+  void arm_slice(TimePoint end) { slice_key_ = push_key(end.ns()); }
+
+  void cancel_slice() { slice_key_.time = kNone; }
+
+  /// Recording, a send becomes a draw. In a window it is SimEngine's send,
+  /// drawing from the column loop's row while the core repeats the
+  /// skeleton's sends and from the lane after that.
   void send_offload(const Offload& job, const TaskCache& tc) {
-    sk_.draws.push_back(SkelDraw{job.send.ns(), tc.response_time.ns(),
-                                 job.job_deadline.ns(), job.task});
+    if (recording_) {
+      sk_.draws.push_back(SkelDraw{job.send.ns(), tc.response_time.ns(),
+                                   job.job_deadline.ns(), sk_.idle_starts.back(), job.task});
+      return;
+    }
+    Duration response;
+    if (reuse_next_ < reuse_->size()) {
+      const Flight& u = (*reuse_)[reuse_next_++];
+      if (u.send_ns != now_.ns() || u.task != job.task) {
+        throw std::logic_error("simulate: a window left the skeleton before its divergence");
+      }
+      response = u.timer ? server::kNoResponse : Duration::nanoseconds(u.time_ns - u.send_ns);
+    } else {
+      server::Request req = tc.req;
+      req.send_time = now_;
+      response = server_->sample(req, *rng_);
+      if (response != server::kNoResponse) response_[job.task * kLanes].add(response.ms());
+      if (response != server::kNoResponse && response > tc.response_time) {
+        ++metrics_.per_task[job.task].late_results;
+      }
+    }
+    const bool timer = response == server::kNoResponse || response > tc.response_time;
+    const std::int64_t at = (now_ + (timer ? tc.response_time : response)).ns();
+    heap_push(events_, Event{push_key(at), job.job_deadline.ns(), job.task, rank_now(), timer});
+    if (timer) add_timer(at);
   }
 
  private:
-  struct Release {
-    TimePoint time;
+  /// SimEngine's (time, seq) order, spelled out: on one instant an event
+  /// pushed earlier pops first, and among pushes on one instant, releases
+  /// go in their pop order (rank 2k + 1 for the k-th) and any other push
+  /// between them (rank 2m after m releases), in push order.
+  struct Key {
+    std::int64_t time = kNone;
+    std::int64_t pushed = 0;
+    std::uint64_t rank = 0;
     std::uint64_t seq = 0;
-    TimePoint pushed;  ///< the task's previous release
-    std::uint32_t task = 0;
 
-    friend bool operator<(const Release& a, const Release& b) {
+    friend bool operator<(const Key& a, const Key& b) {
       if (a.time != b.time) return a.time < b.time;
+      if (a.pushed != b.pushed) return a.pushed < b.pushed;
+      if (a.rank != b.rank) return a.rank < b.rank;
       return a.seq < b.seq;
     }
   };
 
-  void push_release(TimePoint time, std::uint32_t task) {
-    heap_push(releases_, Release{time, event_seq_++, now_, task});
+  /// An offload of the lane: a result arrival, or a compensation timer.
+  struct Event {
+    Key key;
+    std::int64_t deadline = 0;  ///< the job deadline
+    std::uint32_t task = 0;
+    std::uint32_t rank = 0;  ///< Flight::rank
+    bool timer = false;
+
+    friend bool operator<(const Event& a, const Event& b) { return a.key < b.key; }
+  };
+
+  static Key key_of(const SkelRelease& r) {
+    return Key{r.time_ns, r.pushed_ns, 2 * std::uint64_t{r.rank} + 1, 0};
   }
 
-  /// Does the armed slice end pop before the next release? Disarmed, it is
-  /// at TimePoint::max() and only "wins" an empty heap, past the horizon.
-  [[nodiscard]] bool slice_is_next() const {
-    if (releases_.empty()) return true;
-    const Release& top = releases_[0];
-    return slice_time_ < top.time ||
-           (slice_time_ == top.time && slice_seq_ < top.seq);
+  std::uint32_t rank_now() const { return instant_ == now_.ns() ? released_ : 0; }
+
+  Key push_key(std::int64_t at) {
+    return Key{at, now_.ns(), 2 * std::uint64_t{rank_now()}, event_seq_++};
   }
 
+  void add_timer(std::int64_t at) {
+    timers_.push_back(at);
+    std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
+  }
+
+  /// The run's releases before the horizon, in SimEngine's pop order: a
+  /// heap of each task's next release on (time, push instant, rank).
+  void schedule_releases() {
+    std::vector<SkelRelease> next;
+    const auto later = [](const SkelRelease& a, const SkelRelease& b) {
+      return key_of(b) < key_of(a);
+    };
+    for (std::uint32_t i = 0; i < tasks_->size(); ++i) {
+      next.push_back(SkelRelease{0, kNever, i, i});
+    }
+    std::make_heap(next.begin(), next.end(), later);
+    std::int64_t instant = kNever;
+    std::uint32_t popped = 0;  // releases on `instant` so far
+    while (!next.empty() && next.front().time_ns < horizon_end_.ns()) {
+      std::pop_heap(next.begin(), next.end(), later);
+      SkelRelease& r = next.back();
+      sk_.releases.push_back(r);
+      if (r.time_ns != instant) {
+        instant = r.time_ns;
+        popped = 0;
+      }
+      r = SkelRelease{r.time_ns + task_cache()[r.task].period.ns(), r.time_ns, r.task,
+                      popped++};
+      std::push_heap(next.begin(), next.end(), later);
+    }
+  }
+
+  // ---- recording a skeleton pop ----
+
+  /// Before the pop at t: the sub-job running into it (seq 0: idle), and
+  /// the instant, if the CPU was idle before its first pop.
+  void begin_pop(std::int64_t t, std::int64_t last) {
+    const SubJob* ran = running_subjob();
+    ran_ = ran != nullptr ? *ran : SubJob{};
+    if (ran == nullptr && t != last) sk_.idle_starts.push_back(t);
+    pop_ = SkelPop{t, 0, kNoSlot, ran_.task, 0};
+  }
+
+  /// After the pop's dispatch: closes the running segment if the sub-job
+  /// changed, and appends the pop.
+  void end_pop(std::uint64_t switches) {
+    const SubJob* runs = running_subjob();
+    if ((runs != nullptr ? runs->seq : 0) != ran_.seq) {
+      if (ran_.seq != 0) {
+        sk_.segments.push_back(
+            SkelSegment{seg_start_, pop_.time_ns, ran_.priority_key, ran_.seq});
+      }
+      seg_start_ = pop_.time_ns;
+    }
+    // The running segment is the next one appended: every segment
+    // started earlier has already ended.
+    pop_.releases = job_counter_;
+    if (runs != nullptr) pop_.seg_after = static_cast<std::uint32_t>(sk_.segments.size());
+    if (metrics_.context_switches != switches) pop_.flags |= kSwitched;
+    sk_.pops.push_back(pop_);
+  }
+
+  bool recording_ = false;
   Skeleton sk_;  ///< the skeleton record() is filling
-  std::vector<Release> releases_;  // 4-ary min-heap keyed on (time, seq)
-  std::uint64_t event_seq_ = 0;
-  TimePoint slice_time_ = TimePoint::max();
-  std::uint64_t slice_seq_ = 0;
-  TimePoint slice_pushed_;
+  SubJob ran_;   ///< the sub-job running into the pop being recorded
+  SkelPop pop_;  ///< the pop being recorded
   std::int64_t seg_start_ = 0;  ///< start of the running sub-job's segment
-};
 
-/// How one replication's replay ended.
-enum class Replay : std::uint8_t {
-  kFast,    ///< the skeleton represents it exactly
-  kWindow,  ///< a response later than R, or none: the schedule changes
-  kTie,     ///< a same-instant pattern the tie step does not model
-  kExact,   ///< a same-instant event: the lane needs the exact merge
-};
-
-/// Where one replication's walk over the skeleton stands.
-struct Cursor {
-  std::size_t seg = 0;    ///< first segment not yet fully passed
-  std::size_t pop = 0;    ///< first skeleton pop not yet passed
-  std::uint64_t ctx = 0;  ///< context switches beyond the skeleton's
-};
-
-/// A slice end armed during a tie step; it pops after every event pushed
-/// before the step's instant.
-struct LocalSliceEnd {
-  std::uint64_t generation = 0;
-  bool post = false;
+  const std::vector<SkelRelease>* releases_ = nullptr;
+  std::size_t next_release_ = 0;
+  std::vector<Event> events_;  // 4-ary min-heap of the lane's offloads
+  std::vector<Event> flying_;
+  std::vector<std::int64_t> timers_;  ///< min-heap: the timers in events_
+  std::int64_t gap_ns_ = 0;
+  std::uint64_t event_seq_ = 0;
+  Key slice_key_;
+  std::int64_t instant_ = kNever;  ///< the instant of the last release pop
+  std::uint32_t released_ = 0;     ///< releases popped on that instant
+  const std::vector<Flight>* reuse_ = nullptr;
+  std::size_t reuse_next_ = 0;
+  Rng* rng_ = nullptr;
+  server::ResponseModel* server_ = nullptr;
+  RunningStats* response_ = nullptr;  ///< the lane's, [task * kLanes]
 };
 
 /// What one timely post adds to its lane when its arrival lands inside
@@ -349,13 +563,29 @@ struct Column {
   std::uint32_t reaches = 0;    ///< earlier columns whose windows pass its send
 };
 
-/// Lanes one block advances together.
-constexpr std::size_t kLanes = 128;
-/// Counter stride: the block's lanes plus the exact merge's scratch slot.
-constexpr std::size_t kStride = kLanes + 1;
-constexpr std::size_t kScratch = kLanes;
-/// An interval whose upper end is no pop instant: no arrival equals it.
-constexpr std::int64_t kNoPopAt = std::numeric_limits<std::int64_t>::min();
+/// One lane's windows: what they changed, what they left in flight, and
+/// where the lane goes next.
+struct LaneState {
+  /// What the windows changed beyond the table counters: counts as
+  /// modular deltas over the skeleton's, and an offloaded task's
+  /// accrued_benefit as its sum in completion order, with `folded` of its
+  /// table hits added.
+  std::vector<TaskMetrics> task;
+  std::vector<std::uint64_t> folded;
+  std::uint64_t ctx = 0;
+  std::int64_t busy = 0;
+  std::vector<Flight> loose;  ///< left in flight by the last window
+  /// Not drawing: the column it rejoins at (kNoColumn: complete), and its
+  /// Rng, which the column loop's draws for the other lanes advance.
+  std::size_t resume = kNoColumn;
+  Rng saved{0};
+  /// The earliest divergence no window has run yet: a late or missing
+  /// response's timer, a zero or colliding arrival, or such a loose
+  /// offload. Its window opens at idle_before(pending_ns), before the
+  /// lane draws column window_at.
+  std::int64_t pending_ns = kNone;
+  std::size_t window_at = kNoColumn;
+};
 
 }  // namespace
 
@@ -364,7 +594,7 @@ constexpr std::int64_t kNoPopAt = std::numeric_limits<std::int64_t>::min();
 struct BatchSimEngine::Impl {
   BatchEngineStats stats_;
   SimEngine fallback_;
-  SkeletonRecorder recorder_;
+  CoreRunner core_;
 
   // Outcome table, one slice per draw column, built as the first block
   // reaches the column.
@@ -377,43 +607,42 @@ struct BatchSimEngine::Impl {
   /// Per column, ring rows of the earlier columns whose windows pass its
   /// send: the only draws one of its arrivals can share a nanosecond with.
   std::vector<std::uint32_t> reach_rows_;
-  std::size_t ring_rows_ = 1;  ///< a power of two
+  /// A power of two, deep enough for every column a window takes over.
+  std::size_t ring_rows_ = 1;
 
-  // One block's lanes. Counters are [task][slot] with stride kStride, slot
-  // kScratch being the exact merge's; a lane leaving the fused loop hands
-  // its slot to the last live one. A task's benefit is its hit count's
+  // One block's lanes. Counters are [task][lane] with stride kLanes and
+  // hold the table's outcomes only. A task's benefit is its hit count's
   // entry in benefit_sums_: the serial engine adds the same value per hit.
   std::vector<Rng> rngs_;
-  std::vector<std::uint32_t> lane_of_;  ///< [slot] replication - block start
-  std::vector<Duration> row_;           ///< [slot] one column's draws
-  std::vector<Replay> fate_;            ///< [slot] after one column
+  std::vector<Duration> row_;    ///< [lane] one column's draws
+  std::vector<char> leaves_;     ///< [lane] after one column
+  std::vector<char> live_mask_;  ///< [lane] drawing in the column loop
   std::vector<std::uint64_t> timely_;
   std::vector<std::uint64_t> completed_;
   std::vector<std::uint64_t> misses_;
   std::vector<std::uint64_t> packed_;  ///< the lane loop's, unpacked above
   std::vector<RunningStats> response_;
-  std::vector<std::uint64_t> ctx_delta_;  ///< [slot]
-  std::vector<std::int64_t> ring_;        ///< [column % ring_rows_][slot] arrivals
+  std::vector<std::uint64_t> ctx_delta_;  ///< [lane]
+  /// [column % ring_rows_][lane] arrivals; a late or missing response's
+  /// timer instant t as ~t, which equals no arrival.
+  std::vector<std::int64_t> ring_;
+  std::vector<std::int64_t> loose_until_;  ///< [lane] latest counted loose arrival
   std::vector<std::vector<double>> benefit_sums_;  ///< [task][hits]
+  std::vector<LaneState> lanes_;
+  std::size_t live_ = 0;     ///< lanes drawing
+  std::uint64_t drawn_ = 0;  ///< lane-columns drawn in this run
+  std::size_t next_event_ = kNoColumn;  ///< the least resume or window_at
 
-  // The exact merge.
-  std::vector<Duration> rep_draws_;
-  std::vector<Arrival> arrivals_;
-  std::vector<Pending> pending_;
-  std::vector<LocalSliceEnd> slice_ends_;
+  // A window's inputs and scratch.
+  std::vector<Flight> flights_;
+  std::vector<Flight> reuse_;  ///< columns the window sends again
+  std::vector<std::int64_t> times_;
 
-  static bool skeleton_eligible(const SimConfig& cfg) {
-    return cfg.scheduler_policy == SchedulerPolicy::kEdf &&
-           cfg.exec_policy == ExecTimePolicy::kAlwaysWcet &&
-           cfg.release_policy == ReleasePolicy::kPeriodic &&
-           cfg.context_switch_overhead.is_zero() && cfg.controller == nullptr &&
-           cfg.sink == nullptr && cfg.trace_capacity == 0 &&
-           !cfg.abort_on_deadline_miss;
-  }
+  std::int64_t horizon_ = 0;
+  std::int64_t gap_ns_ = 0;  ///< kMinGap columns' average spacing
+  std::size_t n_ = 0;        ///< tasks
 
-  const TaskCache& cache(std::uint32_t task) const {
-    return recorder_.task_cache()[task];
-  }
+  const TaskCache& cache(std::uint32_t task) const { return core_.task_cache()[task]; }
 
   BatchResult run(const core::TaskSet& tasks,
                   const core::DecisionVector& decisions,
@@ -421,6 +650,7 @@ struct BatchSimEngine::Impl {
                   const SimConfig& config, std::size_t replications,
                   const RequestProfile& profile) {
     stats_ = BatchEngineStats{};
+    drawn_ = 0;
     BatchResult result;
     result.per_replication.resize(replications);
     if (replications == 0) return result;
@@ -432,25 +662,42 @@ struct BatchSimEngine::Impl {
     }
     const std::unique_ptr<server::ResponseModel> server = prototype.clone();
 
-    bool fast = skeleton_eligible(config);
-    for (std::size_t i = 0; fast && i < tasks.size(); ++i) {
-      fast = !decisions[i].offloaded() || tasks[i].post_wcet.is_zero();
+    // Why the skeleton cannot serve the run, if it cannot.
+    std::size_t* ineligible = nullptr;
+    if (config.scheduler_policy != SchedulerPolicy::kEdf ||
+        config.exec_policy != ExecTimePolicy::kAlwaysWcet ||
+        config.release_policy != ReleasePolicy::kPeriodic ||
+        !config.context_switch_overhead.is_zero() || config.controller != nullptr ||
+        config.sink != nullptr || config.trace_capacity != 0 ||
+        config.abort_on_deadline_miss) {
+      ineligible = &stats_.ineligible_config;
+    }
+    for (std::size_t i = 0; ineligible == nullptr && i < tasks.size(); ++i) {
+      if (decisions[i].offloaded() && !tasks[i].post_wcet.is_zero()) {
+        ineligible = &stats_.ineligible_post_wcet;
+      }
     }
     Skeleton sk;
-    if (fast) {
-      sk = recorder_.record(tasks, decisions, config, profile);
-      fast = sk.valid;
+    if (ineligible == nullptr) {
+      sk = core_.record(tasks, decisions, config, profile);
+      if (!sk.valid) ineligible = &stats_.ineligible_ties;
     }
-    if (fast) {
+    if (ineligible == nullptr) {
       prepare(sk, config.horizon.ns(), tasks.size());
       const std::size_t block = server->is_stateless() ? kLanes : 1;
       for (std::size_t r0 = 0; r0 < replications; r0 += block) {
-        run_block(result, sk, r0, std::min(block, replications - r0), tasks,
-                  decisions, *server, config, profile);
+        run_block(result, sk, r0, std::min(block, replications - r0), *server,
+                  config);
       }
     } else {
+      *ineligible += replications;
       for (std::size_t r = 0; r < replications; ++r) {
-        run_fallback(result, r, tasks, decisions, *server, config, profile);
+        ++stats_.fallback_replications;
+        server->reset();
+        SimConfig cfg = config;
+        cfg.seed = derive_seed(config.seed, r);
+        result.per_replication[r] =
+            fallback_.run(tasks, decisions, *server, cfg, profile).metrics;
       }
     }
     for (const SimMetrics& m : result.per_replication) result.aggregate.add(m);
@@ -463,21 +710,29 @@ struct BatchSimEngine::Impl {
     const std::size_t columns = sk.draws.size();
     // An arrival of column c lies in (send_c, send_c + R_c], so it can
     // share a nanosecond only with a column whose window passes send_c.
-    // Draws are in send order, so those columns are the "active" ones.
+    // Draws are in send order, so those columns are the "active" ones. A
+    // window opened at or after column c's idle instant takes over the
+    // columns whose windows reach it, so the ring keeps those too.
     std::vector<std::uint32_t> active;
+    std::vector<std::uint32_t> held;
     std::vector<std::uint32_t> reach;  // column indices for now
     columns_.assign(columns, Column{});
     std::size_t span = 0;
     for (std::size_t c = 0; c < columns; ++c) {
-      const std::int64_t send = sk.draws[c].send_ns;
-      std::erase_if(active, [&](std::uint32_t e) {
-        return sk.draws[e].send_ns + sk.draws[e].window_ns <= send;
-      });
+      const SkelDraw& d = sk.draws[c];
+      const auto ends_before = [&sk](std::int64_t t) {
+        return [&sk, t](std::uint32_t e) {
+          return sk.draws[e].send_ns + sk.draws[e].window_ns < t;
+        };
+      };
+      std::erase_if(active, ends_before(d.send_ns + 1));
+      std::erase_if(held, ends_before(d.idle_ns));
       columns_[c].reach0 = static_cast<std::uint32_t>(reach.size());
       columns_[c].reaches = static_cast<std::uint32_t>(active.size());
       reach.insert(reach.end(), active.begin(), active.end());
-      if (!active.empty()) span = std::max<std::size_t>(span, c - active.front());
+      if (!held.empty()) span = std::max<std::size_t>(span, c - held.front());
       active.push_back(static_cast<std::uint32_t>(c));
+      held.push_back(static_cast<std::uint32_t>(c));
     }
     ring_rows_ = std::bit_ceil(span + 1);
     reach_rows_.resize(reach.size());
@@ -491,20 +746,21 @@ struct BatchSimEngine::Impl {
     built_ = 0;
     build_pop_ = 0;
     horizon_ = horizon;
+    gap_ns_ = static_cast<std::int64_t>(kMinGap) * horizon /
+              static_cast<std::int64_t>(std::max<std::size_t>(columns, 1));
+    core_.set_gap(gap_ns_);
 
     rngs_.assign(kLanes, Rng(0));
-    lane_of_.resize(kLanes);
     row_.resize(kLanes);
-    fate_.resize(kLanes);
+    leaves_.resize(kLanes);
+    live_mask_.resize(kLanes);
     ring_.resize(ring_rows_ * kLanes);
-    timely_.resize(n * kStride);
-    completed_.resize(n * kStride);
-    misses_.resize(n * kStride);
-    packed_.resize(n * kStride);
+    for (auto* v : {&timely_, &completed_, &misses_, &packed_}) v->resize(n * kLanes);
+    response_.resize(n * kLanes);
+    ctx_delta_.resize(kLanes);
+    loose_until_.resize(kLanes);
+    lanes_.resize(kLanes);
     benefit_sums_.assign(n, std::vector<double>{0.0});
-    response_.resize(n * kStride);
-    ctx_delta_.resize(kStride);
-    rep_draws_.resize(columns);
     n_ = n;
   }
 
@@ -531,7 +787,7 @@ struct BatchSimEngine::Impl {
       while (q < sk.pops.size() && sk.pops[q].time_ns <= lo) ++q;
       if (lo >= last_ns) {
         outcomes_.push_back(0);  // never popped
-        pop_at_.push_back(kNoPopAt);
+        pop_at_.push_back(kNever);
         break;
       }
       outcomes_.push_back(classify(sk, q, lo, d.deadline_ns));
@@ -541,7 +797,7 @@ struct BatchSimEngine::Impl {
       if (lo < d.deadline_ns) hi = std::min(hi, d.deadline_ns);
       const bool pop = q < sk.pops.size() && sk.pops[q].time_ns <= hi;
       if (pop) hi = sk.pops[q].time_ns;
-      pop_at_.push_back(pop ? hi : kNoPopAt);
+      pop_at_.push_back(pop ? hi : kNever);
       if (hi >= top) break;
       bounds_.push_back(hi);
       lo = hi;
@@ -567,12 +823,14 @@ struct BatchSimEngine::Impl {
     }
     // Pending behind the running job, it completes at the first segment
     // end where the next segment does not start at once or does not run
-    // before it.
-    const Pending post{deadline, before->releases, 0};
+    // before it, in the serial (key, seq) ready order: a skeleton job of
+    // equal key runs first iff it was released before the post arrived.
+    const std::uint64_t seq = before->releases;
     std::size_t s = seg;
     while (s + 1 < sk.segments.size() &&
            sk.segments[s + 1].start_ns == sk.segments[s].end_ns &&
-           !runs_before(post, sk.segments[s + 1])) {
+           !(deadline < sk.segments[s + 1].key ||
+             (deadline == sk.segments[s + 1].key && seq < sk.segments[s + 1].seq))) {
       ++s;
     }
     const std::int64_t end = sk.segments[s].end_ns;
@@ -581,103 +839,136 @@ struct BatchSimEngine::Impl {
     return std::uint64_t{1} << kTimelyAt;
   }
 
+  /// The outcome of a loose arrival, which lands on no pop instant.
+  std::uint64_t classify(const Skeleton& sk, const Flight& f) const {
+    if (f.time_ns >= horizon_) return 0;
+    return classify(sk, first_at(sk.pops, &SkelPop::time_ns, f.time_ns), f.time_ns - 1,
+                    f.deadline_ns);
+  }
+
   // ---- the lanes ----
 
-  std::size_t at(std::uint32_t task, std::size_t slot) const {
-    return task * kStride + slot;
+  std::size_t at(std::uint32_t task, std::size_t lane) const {
+    return task * kLanes + lane;
   }
 
-  void clear_slot(std::size_t slot) {
+  /// Adds the lane's packed counters into its wide ones.
+  void unpack(std::size_t s) {
     for (std::uint32_t i = 0; i < n_; ++i) {
-      const std::size_t k = at(i, slot);
-      timely_[k] = completed_[k] = misses_[k] = packed_[k] = 0;
-      response_[k] = RunningStats{};
-    }
-    ctx_delta_[slot] = 0;
-  }
-
-  void move_slot(std::size_t from, std::size_t to) {
-    rngs_[to] = rngs_[from];
-    lane_of_[to] = lane_of_[from];
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      const std::size_t f = at(i, from);
-      const std::size_t t = at(i, to);
-      timely_[t] = timely_[f];
-      completed_[t] = completed_[f];
-      misses_[t] = misses_[f];
-      packed_[t] = packed_[f];
-      response_[t] = response_[f];
-    }
-    ctx_delta_[to] = ctx_delta_[from];
-    for (std::size_t row = 0; row < ring_.size(); row += kLanes) {
-      ring_[row + to] = ring_[row + from];
+      const std::size_t k = at(i, s);
+      const std::uint64_t p = packed_[k];
+      timely_[k] += field(p, kTimelyAt);
+      completed_[k] += field(p, kDoneAt);
+      misses_[k] += field(p, kMissAt);
+      ctx_delta_[s] += field(p, kCtxAt);
+      packed_[k] = 0;
     }
   }
 
-  /// Adds the live slots' packed counters into their wide ones.
-  void unpack(std::size_t live) {
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      for (std::size_t s = 0; s < live; ++s) {
-        const std::size_t k = at(i, s);
-        const std::uint64_t p = packed_[k];
-        timely_[k] += field(p, kTimelyAt);
-        completed_[k] += field(p, kDoneAt);
-        misses_[k] += field(p, kMissAt);
-        ctx_delta_[s] += field(p, kCtxAt);
-        packed_[k] = 0;
-      }
-    }
+  /// Adds (sign +1) or takes back (-1) one post's outcome in wide counters.
+  void apply(std::size_t s, std::uint32_t task, std::uint64_t o, std::uint64_t sign) {
+    const std::size_t k = at(task, s);
+    timely_[k] += sign * field(o, kTimelyAt);
+    completed_[k] += sign * field(o, kDoneAt);
+    misses_[k] += sign * field(o, kMissAt);
+    ctx_delta_[s] += sign * field(o, kCtxAt);
   }
 
-  /// `hits` additions of the task's timely benefit, in a row from 0.
+  /// `hits` additions of the task's benefit per completion (timely for an
+  /// offloaded task, local for a local one), in a row from 0.
   double benefit_of(std::uint32_t task, std::uint64_t hits) {
     std::vector<double>& sums = benefit_sums_[task];
+    const TaskCache& tc = cache(task);
     while (sums.size() <= hits) {
-      sums.push_back(sums.back() + cache(task).timely_benefit);
+      sums.push_back(sums.back() + (tc.offloaded ? tc.timely_benefit : tc.local_benefit));
     }
     return sums[hits];
   }
 
-  /// The skeleton's metrics plus slot's (unpacked) counters.
-  SimMetrics materialize(const Skeleton& sk, std::size_t slot) {
+  /// `sum` followed by `hits` additions of the task's timely benefit.
+  double fold(std::uint32_t task, double sum, std::uint64_t hits) {
+    if (sum == 0.0) return benefit_of(task, hits);
+    for (; hits > 0; --hits) sum += cache(task).timely_benefit;
+    return sum;
+  }
+
+  /// The skeleton's metrics plus lane s's (unpacked) counters and window
+  /// deltas.
+  SimMetrics materialize(const Skeleton& sk, std::size_t s) {
     SimMetrics m = sk.base;
+    const LaneState& l = lanes_[s];
     for (std::uint32_t i = 0; i < n_; ++i) {
       TaskMetrics& tm = m.per_task[i];
-      const std::size_t k = at(i, slot);
-      tm.timely_results += timely_[k];
-      tm.completed += completed_[k];
-      tm.deadline_misses += misses_[k];
-      tm.accrued_benefit += benefit_of(i, completed_[k] - misses_[k]);
+      const TaskMetrics& x = l.task[i];
+      const std::size_t k = at(i, s);
+      tm.timely_results += timely_[k] + x.timely_results;
+      tm.completed += completed_[k] + x.completed;
+      tm.deadline_misses += misses_[k] + x.deadline_misses;
+      tm.offload_attempts += x.offload_attempts;
+      tm.local_runs += x.local_runs;
+      tm.compensations += x.compensations;
+      tm.late_results += x.late_results;
       tm.observed_response_ms = response_[k];
+      tm.accrued_benefit =
+          cache(i).offloaded
+              ? fold(i, x.accrued_benefit, completed_[k] - misses_[k] - l.folded[i])
+              : benefit_of(i, tm.local_runs);
     }
-    m.context_switches += ctx_delta_[slot];
+    m.context_switches += ctx_delta_[s] + l.ctx;
+    m.cpu_busy_ns += l.busy;
     return m;
   }
 
   /// Replications [r0, r0 + lanes) in one column loop: per column one
-  /// sample_n for the live lanes, then each lane's window check, response
-  /// statistics and table lookup. A stateful model runs one lane a block.
+  /// sample_n for the lanes, then each drawing lane's window check,
+  /// response statistics and table lookup. A lane that leaves the
+  /// skeleton's path runs a resync window and skips the columns the window
+  /// sent. A stateful model runs one lane a block.
   void run_block(BatchResult& result, const Skeleton& sk, std::size_t r0,
-                 std::size_t lanes, const core::TaskSet& tasks,
-                 const core::DecisionVector& decisions,
-                 server::ResponseModel& server, const SimConfig& config,
-                 const RequestProfile& profile) {
+                 std::size_t lanes, server::ResponseModel& server,
+                 const SimConfig& config) {
     server.reset();
     for (std::size_t s = 0; s < lanes; ++s) {
       rngs_[s] = Rng(derive_seed(config.seed, r0 + s));
-      lane_of_[s] = static_cast<std::uint32_t>(s);
-      clear_slot(s);
+      for (std::uint32_t i = 0; i < n_; ++i) {
+        const std::size_t k = at(i, s);
+        timely_[k] = completed_[k] = misses_[k] = packed_[k] = 0;
+        response_[k] = RunningStats{};
+      }
+      ctx_delta_[s] = 0;
+      loose_until_[s] = kNever;
+      live_mask_[s] = 1;
+      LaneState& l = lanes_[s];
+      l.task.assign(n_, TaskMetrics{});
+      l.folded.assign(n_, 0);
+      l.ctx = 0;
+      l.busy = 0;
+      l.loose.clear();
+      l.pending_ns = kNone;
+      l.window_at = kNoColumn;
     }
-    std::size_t live = lanes;
+    live_ = lanes;
+    next_event_ = kNoColumn;
+    const std::size_t columns = sk.draws.size();
     const std::size_t ring_mask = ring_rows_ - 1;
-    for (std::size_t c = 0; c < sk.draws.size() && live > 0; ++c) {
-      if (c == built_) build_column(sk, built_++);
-      if (c % kUnpackColumns == kUnpackColumns - 1) unpack(live);
+    for (std::size_t c = 0; c < columns; ++c) {
+      if (live_ == 0) {
+        if (next_event_ >= columns) break;
+        c = next_event_;
+      }
+      if (c >= next_event_) dispatch(result, sk, c, lanes, r0, server);
+      if (live_ == 0) continue;
+      while (built_ <= c) build_column(sk, built_++);
+      if (c % kUnpackColumns == kUnpackColumns - 1) {
+        for (std::size_t s = 0; s < lanes; ++s) unpack(s);
+      }
       const SkelDraw& d = sk.draws[c];
       server::Request req = cache(d.task).req;
       req.send_time = TimePoint{d.send_ns};
-      server.sample_n(req, std::span<Rng>(rngs_.data(), live),
-                      std::span<Duration>(row_.data(), live));
+      // Waiting lanes draw too; they get their Rng back when they rejoin
+      // (a stateful model runs one lane, so it never draws for one).
+      server.sample_n(req, std::span<Rng>(rngs_.data(), lanes),
+                      std::span<Duration>(row_.data(), lanes));
 
       const Column& col = columns_[c];
       const std::int64_t* bounds = bounds_.data() + col.bound0;
@@ -690,11 +981,11 @@ struct BatchSimEngine::Impl {
       const std::int64_t* ring = ring_.data();
       std::int64_t* here = ring_.data() + (c & ring_mask) * kLanes;
       bool any_left = false;
-      for (std::size_t s = 0; s < live; ++s) {
+      const auto step = [&](std::size_t s) {
         const Duration resp = row_[s];
         // Statistics in draw order, as the serial engine records them at
-        // send; a late lane's are never read.
-        response[s].add(resp.ms());
+        // send.
+        if (resp != server::kNoResponse) response[s].add(resp.ms());
         const bool late = resp.ns() > d.window_ns;
         const std::int64_t a = d.send_ns + (late ? d.window_ns : resp.ns());
         const std::uint32_t k = interval_of(bounds, col.bounds, a);
@@ -702,354 +993,227 @@ struct BatchSimEngine::Impl {
         for (std::uint32_t e = 0; e < col.reaches; ++e) {
           same_ns |= ring[reach[e] + s] == a;
         }
-        here[s] = a;
-        const bool exact = (a == pop_at[k]) | (resp.ns() <= 0) |
-                           (same_ns & (a < horizon_));
+        if (d.send_ns < loose_until_[s]) same_ns |= lands_on_loose(s, a);
+        here[s] = late ? ~a : a;
+        const bool leaves = late | (a == pop_at[k]) | (resp.ns() <= 0) |
+                            (same_ns & (a < horizon_));
         packed[s] += outcomes[k];
-        const Replay fate =
-            late ? Replay::kWindow : (exact ? Replay::kExact : Replay::kFast);
-        fate_[s] = fate;
-        any_left |= fate != Replay::kFast;
-      }
-      if (!any_left) continue;
-      // Top down, so the last live slot moved into a leaving one's place
-      // has already been checked.
-      for (std::size_t s = live; s-- > 0;) {
-        if (fate_[s] == Replay::kFast) continue;
-        const std::size_t r = r0 + lane_of_[s];
-        if (fate_[s] == Replay::kWindow) {
-          bail(result, r, Replay::kWindow, tasks, decisions, server, config,
-               profile);
-        } else {
-          exact_replay(result, sk, r, tasks, decisions, server, config,
-                       profile);
+        leaves_[s] = leaves;
+        any_left |= leaves;
+      };
+      if (live_ == lanes) {
+        for (std::size_t s = 0; s < lanes; ++s) step(s);
+      } else {
+        for (std::size_t s = 0; s < lanes; ++s) {
+          leaves_[s] = false;
+          if (live_mask_[s]) step(s);
         }
-        if (s != --live) move_slot(live, s);
+      }
+      drawn_ += live_;
+      if (!any_left) continue;
+      for (std::size_t s = 0; s < lanes; ++s) {
+        if (!leaves_[s]) continue;
+        // The lane runs as before until the timer fires or the arrival
+        // pops; its window opens at the idle instant before that, now if
+        // the loop has drawn past it.
+        LaneState& l = lanes_[s];
+        const Duration resp = row_[s];
+        if (resp != server::kNoResponse && resp.ns() > d.window_ns) {
+          ++l.task[d.task].late_results;
+        }
+        l.pending_ns = std::min(l.pending_ns, d.send_ns + std::min(resp.ns(), d.window_ns));
+        l.window_at = first_at(sk.draws, &SkelDraw::send_ns, idle_before(sk, l.pending_ns));
+        if (l.window_at <= c) {
+          resync(result, sk, s, c + 1, r0, server);
+        } else {
+          next_event_ = std::min(next_event_, l.window_at);
+        }
       }
     }
-    unpack(live);
-    for (std::size_t s = 0; s < live; ++s) {
+    dispatch(result, sk, columns, lanes, r0, server);  // windows after the last send
+    for (std::size_t s = 0; s < lanes; ++s) {
+      if (!live_mask_[s]) continue;
+      unpack(s);
       ++stats_.fast_replications;
-      result.per_replication[r0 + lane_of_[s]] = materialize(sk, s);
+      result.per_replication[r0 + s] = materialize(sk, s);
     }
   }
 
-  // ---- the exact merge, for lanes with a same-instant event ----
+  bool lands_on_loose(std::size_t s, std::int64_t a) const {
+    for (const Flight& f : lanes_[s].loose) {
+      if (f.counted && f.time_ns == a) return true;
+    }
+    return false;
+  }
 
-  /// Redraws replication r's responses and replays them exactly, or
-  /// bails the replication to the serial engine.
-  void exact_replay(BatchResult& result, const Skeleton& sk, std::size_t r,
-                    const core::TaskSet& tasks,
-                    const core::DecisionVector& decisions,
-                    server::ResponseModel& server, const SimConfig& config,
-                    const RequestProfile& profile) {
-    ++stats_.exact_replays;
-    clear_slot(kScratch);
-    while (built_ < sk.draws.size()) build_column(sk, built_++);
-    // The sample_n == sample contract makes these the lane's draws.
-    server.reset();
-    Rng rng(derive_seed(config.seed, r));
-    Replay outcome = Replay::kFast;
-    for (std::size_t c = 0; c < sk.draws.size(); ++c) {
-      server::Request req = cache(sk.draws[c].task).req;
-      req.send_time = TimePoint{sk.draws[c].send_ns};
-      rep_draws_[c] = server.sample(req, rng);
-      if (rep_draws_[c].ns() > sk.draws[c].window_ns) {
-        outcome = Replay::kWindow;
+  /// Rejoins the lanes waiting for column c and opens the windows due
+  /// before it.
+  void dispatch(BatchResult& result, const Skeleton& sk, std::size_t c,
+                std::size_t lanes, std::size_t r0, server::ResponseModel& server) {
+    next_event_ = kNoColumn;
+    for (std::size_t s = 0; s < lanes; ++s) {
+      LaneState& l = lanes_[s];
+      if (!live_mask_[s] && l.resume == c) rejoin(s);
+      while (live_mask_[s] && l.window_at == c) {
+        resync(result, sk, s, c, r0, server);
+        // A window that ended before column c's send rejoins at once.
+        if (!live_mask_[s] && l.resume == c) rejoin(s);
+      }
+      next_event_ = std::min(next_event_, live_mask_[s] ? l.window_at : l.resume);
+    }
+  }
+
+  void rejoin(std::size_t s) {
+    LaneState& l = lanes_[s];
+    rngs_[s] = l.saved;
+    live_mask_[s] = 1;
+    l.resume = kNoColumn;
+    ++live_;
+  }
+
+  // ---- resync windows ----
+
+  /// Runs lane s's window from idle_before(pending_ns) -- the loop drew
+  /// its columns before `drawn_to` -- and then parks the lane to rejoin at
+  /// the first column sent after the window, or completes it.
+  void resync(BatchResult& result, const Skeleton& sk, std::size_t s,
+              std::size_t drawn_to, std::size_t r0, server::ResponseModel& server) {
+    unpack(s);
+    LaneState& l = lanes_[s];
+    const std::int64_t t0 = idle_before(sk, l.pending_ns);
+    take_over(sk, s, drawn_to, t0);
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      if (!cache(i).offloaded) continue;
+      const std::uint64_t hits = completed_[at(i, s)] - misses_[at(i, s)];
+      l.task[i].accrued_benefit = fold(i, l.task[i].accrued_benefit, hits - l.folded[i]);
+      l.folded[i] = hits;
+    }
+    core_.open(sk, t0, flights_, reuse_, &rngs_[s], &server, response_.data() + s, l.task);
+    const bool dense = stats_.resync_windows * kMinGap > drawn_;
+    ++stats_.resync_windows;
+    std::int64_t must_pass = dense ? kNone : l.pending_ns;
+    std::int64_t t1 = kNever;
+    std::size_t resume = sk.draws.size();
+    for (;;) {
+      t1 = core_.run(must_pass, stats_.resync_events);
+      if (t1 == kNever) break;
+      // What is still in flight: the table counts each timely arrival
+      // alone on its nanosecond off the skeleton's pops; any other is the
+      // next divergence. Close unless that comes within the gap, or no
+      // column is left to draw before it.
+      core_.in_flight(l.loose);
+      l.pending_ns = classify_loose(sk, l.loose);
+      resume = first_at(sk.draws, &SkelDraw::send_ns, t1);
+      if (l.pending_ns == kNone ||
+          (l.pending_ns - t1 > gap_ns_ && resume < sk.draws.size())) {
         break;
       }
+      must_pass = t1;
     }
-    if (outcome == Replay::kFast) outcome = replay(sk, kScratch);
-    if (outcome != Replay::kFast) {
-      bail(result, r, outcome, tasks, decisions, server, config, profile);
-      return;
-    }
-    ++stats_.fast_replications;
-    result.per_replication[r] = materialize(sk, kScratch);
-  }
-
-  /// Replays the posts of the timely draws rep_draws_ over the skeleton
-  /// into `slot`'s counters: the outcome table's for a post alone on its
-  /// nanosecond, a tie step for each instant where posts meet other events.
-  Replay replay(const Skeleton& sk, std::size_t slot) {
-    const std::size_t columns = sk.draws.size();
-    // Response statistics, in draw order as the serial engine records them,
-    // and each arrival's interval of the outcome table.
-    arrivals_.resize(columns);
-    for (std::size_t c = 0; c < columns; ++c) {
-      const SkelDraw& d = sk.draws[c];
-      const Duration resp = rep_draws_[c];
-      response_[at(d.task, slot)].add(resp.ms());
-      const std::int64_t t = d.send_ns + resp.ns();
-      const Column& col = columns_[c];
-      const std::uint32_t k =
-          interval_of(bounds_.data() + col.bound0, col.bounds, t);
-      arrivals_[c] =
-          Arrival{t, d.send_ns, d.deadline_ns, d.task, col.interval0 + k};
-    }
-    // Draws are generated in send order and response windows are short
-    // relative to send spacing, so arrivals_ is nearly sorted: insertion
-    // sort's adaptive O(n + inversions) beats std::sort here. It is
-    // stable, so arrivals on one nanosecond stay in draw = push order.
-    for (std::size_t i = 1; i < arrivals_.size(); ++i) {
-      const Arrival a = arrivals_[i];
-      std::size_t j = i;
-      while (j > 0 && arrivals_[j - 1].time_ns > a.time_ns) {
-        arrivals_[j] = arrivals_[j - 1];
-        --j;
+    core_.close(l.task);
+    take_window(sk, l, t0, t1);
+    live_mask_[s] = 0;
+    --live_;
+    l.resume = kNoColumn;
+    l.window_at = kNoColumn;
+    if (t1 != kNever) {
+      for (const Flight& f : l.loose) {
+        if (!f.counted) continue;
+        apply(s, f.task, classify(sk, f), 1);
+        loose_until_[s] = std::max(loose_until_[s], f.time_ns);
       }
-      arrivals_[j] = a;
-    }
-
-    pending_.clear();
-    Cursor cur;
-    std::uint64_t ties = 0;
-    for (std::size_t i = 0; i < arrivals_.size();) {
-      const Arrival& a = arrivals_[i];
-      if (a.time_ns >= horizon_) break;  // never popped by the serial engine
-      std::size_t end = i + 1;
-      while (end < arrivals_.size() && arrivals_[end].time_ns == a.time_ns) ++end;
-      if (end == i + 1 && a.time_ns > a.send_ns &&
-          pop_at_[a.interval] != a.time_ns) {
-        // Alone on its nanosecond, the post is independent of every other
-        // post: the table holds its outcome.
-        const std::uint64_t o = outcomes_[a.interval];
-        const std::size_t k = at(a.task, slot);
-        timely_[k] += field(o, kTimelyAt);
-        completed_[k] += field(o, kDoneAt);
-        misses_[k] += field(o, kMissAt);
-        cur.ctx += field(o, kCtxAt);
-        ++i;
-        continue;
+      // The window replaced every column the ring holds for the lane.
+      for (std::size_t row = 0; row < ring_.size(); row += kLanes) ring_[row + s] = kNever;
+      if (l.pending_ns != kNone) {
+        l.window_at = first_at(sk.draws, &SkelDraw::send_ns, idle_before(sk, l.pending_ns));
       }
-      advance_to(sk, cur, slot, a.time_ns);
-      while (cur.pop < sk.pops.size() && sk.pops[cur.pop].time_ns < a.time_ns) {
-        ++cur.pop;
-      }
-      if (!tie_step(sk, cur, slot, i, end)) return Replay::kTie;
-      ++ties;
-      i = end;
-    }
-    advance_to(sk, cur, slot, horizon_);
-    // Posts still pending at the horizon never complete -- their timely
-    // arrival was counted, the completion was cut off, like the serial
-    // engine breaking its loop with jobs in the ready queue.
-    ctx_delta_[slot] = cur.ctx;
-    stats_.tie_instants += ties;
-    return Replay::kFast;
-  }
-
-  void complete_post(std::size_t slot, std::uint32_t task, std::int64_t t,
-                     std::int64_t deadline) {
-    const std::size_t k = at(task, slot);
-    ++completed_[k];
-    if (t > deadline) ++misses_[k];
-  }
-
-  /// Index of the ready post the serial engine would pick first: the
-  /// smallest key, the earliest push on ties (pending_ is in push order).
-  std::size_t best_post() const {
-    std::size_t best = kNoPost;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      if (best == kNoPost || pending_[i].deadline_ns < pending_[best].deadline_ns) {
-        best = i;
-      }
-    }
-    return best;
-  }
-
-  /// Runs every pending post that precedes segment `next` (kNoSlot: the CPU
-  /// goes idle) at boundary time t, one context switch each.
-  void drain(const Skeleton& sk, Cursor& cur, std::size_t slot,
-             std::int64_t t, std::uint32_t next) {
-    while (!pending_.empty()) {
-      const std::size_t best = best_post();
-      if (next != kNoSlot && !runs_before(pending_[best], sk.segments[next])) {
-        break;
-      }
-      ++cur.ctx;
-      complete_post(slot, pending_[best].task, t, pending_[best].deadline_ns);
-      // Order-preserving removal keeps pending_ in push order.
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(best));
-    }
-  }
-
-  /// Advances past every segment boundary strictly before t.
-  void advance_to(const Skeleton& sk, Cursor& cur, std::size_t slot,
-                  std::int64_t t) {
-    while (cur.seg < sk.segments.size() && sk.segments[cur.seg].end_ns < t) {
-      if (pending_.empty()) {
-        // Draining is a no-op with nothing pending; skip straight past
-        // the remaining boundaries.
-        do {
-          ++cur.seg;
-        } while (cur.seg < sk.segments.size() &&
-                 sk.segments[cur.seg].end_ns < t);
+      if (resume < sk.draws.size()) {
+        l.resume = resume;
+        l.saved = rngs_[s];
+        next_event_ = std::min(next_event_, resume);
         return;
       }
-      const std::int64_t end = sk.segments[cur.seg].end_ns;
-      const bool next_starts = cur.seg + 1 < sk.segments.size() &&
-                               sk.segments[cur.seg + 1].start_ns == end;
-      drain(sk, cur, slot, end,
-            next_starts ? static_cast<std::uint32_t>(cur.seg + 1) : kNoSlot);
-      ++cur.seg;
+    }
+    ++stats_.fast_replications;
+    result.per_replication[r0 + s] = materialize(sk, s);
+  }
+
+  /// Marks each loose offload the table can count and returns the earliest
+  /// instant of the others (kNone if none).
+  std::int64_t classify_loose(const Skeleton& sk, std::vector<Flight>& loose) {
+    times_.clear();
+    for (const Flight& f : loose) {
+      if (!f.timer) times_.push_back(f.time_ns);
+    }
+    std::sort(times_.begin(), times_.end());
+    std::int64_t pending = kNone;
+    for (Flight& f : loose) {
+      const auto [lo, hi] = std::equal_range(times_.begin(), times_.end(), f.time_ns);
+      const std::size_t q = first_at(sk.pops, &SkelPop::time_ns, f.time_ns);
+      f.counted = !f.timer && hi - lo == 1 &&
+                  (q == sk.pops.size() || sk.pops[q].time_ns != f.time_ns);
+      if (!f.counted) pending = std::min(pending, f.time_ns);
+    }
+    return pending;
+  }
+
+  /// Gathers the window's inputs at t0: every post of lane s arriving at
+  /// or after t0 leaves the table counters; those in flight at t0 become
+  /// flights, and the columns the loop drew from t0 on are sent again with
+  /// their draws.
+  void take_over(const Skeleton& sk, std::size_t s, std::size_t drawn_to,
+                 std::int64_t t0) {
+    LaneState& l = lanes_[s];
+    flights_.clear();
+    reuse_.clear();
+    for (const Flight& f : l.loose) {
+      if (f.time_ns < t0) continue;
+      if (f.counted) apply(s, f.task, classify(sk, f), ~std::uint64_t{0});
+      flights_.push_back(f);
+    }
+    l.loose.clear();
+    loose_until_[s] = kNever;
+    const std::size_t first = drawn_to > ring_rows_ ? drawn_to - ring_rows_ : 0;
+    for (std::size_t e = first; e < drawn_to; ++e) {
+      const SkelDraw& de = sk.draws[e];
+      const std::int64_t v = ring_[(e & (ring_rows_ - 1)) * kLanes + s];
+      if (v == kNever) continue;  // a window's
+      const bool timer = v < 0;
+      const std::int64_t a = timer ? ~v : v;
+      if (de.send_ns < t0 && a < t0) continue;  // landed
+      const Column& col = columns_[e];
+      apply(s, de.task,
+            outcomes_[col.interval0 + interval_of(bounds_.data() + col.bound0, col.bounds, a)],
+            ~std::uint64_t{0});
+      (de.send_ns < t0 ? flights_ : reuse_)
+          .push_back(Flight{a, de.send_ns, de.deadline_ns, de.task, 0, timer, true});
     }
   }
 
-  /// Steps the serial engine through every event at T, the instant of
-  /// arrivals_[a0, a1): those arrivals, the skeleton pops at T, and the
-  /// slice ends armed at T. Pre-T events pop in push order; slice ends
-  /// pushed at T pop after them, in arming order. Returns false on a
-  /// response of zero or less, whose arrival is not pushed before T.
-  bool tie_step(const Skeleton& sk, Cursor& cur, std::size_t slot,
-                std::size_t a0, std::size_t a1) {
-    const std::int64_t t = arrivals_[a0].time_ns;
-    for (std::size_t a = a0; a < a1; ++a) {
-      if (arrivals_[a].send_ns >= t) return false;  // response <= 0
-    }
-    const std::size_t p0 = cur.pop;
-    std::size_t p1 = p0;
-    std::int64_t skel_switches = 0;
-    for (; p1 < sk.pops.size() && sk.pops[p1].time_ns == t; ++p1) {
-      skel_switches += sk.pops[p1].switched ? 1 : 0;
-    }
-    // The skeleton job holding the CPU just before T.
-    const std::uint32_t before =
-        cur.seg < sk.segments.size() && sk.segments[cur.seg].start_ns < t
-            ? static_cast<std::uint32_t>(cur.seg)
-            : kNoSlot;
-    // No release pops at T when a completion does, so the pops at T are
-    // all releases or all completions. The first completion is
-    // `before`'s, pushed before T; each later one belongs to a job
-    // dispatched at T with no work left (preempted on the nanosecond its
-    // work ran out), so it is pushed at T, when that job is armed.
-    const bool completing = p1 > p0 && sk.pops[p0].completion;
-    std::size_t next_done = p0;  // the next completion pop to happen
-    const auto completes_next = [&](std::uint32_t seg) {
-      return completing && next_done < p1 &&
-             seg == (next_done == p0 ? before : sk.pops[next_done - 1].seg_after);
-    };
-
-    std::uint32_t skel_min = before;  // skeleton ready minimum (segment)
-    std::uint32_t run_seg = before;   // running skeleton job, or kNoSlot
-    std::size_t run_post = kNoPost;   // running post (pending_ index)
-    bool armed = before != kNoSlot;
-    std::uint64_t generation = 0;     // `before`'s pre-T slice end has 0
-    std::uint64_t releases = p0 > 0 ? sk.pops[p0 - 1].releases : 0;
-    std::int64_t switches = 0;
-    slice_ends_.clear();
-
-    const auto dispatch = [&] {
-      const std::size_t best = best_post();
-      const bool post_top =
-          best != kNoPost &&
-          (skel_min == kNoSlot ||
-           runs_before(pending_[best], sk.segments[skel_min]));
-      const std::uint32_t top_seg = post_top ? kNoSlot : skel_min;
-      const std::size_t top_post = post_top ? best : kNoPost;
-      const bool same = top_seg == run_seg && top_post == run_post;
-      if (same && armed) return;
-      if (!same) {
-        run_seg = top_seg;
-        run_post = top_post;
-        if (run_seg != kNoSlot || run_post != kNoPost) ++switches;
+  /// Takes the skeleton's share of [t0, t1) (t1 = kNever: to the horizon)
+  /// out of the lane's deltas, which the window's core counted into, and
+  /// adds the window's CPU time and context switches.
+  void take_window(const Skeleton& sk, LaneState& l, std::int64_t t0, std::int64_t t1) {
+    const std::int64_t end = t1 == kNever ? kNone : t1;
+    for (std::size_t p = first_at(sk.pops, &SkelPop::time_ns, t0);
+         p < sk.pops.size() && sk.pops[p].time_ns < end; ++p) {
+      const SkelPop& sp = sk.pops[p];
+      TaskMetrics& x = l.task[sp.task];
+      l.ctx -= (sp.flags & kSwitched) != 0 ? 1 : 0;
+      x.offload_attempts -= (sp.flags & kSetupDone) != 0 ? 1 : 0;
+      x.deadline_misses -= (sp.flags & kMissed) != 0 ? 1 : 0;
+      if ((sp.flags & kLocalDone) != 0) {
+        --x.completed;
+        x.local_runs -= (sp.flags & kMissed) != 0 ? 0 : 1;
       }
-      if (armed) ++generation;  // the armed slice end goes stale
-      armed = run_seg != kNoSlot || run_post != kNoPost;
-      if (run_post != kNoPost) {
-        slice_ends_.push_back(LocalSliceEnd{generation, true});
-      } else if (completes_next(run_seg)) {
-        slice_ends_.push_back(LocalSliceEnd{generation, false});
-      }
-    };
-    const auto complete_running = [&] {
-      run_seg = kNoSlot;
-      armed = false;
-      skel_min = sk.pops[next_done++].seg_after;
-    };
-
-    // Pre-T events, merged by push instant. A release's never equals a
-    // send (no release pop shares an instant with a completion pop). An
-    // arrival always precedes `before`'s completion: that job ran alone
-    // from its last dispatch to T, so the send came no later than that
-    // dispatch -- in the same instant, the send first -- and a post that
-    // preempted it since only pushed the completion later still.
-    const std::size_t pre_end = completing ? p0 + 1 : p1;
-    std::size_t p = p0;
-    std::size_t a = a0;
-    while (p < pre_end || a < a1) {
-      bool arrival = a < a1;
-      if (arrival && p < pre_end) {
-        arrival = sk.pops[p].completion ||
-                  arrivals_[a].send_ns < sk.pops[p].push_ns;
-      }
-      if (arrival) {
-        const Arrival& ar = arrivals_[a++];
-        ++timely_[at(ar.task, slot)];
-        pending_.push_back(Pending{ar.deadline_ns, releases, ar.task});
-      } else {
-        const SkelPop& sp = sk.pops[p++];
-        if (!sp.completion) {
-          releases = sp.releases;
-          skel_min = sp.seg_after;
-        } else if (generation == 0) {
-          complete_running();
-        }  // else stale: a post preempted `before`, which re-arms at T
-      }
-      dispatch();
     }
-    // Slice ends armed at T, in arming order.
-    for (std::size_t k = 0; k < slice_ends_.size(); ++k) {
-      const LocalSliceEnd ev = slice_ends_[k];
-      if (ev.generation == generation) {
-        if (ev.post) {
-          const Pending done = pending_[run_post];
-          pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(run_post));
-          run_post = kNoPost;
-          armed = false;
-          complete_post(slot, done.task, t, done.deadline_ns);
-        } else {
-          complete_running();
-        }
-      }
-      dispatch();
+    for (std::size_t g = first_at(sk.segments, &SkelSegment::start_ns, t0);
+         g < sk.segments.size() && sk.segments[g].start_ns < end; ++g) {
+      l.busy -= sk.segments[g].end_ns - sk.segments[g].start_ns;
     }
-
-    cur.ctx += static_cast<std::uint64_t>(switches - skel_switches);
-    cur.pop = p1;
-    while (cur.seg < sk.segments.size() && sk.segments[cur.seg].end_ns <= t) {
-      ++cur.seg;
-    }
-    return true;
+    l.ctx += core_.switches();
+    l.busy += core_.busy_ns();
   }
-
-
-  /// Counts a replication the skeleton cannot represent and runs it
-  /// through the serial engine.
-  void bail(BatchResult& result, std::size_t r, Replay why,
-            const core::TaskSet& tasks, const core::DecisionVector& decisions,
-            server::ResponseModel& server, const SimConfig& config,
-            const RequestProfile& profile) {
-    ++(why == Replay::kWindow ? stats_.bailed_window : stats_.bailed_tie);
-    ++stats_.bailed_replications;
-    run_fallback(result, r, tasks, decisions, server, config, profile);
-  }
-
-  void run_fallback(BatchResult& result, std::size_t r,
-                    const core::TaskSet& tasks,
-                    const core::DecisionVector& decisions,
-                    server::ResponseModel& server, const SimConfig& config,
-                    const RequestProfile& profile) {
-    ++stats_.fallback_replications;
-    server.reset();
-    SimConfig cfg = config;
-    cfg.seed = derive_seed(config.seed, r);
-    result.per_replication[r] =
-        fallback_.run(tasks, decisions, server, cfg, profile).metrics;
-  }
-
-  std::int64_t horizon_ = 0;
-  std::size_t n_ = 0;  ///< tasks
 };
 
 BatchSimEngine::BatchSimEngine() : impl_(std::make_unique<Impl>()) {}

@@ -2,48 +2,33 @@
 // Batched Monte-Carlo replication engine: K replications of one scenario
 // advance together over a shared event skeleton.
 //
-// Replication r of a scenario is defined as the serial engine run with
-// `seed = derive_seed(base_seed, r)` against a pristine copy of the server
-// prototype. This engine produces exactly those results (bit-identical
-// SimMetrics per replication; enforced by tests/sim/determinism_test.cpp)
-// while hoisting everything replication-invariant out of the per-seed work:
+// Replication r is defined as the serial engine run with `seed =
+// derive_seed(base_seed, r)` against a pristine copy of the server
+// prototype; this engine produces exactly those results (bit-identical
+// SimMetrics, enforced by tests/sim/determinism_test.cpp) while hoisting
+// the replication-invariant work out of the per-seed loop:
 //
-//  * The task set, decision vector, deadline-monotonic ranks and
-//    per-(task, decision) TaskCache are resolved once per batch
-//    (engine_detail.hpp), not once per replication.
-//  * Under the paper's evaluation configuration (EDF, always-WCET
-//    execution, periodic releases, zero context-switch overhead, zero
-//    post-processing WCET) the CPU schedule of release/setup/local work is
-//    the same in every replication: only the server draws differ. A third
-//    driver of the protocol core (protocol_core.hpp) runs that shared
-//    skeleton once, recording the busy segments, the request send points
-//    and the replication-invariant metric template. Each draw column's
-//    response window is split at the skeleton's pop instants into
-//    intervals, and a post arriving inside one has an outcome that depends
-//    on nothing else (it takes no time), computed once per skeleton. A
-//    block of up to 128 replications then walks the columns once: one
-//    ResponseModel::sample_n draws the column for every live lane, and each
-//    lane checks its window, adds the response to its statistics and adds
-//    its interval's outcome to structure-of-arrays counters. A stateful
-//    model runs the same loop one lane at a time.
-//  * A lane whose result arrival lands on the nanosecond of a release, a
-//    completion or another of its arrivals leaves the column loop for the
-//    exact merge, which orders those events exactly as the serial engine
-//    does. Events on one nanosecond pop in push order (a release was
-//    pushed one period earlier, an arrival at its send, the running job's
-//    completion at its last (re)dispatch, a zero-length post's slice end
-//    at the instant itself), and ready-queue ties on the EDF key break on
-//    push order of the sub-jobs (a skeleton job at its release pop, a
-//    post at its arrival pop).
-//  * Only a replication the skeleton cannot represent -- a response later
-//    than its window R, or none (compensation perturbs the schedule) --
-//    falls back to a serial-engine run with the same derived seed, which
-//    is bit-identical by construction; so does one with a zero response,
-//    the one same-instant pattern the replay does not step.
-//    Configurations outside the skeleton preconditions (sporadic
-//    releases, stochastic execution times, fixed-priority dispatch,
-//    traces, mode controllers, ...) take the fallback for every
-//    replication.
+//  * Under the paper's evaluation configuration (EDF, always-WCET,
+//    periodic releases, zero context-switch overhead, zero post WCET) the
+//    schedule of release/setup/local work is the same in every
+//    replication as long as every draw is timely. A driver of the
+//    protocol core records that skeleton once; each draw column's
+//    response window is split at its pops into intervals whose post
+//    outcome is computed once. Blocks of up to 128 replications then walk
+//    the columns together: one ResponseModel::sample_n per column, and
+//    per lane a window check and a table lookup. A stateful model runs
+//    one lane a block.
+//  * A lane that leaves the skeleton's path -- a late or missing response,
+//    a zero one, or an arrival on the nanosecond of a skeleton pop or of
+//    another of its arrivals -- runs a resync window: the real protocol
+//    core, for that lane alone, from the last instant before the
+//    divergence at which the skeleton was idle until the lane is idle
+//    again, drawing its later sends in the serial order. The lane then
+//    rejoins the column loop.
+//  * Configurations outside those preconditions (sporadic releases,
+//    stochastic execution, fixed priority, traces, controllers, a nonzero
+//    post WCET, ...) and skeletons with a completion and a release on one
+//    nanosecond run every replication on the serial engine.
 
 #include <cstddef>
 #include <cstdint>
@@ -56,27 +41,23 @@
 namespace rt::sim {
 
 struct BatchEngineStats {
-  /// Replications served by the shared-skeleton fast path.
+  /// Replications served by the skeleton, with or without windows.
   std::size_t fast_replications = 0;
-  /// Replications that ran through the serial engine (ineligible
-  /// configuration, or a bail below).
+  /// Replications run on the serial engine: the ineligible_* sum.
   std::size_t fallback_replications = 0;
-  /// Fast-path replications abandoned mid-replay (subset of
-  /// fallback_replications): bailed_window + bailed_tie.
+  /// Replications abandoned mid-replay for a serial run; every lane that
+  /// leaves the skeleton resyncs instead, so this reads 0.
   std::size_t bailed_replications = 0;
-  /// Bails on a response later than R, or no response.
-  std::size_t bailed_window = 0;
-  /// Bails on a same-instant pattern the exact tie step declines: a zero
-  /// response, whose arrival is pushed on the instant it pops.
-  std::size_t bailed_tie = 0;
-  /// Same-instant events the tie step resolved, summed over the
-  /// fast-path replications (one per instant per replication).
-  std::size_t tie_instants = 0;
-  /// Replications handed to the exact merge: a result arrival on a
-  /// skeleton pop or on another of its arrivals' nanosecond, or a zero
-  /// response, drawn before any late response. Each then ends fast or
-  /// bailed like any other.
-  std::size_t exact_replays = 0;
+  /// Resync windows run, and the events their protocol cores popped.
+  std::uint64_t resync_windows = 0;
+  std::uint64_t resync_events = 0;
+  /// Serial replications by the reason the skeleton could not serve them:
+  /// a configuration outside its preconditions (policy, controller, sink,
+  /// trace or abort), an offloaded task's nonzero post WCET, or a
+  /// completion and a release on one nanosecond (the tie precheck).
+  std::size_t ineligible_config = 0;
+  std::size_t ineligible_post_wcet = 0;
+  std::size_t ineligible_ties = 0;
 };
 
 struct BatchResult {

@@ -1,7 +1,7 @@
 #pragma once
 // The paper's per-job protocol as one state machine with three drivers:
-// SimEngine (engine.cpp), the batch engine's SkeletonRecorder
-// (batch_engine.cpp) and OffloadRuntime (runtime/offload_runtime.cpp).
+// SimEngine (engine.cpp), the batch engine's CoreRunner (batch_engine.cpp)
+// and OffloadRuntime (runtime/offload_runtime.cpp).
 //
 // Per job: release under the current mode's decision vector; the setup
 // (or local) sub-job runs under its split deadline d1; setup completion
@@ -23,9 +23,10 @@
 //
 // and calls, for each of its events, advance_to(t), one handler (release,
 // slice_end or resolve), then dispatch(). Every send ends in exactly one
-// resolve() unless the horizon comes first, except in the skeleton
-// recorder, which records sends as draws and leaves their posts to the
-// per-replication replay.
+// resolve() unless the horizon comes first, except while the batch
+// engine records its skeleton: sends become draws, and their posts are
+// left to each replication's replay. Its resync windows re-enter a run at
+// an idle instant (resume_idle).
 //
 // The handlers draw RNG values, record trace events and touch metrics in
 // exactly the order of the seed engine (tests/support/reference_engine.cpp),
@@ -185,6 +186,21 @@ class ProtocolCore {
         miss_counters_[i] = &reg.counter(task_prefix + ".misses");
       }
     }
+  }
+
+  /// Re-enters the run of the last reset() at `at`, with the CPU idle and
+  /// no sub-job queued -- the state of any run whose schedule has gone
+  /// quiescent. The driver re-seeds its own pending events, and the
+  /// metrics are left as they are.
+  void resume_idle(TimePoint at) {
+    pool_.clear();
+    pool_free_.clear();
+    ready_.clear();
+    pool_live_ = 0;
+    now_ = at;
+    running_ = kNoSlot;
+    dispatch_time_ = at;
+    slice_armed_ = false;
   }
 
   /// Closes the books at the horizon.

@@ -55,17 +55,6 @@ class Rng {
   /// Bernoulli trial.
   bool bernoulli(double p);
 
-  /// Fisher-Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
   /// Spawn an independent stream (distinct seed derived from this state).
   Rng split();
 

@@ -18,6 +18,7 @@
 #include "core/workload.hpp"
 #include "exp/batch.hpp"
 #include "obs/sink.hpp"
+#include "sim/batch_engine.hpp"
 #include "sim/benefit_response.hpp"
 #include "spec/grid.hpp"
 
@@ -265,6 +266,49 @@ TEST(BatchDeterminism, ReplicatedSpecsIdenticalAcrossWorkerCounts) {
   // Real signal, or the equalities above are vacuous.
   EXPECT_GT(o1[0].aggregate.total_benefit.mean(), 0.0);
   EXPECT_GT(o1[0].aggregate.total_benefit.stddev(), 0.0);
+}
+
+TEST(BatchDeterminism, ResyncWindowsIdenticalAcrossWorkerCounts) {
+  // A K > 1 paper grid at x = -0.2: nearly every lane of the leased batch
+  // engines leaves the skeleton and runs resync windows, inside the
+  // workers and concurrently under 2 and 8 of them.
+  constexpr std::string_view kDoc = R"json({
+    "workload": {"type": "paper", "seed": 11, "num_tasks": 30},
+    "odm": {"apply_task_weights": false, "estimation_error": -0.2},
+    "server": {"type": "benefit-driven"},
+    "sim": {"benefit_semantics": "timely-count", "horizon_ms": 3000,
+            "replications": 12},
+    "sweep": {"axes": [{"path": "workload.seed", "values": [11, 12, 13, 14]}]}
+  })json";
+  const spec::BatchPlan plan = spec::plan_batch(spec::ScenarioDoc::parse_text(kDoc));
+  const auto run_with = [&](unsigned jobs) {
+    exp::BatchConfig config = plan.batch;
+    config.jobs = jobs;
+    return exp::BatchRunner(config).run(plan.specs);
+  };
+  const std::vector<exp::ScenarioOutcome> o1 = run_with(1);
+  for (const unsigned jobs : {2u, 8u}) {
+    const std::vector<exp::ScenarioOutcome> on = run_with(jobs);
+    ASSERT_EQ(on.size(), o1.size());
+    for (std::size_t i = 0; i < o1.size(); ++i) {
+      SCOPED_TRACE("jobs " + std::to_string(jobs) + " scenario " + std::to_string(i));
+      expect_outcomes_equal(o1[i], on[i]);
+      EXPECT_EQ(o1[i].aggregate.total_benefit.mean(), on[i].aggregate.total_benefit.mean());
+      EXPECT_EQ(o1[i].aggregate.total_benefit.stddev(),
+                on[i].aggregate.total_benefit.stddev());
+    }
+  }
+  // The runner's engines ran windows: the same scenario straight through
+  // BatchSimEngine does, and agrees with the runner.
+  const exp::ScenarioSpec& spec = plan.specs[0];
+  sim::SimConfig cfg = spec.sim;
+  cfg.seed = exp::scenario_seed(plan.batch.base_seed, 0);
+  sim::BatchSimEngine engine;
+  const sim::BatchResult direct = engine.run(spec.tasks, o1[0].decisions, *spec.server,
+                                             cfg, spec.replications, spec.profile);
+  EXPECT_GT(engine.stats().resync_windows, 0u);
+  EXPECT_EQ(engine.stats().fast_replications, spec.replications);
+  EXPECT_EQ(direct.aggregate.total_benefit.mean(), o1[0].aggregate.total_benefit.mean());
 }
 
 TEST(BatchDeterminism, ForEachRngIsPerIndex) {

@@ -342,8 +342,8 @@ TEST(BatchedDifferential, ScenarioServerMatchesAcrossConfigGrid) {
   // eligible) plus every precondition of the skeleton gate: fixed-priority
   // dispatch, sporadic releases, stochastic execution, dispatch overhead,
   // a nonzero post WCET, a trace, abort-on-miss and a telemetry sink. Each
-  // runs against the scenario servers, whose late draws bail to the
-  // serial engine one replication at a time, and against the all-timely
+  // runs against the scenario servers, whose late draws run resync
+  // windows, and against the all-timely
   // benefit-driven server, on which an eligible configuration must take
   // the fast path and an ineligible one must fall back for every
   // replication.
@@ -420,7 +420,7 @@ TEST(BatchedDifferential, ComposedFaultRoutingBurstyStackMatches) {
   // Stateful wrapper stack: faults(routing(bursty, benefit-driven)). The
   // fault script's drop clause makes the stack stateful (its own RNG), so
   // the batch draws sequentially per replication; the slowdown window
-  // pushes responses past R mid-run, exercising the bail-to-serial path.
+  // pushes responses past R mid-run, exercising resync windows.
   const Fixture s = make_setup(7);
   std::vector<core::BenefitFunction> gs;
   for (const auto& t : s.tasks) gs.push_back(t.benefit);
@@ -641,6 +641,140 @@ TEST(BatchedDifferential, InvalidInputThrowsTheSerialMessagesOnBothPaths) {
       EXPECT_EQ(batch, serial) << label;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Resync windows: a lane that leaves the skeleton's path re-runs the
+// protocol core between two idle instants and rejoins the column loop.
+
+/// A paper set decided under estimation error x against its own benefit
+/// curves as the server. With `local_value`, every curve is lifted so that
+/// G(0) > 0: a compensated job then earns benefit too, between the timely
+/// ones of its task.
+struct PaperCase {
+  core::TaskSet tasks;
+  core::DecisionVector decisions;
+  std::unique_ptr<server::ResponseModel> server;
+};
+
+PaperCase paper_case(std::uint64_t seed, int num_tasks, double x,
+                     bool local_value) {
+  Rng rng(seed);
+  core::PaperSimConfig wl;
+  wl.num_tasks = num_tasks;
+  PaperCase c;
+  c.tasks = core::make_paper_simulation_taskset(rng, wl);
+  std::vector<core::BenefitFunction> gs;
+  for (auto& t : c.tasks) {
+    gs.push_back(t.benefit);
+    if (local_value) {
+      std::vector<core::BenefitPoint> points = t.benefit.points();
+      for (auto& p : points) p.value = 0.1 + 0.9 * p.value;
+      t.benefit = core::BenefitFunction(std::move(points));
+    }
+  }
+  core::OdmConfig odm;
+  odm.estimation_error = x;
+  c.decisions = core::decide_offloading(c.tasks, odm).decisions;
+  c.server = std::make_unique<BenefitDrivenResponse>(std::move(gs));
+  return c;
+}
+
+/// Holds every replication to the serial engine and the first and last
+/// to the reference engine; returns the windows the batch ran.
+std::uint64_t expect_windows_match(const core::TaskSet& tasks,
+                                   const core::DecisionVector& decisions,
+                                   const server::ResponseModel& prototype,
+                                   const SimConfig& cfg, std::size_t replications,
+                                   const std::string& label) {
+  BatchSimEngine batch;
+  const BatchResult res = batch.run(tasks, decisions, prototype, cfg, replications);
+  // Served by the skeleton, unless it puts a completion and a release on
+  // one nanosecond (the tie precheck).
+  EXPECT_EQ(batch.stats().fast_replications + batch.stats().ineligible_ties, replications)
+      << label;
+  SimEngine serial;
+  for (std::size_t r = 0; r < replications; ++r) {
+    SimConfig c = cfg;
+    c.seed = derive_seed(cfg.seed, r);
+    const std::unique_ptr<server::ResponseModel> srv = prototype.clone();
+    const SimResult s = serial.run(tasks, decisions, *srv, c);
+    const std::string at = label + " rep " + std::to_string(r);
+    expect_metrics_bit_identical(s.metrics, res.per_replication[r], at);
+    if (r == 0 || r + 1 == replications) {
+      const std::unique_ptr<server::ResponseModel> again = prototype.clone();
+      expect_metrics_bit_identical(
+          simulate_reference(tasks, decisions, *again, c).metrics,
+          res.per_replication[r], at + " (reference)");
+    }
+  }
+  return batch.stats().resync_windows;
+}
+
+TEST(BatchedDifferential, ResyncWindowsMatchSerialOverHorizonsAndPerturbations) {
+  // x < 0 admits windows R shorter than the curves the server draws from,
+  // so responses come late; at x >= 0 only the curves' tails (G below 1)
+  // fail to answer; microsecond-lattice draws also put arrivals on pops.
+  // Horizons cut anywhere to the nanosecond, and K = 130 crosses a
+  // 128-lane block.
+  Rng pick(0x5E5C);
+  const std::size_t reps[] = {1, 4, 130};
+  std::size_t k = 0;
+  std::uint64_t windows = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const int n : {12, 30}) {
+      for (const double x : {-0.4, -0.2, -0.1, 0.0, 0.2}) {
+        for (const BenefitSemantics sem :
+             {BenefitSemantics::kTimelyCount, BenefitSemantics::kQualityValue}) {
+          const PaperCase pc = paper_case(pick.next(), n, x, false);
+          SimConfig cfg = batch_base_config();
+          cfg.benefit_semantics = sem;
+          cfg.seed = pick.next();
+          cfg.horizon =
+              Duration::nanoseconds(pick.uniform_int(300'000'000, 5'000'000'000));
+          const std::size_t replications = reps[k++ % 3];
+          windows += expect_windows_match(
+              pc.tasks, pc.decisions, *pc.server, cfg, replications,
+              "n=" + std::to_string(n) + " x=" + std::to_string(x) +
+                  " K=" + std::to_string(replications) + " H=" +
+                  std::to_string(cfg.horizon.ns()) +
+                  (sem == BenefitSemantics::kTimelyCount ? " count" : " quality"));
+        }
+      }
+    }
+  }
+  EXPECT_GT(windows, 0u);
+  for (const double x : {-0.4, -0.1}) {
+    const PaperCase pc = paper_case(31, 30, x, true);
+    SimConfig cfg = batch_base_config();
+    cfg.benefit_semantics = BenefitSemantics::kQualityValue;
+    cfg.horizon = Duration::nanoseconds(4'321'987'654);
+    EXPECT_GT(expect_windows_match(pc.tasks, pc.decisions, *pc.server, cfg, 130,
+                                   "G(0) > 0 x=" + std::to_string(x)),
+              0u);
+  }
+}
+
+TEST(BatchedDifferential, StatefulModelRunsWindowsOneLaneAtATime) {
+  // A drop burst gives the fault injector its own Rng, so the model is
+  // stateful and the batch draws one lane a block. The window draws the
+  // lane's later sends in the serial order, so the model's state evolves
+  // exactly as in the serial run.
+  const PaperCase pc = paper_case(5, 30, -0.1, false);
+  server::FaultScript script;
+  script.seed = 0xD0;
+  server::FaultClause drop;
+  drop.kind = server::FaultKind::kDropBurst;
+  drop.start = TimePoint::zero() + 500_ms;
+  drop.end = TimePoint::zero() + 1500_ms;
+  drop.drop_probability = 0.3;
+  script.clauses = {drop};
+  const server::FaultInjector server(pc.server->clone(), script);
+  ASSERT_FALSE(server.is_stateless());
+  SimConfig cfg = batch_base_config();
+  cfg.horizon = Duration::nanoseconds(2'718'281'828);
+  EXPECT_GT(expect_windows_match(pc.tasks, pc.decisions, server, cfg, 6, "stateful"),
+            0u);
 }
 
 TEST(BatchedDifferential, SingleReplicationEqualsPlainSerialRun) {

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 namespace rt {
 namespace {
@@ -113,17 +112,6 @@ TEST(Rng, BernoulliFrequency) {
   const int n = 100'000;
   for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, ShuffleIsAPermutation) {
-  Rng rng(41);
-  std::vector<int> v(100);
-  std::iota(v.begin(), v.end(), 0);
-  auto shuffled = v;
-  rng.shuffle(shuffled);
-  EXPECT_NE(shuffled, v);  // astronomically unlikely to be identity
-  std::sort(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(shuffled, v);
 }
 
 TEST(Rng, SplitStreamsAreIndependent) {
