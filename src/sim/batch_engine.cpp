@@ -1,47 +1,31 @@
-// Batched replication engine (see batch_engine.hpp for the contract).
+// Batched replication engine (see batch_engine.hpp for the contract and
+// docs/ANALYSIS.md §12 for the rules).
 //
-// Parity argument, in one place. Under the skeleton preconditions the
-// serial engine's schedule of release/setup/local work cannot depend on
-// the server draws as long as every draw is timely: the only sub-jobs whose
-// timing depends on a draw are result posts, which have zero length. A
-// post alone on its nanosecond -- strictly between two skeleton pops, on
-// no other arrival's instant -- runs at its arrival or right after the
-// segment end it waits for, after every event pushed before that instant,
-// and takes no time, so it changes no other post's outcome. Each draw
-// column's window is therefore split at the pops (and at the deadline and
-// the horizon) into intervals with one outcome each, looked up in the
-// column loop that draws the column.
+// Parity. Under the skeleton preconditions only result posts depend on a
+// draw, and they have zero length: a post alone on its nanosecond, off the
+// skeleton's pops and the lane's other arrivals, changes nothing but its
+// own outcome. So each draw column's window is split at the pops, the
+// deadline and the horizon into intervals with one outcome each.
 //
-// Resync windows. A lane leaves that path on a non-timely draw (its
-// compensation has nonzero length), a zero response (the arrival pops on
-// its send instant) or an arrival on the nanosecond of a skeleton pop or
-// of another of its arrivals (the order there hinges on push order). Its
-// divergence is the timer's or the arrival's instant. The lane draws on
-// until the loop reaches t0, the last instant at or before that divergence
-// just before which the skeleton's CPU was idle; the real protocol core
-// then runs for the lane alone from t0 until its CPU is idle again (t1),
-// and the lane rejoins the column loop at the first column sent at or
-// after t1. Both instants are states the skeleton can resume from: no work
-// is pending in either schedule (the lane runs the skeleton's work plus
-// compensations, so its backlog is never the smaller), periodic releases
-// make both wait for each task's next release, and pending releases keep
-// their relative (time, seq) order, which follows from the release
-// history alone. Only the lane's offloads in flight differ: a timely
-// arrival alone on its nanosecond off the skeleton's pops is classified
-// like a table entry (a loose arrival); any other is the lane's next
-// divergence. The window seeds its core with the offloads in flight at t0
-// in push order (a release and a send never share a push instant in the
-// skeleton: ties_replayable), sends the columns the loop drew from t0 on
-// again with their draws, and draws later sends from the lane's Rng in the
-// core's send order, so at t1 the Rng stands where the serial run's does.
-// The lane's counters trade the table outcomes of its posts arriving at or
-// after t0 for the core's metrics over [t0, t1) minus the skeleton's.
+// Resync windows. A lane diverges on a late or missing response (its
+// compensation has length), a zero response, or an arrival on the
+// nanosecond of a pop or of another of its arrivals. From t0, the last
+// instant at or before the divergence just before which the skeleton was
+// idle, the protocol core runs for the lane alone until its CPU is idle
+// past the divergence with no compensation timer due (t1); the lane then
+// rejoins at the first column sent after t1. Both are states the skeleton
+// resumes from: no work is pending (the lane's backlog is never below the
+// skeleton's), periodic releases make both wait for each task's next
+// release, and their (time, seq) order follows from the release history.
+// The window resends the columns the loop drew from t0 on with their draws
+// and draws later sends from the lane's Rng in the core's send order, so
+// at t1 the Rng stands where the serial run's does. Arrivals still in
+// flight at t1 are loose: counted like table entries when alone on their
+// nanosecond off the pops, else the lane's next divergence.
 //
-// Two sums keep the serial order. accrued_benefit adds in completion
-// order: a lane folds its table hits into its running sum before each
-// window, whose core continues it; a lane with no window reads a running-
-// sum table. observed_response_ms is a Welford accumulator in draw order:
-// the column loop adds every draw it makes, a window only its own.
+// Sums in serial order: accrued_benefit folds the lane's table hits into
+// its running sum before each window, whose core continues it, and
+// observed_response_ms takes every draw in draw order.
 
 #include "sim/batch_engine.hpp"
 
@@ -49,6 +33,8 @@
 #include <bit>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -71,12 +57,6 @@ constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
 constexpr std::size_t kNoColumn = std::numeric_limits<std::size_t>::max();
 /// Lanes one block advances together.
 constexpr std::size_t kLanes = 128;
-/// A window that would close with the lane's next divergence due within
-/// this many columns' average spacing keeps running: reopening costs more
-/// than the columns the lane would draw in between. And while the run's
-/// lanes draw fewer columns than this per window, a window runs to the
-/// horizon: divergences are so dense that closing only adds cost.
-constexpr std::size_t kMinGap = 8;
 
 /// One request send point of the skeleton, in serial draw order.
 struct SkelDraw {
@@ -134,24 +114,21 @@ struct Skeleton {
   std::vector<SkelPop> pops;
   /// Pop instants just before which the CPU was idle: busy period starts.
   std::vector<std::int64_t> idle_starts;
-  /// Replication-invariant part of the metrics: releases, attempts, local
-  /// completions/benefit, setup/local deadline misses, skeleton context
-  /// switches, and all of cpu_busy (the posts have zero length).
+  /// The replication-invariant metrics: releases, attempts, local work,
+  /// skeleton context switches and all of cpu_busy (posts take no time).
   SimMetrics base;
 };
 
-/// Tie precheck: a completion on the same nanosecond as a release pop
-/// would push a request and a release in one instant, and a window could
-/// not order the two from push instants alone.
+/// Tie precheck: a completion on the nanosecond of a release pop would
+/// push a request and a release in one instant, which a window could not
+/// order from push instants alone. Such an instant has two adjacent pops
+/// of different kinds.
 bool ties_replayable(const std::vector<SkelPop>& pops) {
-  for (std::size_t i = 0; i < pops.size();) {
-    const std::int64_t t = pops[i].time_ns;
-    bool release = false;
-    bool completion = false;
-    for (; i < pops.size() && pops[i].time_ns == t; ++i) {
-      ((pops[i].flags & kCompletion) != 0 ? completion : release) = true;
+  for (std::size_t i = 1; i < pops.size(); ++i) {
+    if (pops[i].time_ns == pops[i - 1].time_ns &&
+        ((pops[i].flags ^ pops[i - 1].flags) & kCompletion) != 0) {
+      return false;
     }
-    if (release && completion) return false;
   }
   return true;
 }
@@ -163,6 +140,11 @@ std::size_t first_at(const std::vector<T>& v, std::int64_t T::*time, std::int64_
       std::lower_bound(v.begin(), v.end(), t,
                        [time](const T& x, std::int64_t y) { return x.*time < y; }) -
       v.begin());
+}
+
+/// The first draw column sent at or after t.
+std::size_t column_at(const Skeleton& sk, std::int64_t t) {
+  return first_at(sk.draws, &SkelDraw::send_ns, t);
 }
 
 /// The last instant at or before t just before which the skeleton's CPU
@@ -180,32 +162,24 @@ struct Flight {
   std::int64_t send_ns = 0;      ///< push instant of its event
   std::int64_t deadline_ns = 0;  ///< job deadline = EDF key of the post
   std::uint32_t task = 0;
-  /// Releases popped on the send's instant before the send (a window can
-  /// put a release and a send on one instant).
-  std::uint32_t rank = 0;
+  std::uint32_t rank = 0;  ///< releases popped on the send's instant before it
   bool timer = false;
-  /// Its outcome is in the lane's table counters: a timely arrival alone on
-  /// its nanosecond, off the skeleton's pops.
-  bool counted = false;
+  bool counted = false;  ///< its outcome is in the lane's table counters
 };
 
 // ---------------------------------------------------------------------
 // The protocol core's driver. One CoreRunner records the skeleton -- a run
-// from 0 in which a request send becomes a draw and is never resolved, so
-// its zero-length post belongs to each replication's replay -- and then
-// runs every window, which resolves its sends. Both take the releases,
-// the same in every replication, from one schedule (Skeleton::releases)
-// and queue only offloads; every other step is SimEngine's (engine.cpp),
-// so every pop, dispatch and metric is the serial engine's.
+// from 0 in which a send becomes a draw and is never resolved -- and then
+// runs every window. Both take the releases from one schedule
+// (Skeleton::releases) and queue only offloads; every other step is
+// SimEngine's (engine.cpp), so every pop, dispatch and metric is too.
 
 class CoreRunner : public ProtocolCore<CoreRunner> {
  public:
   static constexpr const char* kName = "simulate";
   static constexpr const char* kMetricPrefix = "sim";
 
-  /// The run's TaskCache: record() validated the inputs and filled it,
-  /// through ProtocolCore::reset.
-  using ProtocolCore::task_cache;
+  using ProtocolCore::task_cache;  ///< filled by record()
 
   Skeleton record(const core::TaskSet& tasks, const core::DecisionVector& decisions,
                   const SimConfig& config, const RequestProfile& profile) {
@@ -230,17 +204,12 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
     return std::move(sk_);
   }
 
-  /// A window does not stop at an idle instant while a compensation timer
-  /// fires within `gap_ns` of it.
-  void set_gap(std::int64_t gap_ns) { gap_ns_ = gap_ns; }
-
-  /// Re-enters the run at t0 with the skeleton's releases from t0 on, the
-  /// lane's `flights` and no other work; `reuse` lists the columns the
-  /// core sends first, with their draws (a timer's late_results already
-  /// counted), and later draws come from `rng` into the lane's
-  /// Welford accumulators (one per task, kLanes apart). The core counts
-  /// into the lane's `metrics` until close(); its CPU time and context
-  /// switches restart from zero.
+  /// Re-enters the run at t0 with the skeleton's releases from t0 on and
+  /// the lane's `flights`; `reuse` lists the columns the core sends first,
+  /// with their draws (late_results already counted), and later draws come
+  /// from `rng` into the lane's `response` (one per task, kLanes apart).
+  /// The core counts into the lane's `metrics` until close(), with CPU
+  /// time and context switches from zero.
   void open(const Skeleton& sk, std::int64_t t0, const std::vector<Flight>& flights,
             const std::vector<Flight>& reuse, Rng* rng, server::ResponseModel* server,
             RunningStats* response, std::vector<TaskMetrics>& metrics) {
@@ -256,14 +225,14 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
     server_ = server;
     response_ = response;
     events_.clear();
-    timers_.clear();
     event_seq_ = 0;
+    timers_ = 0;
     slice_key_ = Key{};
     instant_ = kNever;
     for (const Flight& f : flights) {
-      heap_push(events_, Event{{f.time_ns, f.send_ns, 2 * std::uint64_t{f.rank}, event_seq_++},
-                               f.deadline_ns, f.task, f.rank, f.timer});
-      if (f.timer) add_timer(f.time_ns);
+      const Key key{f.time_ns, f.send_ns, 2 * std::uint64_t{f.rank}, event_seq_++};
+      heap_push(events_, Event{key, f.deadline_ns, f.task, f.timer});
+      timers_ += f.timer && f.time_ns < horizon_end_.ns();
     }
   }
 
@@ -271,11 +240,11 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
   void close(std::vector<TaskMetrics>& metrics) { metrics_.per_task.swap(metrics); }
 
   /// Steps events until, past `must_pass` and the reused draws, the lane's
-  /// CPU is idle with no timer due within the gap, returning that instant
-  /// t1; or to the horizon, returning kNever. The skeleton is idle at t1
-  /// too: the lane runs the skeleton's work plus compensations, so under a
-  /// work-conserving scheduler its backlog is never the smaller. Events
-  /// popped are counted into `events`. Called again, it continues.
+  /// CPU is idle with no compensation timer due before the horizon,
+  /// returning that instant t1; or to the horizon, returning kNever. The
+  /// skeleton is idle at t1 too: the lane runs the skeleton's work plus
+  /// compensations, so under a work-conserving scheduler its backlog is
+  /// never the smaller. Events popped are counted into `events`.
   std::int64_t run(std::int64_t must_pass, std::uint64_t& events) {
     std::int64_t last = now_.ns() - 1;  // the last instant stepped
     for (;;) {
@@ -294,8 +263,7 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
       }
       if (key.time >= horizon_end_.ns()) break;
       if (key.time > last && last >= must_pass && reuse_next_ == reuse_->size() &&
-          running_subjob() == nullptr &&
-          (timers_.empty() || timers_.front() - last > gap_ns_)) {
+          timers_ == 0 && running_subjob() == nullptr) {
         return last + 1;
       }
       if (recording_) begin_pop(key.time, last);
@@ -325,11 +293,8 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
       } else {
         const Event ev = events_[0];
         heap_pop(events_);
-        if (ev.timer) {  // timers pop in time order: this is the earliest
-          std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
-          timers_.pop_back();
-        }
-        const Offload job{TimePoint{ev.deadline}, TimePoint{ev.key.pushed}, 0, ev.task, 0};
+        timers_ -= ev.timer;
+        const Offload job{TimePoint{ev.deadline}, TimePoint{ev.key.pushed}, 0, ev.task};
         resolve(job, !ev.timer, now_ - job.send);
       }
       const std::uint64_t switches = metrics_.context_switches;
@@ -340,25 +305,19 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
     return kNever;
   }
 
-  /// The CPU time and context switches of the window so far.
-  [[nodiscard]] std::int64_t busy_ns() const { return metrics_.cpu_busy_ns; }
-  [[nodiscard]] std::uint64_t switches() const { return metrics_.context_switches; }
+  /// The window's CPU time and context switches.
+  [[nodiscard]] const SimMetrics& totals() const { return metrics_; }
 
   /// The offloads in flight before the horizon when run() returned, in
-  /// push order.
+  /// push order (seq order); the window is over, so the heap can go.
   void in_flight(std::vector<Flight>& out) {
-    flying_.clear();
-    for (const Event& e : events_) {
-      if (e.key.time < horizon_end_.ns()) flying_.push_back(e);
-    }
-    std::sort(flying_.begin(), flying_.end(), [](const Event& a, const Event& b) {
-      return a.key.pushed != b.key.pushed ? a.key.pushed < b.key.pushed
-                                          : a.key.seq < b.key.seq;
-    });
+    std::sort(events_.begin(), events_.end(),
+              [](const Event& a, const Event& b) { return a.key.seq < b.key.seq; });
     out.clear();
-    for (const Event& e : flying_) {
-      out.push_back(Flight{e.key.time, e.key.pushed, e.deadline, e.task, e.rank, e.timer,
-                           false});
+    for (const Event& e : events_) {
+      if (e.key.time >= horizon_end_.ns()) continue;
+      out.push_back(Flight{e.key.time, e.key.pushed, e.deadline, e.task,
+                           static_cast<std::uint32_t>(e.key.rank / 2), e.timer, false});
     }
   }
 
@@ -369,34 +328,35 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
   void cancel_slice() { slice_key_.time = kNone; }
 
   /// Recording, a send becomes a draw. In a window it is SimEngine's send,
-  /// drawing from the column loop's row while the core repeats the
-  /// skeleton's sends and from the lane after that.
+  /// taking the loop's draws for the skeleton's sends, then the lane's.
   void send_offload(const Offload& job, const TaskCache& tc) {
     if (recording_) {
       sk_.draws.push_back(SkelDraw{job.send.ns(), tc.response_time.ns(),
-                                   job.job_deadline.ns(), sk_.idle_starts.back(), job.task});
+                                   job.job_deadline.ns(), sk_.idle_starts.back(),
+                                   job.task});
       return;
     }
     Duration response;
     if (reuse_next_ < reuse_->size()) {
       const Flight& u = (*reuse_)[reuse_next_++];
       if (u.send_ns != now_.ns() || u.task != job.task) {
-        throw std::logic_error("simulate: a window left the skeleton before its divergence");
+        throw std::logic_error("simulate: a window left the skeleton early");
       }
-      response = u.timer ? server::kNoResponse : Duration::nanoseconds(u.time_ns - u.send_ns);
+      response = u.timer ? server::kNoResponse
+                         : Duration::nanoseconds(u.time_ns - u.send_ns);
     } else {
       server::Request req = tc.req;
       req.send_time = now_;
       response = server_->sample(req, *rng_);
-      if (response != server::kNoResponse) response_[job.task * kLanes].add(response.ms());
-      if (response != server::kNoResponse && response > tc.response_time) {
-        ++metrics_.per_task[job.task].late_results;
+      if (response != server::kNoResponse) {
+        response_[job.task * kLanes].add(response.ms());
+        if (response > tc.response_time) ++metrics_.per_task[job.task].late_results;
       }
     }
     const bool timer = response == server::kNoResponse || response > tc.response_time;
     const std::int64_t at = (now_ + (timer ? tc.response_time : response)).ns();
-    heap_push(events_, Event{push_key(at), job.job_deadline.ns(), job.task, rank_now(), timer});
-    if (timer) add_timer(at);
+    heap_push(events_, Event{push_key(at), job.job_deadline.ns(), job.task, timer});
+    timers_ += timer && at < horizon_end_.ns();
   }
 
  private:
@@ -411,10 +371,8 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
     std::uint64_t seq = 0;
 
     friend bool operator<(const Key& a, const Key& b) {
-      if (a.time != b.time) return a.time < b.time;
-      if (a.pushed != b.pushed) return a.pushed < b.pushed;
-      if (a.rank != b.rank) return a.rank < b.rank;
-      return a.seq < b.seq;
+      return std::tie(a.time, a.pushed, a.rank, a.seq) <
+             std::tie(b.time, b.pushed, b.rank, b.seq);
     }
   };
 
@@ -423,7 +381,6 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
     Key key;
     std::int64_t deadline = 0;  ///< the job deadline
     std::uint32_t task = 0;
-    std::uint32_t rank = 0;  ///< Flight::rank
     bool timer = false;
 
     friend bool operator<(const Event& a, const Event& b) { return a.key < b.key; }
@@ -437,11 +394,6 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
 
   Key push_key(std::int64_t at) {
     return Key{at, now_.ns(), 2 * std::uint64_t{rank_now()}, event_seq_++};
-  }
-
-  void add_timer(std::int64_t at) {
-    timers_.push_back(at);
-    std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
   }
 
   /// The run's releases before the horizon, in SimEngine's pop order: a
@@ -496,7 +448,9 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
     // The running segment is the next one appended: every segment
     // started earlier has already ended.
     pop_.releases = job_counter_;
-    if (runs != nullptr) pop_.seg_after = static_cast<std::uint32_t>(sk_.segments.size());
+    if (runs != nullptr) {
+      pop_.seg_after = static_cast<std::uint32_t>(sk_.segments.size());
+    }
     if (metrics_.context_switches != switches) pop_.flags |= kSwitched;
     sk_.pops.push_back(pop_);
   }
@@ -510,10 +464,8 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
   const std::vector<SkelRelease>* releases_ = nullptr;
   std::size_t next_release_ = 0;
   std::vector<Event> events_;  // 4-ary min-heap of the lane's offloads
-  std::vector<Event> flying_;
-  std::vector<std::int64_t> timers_;  ///< min-heap: the timers in events_
-  std::int64_t gap_ns_ = 0;
   std::uint64_t event_seq_ = 0;
+  std::size_t timers_ = 0;  ///< timers in events_ due before the horizon
   Key slice_key_;
   std::int64_t instant_ = kNever;  ///< the instant of the last release pop
   std::uint32_t released_ = 0;     ///< releases popped on that instant
@@ -524,25 +476,22 @@ class CoreRunner : public ProtocolCore<CoreRunner> {
   RunningStats* response_ = nullptr;  ///< the lane's, [task * kLanes]
 };
 
-/// What one timely post adds to its lane when its arrival lands inside
-/// one interval of its column's table, packed in 16-bit fields so one
-/// addition counts them all.
+/// What a timely post arriving in one interval of its column adds to its
+/// lane, in 16-bit fields so one addition counts them all.
 enum OutcomeField : unsigned {
   kTimelyAt = 0,  ///< 0 past the horizon: the arrival never pops
   kDoneAt = 16,   ///< the post completes before the horizon
   kMissAt = 32,   ///< ... after its job deadline
   kCtxAt = 48,    ///< context switches beyond the skeleton's
 };
-/// A column adds at most 2 to a field, so packed counters are unpacked
-/// at least this often.
+/// A column adds at most 2 to a field: unpack at least this often.
 constexpr std::size_t kUnpackColumns = 0x7FFF;
 
 std::uint64_t field(std::uint64_t packed, OutcomeField at) {
   return (packed >> at) & 0xFFFF;
 }
 
-/// Index of the interval of arrival t: the boundaries below it, counted
-/// without a data-dependent branch.
+/// Index of arrival t's interval: the boundaries below it, branch-free.
 std::uint32_t interval_of(const std::int64_t* bounds, std::uint32_t n,
                           std::int64_t t) {
   std::uint32_t k = 0;
@@ -566,23 +515,20 @@ struct Column {
 /// One lane's windows: what they changed, what they left in flight, and
 /// where the lane goes next.
 struct LaneState {
-  /// What the windows changed beyond the table counters: counts as
-  /// modular deltas over the skeleton's, and an offloaded task's
-  /// accrued_benefit as its sum in completion order, with `folded` of its
-  /// table hits added.
+  /// The windows' counts as modular deltas over the skeleton's, and an
+  /// offloaded task's accrued_benefit as its sum in completion order with
+  /// `folded` of its table hits added; `ctx` holds the table's too.
   std::vector<TaskMetrics> task;
   std::vector<std::uint64_t> folded;
   std::uint64_t ctx = 0;
   std::int64_t busy = 0;
   std::vector<Flight> loose;  ///< left in flight by the last window
-  /// Not drawing: the column it rejoins at (kNoColumn: complete), and its
-  /// Rng, which the column loop's draws for the other lanes advance.
+  /// Parked: the column it rejoins at (kNoColumn: drawing or finished),
+  /// and its Rng, which the loop's sample_n advances meanwhile.
   std::size_t resume = kNoColumn;
   Rng saved{0};
-  /// The earliest divergence no window has run yet: a late or missing
-  /// response's timer, a zero or colliding arrival, or such a loose
-  /// offload. Its window opens at idle_before(pending_ns), before the
-  /// lane draws column window_at.
+  /// The earliest divergence no window has run yet; its window opens at
+  /// idle_before(pending_ns), before the lane draws column window_at.
   std::int64_t pending_ns = kNone;
   std::size_t window_at = kNoColumn;
 };
@@ -604,43 +550,36 @@ struct BatchSimEngine::Impl {
   std::vector<std::uint64_t> outcomes_;  ///< per interval, packed
   std::size_t built_ = 0;             ///< columns built so far
   std::size_t build_pop_ = 0;         ///< first pop after the last built send
-  /// Per column, ring rows of the earlier columns whose windows pass its
-  /// send: the only draws one of its arrivals can share a nanosecond with.
+  /// Per column, the ring rows of its active columns.
   std::vector<std::uint32_t> reach_rows_;
   /// A power of two, deep enough for every column a window takes over.
   std::size_t ring_rows_ = 1;
 
-  // One block's lanes. Counters are [task][lane] with stride kLanes and
-  // hold the table's outcomes only. A task's benefit is its hit count's
-  // entry in benefit_sums_: the serial engine adds the same value per hit.
+  // One block's lanes; counters are [task][lane] (stride kLanes), table
+  // outcomes only. benefit_sums_ holds the serial running sum per hits.
   std::vector<Rng> rngs_;
   std::vector<Duration> row_;    ///< [lane] one column's draws
-  std::vector<char> leaves_;     ///< [lane] after one column
   std::vector<char> live_mask_;  ///< [lane] drawing in the column loop
   std::vector<std::uint64_t> timely_;
   std::vector<std::uint64_t> completed_;
   std::vector<std::uint64_t> misses_;
   std::vector<std::uint64_t> packed_;  ///< the lane loop's, unpacked above
   std::vector<RunningStats> response_;
-  std::vector<std::uint64_t> ctx_delta_;  ///< [lane]
-  /// [column % ring_rows_][lane] arrivals; a late or missing response's
-  /// timer instant t as ~t, which equals no arrival.
+  /// [column % ring_rows_][lane] arrivals; a timer's instant t as ~t.
   std::vector<std::int64_t> ring_;
   std::vector<std::int64_t> loose_until_;  ///< [lane] latest counted loose arrival
   std::vector<std::vector<double>> benefit_sums_;  ///< [task][hits]
   std::vector<LaneState> lanes_;
-  std::size_t live_ = 0;     ///< lanes drawing
-  std::uint64_t drawn_ = 0;  ///< lane-columns drawn in this run
+  std::size_t live_ = 0;  ///< lanes drawing
+  std::size_t span_ = 0;  ///< lanes up to the last one not finished
   std::size_t next_event_ = kNoColumn;  ///< the least resume or window_at
 
   // A window's inputs and scratch.
   std::vector<Flight> flights_;
   std::vector<Flight> reuse_;  ///< columns the window sends again
-  std::vector<std::int64_t> times_;
 
   std::int64_t horizon_ = 0;
-  std::int64_t gap_ns_ = 0;  ///< kMinGap columns' average spacing
-  std::size_t n_ = 0;        ///< tasks
+  std::size_t n_ = 0;  ///< tasks
 
   const TaskCache& cache(std::uint32_t task) const { return core_.task_cache()[task]; }
 
@@ -650,7 +589,6 @@ struct BatchSimEngine::Impl {
                   const SimConfig& config, std::size_t replications,
                   const RequestProfile& profile) {
     stats_ = BatchEngineStats{};
-    drawn_ = 0;
     BatchResult result;
     result.per_replication.resize(replications);
     if (replications == 0) return result;
@@ -708,11 +646,10 @@ struct BatchSimEngine::Impl {
   /// colliding columns, and empties the outcome table.
   void prepare(const Skeleton& sk, std::int64_t horizon, std::size_t n) {
     const std::size_t columns = sk.draws.size();
-    // An arrival of column c lies in (send_c, send_c + R_c], so it can
-    // share a nanosecond only with a column whose window passes send_c.
-    // Draws are in send order, so those columns are the "active" ones. A
-    // window opened at or after column c's idle instant takes over the
-    // columns whose windows reach it, so the ring keeps those too.
+    // An arrival of column c can share a nanosecond only with an
+    // "active" column, whose window passes send_c. A window opened at or
+    // after column c's idle instant takes over the "held" columns, whose
+    // windows reach it, so the ring keeps those too.
     std::vector<std::uint32_t> active;
     std::vector<std::uint32_t> held;
     std::vector<std::uint32_t> reach;  // column indices for now
@@ -720,13 +657,11 @@ struct BatchSimEngine::Impl {
     std::size_t span = 0;
     for (std::size_t c = 0; c < columns; ++c) {
       const SkelDraw& d = sk.draws[c];
-      const auto ends_before = [&sk](std::int64_t t) {
-        return [&sk, t](std::uint32_t e) {
-          return sk.draws[e].send_ns + sk.draws[e].window_ns < t;
-        };
+      const auto end = [&sk](std::uint32_t e) {
+        return sk.draws[e].send_ns + sk.draws[e].window_ns;
       };
-      std::erase_if(active, ends_before(d.send_ns + 1));
-      std::erase_if(held, ends_before(d.idle_ns));
+      std::erase_if(active, [&](std::uint32_t e) { return end(e) <= d.send_ns; });
+      std::erase_if(held, [&](std::uint32_t e) { return end(e) < d.idle_ns; });
       columns_[c].reach0 = static_cast<std::uint32_t>(reach.size());
       columns_[c].reaches = static_cast<std::uint32_t>(active.size());
       reach.insert(reach.end(), active.begin(), active.end());
@@ -746,18 +681,13 @@ struct BatchSimEngine::Impl {
     built_ = 0;
     build_pop_ = 0;
     horizon_ = horizon;
-    gap_ns_ = static_cast<std::int64_t>(kMinGap) * horizon /
-              static_cast<std::int64_t>(std::max<std::size_t>(columns, 1));
-    core_.set_gap(gap_ns_);
 
     rngs_.assign(kLanes, Rng(0));
     row_.resize(kLanes);
-    leaves_.resize(kLanes);
     live_mask_.resize(kLanes);
     ring_.resize(ring_rows_ * kLanes);
     for (auto* v : {&timely_, &completed_, &misses_, &packed_}) v->resize(n * kLanes);
     response_.resize(n * kLanes);
-    ctx_delta_.resize(kLanes);
     loose_until_.resize(kLanes);
     lanes_.resize(kLanes);
     benefit_sums_.assign(n, std::vector<double>{0.0});
@@ -848,30 +778,22 @@ struct BatchSimEngine::Impl {
 
   // ---- the lanes ----
 
-  std::size_t at(std::uint32_t task, std::size_t lane) const {
-    return task * kLanes + lane;
-  }
+  static std::size_t at(std::uint32_t i, std::size_t s) { return i * kLanes + s; }
 
-  /// Adds the lane's packed counters into its wide ones.
-  void unpack(std::size_t s) {
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      const std::size_t k = at(i, s);
-      const std::uint64_t p = packed_[k];
-      timely_[k] += field(p, kTimelyAt);
-      completed_[k] += field(p, kDoneAt);
-      misses_[k] += field(p, kMissAt);
-      ctx_delta_[s] += field(p, kCtxAt);
-      packed_[k] = 0;
-    }
-  }
-
-  /// Adds (sign +1) or takes back (-1) one post's outcome in wide counters.
+  /// Adds (sign +1) or takes back (-1) packed outcomes in wide counters.
   void apply(std::size_t s, std::uint32_t task, std::uint64_t o, std::uint64_t sign) {
     const std::size_t k = at(task, s);
     timely_[k] += sign * field(o, kTimelyAt);
     completed_[k] += sign * field(o, kDoneAt);
     misses_[k] += sign * field(o, kMissAt);
-    ctx_delta_[s] += sign * field(o, kCtxAt);
+    lanes_[s].ctx += sign * field(o, kCtxAt);
+  }
+
+  /// Adds the lane's packed counters into its wide ones.
+  void unpack(std::size_t s) {
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      apply(s, i, std::exchange(packed_[at(i, s)], 0), 1);
+    }
   }
 
   /// `hits` additions of the task's benefit per completion (timely for an
@@ -879,9 +801,8 @@ struct BatchSimEngine::Impl {
   double benefit_of(std::uint32_t task, std::uint64_t hits) {
     std::vector<double>& sums = benefit_sums_[task];
     const TaskCache& tc = cache(task);
-    while (sums.size() <= hits) {
-      sums.push_back(sums.back() + (tc.offloaded ? tc.timely_benefit : tc.local_benefit));
-    }
+    const double b = tc.offloaded ? tc.timely_benefit : tc.local_benefit;
+    while (sums.size() <= hits) sums.push_back(sums.back() + b);
     return sums[hits];
   }
 
@@ -914,16 +835,14 @@ struct BatchSimEngine::Impl {
               ? fold(i, x.accrued_benefit, completed_[k] - misses_[k] - l.folded[i])
               : benefit_of(i, tm.local_runs);
     }
-    m.context_switches += ctx_delta_[s] + l.ctx;
+    m.context_switches += l.ctx;
     m.cpu_busy_ns += l.busy;
     return m;
   }
 
   /// Replications [r0, r0 + lanes) in one column loop: per column one
-  /// sample_n for the lanes, then each drawing lane's window check,
-  /// response statistics and table lookup. A lane that leaves the
-  /// skeleton's path runs a resync window and skips the columns the window
-  /// sent. A stateful model runs one lane a block.
+  /// sample_n, then per drawing lane a window check, response statistics
+  /// and a table lookup. A stateful model runs one lane a block.
   void run_block(BatchResult& result, const Skeleton& sk, std::size_t r0,
                  std::size_t lanes, server::ResponseModel& server,
                  const SimConfig& config) {
@@ -935,7 +854,6 @@ struct BatchSimEngine::Impl {
         timely_[k] = completed_[k] = misses_[k] = packed_[k] = 0;
         response_[k] = RunningStats{};
       }
-      ctx_delta_[s] = 0;
       loose_until_[s] = kNever;
       live_mask_[s] = 1;
       LaneState& l = lanes_[s];
@@ -947,7 +865,7 @@ struct BatchSimEngine::Impl {
       l.pending_ns = kNone;
       l.window_at = kNoColumn;
     }
-    live_ = lanes;
+    live_ = span_ = lanes;
     next_event_ = kNoColumn;
     const std::size_t columns = sk.draws.size();
     const std::size_t ring_mask = ring_rows_ - 1;
@@ -956,7 +874,7 @@ struct BatchSimEngine::Impl {
         if (next_event_ >= columns) break;
         c = next_event_;
       }
-      if (c >= next_event_) dispatch(result, sk, c, lanes, r0, server);
+      if (c >= next_event_) dispatch(sk, c, server);
       if (live_ == 0) continue;
       while (built_ <= c) build_column(sk, built_++);
       if (c % kUnpackColumns == kUnpackColumns - 1) {
@@ -965,10 +883,10 @@ struct BatchSimEngine::Impl {
       const SkelDraw& d = sk.draws[c];
       server::Request req = cache(d.task).req;
       req.send_time = TimePoint{d.send_ns};
-      // Waiting lanes draw too; they get their Rng back when they rejoin
+      // Parked lanes draw too; they get their Rng back when they rejoin
       // (a stateful model runs one lane, so it never draws for one).
-      server.sample_n(req, std::span<Rng>(rngs_.data(), lanes),
-                      std::span<Duration>(row_.data(), lanes));
+      server.sample_n(req, std::span<Rng>(rngs_.data(), span_),
+                      std::span<Duration>(row_.data(), span_));
 
       const Column& col = columns_[c];
       const std::int64_t* bounds = bounds_.data() + col.bound0;
@@ -980,8 +898,8 @@ struct BatchSimEngine::Impl {
       RunningStats* response = response_.data() + base;
       const std::int64_t* ring = ring_.data();
       std::int64_t* here = ring_.data() + (c & ring_mask) * kLanes;
-      bool any_left = false;
-      const auto step = [&](std::size_t s) {
+      for (std::size_t s = 0; s < span_; ++s) {
+        if (!live_mask_[s]) continue;
         const Duration resp = row_[s];
         // Statistics in draw order, as the serial engine records them at
         // send.
@@ -993,91 +911,65 @@ struct BatchSimEngine::Impl {
         for (std::uint32_t e = 0; e < col.reaches; ++e) {
           same_ns |= ring[reach[e] + s] == a;
         }
-        if (d.send_ns < loose_until_[s]) same_ns |= lands_on_loose(s, a);
+        if (d.send_ns < loose_until_[s]) {
+          same_ns |= std::ranges::any_of(lanes_[s].loose, [a](const Flight& f) {
+            return f.counted && f.time_ns == a;
+          });
+        }
         here[s] = late ? ~a : a;
+        packed[s] += outcomes[k];
         const bool leaves = late | (a == pop_at[k]) | (resp.ns() <= 0) |
                             (same_ns & (a < horizon_));
-        packed[s] += outcomes[k];
-        leaves_[s] = leaves;
-        any_left |= leaves;
-      };
-      if (live_ == lanes) {
-        for (std::size_t s = 0; s < lanes; ++s) step(s);
-      } else {
-        for (std::size_t s = 0; s < lanes; ++s) {
-          leaves_[s] = false;
-          if (live_mask_[s]) step(s);
-        }
-      }
-      drawn_ += live_;
-      if (!any_left) continue;
-      for (std::size_t s = 0; s < lanes; ++s) {
-        if (!leaves_[s]) continue;
+        if (!leaves) continue;
         // The lane runs as before until the timer fires or the arrival
         // pops; its window opens at the idle instant before that, now if
         // the loop has drawn past it.
         LaneState& l = lanes_[s];
-        const Duration resp = row_[s];
-        if (resp != server::kNoResponse && resp.ns() > d.window_ns) {
-          ++l.task[d.task].late_results;
-        }
-        l.pending_ns = std::min(l.pending_ns, d.send_ns + std::min(resp.ns(), d.window_ns));
-        l.window_at = first_at(sk.draws, &SkelDraw::send_ns, idle_before(sk, l.pending_ns));
+        if (resp != server::kNoResponse && late) ++l.task[d.task].late_results;
+        l.pending_ns = std::min(l.pending_ns, a);
+        l.window_at = column_at(sk, idle_before(sk, l.pending_ns));
         if (l.window_at <= c) {
-          resync(result, sk, s, c + 1, r0, server);
+          resync(sk, s, c + 1, server);
         } else {
           next_event_ = std::min(next_event_, l.window_at);
         }
       }
     }
-    dispatch(result, sk, columns, lanes, r0, server);  // windows after the last send
+    dispatch(sk, columns, server);  // windows after the last send
     for (std::size_t s = 0; s < lanes; ++s) {
-      if (!live_mask_[s]) continue;
       unpack(s);
-      ++stats_.fast_replications;
       result.per_replication[r0 + s] = materialize(sk, s);
     }
-  }
-
-  bool lands_on_loose(std::size_t s, std::int64_t a) const {
-    for (const Flight& f : lanes_[s].loose) {
-      if (f.counted && f.time_ns == a) return true;
-    }
-    return false;
+    stats_.fast_replications += lanes;
   }
 
   /// Rejoins the lanes waiting for column c and opens the windows due
-  /// before it.
-  void dispatch(BatchResult& result, const Skeleton& sk, std::size_t c,
-                std::size_t lanes, std::size_t r0, server::ResponseModel& server) {
+  /// before it; a window that ends before column c's send rejoins at once.
+  void dispatch(const Skeleton& sk, std::size_t c, server::ResponseModel& server) {
     next_event_ = kNoColumn;
-    for (std::size_t s = 0; s < lanes; ++s) {
+    for (std::size_t s = 0; s < span_; ++s) {
       LaneState& l = lanes_[s];
-      if (!live_mask_[s] && l.resume == c) rejoin(s);
-      while (live_mask_[s] && l.window_at == c) {
-        resync(result, sk, s, c, r0, server);
-        // A window that ended before column c's send rejoins at once.
-        if (!live_mask_[s] && l.resume == c) rejoin(s);
+      while (live_mask_[s] ? l.window_at == c : l.resume == c) {
+        if (live_mask_[s]) {
+          resync(sk, s, c, server);
+          continue;
+        }
+        rngs_[s] = l.saved;
+        live_mask_[s] = 1;
+        l.resume = kNoColumn;
+        ++live_;
       }
       next_event_ = std::min(next_event_, live_mask_[s] ? l.window_at : l.resume);
     }
   }
 
-  void rejoin(std::size_t s) {
-    LaneState& l = lanes_[s];
-    rngs_[s] = l.saved;
-    live_mask_[s] = 1;
-    l.resume = kNoColumn;
-    ++live_;
-  }
-
   // ---- resync windows ----
 
-  /// Runs lane s's window from idle_before(pending_ns) -- the loop drew
-  /// its columns before `drawn_to` -- and then parks the lane to rejoin at
-  /// the first column sent after the window, or completes it.
-  void resync(BatchResult& result, const Skeleton& sk, std::size_t s,
-              std::size_t drawn_to, std::size_t r0, server::ResponseModel& server) {
+  /// Runs lane s's window from idle_before(pending_ns), the loop having
+  /// drawn its columns before `drawn_to`, and parks the lane to rejoin at
+  /// column_at(t1) (the block's end for none), or finishes it.
+  void resync(const Skeleton& sk, std::size_t s, std::size_t drawn_to,
+              server::ResponseModel& server) {
     unpack(s);
     LaneState& l = lanes_[s];
     const std::int64_t t0 = idle_before(sk, l.pending_ns);
@@ -1085,30 +977,19 @@ struct BatchSimEngine::Impl {
     for (std::uint32_t i = 0; i < n_; ++i) {
       if (!cache(i).offloaded) continue;
       const std::uint64_t hits = completed_[at(i, s)] - misses_[at(i, s)];
-      l.task[i].accrued_benefit = fold(i, l.task[i].accrued_benefit, hits - l.folded[i]);
-      l.folded[i] = hits;
+      double& sum = l.task[i].accrued_benefit;
+      sum = fold(i, sum, hits - std::exchange(l.folded[i], hits));
     }
-    core_.open(sk, t0, flights_, reuse_, &rngs_[s], &server, response_.data() + s, l.task);
-    const bool dense = stats_.resync_windows * kMinGap > drawn_;
+    core_.open(sk, t0, flights_, reuse_, &rngs_[s], &server, response_.data() + s,
+               l.task);
     ++stats_.resync_windows;
-    std::int64_t must_pass = dense ? kNone : l.pending_ns;
-    std::int64_t t1 = kNever;
-    std::size_t resume = sk.draws.size();
-    for (;;) {
-      t1 = core_.run(must_pass, stats_.resync_events);
-      if (t1 == kNever) break;
-      // What is still in flight: the table counts each timely arrival
-      // alone on its nanosecond off the skeleton's pops; any other is the
-      // next divergence. Close unless that comes within the gap, or no
-      // column is left to draw before it.
+    const std::int64_t t1 = core_.run(l.pending_ns, stats_.resync_events);
+    // What is still in flight: the table counts each timely arrival alone
+    // on its nanosecond off the skeleton's pops; any other is the next
+    // divergence.
+    if (t1 != kNever) {
       core_.in_flight(l.loose);
       l.pending_ns = classify_loose(sk, l.loose);
-      resume = first_at(sk.draws, &SkelDraw::send_ns, t1);
-      if (l.pending_ns == kNone ||
-          (l.pending_ns - t1 > gap_ns_ && resume < sk.draws.size())) {
-        break;
-      }
-      must_pass = t1;
     }
     core_.close(l.task);
     take_window(sk, l, t0, t1);
@@ -1116,51 +997,43 @@ struct BatchSimEngine::Impl {
     --live_;
     l.resume = kNoColumn;
     l.window_at = kNoColumn;
-    if (t1 != kNever) {
-      for (const Flight& f : l.loose) {
-        if (!f.counted) continue;
-        apply(s, f.task, classify(sk, f), 1);
-        loose_until_[s] = std::max(loose_until_[s], f.time_ns);
+    if (t1 == kNever) {
+      while (span_ > 0 && !live_mask_[span_ - 1] &&
+             lanes_[span_ - 1].resume == kNoColumn) {
+        --span_;
       }
-      // The window replaced every column the ring holds for the lane.
-      for (std::size_t row = 0; row < ring_.size(); row += kLanes) ring_[row + s] = kNever;
-      if (l.pending_ns != kNone) {
-        l.window_at = first_at(sk.draws, &SkelDraw::send_ns, idle_before(sk, l.pending_ns));
-      }
-      if (resume < sk.draws.size()) {
-        l.resume = resume;
-        l.saved = rngs_[s];
-        next_event_ = std::min(next_event_, resume);
-        return;
-      }
+      return;
     }
-    ++stats_.fast_replications;
-    result.per_replication[r0 + s] = materialize(sk, s);
+    for (const Flight& f : l.loose) {
+      if (!f.counted) continue;
+      apply(s, f.task, classify(sk, f), 1);
+      loose_until_[s] = std::max(loose_until_[s], f.time_ns);
+    }
+    // The window replaced every column the ring holds for the lane.
+    for (std::size_t r = 0; r < ring_.size(); r += kLanes) ring_[r + s] = kNever;
+    if (l.pending_ns != kNone) {
+      l.window_at = column_at(sk, idle_before(sk, l.pending_ns));
+    }
+    l.resume = column_at(sk, t1);
+    l.saved = rngs_[s];
+    next_event_ = std::min(next_event_, l.resume);
   }
 
-  /// Marks each loose offload the table can count and returns the earliest
-  /// instant of the others (kNone if none).
-  std::int64_t classify_loose(const Skeleton& sk, std::vector<Flight>& loose) {
-    times_.clear();
-    for (const Flight& f : loose) {
-      if (!f.timer) times_.push_back(f.time_ns);
-    }
-    std::sort(times_.begin(), times_.end());
+  /// Marks each loose arrival (a window closes with no timer due) the
+  /// table can count and returns the earliest instant of the others.
+  static std::int64_t classify_loose(const Skeleton& sk, std::vector<Flight>& loose) {
     std::int64_t pending = kNone;
     for (Flight& f : loose) {
-      const auto [lo, hi] = std::equal_range(times_.begin(), times_.end(), f.time_ns);
       const std::size_t q = first_at(sk.pops, &SkelPop::time_ns, f.time_ns);
-      f.counted = !f.timer && hi - lo == 1 &&
+      f.counted = std::ranges::count(loose, f.time_ns, &Flight::time_ns) == 1 &&
                   (q == sk.pops.size() || sk.pops[q].time_ns != f.time_ns);
       if (!f.counted) pending = std::min(pending, f.time_ns);
     }
     return pending;
   }
 
-  /// Gathers the window's inputs at t0: every post of lane s arriving at
-  /// or after t0 leaves the table counters; those in flight at t0 become
-  /// flights, and the columns the loop drew from t0 on are sent again with
-  /// their draws.
+  /// Takes lane s's posts arriving from t0 on out of the table counters:
+  /// those sent before t0 become flights, the others columns to resend.
   void take_over(const Skeleton& sk, std::size_t s, std::size_t drawn_to,
                  std::int64_t t0) {
     LaneState& l = lanes_[s];
@@ -1182,17 +1055,15 @@ struct BatchSimEngine::Impl {
       const std::int64_t a = timer ? ~v : v;
       if (de.send_ns < t0 && a < t0) continue;  // landed
       const Column& col = columns_[e];
-      apply(s, de.task,
-            outcomes_[col.interval0 + interval_of(bounds_.data() + col.bound0, col.bounds, a)],
-            ~std::uint64_t{0});
+      const std::uint32_t k = interval_of(bounds_.data() + col.bound0, col.bounds, a);
+      apply(s, de.task, outcomes_[col.interval0 + k], ~std::uint64_t{0});
       (de.send_ns < t0 ? flights_ : reuse_)
           .push_back(Flight{a, de.send_ns, de.deadline_ns, de.task, 0, timer, true});
     }
   }
 
-  /// Takes the skeleton's share of [t0, t1) (t1 = kNever: to the horizon)
-  /// out of the lane's deltas, which the window's core counted into, and
-  /// adds the window's CPU time and context switches.
+  /// Takes the skeleton's share of [t0, t1) (kNever: to the horizon) out
+  /// of the lane's deltas, and adds the window's CPU time and switches.
   void take_window(const Skeleton& sk, LaneState& l, std::int64_t t0, std::int64_t t1) {
     const std::int64_t end = t1 == kNever ? kNone : t1;
     for (std::size_t p = first_at(sk.pops, &SkelPop::time_ns, t0);
@@ -1211,8 +1082,8 @@ struct BatchSimEngine::Impl {
          g < sk.segments.size() && sk.segments[g].start_ns < end; ++g) {
       l.busy -= sk.segments[g].end_ns - sk.segments[g].start_ns;
     }
-    l.ctx += core_.switches();
-    l.busy += core_.busy_ns();
+    l.ctx += core_.totals().context_switches;
+    l.busy += core_.totals().cpu_busy_ns;
   }
 };
 

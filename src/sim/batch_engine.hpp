@@ -5,30 +5,17 @@
 // Replication r is defined as the serial engine run with `seed =
 // derive_seed(base_seed, r)` against a pristine copy of the server
 // prototype; this engine produces exactly those results (bit-identical
-// SimMetrics, enforced by tests/sim/determinism_test.cpp) while hoisting
-// the replication-invariant work out of the per-seed loop:
-//
-//  * Under the paper's evaluation configuration (EDF, always-WCET,
-//    periodic releases, zero context-switch overhead, zero post WCET) the
-//    schedule of release/setup/local work is the same in every
-//    replication as long as every draw is timely. A driver of the
-//    protocol core records that skeleton once; each draw column's
-//    response window is split at its pops into intervals whose post
-//    outcome is computed once. Blocks of up to 128 replications then walk
-//    the columns together: one ResponseModel::sample_n per column, and
-//    per lane a window check and a table lookup. A stateful model runs
-//    one lane a block.
-//  * A lane that leaves the skeleton's path -- a late or missing response,
-//    a zero one, or an arrival on the nanosecond of a skeleton pop or of
-//    another of its arrivals -- runs a resync window: the real protocol
-//    core, for that lane alone, from the last instant before the
-//    divergence at which the skeleton was idle until the lane is idle
-//    again, drawing its later sends in the serial order. The lane then
-//    rejoins the column loop.
-//  * Configurations outside those preconditions (sporadic releases,
-//    stochastic execution, fixed priority, traces, controllers, a nonzero
-//    post WCET, ...) and skeletons with a completion and a release on one
-//    nanosecond run every replication on the serial engine.
+// SimMetrics, enforced by tests/sim/determinism_test.cpp). Under the
+// paper's evaluation configuration (EDF, always-WCET, periodic releases,
+// zero context-switch overhead and post WCET) one protocol-core run
+// records the schedule every timely replication shares; blocks of up to
+// 128 replications walk its draw columns together (one
+// ResponseModel::sample_n per column, one table lookup per lane), and a
+// replication that leaves the skeleton's path re-runs the core alone
+// between two idle instants (a resync window), then rejoins. Other
+// configurations, and skeletons with a completion and a release on one
+// nanosecond, run every replication on the serial engine. The parity
+// argument is in batch_engine.cpp, the rules in docs/ANALYSIS.md §12.
 
 #include <cstddef>
 #include <cstdint>
@@ -51,10 +38,9 @@ struct BatchEngineStats {
   /// Resync windows run, and the events their protocol cores popped.
   std::uint64_t resync_windows = 0;
   std::uint64_t resync_events = 0;
-  /// Serial replications by the reason the skeleton could not serve them:
-  /// a configuration outside its preconditions (policy, controller, sink,
-  /// trace or abort), an offloaded task's nonzero post WCET, or a
-  /// completion and a release on one nanosecond (the tie precheck).
+  /// Serial replications by why the skeleton could not serve them: a
+  /// configuration outside its preconditions (policy, controller, sink,
+  /// trace or abort), a nonzero post WCET, or the tie precheck.
   std::size_t ineligible_config = 0;
   std::size_t ineligible_post_wcet = 0;
   std::size_t ineligible_ties = 0;
@@ -77,13 +63,10 @@ class BatchSimEngine {
   BatchSimEngine(BatchSimEngine&&) noexcept;
   BatchSimEngine& operator=(BatchSimEngine&&) noexcept;
 
-  /// Runs `replications` independent replications of the scenario.
-  /// `config.seed` is the base seed; replication r runs under
-  /// derive_seed(config.seed, r). The server prototype is never mutated:
-  /// the engine works on one internal clone, reset between replications
-  /// (clone() is documented reset-equivalent). A configured
-  /// config.controller is honoured through the fallback path (begin_run
-  /// re-arms it for every replication, as the serial engine does).
+  /// Runs `replications` replications of the scenario, replication r
+  /// under derive_seed(config.seed, r), on one internal clone of the
+  /// prototype (never mutated), reset between replications. A configured
+  /// config.controller is honoured through the serial path.
   BatchResult run(const core::TaskSet& tasks,
                   const core::DecisionVector& decisions,
                   const server::ResponseModel& prototype,

@@ -293,7 +293,8 @@ TEST(BatchDeterminism, ResyncWindowsIdenticalAcrossWorkerCounts) {
     for (std::size_t i = 0; i < o1.size(); ++i) {
       SCOPED_TRACE("jobs " + std::to_string(jobs) + " scenario " + std::to_string(i));
       expect_outcomes_equal(o1[i], on[i]);
-      EXPECT_EQ(o1[i].aggregate.total_benefit.mean(), on[i].aggregate.total_benefit.mean());
+      EXPECT_EQ(o1[i].aggregate.total_benefit.mean(),
+                on[i].aggregate.total_benefit.mean());
       EXPECT_EQ(o1[i].aggregate.total_benefit.stddev(),
                 on[i].aggregate.total_benefit.stddev());
     }
@@ -308,7 +309,8 @@ TEST(BatchDeterminism, ResyncWindowsIdenticalAcrossWorkerCounts) {
                                              cfg, spec.replications, spec.profile);
   EXPECT_GT(engine.stats().resync_windows, 0u);
   EXPECT_EQ(engine.stats().fast_replications, spec.replications);
-  EXPECT_EQ(direct.aggregate.total_benefit.mean(), o1[0].aggregate.total_benefit.mean());
+  EXPECT_EQ(direct.aggregate.total_benefit.mean(),
+            o1[0].aggregate.total_benefit.mean());
 }
 
 TEST(BatchDeterminism, ForEachRngIsPerIndex) {

@@ -67,12 +67,13 @@ struct Scenario {
 };
 
 /// Runs `replications` through the batch engine and each one through the
-/// serial engine, compares them, and returns the batch engine's stats.
+/// serial engine, compares them, and returns the batch engine's stats
+/// (and, if asked, its results).
 BatchEngineStats expect_parity(const Scenario& s, std::size_t replications,
-                               const std::string& label) {
+                               const std::string& label,
+                               BatchResult* out = nullptr) {
   BatchSimEngine batch;
-  const BatchResult res =
-      batch.run(s.tasks, s.decisions, *s.server, s.cfg, replications);
+  BatchResult res = batch.run(s.tasks, s.decisions, *s.server, s.cfg, replications);
   EXPECT_EQ(res.per_replication.size(), replications) << label;
   SimEngine serial;
   for (std::size_t r = 0; r < replications; ++r) {
@@ -87,6 +88,7 @@ BatchEngineStats expect_parity(const Scenario& s, std::size_t replications,
   EXPECT_EQ(st.bailed_replications, 0u) << label;
   EXPECT_EQ(st.fast_replications + st.fallback_replications, replications)
       << label;
+  if (out != nullptr) *out = std::move(res);
   return st;
 }
 
@@ -559,13 +561,13 @@ TEST(BatchTie, OffLatticeSetsNeverTakeTheExactMerge) {
   EXPECT_EQ(total.resync_events, 0u);
 }
 
-/// Windows that close while the lane's next divergence is still far off.
-/// Many tasks of one short period, answered on time, send their requests
-/// in a burst after each common release and none for the rest of the
-/// period; two tasks with long admitted windows, whose server drops half
-/// their requests, leave compensation timers in flight past the instants
-/// the lane goes idle, some in those send-free stretches. Off the
-/// millisecond lattice, so only the timers diverge.
+/// Windows that must wait past idle instants for their timers. Many tasks
+/// of one short period, answered on time, send their requests in a burst
+/// after each common release and none for the rest of the period; two
+/// tasks with long admitted windows, whose server drops half their
+/// requests, keep compensation timers in flight past the instants the
+/// lane goes idle, some in those send-free stretches. Off the millisecond
+/// lattice, so only the timers diverge.
 Scenario random_sparse(std::uint64_t seed) {
   Rng rng(seed);
   Scenario s;
@@ -578,16 +580,17 @@ Scenario random_sparse(std::uint64_t seed) {
   const std::size_t chatty = 10 + rng.uniform_int(0, 6);
   for (std::size_t i = 0; i < chatty; ++i) {
     const Duration window = 1_ms * rng.uniform_int(2, 5) + jitter();
-    s.tasks.push_back(offload_task("c" + std::to_string(i), short_period, short_period,
-                                   Duration::microseconds(rng.uniform_int(50, 150)) + jitter(),
-                                   Duration::microseconds(rng.uniform_int(50, 150)), window));
+    s.tasks.push_back(
+        offload_task("c" + std::to_string(i), short_period, short_period,
+                     Duration::microseconds(rng.uniform_int(50, 150)) + jitter(),
+                     Duration::microseconds(rng.uniform_int(50, 150)), window));
     s.decisions.push_back(offload(s.tasks.back()));
     route_of_stream.push_back(routes.size());
     routes.push_back(std::make_unique<server::FixedResponse>(window - jitter()));
   }
   for (int k = 0; k < 2; ++k) {
-    const Duration period = short_period * rng.uniform_int(4, 9) + 1_ms * rng.uniform_int(0, 9) +
-                            jitter();
+    const Duration period = short_period * rng.uniform_int(4, 9) +
+                            1_ms * rng.uniform_int(0, 9) + jitter();
     const Duration window = period * 3 / 4;
     s.tasks.push_back(offload_task("late" + std::to_string(k), period, period,
                                    300_us + jitter(), 1_ms + jitter(), window));
@@ -599,13 +602,14 @@ Scenario random_sparse(std::uint64_t seed) {
   s.server = std::make_unique<server::RoutingResponse>(std::move(routes),
                                                        std::move(route_of_stream));
   // The horizon falls late in a send-free stretch, so a timer can be
-  // pending there after the last send.
-  s.cfg = tie_config(short_period * rng.uniform_int(6, 60) - 1_ms * rng.uniform_int(1, 3),
-                     DeadlinePolicy::kSplit);
+  // in flight there after the last send.
+  s.cfg = tie_config(
+      short_period * rng.uniform_int(6, 60) - 1_ms * rng.uniform_int(1, 3),
+      DeadlinePolicy::kSplit);
   return s;
 }
 
-TEST(BatchTie, WindowsClosingWithATimerInFlightMatchSerial) {
+TEST(BatchTie, WindowsWaitingForTimersInSendFreeStretchesMatchSerial) {
   BatchEngineStats total;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     const BatchEngineStats st = expect_parity(random_sparse(seed), 3,
@@ -617,13 +621,33 @@ TEST(BatchTie, WindowsClosingWithATimerInFlightMatchSerial) {
   EXPECT_GT(total.resync_windows, 0u);
 }
 
+// A divergence still in flight when a window closes after the last send.
+// A, B and C send at 1, 2 and 3. A's server answers late, so its timer
+// fires at 301; B's and C's answers both land at 400, a same-nanosecond
+// pair. A's window runs its compensation [301, 306) and closes at 306, the
+// pair still in flight and no column left to send: the pair needs a
+// window of its own.
+TEST(BatchTie, DivergencePendingAfterTheLastSendGetsItsWindow) {
+  Scenario s;
+  s.tasks = {offload_task("A", 1_s, 1_s, 1_ms, 5_ms, 300_ms),
+             offload_task("B", 1_s, 1_s, 1_ms, 5_ms, 450_ms),
+             offload_task("C", 1_s, 1_s, 1_ms, 5_ms, 450_ms)};
+  s.decisions = {offload(s.tasks[0]), offload(s.tasks[1]), offload(s.tasks[2])};
+  s.server = fixed_per_task({500_ms, 398_ms, 397_ms});
+  s.cfg = tie_config(900_ms);
+  const BatchEngineStats st = expect_parity(s, 4, "pair in flight after the last send");
+  EXPECT_EQ(st.fast_replications, 4u);
+  EXPECT_EQ(st.resync_windows, 8u);  // A's timer, then the pair
+}
+
 // ---------------------------------------------------------------------
 // The paper's Figure 3 sets (BenefitDrivenResponse: every draw is one of
 // G_i's breakpoints, on the microsecond lattice).
 
 TEST(BatchTie, PaperSetsMatchSerial) {
-  // Workload seed 10 puts ties into both set sizes within 20 s.
-  std::size_t windowed = 0;
+  // Workload seed 10 puts ties into both set sizes within 20 s. In a set
+  // whose draws are all timely, only a same-instant tie opens a window.
+  std::size_t timely_only = 0;
   for (const int num_tasks : {12, 30}) {
     for (const double x : {-0.2, 0.0, 0.2}) {
       Rng rng(10);
@@ -641,15 +665,22 @@ TEST(BatchTie, PaperSetsMatchSerial) {
       s.cfg.benefit_semantics = BenefitSemantics::kTimelyCount;
       const std::string label =
           "paper n=" + std::to_string(num_tasks) + " x=" + std::to_string(x);
-      const BatchEngineStats st = expect_parity(s, 64, label);
+      BatchResult res;
+      const BatchEngineStats st = expect_parity(s, 64, label, &res);
       EXPECT_EQ(st.bailed_replications, 0u) << label;
-      if (st.resync_windows > 0) {
-        ++windowed;
+      bool timely = true;
+      for (const SimMetrics& m : res.per_replication) {
+        for (const TaskMetrics& tm : m.per_task) {
+          timely = timely && tm.late_results == 0 && tm.compensations == 0;
+        }
+      }
+      if (timely) {
+        ++timely_only;
         expect_ties_resolved(st, 64, label);
       }
     }
   }
-  EXPECT_GE(windowed, 3u);
+  EXPECT_GE(timely_only, 3u);
 }
 
 TEST(BatchTie, RunnerReportsWhereReplicationsWent) {

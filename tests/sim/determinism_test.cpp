@@ -691,7 +691,8 @@ std::uint64_t expect_windows_match(const core::TaskSet& tasks,
   const BatchResult res = batch.run(tasks, decisions, prototype, cfg, replications);
   // Served by the skeleton, unless it puts a completion and a release on
   // one nanosecond (the tie precheck).
-  EXPECT_EQ(batch.stats().fast_replications + batch.stats().ineligible_ties, replications)
+  EXPECT_EQ(batch.stats().fast_replications + batch.stats().ineligible_ties,
+            replications)
       << label;
   SimEngine serial;
   for (std::size_t r = 0; r < replications; ++r) {
