@@ -1,9 +1,9 @@
 #pragma once
 // One-shot timers on a 4-ary min-heap of (deadline, seq) nodes
 // (util/dary_heap.hpp): timers that fall due together fire as SimEngine
-// pops its event heap, earliest deadline first, equal deadlines in
-// schedule order. Callbacks sit in a generation-tagged slot vector with a
-// free list (the idiom of SimEngine's in-flight slot map); a TimerId packs
+// pops its events, earliest deadline first, equal deadlines in schedule
+// order. Callbacks sit in a generation-tagged slot vector with a free
+// list; a TimerId packs
 // generation and slot, so firing or cancelling invalidates it in O(1). The
 // queue is passive: the owning EventLoop calls advance(now), under the
 // real clock or a FakeClock.

@@ -33,91 +33,21 @@
 #include <bit>
 #include <limits>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 #include <vector>
 
-#include "sim/engine.hpp"
-#include "sim/engine_detail.hpp"
-#include "sim/protocol_core.hpp"
-#include "util/dary_heap.hpp"
+#include "sim/core_runner.hpp"
 #include "util/rng.hpp"
 
 namespace rt::sim {
 
 namespace {
 
-using detail::kNoSlot;
-using detail::TaskCache;
-/// No instant: no arrival or pop equals it, and every instant is above it.
-constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::min();
-/// No instant yet: above every instant.
-constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
+using namespace detail;
 /// No column: a lane that waits for none.
 constexpr std::size_t kNoColumn = std::numeric_limits<std::size_t>::max();
 /// Lanes one block advances together.
 constexpr std::size_t kLanes = 128;
-
-/// One request send point of the skeleton, in serial draw order.
-struct SkelDraw {
-  std::int64_t send_ns = 0;      ///< setup completion = request send time
-  std::int64_t window_ns = 0;    ///< decision R: timely iff response <= R
-  std::int64_t deadline_ns = 0;  ///< job deadline (also the post's EDF key)
-  std::int64_t idle_ns = 0;      ///< idle_before(send_ns)
-  std::uint32_t task = 0;
-};
-
-/// Maximal dispatch interval of one skeleton sub-job.
-struct SkelSegment {
-  std::int64_t start_ns = 0;
-  std::int64_t end_ns = 0;
-  std::int64_t key = 0;   ///< EDF priority of the job occupying the interval
-  std::uint64_t seq = 0;  ///< the job's sub-job seq: its release's rank
-};
-
-/// What one skeleton pop did, for a window's share of the metrics.
-enum PopFlag : std::uint8_t {
-  kCompletion = 1,  ///< a slice end; otherwise a release
-  kSwitched = 2,    ///< its dispatch counted a context switch
-  kSetupDone = 4,   ///< it completed a setup (an offload attempt)
-  kLocalDone = 8,   ///< it completed a local job
-  kMissed = 16,     ///< that completion was past its deadline
-};
-
-/// One skeleton event pop, in pop order.
-struct SkelPop {
-  std::int64_t time_ns = 0;
-  /// Skeleton sub-jobs released so far, this pop included. A post whose
-  /// arrival pops after this one ranks behind exactly these on a key tie.
-  std::uint64_t releases = 0;
-  /// Segment running after this pop's dispatch, or kNoSlot (CPU idle).
-  std::uint32_t seg_after = kNoSlot;
-  std::uint32_t task = 0;  ///< the task released or completed
-  std::uint8_t flags = 0;  ///< PopFlag bits
-};
-
-/// One release of the run, in pop order.
-struct SkelRelease {
-  std::int64_t time_ns = 0;
-  std::int64_t pushed_ns = 0;  ///< the previous release (kNever: at start)
-  std::uint32_t task = 0;
-  /// Its rank among the pushes on `pushed_ns`: the releases popped there
-  /// before the one that pushed it (at start: the task index).
-  std::uint32_t rank = 0;
-};
-
-struct Skeleton {
-  bool valid = false;  ///< false: the tie precheck failed
-  std::vector<SkelRelease> releases;
-  std::vector<SkelDraw> draws;
-  std::vector<SkelSegment> segments;
-  std::vector<SkelPop> pops;
-  /// Pop instants just before which the CPU was idle: busy period starts.
-  std::vector<std::int64_t> idle_starts;
-  /// The replication-invariant metrics: releases, attempts, local work,
-  /// skeleton context switches and all of cpu_busy (posts take no time).
-  SimMetrics base;
-};
 
 /// Tie precheck: a completion on the nanosecond of a release pop would
 /// push a request and a release in one instant, which a window could not
@@ -154,327 +84,6 @@ std::int64_t idle_before(const Skeleton& sk, std::int64_t t) {
   if (q == 0 || sk.pops[q - 1].seg_after == kNoSlot) return t;
   return *(std::upper_bound(sk.idle_starts.begin(), sk.idle_starts.end(), t - 1) - 1);
 }
-
-/// An offload of one lane in flight: one a window inherits at t0, or one
-/// it leaves behind at t1 (loose).
-struct Flight {
-  std::int64_t time_ns = 0;      ///< arrival, or the compensation timer
-  std::int64_t send_ns = 0;      ///< push instant of its event
-  std::int64_t deadline_ns = 0;  ///< job deadline = EDF key of the post
-  std::uint32_t task = 0;
-  std::uint32_t rank = 0;  ///< releases popped on the send's instant before it
-  bool timer = false;
-  bool counted = false;  ///< its outcome is in the lane's table counters
-};
-
-// ---------------------------------------------------------------------
-// The protocol core's driver. One CoreRunner records the skeleton -- a run
-// from 0 in which a send becomes a draw and is never resolved -- and then
-// runs every window. Both take the releases from one schedule
-// (Skeleton::releases) and queue only offloads; every other step is
-// SimEngine's (engine.cpp), so every pop, dispatch and metric is too.
-
-class CoreRunner : public ProtocolCore<CoreRunner> {
- public:
-  static constexpr const char* kName = "simulate";
-  static constexpr const char* kMetricPrefix = "sim";
-
-  using ProtocolCore::task_cache;  ///< filled by record()
-
-  Skeleton record(const core::TaskSet& tasks, const core::DecisionVector& decisions,
-                  const SimConfig& config, const RequestProfile& profile) {
-    reset(tasks, decisions, config, profile);
-    sk_ = Skeleton{};
-    schedule_releases();
-    recording_ = true;
-    const std::vector<Flight> none;
-    open(sk_, 0, {}, none, nullptr, nullptr, nullptr, metrics_.per_task);
-    std::uint64_t events = 0;
-    run(kNone, events);
-    recording_ = false;
-    // A job still running holds the CPU, and is charged, up to the
-    // horizon, like the serial engine's final advance.
-    if (const SubJob* sj = running_subjob()) {
-      sk_.segments.push_back(
-          SkelSegment{seg_start_, horizon_end_.ns(), sj->priority_key, sj->seq});
-    }
-    finish();
-    sk_.base = std::move(metrics_);
-    sk_.valid = ties_replayable(sk_.pops);
-    return std::move(sk_);
-  }
-
-  /// Re-enters the run at t0 with the skeleton's releases from t0 on and
-  /// the lane's `flights`; `reuse` lists the columns the core sends first,
-  /// with their draws (late_results already counted), and later draws come
-  /// from `rng` into the lane's `response` (one per task, kLanes apart).
-  /// The core counts into the lane's `metrics` until close(), with CPU
-  /// time and context switches from zero.
-  void open(const Skeleton& sk, std::int64_t t0, const std::vector<Flight>& flights,
-            const std::vector<Flight>& reuse, Rng* rng, server::ResponseModel* server,
-            RunningStats* response, std::vector<TaskMetrics>& metrics) {
-    resume_idle(TimePoint{t0});
-    metrics_.per_task.swap(metrics);
-    metrics_.cpu_busy_ns = 0;
-    metrics_.context_switches = 0;
-    releases_ = &sk.releases;
-    next_release_ = first_at(sk.releases, &SkelRelease::time_ns, t0);
-    reuse_ = &reuse;
-    reuse_next_ = 0;
-    rng_ = rng;
-    server_ = server;
-    response_ = response;
-    events_.clear();
-    event_seq_ = 0;
-    timers_ = 0;
-    slice_key_ = Key{};
-    instant_ = kNever;
-    for (const Flight& f : flights) {
-      const Key key{f.time_ns, f.send_ns, 2 * std::uint64_t{f.rank}, event_seq_++};
-      heap_push(events_, Event{key, f.deadline_ns, f.task, f.timer});
-      timers_ += f.timer && f.time_ns < horizon_end_.ns();
-    }
-  }
-
-  /// Hands the lane's metrics back.
-  void close(std::vector<TaskMetrics>& metrics) { metrics_.per_task.swap(metrics); }
-
-  /// Steps events until, past `must_pass` and the reused draws, the lane's
-  /// CPU is idle with no compensation timer due before the horizon,
-  /// returning that instant t1; or to the horizon, returning kNever. The
-  /// skeleton is idle at t1 too: the lane runs the skeleton's work plus
-  /// compensations, so under a work-conserving scheduler its backlog is
-  /// never the smaller. Events popped are counted into `events`.
-  std::int64_t run(std::int64_t must_pass, std::uint64_t& events) {
-    std::int64_t last = now_.ns() - 1;  // the last instant stepped
-    for (;;) {
-      // The next event: the armed slice end, the next release or the
-      // earliest offload, in (time, push instant, rank, seq) order.
-      enum { kSlice, kRelease, kOffload } next = kSlice;
-      Key key = slice_key_;
-      if (next_release_ < releases_->size() &&
-          key_of((*releases_)[next_release_]) < key) {
-        next = kRelease;
-        key = key_of((*releases_)[next_release_]);
-      }
-      if (!events_.empty() && events_[0].key < key) {
-        next = kOffload;
-        key = events_[0].key;
-      }
-      if (key.time >= horizon_end_.ns()) break;
-      if (key.time > last && last >= must_pass && reuse_next_ == reuse_->size() &&
-          timers_ == 0 && running_subjob() == nullptr) {
-        return last + 1;
-      }
-      if (recording_) begin_pop(key.time, last);
-      last = key.time;
-      ++events;
-      advance_to(TimePoint{key.time});
-      if (next == kSlice) {
-        slice_key_.time = kNone;
-        const std::uint64_t misses = metrics_.per_task[ran_.task].deadline_misses;
-        if (!slice_end()) {
-          throw std::logic_error("simulate: live slice-end without a finished job");
-        }
-        if (recording_) {
-          pop_.flags = static_cast<std::uint8_t>(
-              kCompletion |
-              (ran_.phase == detail::Phase::kSetup ? kSetupDone : kLocalDone) |
-              (metrics_.per_task[ran_.task].deadline_misses != misses ? kMissed : 0));
-        }
-      } else if (next == kRelease) {
-        if (now_.ns() != instant_) {
-          instant_ = now_.ns();
-          released_ = 0;
-        }
-        ++released_;
-        pop_.task = (*releases_)[next_release_++].task;
-        (void)release(pop_.task, now_);
-      } else {
-        const Event ev = events_[0];
-        heap_pop(events_);
-        timers_ -= ev.timer;
-        const Offload job{TimePoint{ev.deadline}, TimePoint{ev.key.pushed}, 0, ev.task};
-        resolve(job, !ev.timer, now_ - job.send);
-      }
-      const std::uint64_t switches = metrics_.context_switches;
-      dispatch();
-      if (recording_) end_pop(switches);
-    }
-    advance_to(horizon_end_);
-    return kNever;
-  }
-
-  /// The window's CPU time and context switches.
-  [[nodiscard]] const SimMetrics& totals() const { return metrics_; }
-
-  /// The offloads in flight before the horizon when run() returned, in
-  /// push order (seq order); the window is over, so the heap can go.
-  void in_flight(std::vector<Flight>& out) {
-    std::sort(events_.begin(), events_.end(),
-              [](const Event& a, const Event& b) { return a.key.seq < b.key.seq; });
-    out.clear();
-    for (const Event& e : events_) {
-      if (e.key.time >= horizon_end_.ns()) continue;
-      out.push_back(Flight{e.key.time, e.key.pushed, e.deadline, e.task,
-                           static_cast<std::uint32_t>(e.key.rank / 2), e.timer, false});
-    }
-  }
-
-  // ---- the driver hooks of ProtocolCore ----
-
-  void arm_slice(TimePoint end) { slice_key_ = push_key(end.ns()); }
-
-  void cancel_slice() { slice_key_.time = kNone; }
-
-  /// Recording, a send becomes a draw. In a window it is SimEngine's send,
-  /// taking the loop's draws for the skeleton's sends, then the lane's.
-  void send_offload(const Offload& job, const TaskCache& tc) {
-    if (recording_) {
-      sk_.draws.push_back(SkelDraw{job.send.ns(), tc.response_time.ns(),
-                                   job.job_deadline.ns(), sk_.idle_starts.back(),
-                                   job.task});
-      return;
-    }
-    Duration response;
-    if (reuse_next_ < reuse_->size()) {
-      const Flight& u = (*reuse_)[reuse_next_++];
-      if (u.send_ns != now_.ns() || u.task != job.task) {
-        throw std::logic_error("simulate: a window left the skeleton early");
-      }
-      response = u.timer ? server::kNoResponse
-                         : Duration::nanoseconds(u.time_ns - u.send_ns);
-    } else {
-      server::Request req = tc.req;
-      req.send_time = now_;
-      response = server_->sample(req, *rng_);
-      if (response != server::kNoResponse) {
-        response_[job.task * kLanes].add(response.ms());
-        if (response > tc.response_time) ++metrics_.per_task[job.task].late_results;
-      }
-    }
-    const bool timer = response == server::kNoResponse || response > tc.response_time;
-    const std::int64_t at = (now_ + (timer ? tc.response_time : response)).ns();
-    heap_push(events_, Event{push_key(at), job.job_deadline.ns(), job.task, timer});
-    timers_ += timer && at < horizon_end_.ns();
-  }
-
- private:
-  /// SimEngine's (time, seq) order, spelled out: on one instant an event
-  /// pushed earlier pops first, and among pushes on one instant, releases
-  /// go in their pop order (rank 2k + 1 for the k-th) and any other push
-  /// between them (rank 2m after m releases), in push order.
-  struct Key {
-    std::int64_t time = kNone;
-    std::int64_t pushed = 0;
-    std::uint64_t rank = 0;
-    std::uint64_t seq = 0;
-
-    friend bool operator<(const Key& a, const Key& b) {
-      return std::tie(a.time, a.pushed, a.rank, a.seq) <
-             std::tie(b.time, b.pushed, b.rank, b.seq);
-    }
-  };
-
-  /// An offload of the lane: a result arrival, or a compensation timer.
-  struct Event {
-    Key key;
-    std::int64_t deadline = 0;  ///< the job deadline
-    std::uint32_t task = 0;
-    bool timer = false;
-
-    friend bool operator<(const Event& a, const Event& b) { return a.key < b.key; }
-  };
-
-  static Key key_of(const SkelRelease& r) {
-    return Key{r.time_ns, r.pushed_ns, 2 * std::uint64_t{r.rank} + 1, 0};
-  }
-
-  std::uint32_t rank_now() const { return instant_ == now_.ns() ? released_ : 0; }
-
-  Key push_key(std::int64_t at) {
-    return Key{at, now_.ns(), 2 * std::uint64_t{rank_now()}, event_seq_++};
-  }
-
-  /// The run's releases before the horizon, in SimEngine's pop order: a
-  /// heap of each task's next release on (time, push instant, rank).
-  void schedule_releases() {
-    std::vector<SkelRelease> next;
-    const auto later = [](const SkelRelease& a, const SkelRelease& b) {
-      return key_of(b) < key_of(a);
-    };
-    for (std::uint32_t i = 0; i < tasks_->size(); ++i) {
-      next.push_back(SkelRelease{0, kNever, i, i});
-    }
-    std::make_heap(next.begin(), next.end(), later);
-    std::int64_t instant = kNever;
-    std::uint32_t popped = 0;  // releases on `instant` so far
-    while (!next.empty() && next.front().time_ns < horizon_end_.ns()) {
-      std::pop_heap(next.begin(), next.end(), later);
-      SkelRelease& r = next.back();
-      sk_.releases.push_back(r);
-      if (r.time_ns != instant) {
-        instant = r.time_ns;
-        popped = 0;
-      }
-      r = SkelRelease{r.time_ns + task_cache()[r.task].period.ns(), r.time_ns, r.task,
-                      popped++};
-      std::push_heap(next.begin(), next.end(), later);
-    }
-  }
-
-  // ---- recording a skeleton pop ----
-
-  /// Before the pop at t: the sub-job running into it (seq 0: idle), and
-  /// the instant, if the CPU was idle before its first pop.
-  void begin_pop(std::int64_t t, std::int64_t last) {
-    const SubJob* ran = running_subjob();
-    ran_ = ran != nullptr ? *ran : SubJob{};
-    if (ran == nullptr && t != last) sk_.idle_starts.push_back(t);
-    pop_ = SkelPop{t, 0, kNoSlot, ran_.task, 0};
-  }
-
-  /// After the pop's dispatch: closes the running segment if the sub-job
-  /// changed, and appends the pop.
-  void end_pop(std::uint64_t switches) {
-    const SubJob* runs = running_subjob();
-    if ((runs != nullptr ? runs->seq : 0) != ran_.seq) {
-      if (ran_.seq != 0) {
-        sk_.segments.push_back(
-            SkelSegment{seg_start_, pop_.time_ns, ran_.priority_key, ran_.seq});
-      }
-      seg_start_ = pop_.time_ns;
-    }
-    // The running segment is the next one appended: every segment
-    // started earlier has already ended.
-    pop_.releases = job_counter_;
-    if (runs != nullptr) {
-      pop_.seg_after = static_cast<std::uint32_t>(sk_.segments.size());
-    }
-    if (metrics_.context_switches != switches) pop_.flags |= kSwitched;
-    sk_.pops.push_back(pop_);
-  }
-
-  bool recording_ = false;
-  Skeleton sk_;  ///< the skeleton record() is filling
-  SubJob ran_;   ///< the sub-job running into the pop being recorded
-  SkelPop pop_;  ///< the pop being recorded
-  std::int64_t seg_start_ = 0;  ///< start of the running sub-job's segment
-
-  const std::vector<SkelRelease>* releases_ = nullptr;
-  std::size_t next_release_ = 0;
-  std::vector<Event> events_;  // 4-ary min-heap of the lane's offloads
-  std::uint64_t event_seq_ = 0;
-  std::size_t timers_ = 0;  ///< timers in events_ due before the horizon
-  Key slice_key_;
-  std::int64_t instant_ = kNever;  ///< the instant of the last release pop
-  std::uint32_t released_ = 0;     ///< releases popped on that instant
-  const std::vector<Flight>* reuse_ = nullptr;
-  std::size_t reuse_next_ = 0;
-  Rng* rng_ = nullptr;
-  server::ResponseModel* server_ = nullptr;
-  RunningStats* response_ = nullptr;  ///< the lane's, [task * kLanes]
-};
 
 /// What a timely post arriving in one interval of its column adds to its
 /// lane, in 16-bit fields so one addition counts them all.
@@ -539,7 +148,7 @@ struct LaneState {
 
 struct BatchSimEngine::Impl {
   BatchEngineStats stats_;
-  SimEngine fallback_;
+  /// Records the skeleton, runs the windows and the serial replications.
   CoreRunner core_;
 
   // Outcome table, one slice per draw column, built as the first block
@@ -618,7 +227,7 @@ struct BatchSimEngine::Impl {
     Skeleton sk;
     if (ineligible == nullptr) {
       sk = core_.record(tasks, decisions, config, profile);
-      if (!sk.valid) ineligible = &stats_.ineligible_ties;
+      if (!ties_replayable(sk.pops)) ineligible = &stats_.ineligible_ties;
     }
     if (ineligible == nullptr) {
       prepare(sk, config.horizon.ns(), tasks.size());
@@ -635,7 +244,7 @@ struct BatchSimEngine::Impl {
         SimConfig cfg = config;
         cfg.seed = derive_seed(config.seed, r);
         result.per_replication[r] =
-            fallback_.run(tasks, decisions, *server, cfg, profile).metrics;
+            core_.simulate(tasks, decisions, *server, cfg, profile).metrics;
       }
     }
     for (const SimMetrics& m : result.per_replication) result.aggregate.add(m);
@@ -980,8 +589,12 @@ struct BatchSimEngine::Impl {
       double& sum = l.task[i].accrued_benefit;
       sum = fold(i, sum, hits - std::exchange(l.folded[i], hits));
     }
-    core_.open(sk, t0, flights_, reuse_, &rngs_[s], &server, response_.data() + s,
-               l.task);
+    // The core draws into the lane's TaskMetrics, the column loop into
+    // response_: one Welford accumulator in draw order either way.
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      l.task[i].observed_response_ms = response_[at(i, s)];
+    }
+    core_.open(t0, flights_, reuse_, rngs_[s], server, l.task);
     ++stats_.resync_windows;
     const std::int64_t t1 = core_.run(l.pending_ns, stats_.resync_events);
     // What is still in flight: the table counts each timely arrival alone
@@ -991,7 +604,10 @@ struct BatchSimEngine::Impl {
       core_.in_flight(l.loose);
       l.pending_ns = classify_loose(sk, l.loose);
     }
-    core_.close(l.task);
+    core_.close(l.task, rngs_[s]);
+    for (std::uint32_t i = 0; i < n_; ++i) {
+      response_[at(i, s)] = l.task[i].observed_response_ms;
+    }
     take_window(sk, l, t0, t1);
     live_mask_[s] = 0;
     --live_;

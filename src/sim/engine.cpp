@@ -1,14 +1,15 @@
-// Zero-allocation event engine (see engine.hpp for the design contract):
-// the discrete-event driver of the shared protocol core.
+// The one simulation driver of the protocol core (see core_runner.hpp),
+// and SimEngine over it (see engine.hpp for the design contract).
 //
 // Bit-identical parity with tests/support/reference_engine.cpp is
 // load-bearing: the core's handlers (protocol_core.hpp) draw RNG values,
-// push events, and record trace/metric updates in exactly the seed
-// engine's order, and the driver below only decides where events come
-// from. The only degrees of freedom taken are representational (d-ary
-// heaps instead of std::priority_queue, a generation-tagged slot map
-// instead of std::unordered_map with a deferred erase, and the one armed
-// slice end in a register beside the event heap instead of inside it).
+// queue events, and record trace/metric updates in exactly the seed
+// engine's order, and the driver only decides where events come from. The
+// only degrees of freedom taken are representational: d-ary heaps instead
+// of std::priority_queue, releases apart from the other events (from a
+// heap of each task's next release, or a kept schedule), each offload's
+// job carried in its heap entry instead of a token map, and the one armed
+// slice end in a register.
 
 #include "sim/engine.hpp"
 
@@ -18,247 +19,310 @@
 
 #include "obs/sink.hpp"
 #include "obs/timer.hpp"
-#include "sim/protocol_core.hpp"
+#include "sim/core_runner.hpp"
 #include "util/dary_heap.hpp"
 
 namespace rt::sim {
 
-namespace {
+namespace detail {
 
-enum class EventKind { kRelease, kOffloadArrival, kTimer };
-
-struct Event {
-  TimePoint time;
-  std::uint64_t seq = 0;
-  EventKind kind = EventKind::kRelease;
-  std::uint64_t arg = 0;  // task index or offload token
-
-  friend bool operator<(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-};
-
-/// In-flight offload slot; the token is (generation << 32) | slot index,
-/// so a freed slot invalidates every outstanding token for it in O(1).
-struct FlightSlot {
-  Offload job;
-  std::uint32_t generation = 0;
-};
-
-}  // namespace
-
-struct SimEngine::Impl : ProtocolCore<SimEngine::Impl> {
-  static constexpr const char* kName = "simulate";
-  static constexpr const char* kMetricPrefix = "sim";
-
-  // ---- persistent buffers (survive across run() calls) ----
-  std::vector<Event> events_;         // 4-ary min-heap keyed on (time, seq)
-  std::vector<FlightSlot> flights_;
-  std::vector<std::uint32_t> flight_free_;
-  EngineStats stats_;
-
-  // ---- per-run state ----
-  server::ResponseModel* server_ = nullptr;
-  std::uint64_t event_seq_ = 0;
-  std::size_t flights_live_ = 0;
-  /// The armed slice end, ordered against the heap on (time, seq). The core
-  /// arms at most one at a time, so it never enters the heap; TimePoint::max()
-  /// when disarmed, which the horizon check treats as "no event".
-  TimePoint slice_time_ = TimePoint::max();
-  std::uint64_t slice_seq_ = 0;
-
-  // Telemetry handles; null when config_.sink is null.
-  obs::Counter* events_counter_ = nullptr;
-  obs::LogHistogram* run_hist_ = nullptr;
-
-  // ---- event queue: 4-ary min-heap on (time, seq) ----
-
-  void push_event(TimePoint time, EventKind kind, std::uint64_t arg) {
-    heap_push(events_, Event{time, event_seq_++, kind, arg});
-    stats_.event_heap_peak = std::max(stats_.event_heap_peak, events_.size());
-  }
-
-  /// Does the armed slice end pop before the heap top? Disarmed, it is at
-  /// TimePoint::max() and only "wins" an empty heap, past the horizon.
-  [[nodiscard]] bool slice_is_next() const {
-    if (events_.empty()) return true;
-    const Event& top = events_[0];
-    return slice_time_ < top.time ||
-           (slice_time_ == top.time && slice_seq_ < top.seq);
-  }
-
-  // ---- in-flight token slot map ----
-
-  std::uint64_t flight_alloc(const Offload& job) {
-    std::uint32_t slot;
-    if (!flight_free_.empty()) {
-      slot = flight_free_.back();
-      flight_free_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(flights_.size());
-      flights_.emplace_back();
-    }
-    FlightSlot& fl = flights_[slot];
-    fl.job = job;
-    ++flights_live_;
-    stats_.in_flight_peak = std::max(stats_.in_flight_peak, flights_live_);
-    return (static_cast<std::uint64_t>(fl.generation) << 32) | slot;
-  }
-
-  [[nodiscard]] const FlightSlot* flight_find(std::uint64_t token) const {
-    const std::uint32_t slot = static_cast<std::uint32_t>(token);
-    if (slot >= flights_.size()) return nullptr;
-    const FlightSlot& fl = flights_[slot];
-    if (fl.generation != static_cast<std::uint32_t>(token >> 32)) return nullptr;
-    return &fl;
-  }
-
-  void flight_release(std::uint64_t token) {
-    const std::uint32_t slot = static_cast<std::uint32_t>(token);
-    ++flights_[slot].generation;  // invalidates the token eagerly
-    flight_free_.push_back(slot);
-    --flights_live_;
-  }
-
-  // ---- run setup / teardown ----
-
-  void reset(const core::TaskSet& tasks, const core::DecisionVector& decisions,
-             server::ResponseModel& server, const SimConfig& config,
-             const RequestProfile& profile) {
-    server_ = &server;
-    stats_ = EngineStats{};
-    events_.clear();
-    flights_.clear();
-    flight_free_.clear();
-    event_seq_ = 0;
-    flights_live_ = 0;
-    slice_time_ = TimePoint::max();
-    events_counter_ = nullptr;
-    run_hist_ = nullptr;
-    ProtocolCore::reset(tasks, decisions, config, profile);
-    if (config_.sink != nullptr) {
-      auto& reg = config_.sink->registry();
-      events_counter_ = &reg.counter("sim.events");
-      run_hist_ = &reg.histogram("sim.run_ns");
+SimResult CoreRunner::simulate(const core::TaskSet& tasks,
+                               const core::DecisionVector& decisions,
+                               server::ResponseModel& server, const SimConfig& config,
+                               const RequestProfile& profile) {
+  reset(tasks, decisions, config, profile);
+  stats_ = EngineStats{};
+  obs::ScopedTimer run_timer(
+      config_.sink != nullptr ? &config_.sink->registry().histogram("sim.run_ns") : nullptr);
+  begin(0);
+  server_ = &server;
+  run(kNone, stats_.events_processed);
+  finish();
+  stats_.event_heap_peak = stats_.in_flight_peak;
+  stats_.pool_slots_peak = pool_slots_peak_;
+  stats_.pool_slots_capacity = pool_.size();
+  stats_.jobs_released = job_counter_;
+  if (config_.sink != nullptr) {
+    auto& reg = config_.sink->registry();
+    reg.counter("sim.events").inc(stats_.events_processed);
+    reg.histogram("sim.pool_slots_peak")
+        .add(static_cast<std::int64_t>(stats_.pool_slots_peak));
+    reg.histogram("sim.in_flight_peak")
+        .add(static_cast<std::int64_t>(stats_.in_flight_peak));
+    if (config_.controller != nullptr) {
+      reg.counter("sim.mode_changes").inc(metrics_.mode_changes);
+      reg.counter("sim.time_in_degraded_ns")
+          .inc(static_cast<std::uint64_t>(metrics_.time_in_degraded_ns));
     }
   }
+  SimResult result;
+  result.metrics = std::move(metrics_);
+  result.trace = std::move(trace_);
+  return result;
+}
 
-  SimResult run() {
-    obs::ScopedTimer run_timer(run_hist_);
-    for (std::size_t i = 0; i < tasks_->size(); ++i) {
-      push_event(TimePoint::zero(), EventKind::kRelease, i);
+Skeleton CoreRunner::record(const core::TaskSet& tasks,
+                            const core::DecisionVector& decisions,
+                            const SimConfig& config, const RequestProfile& profile) {
+  reset(tasks, decisions, config, profile);
+  sk_ = Skeleton{};
+  begin(0);
+  recording_ = true;
+  std::uint64_t events = 0;
+  run(kNone, events);
+  recording_ = false;
+  // A job still running holds the CPU, and is charged, up to the
+  // horizon, like the serial engine's final advance.
+  if (const SubJob* sj = running_subjob()) {
+    sk_.segments.push_back(
+        SkelSegment{seg_start_, horizon_end_.ns(), sj->priority_key, sj->seq});
+  }
+  finish();
+  sk_.base = std::move(metrics_);
+  return std::move(sk_);
+}
+
+void CoreRunner::open(std::int64_t t0, const std::vector<Flight>& flights,
+                      const std::vector<Flight>& reuse, const Rng& rng,
+                      server::ResponseModel& server, std::vector<TaskMetrics>& metrics) {
+  resume_idle(TimePoint{t0});
+  metrics_.per_task.swap(metrics);
+  metrics_.cpu_busy_ns = 0;
+  metrics_.context_switches = 0;
+  begin(t0);
+  reuse_ = reuse;
+  rng_ = rng;
+  server_ = &server;
+  for (const Flight& f : flights) {
+    const Key key{f.time_ns, f.send_ns,
+                  (2 * std::uint64_t{f.rank}) << kSeqBits | event_seq_++};
+    heap_push(events_, Event{key, f.deadline_ns, 0, f.task, 0, f.timer});
+    timers_ += f.timer && f.time_ns < horizon_end_.ns();
+  }
+}
+
+void CoreRunner::close(std::vector<TaskMetrics>& metrics, Rng& rng) {
+  metrics_.per_task.swap(metrics);
+  rng = rng_;
+}
+
+/// Empties the event sources and points the releases at the first one at
+/// or after t0.
+void CoreRunner::begin(std::int64_t t0) {
+  recording_ = false;
+  events_.clear();
+  event_seq_ = 0;
+  timers_ = 0;
+  slice_key_ = Key{};
+  instant_ = kNever;
+  released_ = 0;
+  reuse_ = {};
+  reuse_next_ = 0;
+  const std::size_t n = tasks_->size();
+  if (config_.release_policy == ReleasePolicy::kPeriodic) {
+    bool same = schedule_horizon_ == horizon_end_.ns() && schedule_periods_.size() == n;
+    for (std::size_t i = 0; same && i < n; ++i) {
+      same = schedule_periods_[i] == task_cache()[i].period.ns();
     }
-    for (;;) {
-      const bool slice = slice_is_next();
-      // Half-open horizon [0, H): events at exactly H belong to the next
-      // window and are dropped.
-      if ((slice ? slice_time_ : events_[0].time) >= horizon_end_) break;
-      ++stats_.events_processed;
-      obs::inc(events_counter_);
-      if (slice) {
-        const TimePoint end = slice_time_;
-        slice_time_ = TimePoint::max();
-        advance_to(end);
-        if (!slice_end()) {
-          throw std::logic_error("simulate: live slice-end without a finished job");
-        }
-      } else {
-        const Event ev = events_[0];
-        heap_pop(events_);
-        advance_to(ev.time);
-        handle(ev);
+    if (same) {
+      source_ = Source::kReplay;
+      // Each task has released ceil(t / T) jobs before t = min(t0, H).
+      const std::int64_t t = std::min(t0, schedule_horizon_);
+      release_at_.resize(n);
+      next_release_ = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::int64_t period = schedule_periods_[i];
+        const std::int64_t before = t > 0 ? (t - 1) / period + 1 : 0;
+        release_at_[i] = before * period;
+        next_release_ += static_cast<std::size_t>(before);
       }
-      dispatch();
-    }
-    // The running sub-job holds the CPU up to the horizon.
-    advance_to(horizon_end_);
-    finish();
-    stats_.pool_slots_peak = pool_slots_peak_;
-    stats_.pool_slots_capacity = pool_.size();
-    stats_.jobs_released = job_counter_;
-    if (config_.sink != nullptr) {
-      auto& reg = config_.sink->registry();
-      reg.histogram("sim.pool_slots_peak")
-          .add(static_cast<std::int64_t>(stats_.pool_slots_peak));
-      reg.histogram("sim.in_flight_peak")
-          .add(static_cast<std::int64_t>(stats_.in_flight_peak));
-      if (config_.controller != nullptr) {
-        reg.counter("sim.mode_changes").inc(metrics_.mode_changes);
-        reg.counter("sim.time_in_degraded_ns")
-            .inc(static_cast<std::uint64_t>(metrics_.time_in_degraded_ns));
-      }
-    }
-    SimResult result;
-    result.metrics = std::move(metrics_);
-    result.trace = std::move(trace_);
-    return result;
-  }
-
-  // ---- the driver hooks of ProtocolCore ----
-
-  // The seq comes from the heap's counter, so same-instant ties pop in
-  // the order they would if the slice end were a heap entry.
-  void arm_slice(TimePoint end) {
-    slice_time_ = end;
-    slice_seq_ = event_seq_++;
-  }
-
-  void cancel_slice() { slice_time_ = TimePoint::max(); }
-
-  void send_offload(const Offload& job, const detail::TaskCache& tc) {
-    const std::uint64_t token = flight_alloc(job);
-    server::Request req = tc.req;
-    req.send_time = now_;
-    const Duration response = server_->sample(req, rng_);
-    auto& tm = metrics_.per_task[job.task];
-    if (response != server::kNoResponse) {
-      tm.observed_response_ms.add(response.ms());
-      if (response <= tc.response_time) {
-        push_event(now_ + response, EventKind::kOffloadArrival, token);
-        // The timer would always pop after this arrival (response <= R,
-        // and ties break on seq) and find its token already released --
-        // a guaranteed no-op, so it is never queued. The seed engine
-        // queued it and skipped it via the resolved flag; eliding it
-        // drops ~a fifth of all heap traffic with no observable change.
-        return;
-      }
-      ++tm.late_results;
-    }
-    push_event(now_ + tc.response_time, EventKind::kTimer, token);
-  }
-
-  // ---- the event handlers ----
-
-  void handle(const Event& ev) {
-    switch (ev.kind) {
-      case EventKind::kRelease: {
-        const std::size_t task = static_cast<std::size_t>(ev.arg);
-        push_event(release(task, now_), EventKind::kRelease, task);
-        return;
-      }
-      case EventKind::kOffloadArrival:
-        return resolve_flight(ev.arg, /*timely=*/true);
-      case EventKind::kTimer:
-        return resolve_flight(ev.arg, /*timely=*/false);
-    }
-  }
-
-  void resolve_flight(std::uint64_t token, bool timely) {
-    const FlightSlot* fl = flight_find(token);
-    if (fl == nullptr) {
-      // Unreachable by construction (arrivals resolve once, and timers are
-      // only queued when no timely arrival exists), kept as a cheap guard
-      // against future edits.
+      release_key_ = scheduled_key(next_release_);
       return;
     }
-    // A timer pops at exactly send + R, so the wait is R for a timer.
-    resolve(fl->job, timely, now_ - fl->job.send);
-    flight_release(token);
+    source_ = Source::kBuild;
+    schedule_.clear();
+    schedule_horizon_ = kNever;
+    schedule_periods_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) schedule_periods_[i] = task_cache()[i].period.ns();
+  } else {
+    source_ = Source::kSporadic;
   }
-};
+  if (t0 != 0) throw std::logic_error("simulate: a window opened without a schedule");
+  next_.clear();  // in (time, push instant, rank) order, so a heap
+  for (std::uint32_t i = 0; i < n; ++i) next_.push_back(Next{0, kNever, {i, i}});
+  release_key_ = key_of(next_.front());
+}
 
-SimEngine::SimEngine() : impl_(std::make_unique<Impl>()) {}
+/// Pops the next release and queues the task's next one.
+void CoreRunner::pop_release() {
+  if (now_.ns() != instant_) {
+    instant_ = now_.ns();
+    released_ = 0;
+  }
+  const std::uint32_t rank = released_++;
+  if (source_ == Source::kReplay) {
+    pop_.task = schedule_[next_release_++].task;
+    (void)release(pop_.task, now_);
+    release_at_[pop_.task] += schedule_periods_[pop_.task];
+    release_key_ = scheduled_key(next_release_);
+    return;
+  }
+  pop_.task = next_.front().r.task;
+  if (source_ == Source::kBuild) schedule_.push_back(next_.front().r);
+  next_.front() = Next{release(pop_.task, now_).ns(), now_.ns(), {pop_.task, rank}};
+  heap_sift_down(next_, 0);
+  release_key_ = key_of(next_.front());
+}
+
+std::int64_t CoreRunner::run(std::int64_t must_pass, std::uint64_t& events) {
+  std::int64_t last = now_.ns() - 1;  // the last instant stepped
+  for (;;) {
+    // The next event: the armed slice end, the next release or the
+    // earliest offload.
+    enum { kSlice, kRelease, kOffload } next = kSlice;
+    const Key* key = &slice_key_;
+    if (release_key_ < *key) {
+      next = kRelease;
+      key = &release_key_;
+    }
+    if (!events_.empty() && events_[0].key < *key) {
+      next = kOffload;
+      key = &events_[0].key;
+    }
+    const std::int64_t t = key->time;
+    // Half-open horizon [0, H): events at exactly H belong to the next
+    // window and are dropped.
+    if (t >= horizon_end_.ns()) break;
+    if (last >= must_pass && t > last && reuse_next_ == reuse_.size() && timers_ == 0 &&
+        running_subjob() == nullptr) {
+      return last + 1;
+    }
+    if (recording_) begin_pop(t, last);
+    last = t;
+    ++events;
+    advance_to(TimePoint{t});
+    if (next == kSlice) {
+      slice_key_.time = kNone;
+      const std::uint64_t misses =
+          recording_ ? metrics_.per_task[ran_.task].deadline_misses : 0;
+      if (!slice_end()) {
+        throw std::logic_error("simulate: live slice-end without a finished job");
+      }
+      if (recording_) {
+        pop_.flags = static_cast<std::uint8_t>(
+            kCompletion | (ran_.phase == Phase::kSetup ? kSetupDone : kLocalDone) |
+            (metrics_.per_task[ran_.task].deadline_misses != misses ? kMissed : 0));
+      }
+    } else if (next == kRelease) {
+      pop_release();
+    } else {
+      const Event ev = events_[0];
+      heap_pop(events_);
+      timers_ -= ev.timer;
+      const Offload job{TimePoint{ev.deadline}, TimePoint{ev.key.pushed}, ev.job_id,
+                        ev.task, ev.mode};
+      // A timer pops at exactly send + R, so the wait is R for a timer.
+      resolve(job, !ev.timer, now_ - job.send);
+    }
+    if (recording_) {
+      const std::uint64_t switches = metrics_.context_switches;
+      dispatch();
+      end_pop(switches);
+    } else {
+      dispatch();
+    }
+  }
+  // The running sub-job holds the CPU up to the horizon.
+  advance_to(horizon_end_);
+  // Every release before the horizon has popped.
+  if (source_ == Source::kBuild) schedule_horizon_ = horizon_end_.ns();
+  return kNever;
+}
+
+void CoreRunner::in_flight(std::vector<Flight>& out) {
+  constexpr std::uint64_t kSeqMask = (std::uint64_t{1} << kSeqBits) - 1;
+  std::sort(events_.begin(), events_.end(), [](const Event& a, const Event& b) {
+    return (a.key.order & kSeqMask) < (b.key.order & kSeqMask);
+  });
+  out.clear();
+  for (const Event& e : events_) {
+    if (e.key.time >= horizon_end_.ns()) continue;
+    out.push_back(Flight{e.key.time, e.key.pushed, e.deadline, e.task,
+                         static_cast<std::uint32_t>((e.key.order >> kSeqBits) / 2),
+                         e.timer, false});
+  }
+}
+
+void CoreRunner::send_offload(const Offload& job, const TaskCache& tc) {
+  if (recording_) {
+    sk_.draws.push_back(SkelDraw{job.send.ns(), tc.response_time.ns(),
+                                 job.job_deadline.ns(), sk_.idle_starts.back(),
+                                 job.task});
+    return;
+  }
+  Duration response;
+  if (reuse_next_ < reuse_.size()) {
+    const Flight& u = reuse_[reuse_next_++];
+    if (u.send_ns != now_.ns() || u.task != job.task) {
+      throw std::logic_error("simulate: a window left the skeleton early");
+    }
+    response = u.timer ? server::kNoResponse : Duration::nanoseconds(u.time_ns - u.send_ns);
+  } else {
+    server::Request req = tc.req;
+    req.send_time = now_;
+    response = server_->sample(req, rng_);
+    if (response != server::kNoResponse) {
+      auto& tm = metrics_.per_task[job.task];
+      tm.observed_response_ms.add(response.ms());
+      if (response > tc.response_time) ++tm.late_results;
+    }
+  }
+  // A timely reply (response <= R, kNoResponse being above every R) pops
+  // before its compensation timer would, and resolves the job: the timer
+  // is never queued.
+  const bool timer = response > tc.response_time;
+  const std::int64_t at = (now_ + (timer ? tc.response_time : response)).ns();
+  heap_push(events_,
+            Event{push_key(at), job.job_deadline.ns(), job.job_id, job.task, job.mode, timer});
+  stats_.in_flight_peak = std::max(stats_.in_flight_peak, events_.size());
+  timers_ += timer && at < horizon_end_.ns();
+}
+
+// ---- recording a skeleton pop ----
+
+/// Before the pop at t: the sub-job running into it (seq 0: idle), and
+/// the instant, if the CPU was idle before its first pop.
+void CoreRunner::begin_pop(std::int64_t t, std::int64_t last) {
+  const SubJob* ran = running_subjob();
+  ran_ = ran != nullptr ? *ran : SubJob{};
+  if (ran == nullptr && t != last) sk_.idle_starts.push_back(t);
+  pop_ = SkelPop{t, 0, kNoSlot, ran_.task, 0};
+}
+
+/// After the pop's dispatch: closes the running segment if the sub-job
+/// changed, and appends the pop.
+void CoreRunner::end_pop(std::uint64_t switches) {
+  const SubJob* runs = running_subjob();
+  if ((runs != nullptr ? runs->seq : 0) != ran_.seq) {
+    if (ran_.seq != 0) {
+      sk_.segments.push_back(
+          SkelSegment{seg_start_, pop_.time_ns, ran_.priority_key, ran_.seq});
+    }
+    seg_start_ = pop_.time_ns;
+  }
+  // The running segment is the next one appended: every segment
+  // started earlier has already ended.
+  pop_.releases = job_counter_;
+  if (runs != nullptr) {
+    pop_.seg_after = static_cast<std::uint32_t>(sk_.segments.size());
+  }
+  if (metrics_.context_switches != switches) pop_.flags |= kSwitched;
+  sk_.pops.push_back(pop_);
+}
+
+}  // namespace detail
+
+SimEngine::SimEngine() : core_(std::make_unique<detail::CoreRunner>()) {}
 SimEngine::~SimEngine() = default;
 SimEngine::SimEngine(SimEngine&&) noexcept = default;
 SimEngine& SimEngine::operator=(SimEngine&&) noexcept = default;
@@ -267,10 +331,9 @@ SimResult SimEngine::run(const core::TaskSet& tasks,
                          const core::DecisionVector& decisions,
                          server::ResponseModel& server, const SimConfig& config,
                          const RequestProfile& profile) {
-  impl_->reset(tasks, decisions, server, config, profile);
-  return impl_->run();
+  return core_->simulate(tasks, decisions, server, config, profile);
 }
 
-const EngineStats& SimEngine::stats() const { return impl_->stats_; }
+const EngineStats& SimEngine::stats() const { return core_->stats(); }
 
 }  // namespace rt::sim

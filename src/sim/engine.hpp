@@ -1,9 +1,10 @@
 #pragma once
 // Reusable zero-allocation event engine behind sim::simulate.
 //
-// SimEngine is the discrete-event driver of the shared protocol core
-// (protocol_core.hpp): the core runs the per-job state machine, and the
-// engine feeds it events from a simulated clock. The real runtime
+// SimEngine runs the protocol core (protocol_core.hpp) through the one
+// simulation driver (core_runner.hpp), which the batch engine's skeleton
+// and resync windows use too: the core runs the per-job state machine, and
+// the driver feeds it events from a simulated clock. The real runtime
 // (runtime/offload_runtime.hpp) drives the same core from an epoll loop.
 //
 // The batch sweep engine (exp::BatchRunner) runs thousands of simulations
@@ -16,24 +17,30 @@
 //     the horizon;
 //   * the ready queue is an indexed 4-ary min-heap over slot indices keyed
 //     on (priority_key, seq) -- no tree nodes, no per-insert allocation;
-//   * the event queue is a 4-ary min-heap of plain Event values holding
-//     only releases, timely arrivals and compensation timers: the core
-//     arms at most one slice end at a time, so that one lives in a
-//     (time, seq) register beside the heap, and re-arming or cancelling
-//     it overwrites the register instead of leaving a stale heap entry;
-//   * offload tokens index a generation-tagged slot map, erased eagerly at
-//     resolution, so the in-flight population equals outstanding offloads;
-//   * provably dead events are never queued: when a timely arrival is
-//     scheduled, its compensation timer (which the arrival always beats)
-//     is elided instead of queued-then-skipped.
+//   * releases come from a heap of each task's next release; a periodic
+//     run leaves the releases it popped behind as a schedule, and the
+//     next run with the same task periods and horizon replays it (a sweep
+//     over estimation errors builds it once); sporadic gaps are drawn
+//     mid-run, so sporadic runs always use the heap;
+//   * the core arms at most one slice end at a time, so it lives in a
+//     register, and re-arming or cancelling it overwrites the register;
+//   * the event heap holds only the offloads in flight, each with its job
+//     (deadline, id, task, mode), so one pop resolves it; a timely reply's
+//     compensation timer, which the reply always beats, is never queued.
+//
+// Memory is O(tasks + offloads in flight + Σ H/T_i): the kept schedule
+// holds 8 bytes per release before the horizon (74 KB for a 30-task
+// Fig. 3 set at 200 s).
 //
 // Results are bit-identical to the seed engine (reference_engine.hpp in
 // tests/support); tests/sim/determinism_test.cpp enforces this over a
 // randomized grid of scheduler x deadline x release configurations.
 //
 // A SimEngine is single-threaded and reusable: run() fully re-seeds the
-// engine from its arguments, so one engine per worker amortizes all buffer
-// growth across a batch (exp::BatchRunner does this automatically).
+// engine from its arguments, and the schedule it keeps is keyed on the
+// periods and horizon themselves, so a result never depends on the runs
+// before it. One engine per worker amortizes all buffer growth across a
+// batch (exp::BatchRunner does this automatically).
 
 #include <cstdint>
 #include <memory>
@@ -42,11 +49,16 @@
 
 namespace rt::sim {
 
+namespace detail {
+class CoreRunner;
+}  // namespace detail
+
 /// Internal accounting of the last run(); stable across identical runs.
 struct EngineStats {
-  /// Events popped by this engine. Lower than the seed engine's count for
-  /// the same scenario: timers elided by a timely arrival never queue, and
-  /// a superseded slice end is overwritten instead of popped.
+  /// Events stepped: releases, slice ends, replies and compensation
+  /// timers. Lower than the seed engine's count for the same scenario:
+  /// timers elided by a timely arrival never queue, and a superseded slice
+  /// end is overwritten instead of popped.
   std::uint64_t events_processed = 0;
   std::uint64_t jobs_released = 0;
   /// Most sub-job slots ever live at once (concurrent sub-jobs).
@@ -54,11 +66,11 @@ struct EngineStats {
   /// Slots allocated in the pool (>= peak only through reuse of a larger
   /// earlier run; never grows past the peak within one run).
   std::size_t pool_slots_capacity = 0;
-  /// Most in-flight offload tokens ever live at once.
+  /// Most offloads ever in flight at once.
   std::size_t in_flight_peak = 0;
-  /// Largest event-heap population: at most one release per task plus
-  /// one arrival or timer per in-flight offload (the armed slice end is
-  /// kept outside the heap).
+  /// Largest event-heap population. Releases come from the schedule (or
+  /// the sporadic heap) and the armed slice end from its register, so the
+  /// heap holds one arrival or timer per offload in flight and no more.
   std::size_t event_heap_peak = 0;
 };
 
@@ -71,8 +83,9 @@ class SimEngine {
   SimEngine(SimEngine&&) noexcept;
   SimEngine& operator=(SimEngine&&) noexcept;
 
-  /// Same contract as sim::simulate. Reuses all internal buffers; only the
-  /// returned SimMetrics/Trace storage is allocated per run.
+  /// Same contract as sim::simulate. Reuses all internal buffers, and the
+  /// release schedule when the periods and horizon are the last run's;
+  /// only the returned SimMetrics/Trace storage is allocated per run.
   SimResult run(const core::TaskSet& tasks, const core::DecisionVector& decisions,
                 server::ResponseModel& server, const SimConfig& config,
                 const RequestProfile& profile = {});
@@ -80,8 +93,7 @@ class SimEngine {
   [[nodiscard]] const EngineStats& stats() const;
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<detail::CoreRunner> core_;
 };
 
 }  // namespace rt::sim

@@ -1,7 +1,8 @@
 #pragma once
-// The paper's per-job protocol as one state machine with three drivers:
-// SimEngine (engine.cpp), the batch engine's CoreRunner (batch_engine.cpp)
-// and OffloadRuntime (runtime/offload_runtime.cpp).
+// The paper's per-job protocol as one state machine with two drivers: the
+// simulation driver, CoreRunner (core_runner.hpp), behind SimEngine and the
+// batch engine's skeleton and resync windows, and OffloadRuntime
+// (runtime/offload_runtime.cpp) on a real clock.
 //
 // Per job: release under the current mode's decision vector; the setup
 // (or local) sub-job runs under its split deadline d1; setup completion

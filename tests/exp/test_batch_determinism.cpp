@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <string_view>
@@ -20,6 +21,7 @@
 #include "obs/sink.hpp"
 #include "sim/batch_engine.hpp"
 #include "sim/benefit_response.hpp"
+#include "sim/simulator.hpp"
 #include "spec/grid.hpp"
 
 namespace {
@@ -41,30 +43,20 @@ constexpr std::string_view kSmallSweepDoc = R"json({
   }
 })json";
 
+spec::BatchPlan small_sweep_plan() {
+  return spec::plan_batch(spec::ScenarioDoc::parse_text(kSmallSweepDoc));
+}
+
 /// Runs the small grid on `jobs` workers, reporting into `sink` if given.
 std::vector<exp::ScenarioOutcome> run_small_sweep(unsigned jobs,
                                                   obs::Sink* sink = nullptr) {
-  spec::BatchPlan plan =
-      spec::plan_batch(spec::ScenarioDoc::parse_text(kSmallSweepDoc));
+  spec::BatchPlan plan = small_sweep_plan();
   plan.batch.jobs = jobs;
   return exp::BatchRunner(plan.batch).run(plan.specs, sink);
 }
 
-/// Bit-identical outcomes: decisions, claimed objective and every
-/// SimMetrics field (exact double equality, not tolerances).
-void expect_outcomes_equal(const exp::ScenarioOutcome& a,
-                           const exp::ScenarioOutcome& b) {
-  EXPECT_EQ(a.index, b.index);
-  EXPECT_EQ(a.odm.claimed_objective, b.odm.claimed_objective);
-  ASSERT_EQ(a.decisions.size(), b.decisions.size());
-  for (std::size_t i = 0; i < a.decisions.size(); ++i) {
-    SCOPED_TRACE("decision " + std::to_string(i));
-    EXPECT_EQ(a.decisions[i].level, b.decisions[i].level);
-    EXPECT_EQ(a.decisions[i].response_time, b.decisions[i].response_time);
-    EXPECT_EQ(a.decisions[i].claimed_benefit, b.decisions[i].claimed_benefit);
-  }
-  const sim::SimMetrics& x = a.metrics;
-  const sim::SimMetrics& y = b.metrics;
+/// Every SimMetrics field, exact double equality, not tolerances.
+void expect_metrics_equal(const sim::SimMetrics& x, const sim::SimMetrics& y) {
   ASSERT_EQ(x.per_task.size(), y.per_task.size());
   for (std::size_t i = 0; i < x.per_task.size(); ++i) {
     SCOPED_TRACE("task " + std::to_string(i));
@@ -92,6 +84,22 @@ void expect_outcomes_equal(const exp::ScenarioOutcome& a,
   EXPECT_TRUE(x.end_time == y.end_time);
 }
 
+/// Bit-identical outcomes: decisions, claimed objective and every
+/// SimMetrics field.
+void expect_outcomes_equal(const exp::ScenarioOutcome& a,
+                           const exp::ScenarioOutcome& b) {
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.odm.claimed_objective, b.odm.claimed_objective);
+  ASSERT_EQ(a.decisions.size(), b.decisions.size());
+  for (std::size_t i = 0; i < a.decisions.size(); ++i) {
+    SCOPED_TRACE("decision " + std::to_string(i));
+    EXPECT_EQ(a.decisions[i].level, b.decisions[i].level);
+    EXPECT_EQ(a.decisions[i].response_time, b.decisions[i].response_time);
+    EXPECT_EQ(a.decisions[i].claimed_benefit, b.decisions[i].claimed_benefit);
+  }
+  expect_metrics_equal(a.metrics, b.metrics);
+}
+
 TEST(ScenarioSeed, DeterministicAndDistinct) {
   EXPECT_EQ(exp::scenario_seed(1, 0), exp::scenario_seed(1, 0));
   EXPECT_EQ(exp::scenario_seed(99, 123), exp::scenario_seed(99, 123));
@@ -117,6 +125,23 @@ TEST(BatchDeterminism, SweepIdenticalAcrossWorkerCounts) {
     SCOPED_TRACE(i);
     expect_outcomes_equal(r1[i], r2[i]);
     expect_outcomes_equal(r1[i], r8[i]);
+  }
+
+  // Each point also equals a fresh simulation of that point alone, so no
+  // result depends on which point a worker's engine ran before it (the
+  // points share their task set, so an engine reuses its release
+  // schedule across them).
+  const spec::BatchPlan plan = small_sweep_plan();
+  ASSERT_EQ(plan.specs.size(), r1.size());
+  for (std::size_t i = 0; i < r1.size(); ++i) {
+    SCOPED_TRACE(i);
+    const exp::ScenarioSpec& spec = plan.specs[i];
+    sim::SimConfig cfg = spec.sim;
+    cfg.seed = exp::scenario_seed(plan.batch.base_seed, i);
+    const std::unique_ptr<server::ResponseModel> srv = spec.server->clone();
+    expect_metrics_equal(
+        r1[i].metrics,
+        sim::simulate(spec.tasks, r1[i].decisions, *srv, cfg, spec.profile).metrics);
   }
 
   // The sweep must have produced real signal, or the equalities above are

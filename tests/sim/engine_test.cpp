@@ -1,10 +1,15 @@
 // Zero-allocation engine internals (sim::SimEngine, docs/ANALYSIS.md §9):
-// bounded slot pools, eager in-flight cleanup, an event heap free of slice
-// ends, and the reset/reuse contract BatchRunner relies on.
+// bounded slot pools, eager in-flight cleanup, an event heap that holds
+// only offloads, and the reset/reuse contract BatchRunner relies on, kept
+// release schedule included.
 
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "core/odm.hpp"
 #include "core/task.hpp"
@@ -67,11 +72,18 @@ void expect_same_trace(const Trace& ref, const Trace& opt) {
   }
 }
 
+bool traces_equal(const Trace& a, const Trace& b) {
+  return std::ranges::equal(a.events(), b.events(), [](const TraceEvent& x, const TraceEvent& y) {
+    return x.time == y.time && x.kind == y.kind && x.task == y.task && x.job == y.job;
+  });
+}
+
 // Regression for the seed engine's deferred in-flight cleanup: resolved
 // entries used to linger in the token map until the compensation timer
-// fired. The slot map erases eagerly, so the live in-flight population is
-// bounded by *outstanding* offloads -- with split deadlines and no misses
-// that is at most one per offloaded task, never a function of the horizon.
+// fired. An offload leaves the event heap when it resolves, so the live
+// in-flight population is bounded by *outstanding* offloads -- with split
+// deadlines and no misses that is at most one per offloaded task, never a
+// function of the horizon.
 TEST(EngineInternals, InFlightPopulationBoundedByOutstandingOffloads) {
   const Fixture s = make_setup(7);
   std::size_t offloaded = 0;
@@ -110,41 +122,79 @@ TEST(EngineInternals, PoolPeakTracksConcurrentJobsNotTotalReleases) {
       << "free-list pool should never allocate past the concurrency peak";
 }
 
+// A reused engine keeps the release schedule of its last periodic run and
+// replays it while the periods and horizon match. Every run below, cached
+// schedule or not, must equal a fresh engine's run of the same inputs: a
+// second task set, the horizon 1 ns either side (task 0 releases at
+// exactly H, so a schedule kept for H lacks a release that H + 1 ns has),
+// a sporadic run between two periodic ones with the same periods, and one
+// period 1 ns either side.
 TEST(EngineInternals, ReusedEngineReproducesItsFirstRunBitForBit) {
   const Fixture s = make_setup(5);
-  SimConfig cfg;
-  cfg.horizon = 20_s;
-  cfg.seed = 77;
-  cfg.exec_policy = ExecTimePolicy::kUniformFraction;
-  cfg.release_policy = ReleasePolicy::kSporadic;
-  cfg.trace_capacity = 10'000;
+  const Fixture other = make_setup(6, 8);
+  const Duration horizon = s.tasks[0].period * 40;
 
-  SimEngine engine;
-  auto srv_a = server::make_scenario_server(server::Scenario::kNotBusy, 3);
-  const SimResult first = engine.run(s.tasks, s.decisions, *srv_a, cfg);
+  struct Step {
+    const Fixture* set;
+    core::TaskSet tasks;
+    SimConfig cfg;
+  };
+  std::vector<Step> steps;
+  const auto add = [&](const Fixture& set, const auto& edit) {
+    Step st{&set, set.tasks, SimConfig{}};
+    st.cfg.horizon = horizon;
+    st.cfg.seed = 77 + steps.size();
+    st.cfg.exec_policy = ExecTimePolicy::kUniformFraction;
+    st.cfg.trace_capacity = 100'000;
+    edit(st);
+    steps.push_back(std::move(st));
+  };
+  const auto none = [](Step&) {};
+  add(s, none);
+  add(s, [](Step& st) { st.cfg.seed = 77; });  // the first run again
+  add(other, none);
+  add(s, [](Step& st) { st.cfg.horizon = st.cfg.horizon - 1_ns; });
+  add(s, [](Step& st) { st.cfg.horizon = st.cfg.horizon + 1_ns; });
+  add(s, none);
+  add(s, [](Step& st) { st.cfg.release_policy = ReleasePolicy::kSporadic; });
+  add(s, [](Step& st) { st.cfg.exec_policy = ExecTimePolicy::kAlwaysWcet; });
+  add(s, [](Step& st) { st.tasks[3].period = st.tasks[3].period + 1_ns; });
+  add(s, [](Step& st) {
+    core::Task& t = st.tasks[3];
+    t.period = t.period - 1_ns;
+    t.deadline = std::min(t.deadline, t.period);
+  });
+  add(s, [](Step& st) { st.cfg.seed = 77; });
 
-  // Interleave a run with different seed/config to dirty every buffer.
-  SimConfig other = cfg;
-  other.seed = 123;
-  other.release_policy = ReleasePolicy::kPeriodic;
-  auto srv_b = server::make_scenario_server(server::Scenario::kBusy, 2);
-  (void)engine.run(s.tasks, s.decisions, *srv_b, other);
-
-  auto srv_c = server::make_scenario_server(server::Scenario::kNotBusy, 3);
-  const SimResult again = engine.run(s.tasks, s.decisions, *srv_c, cfg);
-  EXPECT_TRUE(metrics_equal(first.metrics, again.metrics));
-  ASSERT_EQ(first.trace.events().size(), again.trace.events().size());
-  for (std::size_t i = 0; i < first.trace.events().size(); ++i) {
-    EXPECT_EQ(first.trace.events()[i].time.ns(), again.trace.events()[i].time.ns());
-    EXPECT_EQ(first.trace.events()[i].kind, again.trace.events()[i].kind);
+  SimEngine reused;
+  std::vector<SimResult> results;
+  for (std::size_t k = 0; k < steps.size(); ++k) {
+    SCOPED_TRACE("step " + std::to_string(k));
+    const Step& st = steps[k];
+    auto srv = server::make_scenario_server(server::Scenario::kBusy, 3);
+    results.push_back(reused.run(st.tasks, st.set->decisions, *srv, st.cfg));
+    SimEngine fresh;
+    auto srv_fresh = server::make_scenario_server(server::Scenario::kBusy, 3);
+    const SimResult want = fresh.run(st.tasks, st.set->decisions, *srv_fresh, st.cfg);
+    EXPECT_TRUE(metrics_equal(want.metrics, results.back().metrics));
+    expect_same_trace(want.trace, results.back().trace);
+    EXPECT_EQ(fresh.stats().events_processed, reused.stats().events_processed);
   }
+  // The edits change what runs: a stale schedule would show.
+  EXPECT_TRUE(metrics_equal(results[0].metrics, results[1].metrics));
+  EXPECT_TRUE(metrics_equal(results[0].metrics, results.back().metrics));
+  EXPECT_NE(results[3].metrics.per_task[0].released,
+            results[4].metrics.per_task[0].released);
+  EXPECT_FALSE(traces_equal(results[5].trace, results[8].trace));
+  EXPECT_FALSE(traces_equal(results[8].trace, results[9].trace));
 }
 
 // A long job preempted every couple of milliseconds supersedes its armed
-// slice end at each preemption. The armed slice end lives beside the heap,
-// so the heap holds one release per task plus one arrival or timer per
-// in-flight offload, never a superseded slice end.
-TEST(EngineInternals, EventHeapHoldsOnlyReleasesAndReplies) {
+// slice end at each preemption. The armed slice end lives in a register
+// and the releases come from the schedule, so the heap holds one arrival
+// or timer per in-flight offload and nothing else: none here, where every
+// task runs locally.
+TEST(EngineInternals, EventHeapHoldsOnlyOffloadsInFlight) {
   const core::TaskSet tasks{
       make_simple_task("short", 2_ms, 1_ms, 1_ms, 1_ms),
       make_simple_task("long", 1000_ms, 400_ms, 1_ms, 1_ms),
@@ -158,7 +208,7 @@ TEST(EngineInternals, EventHeapHoldsOnlyReleasesAndReplies) {
   const SimResult opt = engine.run(tasks, core::all_local(2), srv, cfg);
   const EngineStats& st = engine.stats();
   EXPECT_GT(opt.metrics.context_switches, 1000u) << "not preemption-heavy";
-  EXPECT_LE(st.event_heap_peak, tasks.size() + st.in_flight_peak);
+  EXPECT_LE(st.event_heap_peak, st.in_flight_peak);
 
   // The register must not change behaviour.
   server::FixedResponse srv_ref(1_ms);
