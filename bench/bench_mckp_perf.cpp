@@ -9,7 +9,7 @@
 #include "core/odm.hpp"
 #include "json_summary_gbench.hpp"
 #include "core/workload.hpp"
-#include "mckp/branch_bound.hpp"
+#include "support/branch_bound.hpp"
 #include "mckp/solvers.hpp"
 #include "obs/sink.hpp"
 #include "util/rng.hpp"

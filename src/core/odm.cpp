@@ -4,7 +4,6 @@
 
 #include "obs/sink.hpp"
 #include "obs/timer.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rt::core {
 
@@ -132,19 +131,6 @@ OdmResult decide_offloading(const TaskSet& tasks, const OdmConfig& config) {
     if (!res.feasible) reg.counter("odm.infeasible").inc();
   }
   return res;
-}
-
-std::vector<OdmResult> decide_offloading_batch(const std::vector<TaskSet>& sets,
-                                               const OdmConfig& config,
-                                               unsigned jobs) {
-  std::vector<OdmResult> out(sets.size());
-  util::parallel_for(sets.size(), jobs,
-                     [&](std::size_t begin, std::size_t end) {
-                       for (std::size_t i = begin; i < end; ++i) {
-                         out[i] = decide_offloading(sets[i], config);
-                       }
-                     });
-  return out;
 }
 
 DecisionVector greedy_local_choice(const TaskSet& tasks, double estimation_error) {

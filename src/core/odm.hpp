@@ -83,15 +83,6 @@ OdmInstance build_odm_instance(const TaskSet& tasks, const OdmConfig& config);
 /// safety -- an infeasible selection degrades to all-local).
 OdmResult decide_offloading(const TaskSet& tasks, const OdmConfig& config = {});
 
-/// Batch ODM entry point: decide for many task sets under one config,
-/// optionally across `jobs` worker threads (0 = hardware concurrency).
-/// Results are index-aligned with `sets` and identical for every jobs
-/// value: decisions are pure functions of (task set, config), and the DP
-/// workspace the solver reuses is per-thread.
-std::vector<OdmResult> decide_offloading_batch(const std::vector<TaskSet>& sets,
-                                               const OdmConfig& config = {},
-                                               unsigned jobs = 1);
-
 /// Baseline (Nimmagadda et al. [8] style): each task independently picks
 /// its highest benefit level whose estimated response time fits its
 /// deadline with room for setup + compensation, ignoring the global

@@ -84,7 +84,6 @@ void Connection::handle_readable() {
     const std::size_t want = std::min(sizeof(chunk), options_.read_chunk);
     const ssize_t n = ::recv(fd_, chunk, want, 0);
     if (n > 0) {
-      bytes_in_ += static_cast<std::uint64_t>(n);
       in_buf_.append(chunk, static_cast<std::size_t>(n));
       continue;
     }

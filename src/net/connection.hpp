@@ -64,7 +64,6 @@ class Connection {
   [[nodiscard]] bool closed() const { return fd_ < 0; }
   [[nodiscard]] int fd() const { return fd_; }
 
-  [[nodiscard]] std::uint64_t bytes_in() const { return bytes_in_; }
   [[nodiscard]] std::uint64_t bytes_out() const { return bytes_out_; }
   [[nodiscard]] std::uint64_t messages_in() const { return messages_in_; }
   [[nodiscard]] std::uint64_t messages_out() const { return messages_out_; }
@@ -94,7 +93,6 @@ class Connection {
   bool want_write_ = false;
   bool in_dispatch_ = false;
 
-  std::uint64_t bytes_in_ = 0;
   std::uint64_t bytes_out_ = 0;
   std::uint64_t messages_in_ = 0;
   std::uint64_t messages_out_ = 0;

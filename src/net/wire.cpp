@@ -95,16 +95,6 @@ std::string encode(const OffloadResponse& response) {
   return out;
 }
 
-MessageKind peek_kind(std::string_view payload) {
-  if (payload.empty()) throw WireError("empty wire message");
-  const auto kind = static_cast<std::uint8_t>(payload[0]);
-  if (kind != static_cast<std::uint8_t>(MessageKind::kRequest) &&
-      kind != static_cast<std::uint8_t>(MessageKind::kResponse)) {
-    throw WireError("unknown message kind " + std::to_string(kind));
-  }
-  return static_cast<MessageKind>(kind);
-}
-
 OffloadRequest decode_request(std::string_view payload) {
   Reader reader(payload);
   if (reader.u8() != static_cast<std::uint8_t>(MessageKind::kRequest)) {

@@ -55,8 +55,6 @@ class WireError : public std::runtime_error {
 std::string encode(const OffloadRequest& request);
 std::string encode(const OffloadResponse& response);
 
-/// Peeks the kind byte; throws WireError on an empty payload.
-MessageKind peek_kind(std::string_view payload);
 /// Throw WireError on truncation, trailing garbage, or a kind mismatch.
 OffloadRequest decode_request(std::string_view payload);
 OffloadResponse decode_response(std::string_view payload);

@@ -9,7 +9,7 @@ Duration response_percentile(const std::vector<Duration>& samples, double p) {
   if (samples.empty()) {
     throw std::invalid_argument("response_percentile: empty input");
   }
-  if (p < 0.0 || p > 100.0) {
+  if (!(p >= 0.0 && p <= 100.0)) {
     throw std::invalid_argument("response_percentile: p out of range");
   }
   std::vector<Duration> sorted = samples;

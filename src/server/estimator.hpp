@@ -18,7 +18,8 @@ namespace rt::server {
 
 /// Percentile (e.g. 90) of the finite samples. Samples equal to kNoResponse
 /// count as infinitely slow: if more than (100-p)% of samples were dropped,
-/// the estimate is kNoResponse. Throws on empty input or p outside [0,100].
+/// the estimate is kNoResponse. Throws on empty input or p outside [0,100]
+/// (NaN included).
 Duration response_percentile(const std::vector<Duration>& samples, double p);
 
 /// Fraction of samples with response <= r (drops count as failures).

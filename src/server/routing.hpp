@@ -31,7 +31,6 @@ class RoutingResponse final : public ResponseModel {
   void reset() override;
   std::unique_ptr<ResponseModel> clone() const override;
 
-  [[nodiscard]] std::size_t num_routes() const { return routes_.size(); }
   [[nodiscard]] std::size_t route_for(std::size_t stream) const;
 
  private:

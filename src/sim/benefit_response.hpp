@@ -32,8 +32,6 @@ class BenefitDrivenResponse final : public server::ResponseModel {
     return std::make_unique<BenefitDrivenResponse>(per_stream_);
   }
 
-  [[nodiscard]] std::size_t num_streams() const { return per_stream_.size(); }
-
   /// The scalar draw with the virtual dispatch and stream lookup peeled
   /// off: exactly one uniform() per call on a known-valid stream;
   /// sample()/sample_n() delegate here so both share one definition.

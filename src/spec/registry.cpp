@@ -75,26 +75,33 @@ health::ModeControllerConfig build_controller(const Json& normalized,
       .build(normalized, ctx);
 }
 
+namespace {
+
+// The solvers a document may name, in listing order, under
+// mckp::to_string's names (brute force is a test oracle, not a choice).
+constexpr mckp::SolverKind kSpecSolvers[] = {mckp::SolverKind::kDpProfits,
+                                             mckp::SolverKind::kDpWeights,
+                                             mckp::SolverKind::kHeuOe};
+
+}  // namespace
+
 mckp::SolverKind solver_from_string(const std::string& name,
                                     const SpecPath& path) {
-  if (name == "dp-profits") return mckp::SolverKind::kDpProfits;
-  if (name == "heu-oe") return mckp::SolverKind::kHeuOe;
-  if (name == "dp-weights") return mckp::SolverKind::kDpWeights;
-  throw SpecError(path, "unknown solver '" + name +
-                            "' (known: dp-profits, dp-weights, heu-oe)");
-}
-
-const char* solver_name(mckp::SolverKind kind) {
-  switch (kind) {
-    case mckp::SolverKind::kDpProfits: return "dp-profits";
-    case mckp::SolverKind::kHeuOe: return "heu-oe";
-    case mckp::SolverKind::kDpWeights: return "dp-weights";
+  std::string known;
+  for (const mckp::SolverKind kind : kSpecSolvers) {
+    if (name == mckp::to_string(kind)) return kind;
+    if (!known.empty()) known += ", ";
+    known += mckp::to_string(kind);
   }
-  return "?";
+  throw SpecError(path, "unknown solver '" + name + "' (known: " + known + ")");
 }
 
 std::vector<std::string> solver_names() {
-  return {"dp-profits", "dp-weights", "heu-oe"};
+  std::vector<std::string> out;
+  for (const mckp::SolverKind kind : kSpecSolvers) {
+    out.emplace_back(mckp::to_string(kind));
+  }
+  return out;
 }
 
 Json normalize_fault_script(const Json& obj, const SpecPath& path) {

@@ -116,10 +116,9 @@ Json normalize_controller(const Json& obj, const SpecPath& path);
 health::ModeControllerConfig build_controller(const Json& normalized,
                                               const BuildContext& ctx);
 
-/// Solver-kind names (registered alongside the component builders; the CLI
-/// and the odm section share this single table).
+/// The solver kinds a document may name, under mckp::to_string's names (the
+/// CLI's listing and the odm section share this single table).
 mckp::SolverKind solver_from_string(const std::string& name, const SpecPath& path);
-const char* solver_name(mckp::SolverKind kind);
 std::vector<std::string> solver_names();
 
 /// Fault-script sections appear both standalone ($.faults) and inside the

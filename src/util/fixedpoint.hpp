@@ -29,7 +29,6 @@ class UtilFp {
   [[nodiscard]] static constexpr UtilFp zero() { return UtilFp{0}; }
   [[nodiscard]] static constexpr UtilFp one() { return UtilFp{kOneRaw}; }
   [[nodiscard]] static constexpr UtilFp saturated() { return UtilFp{kSaturatedRaw}; }
-  [[nodiscard]] static constexpr UtilFp from_raw(std::int64_t raw) { return UtilFp{raw}; }
 
   /// ceil(num/den) in fixed point; throws on non-positive den or negative
   /// num; saturates instead of overflowing.
@@ -38,15 +37,6 @@ class UtilFp {
     if (num < 0) throw std::invalid_argument("UtilFp: negative numerator");
     const __int128 scaled = static_cast<__int128>(num) * kOneRaw;
     const __int128 q = (scaled + den - 1) / den;
-    if (q >= static_cast<__int128>(kSaturatedRaw)) return saturated();
-    return UtilFp{static_cast<std::int64_t>(q)};
-  }
-
-  /// floor(num/den) in fixed point (for optimistic bounds in ablations).
-  [[nodiscard]] static UtilFp ratio_floor(std::int64_t num, std::int64_t den) {
-    if (den <= 0) throw std::invalid_argument("UtilFp: denominator must be > 0");
-    if (num < 0) throw std::invalid_argument("UtilFp: negative numerator");
-    const __int128 q = static_cast<__int128>(num) * kOneRaw / den;
     if (q >= static_cast<__int128>(kSaturatedRaw)) return saturated();
     return UtilFp{static_cast<std::int64_t>(q)};
   }

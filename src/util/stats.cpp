@@ -35,7 +35,9 @@ void RunningStats::merge(const RunningStats& o) {
 
 double percentile(std::vector<double> samples, double p) {
   if (samples.empty()) throw std::invalid_argument("percentile: empty input");
-  if (p < 0.0 || p > 100.0) throw std::invalid_argument("percentile: p out of range");
+  if (!(p >= 0.0 && p <= 100.0)) {
+    throw std::invalid_argument("percentile: p out of range");
+  }
   std::sort(samples.begin(), samples.end());
   if (samples.size() == 1) return samples.front();
   const double rank = p / 100.0 * static_cast<double>(samples.size() - 1);
@@ -44,36 +46,5 @@ double percentile(std::vector<double> samples, double p) {
   const double frac = rank - static_cast<double>(lo);
   return samples[lo] + frac * (samples[hi] - samples[lo]);
 }
-
-double empirical_cdf(const std::vector<double>& samples, double x) {
-  if (samples.empty()) throw std::invalid_argument("empirical_cdf: empty input");
-  std::size_t count = 0;
-  for (const double s : samples) {
-    if (s <= x) ++count;
-  }
-  return static_cast<double>(count) / static_cast<double>(samples.size());
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram: zero bins");
-  if (!(lo < hi)) throw std::invalid_argument("Histogram: lo must be < hi");
-}
-
-void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(frac * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(bin) /
-                   static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t bin) const { return bin_lo(bin + 1); }
 
 }  // namespace rt

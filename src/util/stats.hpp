@@ -46,30 +46,8 @@ class RunningStats {
 
 /// Percentile with linear interpolation between closest ranks
 /// (the "exclusive" definition used by numpy's default).
-/// `p` in [0, 100]. The input is copied and sorted; throws on empty input.
+/// `p` in [0, 100]. The input is copied and sorted; throws on empty input
+/// and on a `p` outside [0, 100] or NaN.
 double percentile(std::vector<double> samples, double p);
-
-/// Empirical CDF value: fraction of samples <= x. Throws on empty input.
-double empirical_cdf(const std::vector<double>& samples, double x);
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp into the
-/// first/last bin so mass is never lost.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const { return counts_.at(bin); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace rt

@@ -62,23 +62,4 @@ std::string Table::to_string() const {
   return oss.str();
 }
 
-std::string CsvWriter::escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char ch : cell) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += '"';
-  return out;
-}
-
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) os_ << ',';
-    os_ << escape(cells[i]);
-  }
-  os_ << '\n';
-}
-
 }  // namespace rt

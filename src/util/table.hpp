@@ -19,26 +19,12 @@ class Table {
   /// Convenience: formats doubles with fixed precision.
   static std::string fmt(double v, int precision = 3);
 
-  [[nodiscard]] std::size_t rows() const { return rows_.size(); }
-
   void print(std::ostream& os) const;
   [[nodiscard]] std::string to_string() const;
 
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
-};
-
-/// Minimal CSV writer (RFC-4180 quoting for commas/quotes/newlines).
-class CsvWriter {
- public:
-  explicit CsvWriter(std::ostream& os) : os_(os) {}
-
-  void write_row(const std::vector<std::string>& cells);
-
- private:
-  static std::string escape(const std::string& cell);
-  std::ostream& os_;
 };
 
 }  // namespace rt

@@ -158,39 +158,6 @@ TEST(BatchDeterminism, SweepIdenticalAcrossWorkerCounts) {
   EXPECT_GT(benefit_sum, 0.0);
 }
 
-TEST(BatchDeterminism, DecideOffloadingBatchMatchesSerial) {
-  std::vector<core::TaskSet> sets;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    Rng rng(seed);
-    core::PaperSimConfig wl;
-    wl.num_tasks = 8;
-    sets.push_back(core::make_paper_simulation_taskset(rng, wl));
-  }
-
-  std::vector<core::OdmResult> serial;
-  for (const auto& ts : sets) serial.push_back(core::decide_offloading(ts));
-
-  for (unsigned jobs : {1u, 4u}) {
-    SCOPED_TRACE(jobs);
-    const std::vector<core::OdmResult> batch =
-        core::decide_offloading_batch(sets, {}, jobs);
-    ASSERT_EQ(batch.size(), serial.size());
-    for (std::size_t i = 0; i < sets.size(); ++i) {
-      SCOPED_TRACE(i);
-      EXPECT_EQ(batch[i].feasible, serial[i].feasible);
-      EXPECT_EQ(batch[i].claimed_objective, serial[i].claimed_objective);
-      ASSERT_EQ(batch[i].decisions.size(), serial[i].decisions.size());
-      for (std::size_t t = 0; t < serial[i].decisions.size(); ++t) {
-        EXPECT_EQ(batch[i].decisions[t].offloaded(),
-                  serial[i].decisions[t].offloaded());
-        EXPECT_EQ(batch[i].decisions[t].level, serial[i].decisions[t].level);
-        EXPECT_EQ(batch[i].decisions[t].response_time,
-                  serial[i].decisions[t].response_time);
-      }
-    }
-  }
-}
-
 TEST(BatchDeterminism, TelemetryDoesNotPerturbResults) {
   // Attaching a sink must be pure observation: the sweep's outcomes stay
   // bit-identical to a telemetry-free run.

@@ -36,7 +36,6 @@ TEST(WireCodecTest, RequestRoundTrip) {
   request.pad_bytes = 128;
 
   const std::string bytes = encode(request);
-  EXPECT_EQ(peek_kind(bytes), MessageKind::kRequest);
   const OffloadRequest back = decode_request(bytes);
   EXPECT_EQ(back.id, request.id);
   EXPECT_EQ(back.task, request.task);
@@ -53,14 +52,12 @@ TEST(WireCodecTest, ResponseRoundTrip) {
   response.id = 7;
   response.service_protocol_ns = 20'000'000;
   const std::string bytes = encode(response);
-  EXPECT_EQ(peek_kind(bytes), MessageKind::kResponse);
   const OffloadResponse back = decode_response(bytes);
   EXPECT_EQ(back.id, response.id);
   EXPECT_EQ(back.service_protocol_ns, response.service_protocol_ns);
 }
 
 TEST(WireCodecTest, MalformedPayloadsThrow) {
-  EXPECT_THROW(peek_kind(""), WireError);
   EXPECT_THROW(decode_request(""), WireError);
   const std::string req = encode(OffloadRequest{});
   const std::string resp = encode(OffloadResponse{});

@@ -12,7 +12,7 @@
 #include <sstream>
 #include <string>
 
-#include "runtime/oracle.hpp"
+#include "support/runtime_oracle.hpp"
 #include "spec/scenario_doc.hpp"
 #include "spec/spec_error.hpp"
 

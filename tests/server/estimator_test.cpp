@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace rt::server {
 namespace {
 
@@ -35,6 +37,7 @@ TEST(ResponsePercentile, Validation) {
   EXPECT_THROW(response_percentile({}, 50), std::invalid_argument);
   EXPECT_THROW(response_percentile(ladder(), -1), std::invalid_argument);
   EXPECT_THROW(response_percentile(ladder(), 101), std::invalid_argument);
+  EXPECT_THROW(response_percentile(ladder(), std::nan("")), std::invalid_argument);
 }
 
 TEST(SuccessProbability, CountsTimelyFraction) {

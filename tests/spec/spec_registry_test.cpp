@@ -68,11 +68,18 @@ TEST(SpecRegistry, SolverNamesRoundTrip) {
   const std::vector<std::string> names = spec::solver_names();
   EXPECT_GE(names.size(), 3u);
   for (const std::string& name : names) {
-    EXPECT_EQ(spec::solver_name(spec::solver_from_string(name, spec::SpecPath())),
+    EXPECT_EQ(mckp::to_string(spec::solver_from_string(name, spec::SpecPath())),
               name);
   }
   EXPECT_THROW((void)spec::solver_from_string("simplex", spec::SpecPath()),
                spec::SpecError);
+  try {
+    (void)spec::solver_from_string("simplex", spec::SpecPath() / "odm" / "solver");
+    FAIL() << "expected SpecError";
+  } catch (const spec::SpecError& e) {
+    EXPECT_STREQ(e.what(), "$.odm.solver: unknown solver 'simplex' "
+                           "(known: dp-profits, dp-weights, heu-oe)");
+  }
 }
 
 TEST(SpecRegistry, NormalizationIsIdempotent) {

@@ -1,4 +1,4 @@
-#include "mckp/branch_bound.hpp"
+#include "support/branch_bound.hpp"
 
 #include <algorithm>
 #include <limits>

@@ -4,8 +4,9 @@
 // The Dudzinski-Walukiewicz DP is exact only up to profit discretization;
 // this solver is exact on real-valued profits: depth-first search over
 // classes (largest profit spread first), pruned by the Dantzig LP bound on
-// the remaining suffix. Intended for offline verification and for
-// instances whose profits do not quantize well.
+// the remaining suffix. The solver tests check the DP against it and
+// bench_mckp_perf times it, so it lives in tests/support
+// (rt_mckp_branch_bound), not in the production library.
 
 #include "mckp/instance.hpp"
 

@@ -1,4 +1,4 @@
-#include "runtime/oracle.hpp"
+#include "support/runtime_oracle.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -19,6 +19,9 @@
 // near-boundary races, and the runtime's RNG stream interleaving
 // differing from the simulator's. Released-job counts are deterministic
 // under periodic releases and are checked exactly.
+//
+// Only runtime_oracle_test runs it, so it lives in tests/support
+// (rt_runtime_oracle), not in the runtime library.
 
 #include <cstdint>
 #include <string>

@@ -1,4 +1,4 @@
-#include "sim/analysis.hpp"
+#include "support/trace_analysis.hpp"
 
 #include <algorithm>
 #include <stdexcept>

@@ -5,7 +5,9 @@
 // This module recovers distributions the analysis cares about: end-to-end
 // job response times (release -> completion), preemption counts, and the
 // worst observed response per task -- the empirical counterpart of the RTA
-// and PDA bounds, used by tests to sandwich theory and simulation.
+// and PDA bounds, used by tests to sandwich theory and simulation. It
+// lives with the tests, in the rt_sim_analysis library, because only they
+// call it.
 
 #include <vector>
 

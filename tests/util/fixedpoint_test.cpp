@@ -14,15 +14,8 @@ TEST(UtilFp, RatioCeilRoundsUp) {
             static_cast<__int128>(UtilFp::kOneRaw));
 }
 
-TEST(UtilFp, RatioFloorRoundsDown) {
-  const UtilFp third = UtilFp::ratio_floor(1, 3);
-  EXPECT_EQ(third.raw(), 333'333'333'333'333'333LL);
-  EXPECT_LT(third.raw(), UtilFp::ratio_ceil(1, 3).raw());
-}
-
 TEST(UtilFp, ExactRatiosHaveNoRounding) {
   EXPECT_EQ(UtilFp::ratio_ceil(1, 2).raw(), UtilFp::kOneRaw / 2);
-  EXPECT_EQ(UtilFp::ratio_ceil(1, 2), UtilFp::ratio_floor(1, 2));
   EXPECT_EQ(UtilFp::ratio_ceil(5, 5), UtilFp::one());
 }
 

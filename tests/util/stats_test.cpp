@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/rng.hpp"
 
 namespace rt {
@@ -75,39 +77,11 @@ TEST(Percentile, SingleElementAndErrors) {
   EXPECT_THROW(percentile({}, 50), std::invalid_argument);
   EXPECT_THROW(percentile({1.0}, -1), std::invalid_argument);
   EXPECT_THROW(percentile({1.0}, 101), std::invalid_argument);
+  EXPECT_THROW(percentile({1.0}, std::nan("")), std::invalid_argument);
 }
 
 TEST(Percentile, UnsortedInputHandled) {
   EXPECT_DOUBLE_EQ(percentile({30, 10, 40, 20}, 50), 25);
-}
-
-TEST(EmpiricalCdf, CountsInclusive) {
-  const std::vector<double> xs{1, 2, 3, 4};
-  EXPECT_DOUBLE_EQ(empirical_cdf(xs, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(empirical_cdf(xs, 2.0), 0.5);
-  EXPECT_DOUBLE_EQ(empirical_cdf(xs, 10.0), 1.0);
-  EXPECT_THROW(empirical_cdf({}, 1.0), std::invalid_argument);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-3.0);  // clamps into bin 0
-  h.add(42.0);  // clamps into bin 4
-  h.add(5.0);   // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(2), 1u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(2), 6.0);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
 }
 
 }  // namespace

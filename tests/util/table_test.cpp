@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 
 namespace rt {
 namespace {
@@ -28,22 +28,6 @@ TEST(Table, FmtFixedPrecision) {
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::fmt(2.0, 0), "2");
   EXPECT_EQ(Table::fmt(-0.5), "-0.500");
-}
-
-TEST(CsvWriter, QuotesSpecialCells) {
-  std::ostringstream oss;
-  CsvWriter csv(oss);
-  csv.write_row({"plain", "with,comma", "with\"quote", "multi\nline"});
-  EXPECT_EQ(oss.str(),
-            "plain,\"with,comma\",\"with\"\"quote\",\"multi\nline\"\n");
-}
-
-TEST(CsvWriter, EmptyRowAndCells) {
-  std::ostringstream oss;
-  CsvWriter csv(oss);
-  csv.write_row({"", "x"});
-  csv.write_row({});
-  EXPECT_EQ(oss.str(), ",x\n\n");
 }
 
 }  // namespace
