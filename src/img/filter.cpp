@@ -6,24 +6,6 @@
 
 namespace rt::img {
 
-Image convolve3x3(const Image& src, const std::array<float, 9>& kernel) {
-  if (src.empty()) throw std::invalid_argument("convolve3x3: empty image");
-  Image out(src.width(), src.height());
-  for (int y = 0; y < src.height(); ++y) {
-    for (int x = 0; x < src.width(); ++x) {
-      float acc = 0.0f;
-      for (int ky = -1; ky <= 1; ++ky) {
-        for (int kx = -1; kx <= 1; ++kx) {
-          acc += kernel[static_cast<std::size_t>((ky + 1) * 3 + (kx + 1))] *
-                 src.at_clamped(x + kx, y + ky);
-        }
-      }
-      out.at(x, y) = acc;
-    }
-  }
-  return out;
-}
-
 Image gaussian_blur5(const Image& src) {
   if (src.empty()) throw std::invalid_argument("gaussian_blur5: empty image");
   // Binomial [1 4 6 4 1]/16, horizontal then vertical.

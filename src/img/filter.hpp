@@ -1,14 +1,9 @@
 #pragma once
 // Convolution building blocks shared by the vision tasks.
 
-#include <array>
-
 #include "img/image.hpp"
 
 namespace rt::img {
-
-/// 3x3 convolution with edge clamping; kernel in row-major order.
-Image convolve3x3(const Image& src, const std::array<float, 9>& kernel);
 
 /// Separable Gaussian blur (5-tap binomial approximation).
 Image gaussian_blur5(const Image& src);

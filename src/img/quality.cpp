@@ -36,31 +36,4 @@ double psnr(const Image& a, const Image& b) {
   return std::min(v, kPsnrCap);
 }
 
-double ssim_global(const Image& a, const Image& b) {
-  check_pair(a, b, "ssim_global");
-  const double n = static_cast<double>(a.size());
-  double mu_a = 0.0, mu_b = 0.0;
-  for (const float p : a.data()) mu_a += p;
-  for (const float p : b.data()) mu_b += p;
-  mu_a /= n;
-  mu_b /= n;
-  double var_a = 0.0, var_b = 0.0, cov = 0.0;
-  const auto& pa = a.data();
-  const auto& pb = b.data();
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    const double da = pa[i] - mu_a;
-    const double db = pb[i] - mu_b;
-    var_a += da * da;
-    var_b += db * db;
-    cov += da * db;
-  }
-  var_a /= n;
-  var_b /= n;
-  cov /= n;
-  constexpr double c1 = 0.01 * 0.01;
-  constexpr double c2 = 0.03 * 0.03;
-  return ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)) /
-         ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2));
-}
-
 }  // namespace rt::img

@@ -20,8 +20,4 @@ double mse(const Image& a, const Image& b);
 /// kPsnrCap (identical images would otherwise be +inf).
 double psnr(const Image& a, const Image& b);
 
-/// Structural similarity (global statistics variant, not windowed):
-/// in [-1, 1], 1 for identical images. Included as a secondary metric.
-double ssim_global(const Image& a, const Image& b);
-
 }  // namespace rt::img

@@ -7,12 +7,6 @@
 
 namespace rt::mckp {
 
-std::size_t Instance::total_items() const {
-  std::size_t n = 0;
-  for (const auto& cls : classes) n += cls.size();
-  return n;
-}
-
 void Instance::validate() const {
   if (capacity < 0) throw std::invalid_argument("MCKP: negative capacity");
   for (std::size_t c = 0; c < classes.size(); ++c) {

@@ -28,7 +28,6 @@ struct Instance {
   std::int64_t capacity = 0;
 
   [[nodiscard]] std::size_t num_classes() const { return classes.size(); }
-  [[nodiscard]] std::size_t total_items() const;
 
   /// Throws std::invalid_argument on structural problems (empty class,
   /// negative weight/profit, non-finite profit, negative capacity).

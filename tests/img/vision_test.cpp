@@ -9,24 +9,6 @@
 namespace rt::img {
 namespace {
 
-TEST(Convolve3x3, IdentityKernel) {
-  const Image src = make_scene(16, 16, {.seed = 1});
-  const std::array<float, 9> identity{0, 0, 0, 0, 1, 0, 0, 0, 0};
-  const Image out = convolve3x3(src, identity);
-  EXPECT_EQ(out, src);
-  EXPECT_THROW(convolve3x3(Image{}, identity), std::invalid_argument);
-}
-
-TEST(Convolve3x3, BoxBlurAveragesNeighbours) {
-  Image src(3, 3, 0.0f);
-  src.at(1, 1) = 0.9f;
-  std::array<float, 9> box;
-  box.fill(1.0f / 9.0f);
-  const Image out = convolve3x3(src, box);
-  EXPECT_NEAR(out.at(1, 1), 0.1f, 1e-6);
-  EXPECT_NEAR(out.at(0, 0), 0.1f, 1e-6);  // clamped borders see the spike
-}
-
 TEST(GaussianBlur5, PreservesFlatFieldsAndReducesVariance) {
   const Image flat(20, 20, 0.37f);
   const Image blurred = gaussian_blur5(flat);

@@ -45,10 +45,6 @@ TEST(Instance, ValidateRejectsDefects) {
   EXPECT_THROW(inst.validate(), std::invalid_argument);
 }
 
-TEST(Instance, TotalItems) {
-  EXPECT_EQ(two_class_instance().total_items(), 5u);
-}
-
 TEST(Evaluate, ComputesProfitWeightFeasibility) {
   const Instance inst = two_class_instance();
   const Selection sel = evaluate(inst, {1, 1});
