@@ -46,7 +46,6 @@
 #include "spec/grid.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace rt;
 
@@ -114,7 +113,7 @@ int main() {
   }
 
   exp::BatchConfig batch;
-  batch.jobs = util::default_jobs();
+  batch.jobs = 0;  // one worker per hardware thread
   exp::BatchRunner runner(batch);
   const std::vector<exp::ScenarioOutcome> static_out = runner.run(static_specs);
   const std::vector<exp::ScenarioOutcome> adaptive_out =

@@ -25,7 +25,6 @@
 #include "server/gpu_server.hpp"
 #include "sim/simulator.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 int main() {
   using namespace rt;
@@ -91,7 +90,7 @@ int main() {
   }
 
   exp::BatchConfig batch;
-  batch.jobs = util::default_jobs();
+  batch.jobs = 0;  // one worker per hardware thread
   exp::BatchRunner runner(batch);
   const std::vector<exp::ScenarioOutcome> outcomes = runner.run(specs);
 

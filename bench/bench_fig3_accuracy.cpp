@@ -33,7 +33,6 @@
 #include "exp/batch.hpp"
 #include "spec/grid.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -82,7 +81,7 @@ int main() {
   constexpr const char* kSpecFile = RTOFFLOAD_SPECS_DIR "/fig3.json";
   const spec::ScenarioDoc doc = spec::ScenarioDoc::parse_text(slurp(kSpecFile));
   spec::BatchPlan plan = spec::plan_batch(doc);
-  plan.batch.jobs = util::default_jobs();
+  plan.batch.jobs = 0;  // one worker per hardware thread
   const std::vector<exp::ScenarioOutcome> outcomes =
       exp::BatchRunner(plan.batch).run(plan.specs);
 

@@ -16,7 +16,6 @@
 #include "core/schedulability.hpp"
 #include "exp/batch.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -63,7 +62,7 @@ int main() {
   // in order afterwards.
   std::vector<SweepRow> rows(20);
   exp::BatchConfig batch;
-  batch.jobs = util::default_jobs();
+  batch.jobs = 0;  // one worker per hardware thread
   exp::BatchRunner runner(batch);
   runner.for_each(rows.size(), [&](std::size_t i, Rng&) {
     const int r_ms = static_cast<int>(i) * 10;

@@ -1,8 +1,25 @@
 #include "exp/batch.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+
 #include "obs/sink.hpp"
 
 namespace rt::exp {
+
+namespace {
+
+/// The worker count jobs == 0 stands for: one per hardware thread, or 1
+/// when the runtime cannot tell.
+unsigned default_jobs() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1u : hw;
+}
+
+}  // namespace
 
 std::uint64_t scenario_seed(std::uint64_t base_seed, std::size_t index) {
   // One shared derivation (util/rng): the same (base, index) pair yields
@@ -10,33 +27,13 @@ std::uint64_t scenario_seed(std::uint64_t base_seed, std::size_t index) {
   return derive_seed(base_seed, static_cast<std::uint64_t>(index));
 }
 
-BatchRunner::BatchRunner(BatchConfig config) : config_(config) {
-  jobs_ = config_.jobs == 0 ? util::default_jobs() : config_.jobs;
-  if (jobs_ > 1) pool_ = std::make_unique<util::ThreadPool>(jobs_);
-}
-
-BatchRunner::~BatchRunner() = default;
-
-BatchRunner::EngineLease::EngineLease(const BatchRunner& runner)
-    : runner_(runner) {
-  std::lock_guard<std::mutex> lock(runner_.engines_mutex_);
-  if (!runner_.engines_.empty()) {
-    engine_ = std::move(runner_.engines_.back());
-    runner_.engines_.pop_back();
-  } else {
-    engine_ = std::make_unique<sim::SimEngine>();
-  }
-}
-
-BatchRunner::EngineLease::~EngineLease() {
-  std::lock_guard<std::mutex> lock(runner_.engines_mutex_);
-  runner_.engines_.push_back(std::move(engine_));
-}
+BatchRunner::BatchRunner(BatchConfig config)
+    : config_(config), jobs_(config.jobs == 0 ? default_jobs() : config.jobs) {}
 
 ScenarioOutcome BatchRunner::run_one(const ScenarioSpec& spec,
                                      std::size_t index,
                                      obs::Sink* shard,
-                                     sim::SimEngine& engine) const {
+                                     Worker& worker) const {
   ScenarioOutcome out;
   out.index = index;
   out.tag = spec.tag;
@@ -62,12 +59,15 @@ ScenarioOutcome BatchRunner::run_one(const ScenarioSpec& spec,
     if (spec.replications > 1) {
       // Monte-Carlo block: one decision pass, replications simulated by
       // the batched engine under seeds derived from the scenario seed.
-      std::unique_ptr<sim::BatchSimEngine> batch = lease_batch_engine();
+      if (worker.batch == nullptr) {
+        worker.batch = std::make_unique<sim::BatchSimEngine>();
+      }
+      sim::BatchSimEngine& batch = *worker.batch;
       sim::BatchResult res =
-          batch->run(spec.tasks, out.decisions, *spec.server, cfg,
+          batch.run(spec.tasks, out.decisions, *spec.server, cfg,
                      spec.replications, spec.profile);
       if (shard != nullptr) {
-        const sim::BatchEngineStats& st = batch->stats();
+        const sim::BatchEngineStats& st = batch.stats();
         auto& reg = shard->registry();
         reg.counter("batch.fast_replications").inc(st.fast_replications);
         reg.counter("batch.fallback_replications").inc(st.fallback_replications);
@@ -77,13 +77,12 @@ ScenarioOutcome BatchRunner::run_one(const ScenarioSpec& spec,
         reg.counter("sim.batch.ineligible.post_wcet").inc(st.ineligible_post_wcet);
         reg.counter("sim.batch.ineligible.ties").inc(st.ineligible_ties);
       }
-      return_batch_engine(std::move(batch));
       out.metrics = std::move(res.per_replication.front());
       out.aggregate = std::move(res.aggregate);
     } else {
       const std::unique_ptr<server::ResponseModel> srv = spec.server->clone();
       const sim::SimResult res =
-          engine.run(spec.tasks, out.decisions, *srv, cfg, spec.profile);
+          worker.engine.run(spec.tasks, out.decisions, *srv, cfg, spec.profile);
       out.metrics = res.metrics;
       out.aggregate.add(out.metrics);
       if (shard != nullptr && res.metrics.trace_truncated) {
@@ -94,41 +93,28 @@ ScenarioOutcome BatchRunner::run_one(const ScenarioSpec& spec,
   return out;
 }
 
-std::unique_ptr<sim::BatchSimEngine> BatchRunner::lease_batch_engine() const {
-  std::lock_guard<std::mutex> lock(engines_mutex_);
-  if (!batch_engines_.empty()) {
-    std::unique_ptr<sim::BatchSimEngine> e = std::move(batch_engines_.back());
-    batch_engines_.pop_back();
-    return e;
-  }
-  return std::make_unique<sim::BatchSimEngine>();
-}
-
-void BatchRunner::return_batch_engine(
-    std::unique_ptr<sim::BatchSimEngine> engine) const {
-  std::lock_guard<std::mutex> lock(engines_mutex_);
-  batch_engines_.push_back(std::move(engine));
-}
-
 std::vector<ScenarioOutcome> BatchRunner::run(
     const std::vector<ScenarioSpec>& specs, obs::Sink* sink) {
   std::vector<ScenarioOutcome> out(specs.size());
+  const auto workers =
+      static_cast<unsigned>(std::min<std::size_t>(jobs_, specs.size()));
+  if (workers_.size() < workers) workers_.resize(workers);
   if (sink == nullptr) {
-    for_each(specs.size(), [&](std::size_t i, Rng&) {
-      EngineLease lease(*this);
-      out[i] = run_one(specs[i], i, nullptr, lease.engine());
+    fan_out(specs.size(), workers, [&](unsigned w, std::size_t i) {
+      out[i] = run_one(specs[i], i, nullptr, workers_[w]);
     });
     return out;
   }
 
+  // One shard per worker, on the parent's timeline.
+  std::vector<obs::Sink> shards(workers);
+  for (obs::Sink& shard : shards) shard.set_origin(sink->origin());
   const std::int64_t t0_ns = sink->now_ns();
-  obs::WorkerShards shards(*sink, pool_ != nullptr ? jobs_ : 0);
-  for_each(specs.size(), [&](std::size_t i, Rng&) {
-    obs::Sink& shard = shards.local();
+  fan_out(specs.size(), workers, [&](unsigned w, std::size_t i) {
+    obs::Sink& shard = shards[w];
     obs::PhaseProbe probe(&shard, "scenario " + std::to_string(i),
                           &shard.registry().histogram("batch.scenario_ns"));
-    EngineLease lease(*this);
-    out[i] = run_one(specs[i], i, &shard, lease.engine());
+    out[i] = run_one(specs[i], i, &shard, workers_[w]);
     shard.registry().counter("batch.scenarios").inc();
   });
   const std::int64_t t1_ns = sink->now_ns();
@@ -136,17 +122,16 @@ std::vector<ScenarioOutcome> BatchRunner::run(
   // Per-worker throughput, read from the shards before they are folded
   // together. Wall-clock telemetry only: not deterministic across runs.
   const double wall_s = static_cast<double>(t1_ns - t0_ns) / 1e9;
-  for (std::size_t w = 0; w < shards.claimed(); ++w) {
-    const obs::Counter* done =
-        shards.shard(w).registry().find_counter("batch.scenarios");
+  for (unsigned w = 0; w < workers; ++w) {
+    const obs::Counter* done = shards[w].registry().find_counter("batch.scenarios");
     const double count = done != nullptr ? static_cast<double>(done->value()) : 0.0;
     const std::string prefix = "batch.worker." + std::to_string(w);
     sink->registry().gauge(prefix + ".scenarios").set(count);
     if (wall_s > 0.0) {
       sink->registry().gauge(prefix + ".scenarios_per_s").set(count / wall_s);
     }
+    sink->absorb(shards[w], w);
   }
-  shards.merge_into(*sink);
   auto& reg = sink->registry();
   reg.counter("batch.runs").inc();
   reg.counter("batch.specs").inc(specs.size());
@@ -157,17 +142,53 @@ std::vector<ScenarioOutcome> BatchRunner::run(
 
 void BatchRunner::for_each(std::size_t n,
                            const std::function<void(std::size_t, Rng&)>& body) {
-  const auto chunk_body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      Rng rng(scenario_seed(config_.base_seed, i));
-      body(i, rng);
+  const auto workers = static_cast<unsigned>(std::min<std::size_t>(jobs_, n));
+  fan_out(n, workers, [&](unsigned, std::size_t i) {
+    Rng rng(scenario_seed(config_.base_seed, i));
+    body(i, rng);
+  });
+}
+
+void BatchRunner::fan_out(
+    std::size_t n, unsigned workers,
+    const std::function<void(unsigned, std::size_t)>& body) const {
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(0, i);
+    return;
+  }
+  // About four chunks per worker: enough to balance uneven scenarios,
+  // few enough that the counter is rarely contended.
+  const std::size_t step = std::max<std::size_t>(1, n / (std::size_t{workers} * 4));
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto keep_error = [&] {
+    const std::scoped_lock lock(error_mutex);
+    if (!first_error) first_error = std::current_exception();
+    next.store(n);  // hand out no further chunks
+  };
+  const auto work = [&](unsigned w) {
+    try {
+      for (;;) {
+        const std::size_t begin = next.fetch_add(step);
+        if (begin >= n) return;
+        const std::size_t end = std::min(n, begin + step);
+        for (std::size_t i = begin; i < end; ++i) body(w, i);
+      }
+    } catch (...) {
+      keep_error();
     }
   };
-  if (pool_ != nullptr) {
-    util::parallel_for(*pool_, n, chunk_body);
-  } else {
-    util::parallel_for(n, 1, chunk_body);
+  std::vector<std::thread> threads;
+  threads.reserve(workers - 1);
+  try {
+    for (unsigned w = 1; w < workers; ++w) threads.emplace_back(work, w);
+  } catch (...) {
+    keep_error();  // a thread could not start; the started ones drain out
   }
+  work(0);
+  for (std::thread& t : threads) t.join();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace rt::exp

@@ -4,8 +4,8 @@
 // The paper's evaluation (Figure 3, Table 1, the ablations) is a design-
 // space sweep: hundreds of (task set x utilization x estimation error x
 // seed) scenarios, each running the ODM plus a discrete-event simulation.
-// Scenarios are independent, so BatchRunner fans them out across a fixed
-// worker pool while keeping results bit-identical for every worker count:
+// Scenarios are independent, so BatchRunner fans them out over workers
+// while keeping results bit-identical for every worker count:
 //
 //   * per-scenario seeding -- every scenario's simulation seed is derived
 //     from (base_seed, scenario index) by scenario_seed(), never drawn
@@ -15,11 +15,17 @@
 //     clone()d), because neither is thread-safe;
 //   * index-addressed results -- workers write disjoint slots of a
 //     preallocated vector, so the schedule cannot reorder anything.
+//
+// A call on n indices runs min(jobs, n) workers: the calling thread is
+// worker 0 and min(jobs, n) - 1 threads are started for the call and
+// joined before it returns. Workers take contiguous index chunks from one
+// atomic counter. Worker w owns the runner's slot w (its engines, which
+// persist across calls) and, under a sink, telemetry shard w. So one
+// runner serves one call at a time.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -34,7 +40,6 @@
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rt::obs {
 class Sink;
@@ -43,8 +48,8 @@ class Sink;
 namespace rt::exp {
 
 struct BatchConfig {
-  /// Worker threads; 1 = serial in the calling thread, 0 = hardware
-  /// concurrency.
+  /// Workers; 1 = serial in the calling thread, 0 = one per hardware
+  /// thread.
   unsigned jobs = 1;
   /// Root of the per-scenario seed derivation.
   std::uint64_t base_seed = 1;
@@ -108,7 +113,6 @@ struct ScenarioOutcome {
 class BatchRunner {
  public:
   explicit BatchRunner(BatchConfig config = {});
-  ~BatchRunner();
   BatchRunner(const BatchRunner&) = delete;
   BatchRunner& operator=(const BatchRunner&) = delete;
 
@@ -120,55 +124,45 @@ class BatchRunner {
   ///
   /// `sink` (optional, docs/ANALYSIS.md §8) collects batch telemetry:
   /// per-scenario phase events and batch.* / odm.* / mckp.* / sim.*
-  /// metrics. Workers record into private shards (obs::WorkerShards) that
-  /// are merged into `sink` at join, so the outcomes stay bit-identical
-  /// for every worker count with or without telemetry. Any sink already
-  /// set on a spec's OdmConfig/SimConfig is overridden by the worker
-  /// shard (a caller-supplied sink would be shared across workers, which
-  /// the Sink contract forbids).
+  /// metrics. Worker w records into its own shard, and the shards are
+  /// merged into `sink` in worker order after the join, so the outcomes
+  /// stay bit-identical for every worker count with or without telemetry.
+  /// Any sink already set on a spec's OdmConfig/SimConfig is overridden by
+  /// the worker's shard (a caller-supplied sink would be shared across
+  /// workers, which the Sink contract forbids).
+  ///
+  /// Rethrows the first exception a scenario threw, after every worker
+  /// has stopped; the remaining scenarios may then not have run.
   std::vector<ScenarioOutcome> run(const std::vector<ScenarioSpec>& specs,
                                    obs::Sink* sink = nullptr);
 
   /// Generic fan-out for custom per-scenario work: body(index, rng) runs
   /// once per index in [0, n) with an Rng seeded by scenario_seed(). The
   /// body must only touch per-index state (or synchronize itself).
+  /// Exceptions propagate as in run().
   void for_each(std::size_t n,
                 const std::function<void(std::size_t, Rng&)>& body);
 
  private:
-  ScenarioOutcome run_one(const ScenarioSpec& spec, std::size_t index,
-                          obs::Sink* shard, sim::SimEngine& engine) const;
-
-  /// Reusable batched engine per worker, pooled like EngineLease's
-  /// serial engines; only claimed for specs with replications > 1.
-  [[nodiscard]] std::unique_ptr<sim::BatchSimEngine> lease_batch_engine() const;
-  void return_batch_engine(std::unique_ptr<sim::BatchSimEngine> engine) const;
-
-  /// Checks a reusable simulation engine out of the runner-owned pool
-  /// (creating one on first use) and returns it at scope exit. Engines
-  /// persist across run() calls, so each worker's slot pools, heaps, and
-  /// trace buffer amortize over the whole batch instead of being rebuilt
-  /// per scenario (docs/ANALYSIS.md §9).
-  class EngineLease {
-   public:
-    explicit EngineLease(const BatchRunner& runner);
-    ~EngineLease();
-    EngineLease(const EngineLease&) = delete;
-    EngineLease& operator=(const EngineLease&) = delete;
-    [[nodiscard]] sim::SimEngine& engine() { return *engine_; }
-
-   private:
-    const BatchRunner& runner_;
-    std::unique_ptr<sim::SimEngine> engine_;
+  /// One worker's engines. The serial engine keeps its release schedule
+  /// across scenarios and run() calls (docs/ANALYSIS.md §9); the batched
+  /// engine is built for the worker's first spec with replications > 1.
+  struct Worker {
+    sim::SimEngine engine;
+    std::unique_ptr<sim::BatchSimEngine> batch;
   };
+
+  ScenarioOutcome run_one(const ScenarioSpec& spec, std::size_t index,
+                          obs::Sink* shard, Worker& worker) const;
+
+  /// Runs body(w, index) once per index in [0, n) on `workers` workers.
+  void fan_out(std::size_t n, unsigned workers,
+               const std::function<void(unsigned, std::size_t)>& body) const;
 
   BatchConfig config_;
   unsigned jobs_ = 1;
-  std::unique_ptr<util::ThreadPool> pool_;  ///< null when jobs_ == 1
-  /// Idle reusable engines; at most one per concurrently active worker.
-  mutable std::mutex engines_mutex_;
-  mutable std::vector<std::unique_ptr<sim::SimEngine>> engines_;
-  mutable std::vector<std::unique_ptr<sim::BatchSimEngine>> batch_engines_;
+  /// Slot w belongs to worker w; grown to the widest call so far.
+  std::vector<Worker> workers_;
 };
 
 }  // namespace rt::exp

@@ -10,7 +10,7 @@
 //    allocations to enforce this).
 //  * Metrics are NOT thread-safe. Concurrency happens by sharding: each
 //    worker owns a private registry and shards are merge()d at join
-//    (obs::WorkerShards). Counters and histogram buckets are integers, so
+//    (obs::Sink::absorb). Counters and histogram buckets are integers, so
 //    the merged totals are independent of the merge order.
 //  * References returned by the registry stay valid for the registry's
 //    lifetime (std::map nodes are stable), so call sites resolve a handle

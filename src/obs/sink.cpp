@@ -1,12 +1,6 @@
 #include "obs/sink.hpp"
 
-#include <stdexcept>
-
 namespace rt::obs {
-
-namespace {
-std::atomic<std::uint64_t> g_shardset_generation{0};
-}  // namespace
 
 Sink::Sink() : origin_(std::chrono::steady_clock::now()) {}
 
@@ -22,38 +16,6 @@ void Sink::absorb(const Sink& shard, std::uint32_t worker) {
     PhaseEvent copy = p;
     copy.worker = worker;
     phases_.push_back(std::move(copy));
-  }
-}
-
-WorkerShards::WorkerShards(const Sink& parent, std::size_t workers)
-    : generation_(g_shardset_generation.fetch_add(1) + 1) {
-  shards_.reserve(workers + 1);
-  for (std::size_t i = 0; i < workers + 1; ++i) {
-    auto s = std::make_unique<Sink>();
-    s->set_origin(parent.origin());
-    shards_.push_back(std::move(s));
-  }
-}
-
-Sink& WorkerShards::local() {
-  // Cache keyed by generation, not address: a later WorkerShards can reuse
-  // a freed one's address, and a stale pointer into it must not survive.
-  thread_local std::uint64_t cached_generation = 0;
-  thread_local Sink* cached = nullptr;
-  if (cached_generation == generation_) return *cached;
-  const std::size_t idx = next_.fetch_add(1);
-  if (idx >= shards_.size()) {
-    throw std::logic_error("WorkerShards: more threads than shards");
-  }
-  cached_generation = generation_;
-  cached = shards_[idx].get();
-  return *cached;
-}
-
-void WorkerShards::merge_into(Sink& target) const {
-  const std::size_t n = std::min(next_.load(), shards_.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    target.absorb(*shards_[i], static_cast<std::uint32_t>(i));
   }
 }
 

@@ -5,18 +5,16 @@
 // all telemetry at near-zero cost.
 //
 // Threading model: a Sink is single-threaded by contract. Parallel code
-// (BatchRunner) allocates one shard Sink per worker via WorkerShards --
-// workers claim shards lock-free (one atomic fetch_add per thread per run)
-// and never share them -- and the shards are merged into the caller's Sink
-// at join. Counter/histogram merges are integer sums, so every merged
-// metric derived from deterministic per-scenario work is itself
-// deterministic for any worker count; wall-clock values (phase timings,
-// per-worker throughput) are telemetry only and carry no such promise.
+// (BatchRunner) gives worker w its own shard Sink w, on the caller's time
+// origin (set_origin), and absorbs the shards into the caller's Sink in
+// worker order after the join. Counter/histogram merges are integer sums,
+// so every merged metric derived from deterministic per-scenario work is
+// itself deterministic for any worker count; wall-clock values (phase
+// timings, per-worker throughput) are telemetry only and carry no such
+// promise.
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -62,32 +60,6 @@ class Sink {
   MetricRegistry registry_;
   std::vector<PhaseEvent> phases_;
   std::chrono::steady_clock::time_point origin_;
-};
-
-/// Fixed set of per-worker shard sinks claimed lock-free by worker threads.
-/// Sized for the worker pool plus the calling thread; claiming more shards
-/// than allocated is a logic error (it would mean two threads sharing one
-/// shard, which the single-threaded Sink contract forbids).
-class WorkerShards {
- public:
-  /// `parent` supplies the shared time origin. `workers` is the pool size;
-  /// one extra shard is allocated for the calling thread.
-  WorkerShards(const Sink& parent, std::size_t workers);
-
-  /// The calling thread's shard, assigned on first use (one atomic
-  /// increment; cached in a thread_local afterwards).
-  [[nodiscard]] Sink& local();
-
-  [[nodiscard]] std::size_t claimed() const { return next_.load(); }
-  [[nodiscard]] const Sink& shard(std::size_t i) const { return *shards_[i]; }
-
-  /// Merges every claimed shard into `target`, in claim order.
-  void merge_into(Sink& target) const;
-
- private:
-  std::vector<std::unique_ptr<Sink>> shards_;
-  std::atomic<std::size_t> next_{0};
-  std::uint64_t generation_;  ///< invalidates thread_local caches of dead sets
 };
 
 /// RAII wall-clock interval recorded as a PhaseEvent (and optionally into a

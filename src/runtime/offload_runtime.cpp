@@ -41,13 +41,12 @@ class Runtime : public sim::ProtocolCore<Runtime> {
           const sim::SimConfig& config, const sim::RequestProfile& profile,
           const RuntimeOptions& options)
       : options_(options),
-        sink_(options.sink != nullptr ? options.sink : config.sink),
+        sink_(config.sink),
         loop_(net::EventLoopOptions{nullptr, sink_}) {
     if (!(options_.time_scale > 0.0)) {
       throw std::invalid_argument("runtime: time_scale must be > 0");
     }
     sim::SimConfig core_config = config;
-    core_config.sink = sink_;
     if (options.trace_capacity != 0) {
       core_config.trace_capacity = options.trace_capacity;
     }

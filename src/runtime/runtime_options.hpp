@@ -33,7 +33,7 @@ struct RuntimeOptions {
   /// Append payload_bytes of padding to each request frame (clamped to
   /// the frame limit) so the modeled uplink size hits the wire.
   bool payload_padding = true;
-  obs::Sink* sink = nullptr;
+  /// Overrides config.trace_capacity when nonzero.
   std::size_t trace_capacity = 0;
 
   /// Fills scale/frame/timeout/padding from a normalized $.runtime

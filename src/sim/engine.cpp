@@ -38,7 +38,6 @@ SimResult CoreRunner::simulate(const core::TaskSet& tasks,
   server_ = &server;
   run(kNone, stats_.events_processed);
   finish();
-  stats_.event_heap_peak = stats_.in_flight_peak;
   stats_.pool_slots_peak = pool_slots_peak_;
   stats_.pool_slots_capacity = pool_.size();
   stats_.jobs_released = job_counter_;

@@ -66,12 +66,11 @@ struct EngineStats {
   /// Slots allocated in the pool (>= peak only through reuse of a larger
   /// earlier run; never grows past the peak within one run).
   std::size_t pool_slots_capacity = 0;
-  /// Most offloads ever in flight at once.
+  /// Most offloads ever in flight at once, which is also the event heap's
+  /// peak: releases come from the schedule (or the sporadic heap) and the
+  /// armed slice end from its register, so the heap holds one arrival or
+  /// timer per offload in flight and nothing else.
   std::size_t in_flight_peak = 0;
-  /// Largest event-heap population. Releases come from the schedule (or
-  /// the sporadic heap) and the armed slice end from its register, so the
-  /// heap holds one arrival or timer per offload in flight and no more.
-  std::size_t event_heap_peak = 0;
 };
 
 class SimEngine {

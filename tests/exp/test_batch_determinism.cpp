@@ -4,17 +4,23 @@
 // seed from its index and owns a private Rng + cloned ResponseModel.
 //
 // This file is the one the TSan build (RTOFFLOAD_SANITIZE=thread) is
-// expected to exercise: it drives the pool, the per-scenario cloning, and
-// the disjoint result slots under real concurrency.
+// expected to exercise: it drives the runner's workers, the per-scenario
+// cloning, and the disjoint result slots under real concurrency.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
+#include "core/decision.hpp"
 #include "core/odm.hpp"
 #include "core/workload.hpp"
 #include "exp/batch.hpp"
@@ -322,6 +328,87 @@ TEST(BatchDeterminism, ForEachRngIsPerIndex) {
 
   EXPECT_EQ(draws1, draws8);
   EXPECT_GT(std::set<double>(draws1.begin(), draws1.end()).size(), kN / 2);
+}
+
+/// The process's thread count, from the Threads: line of /proc/self/status.
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return 0;
+}
+
+TEST(BatchRunnerEdges, ScenarioErrorPropagatesAndTheRunnerStaysUsable) {
+  // The small grid twice over, with one spec's precomputed decisions one
+  // short of its task set: the engine rejects it with invalid_argument.
+  // run() must rethrow that after every worker stopped (no hang, no
+  // terminate), and the same runner, whose worker engines saw the failed
+  // run, must then reproduce a clean batch bit for bit.
+  const spec::BatchPlan plan = small_sweep_plan();
+  std::vector<exp::ScenarioSpec> bad = plan.specs;
+  bad.insert(bad.end(), plan.specs.begin(), plan.specs.end());
+  bad[5].decisions = core::all_local(bad[5].tasks.size() - 1);
+  const std::vector<exp::ScenarioOutcome> want = run_small_sweep(1);
+
+  for (const unsigned jobs : {1u, 8u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    exp::BatchConfig config = plan.batch;
+    config.jobs = jobs;
+    exp::BatchRunner runner(config);
+    EXPECT_THROW((void)runner.run(bad), std::invalid_argument);
+    obs::Sink sink;
+    EXPECT_THROW((void)runner.run(bad, &sink), std::invalid_argument);
+    EXPECT_THROW(runner.for_each(16,
+                                 [](std::size_t i, Rng&) {
+                                   if (i == 9) throw std::invalid_argument("body");
+                                 }),
+                 std::invalid_argument);
+
+    const std::vector<exp::ScenarioOutcome> again = runner.run(plan.specs);
+    ASSERT_EQ(again.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_outcomes_equal(want[i], again[i]);
+    }
+  }
+}
+
+TEST(BatchRunnerEdges, ConstructionStartsNoThread) {
+  // Workers are started per call, for the indices it has: a runner
+  // configured for 64 workers costs nothing until it runs. (A thread
+  // joined just before can linger in the count for a moment, never the
+  // other way round, so the check is "no more than before".)
+  const std::size_t before = process_threads();
+  ASSERT_GT(before, 0u);
+  const exp::BatchRunner runner({.jobs = 64});
+  EXPECT_EQ(runner.jobs(), 64u);
+  EXPECT_LE(process_threads(), before);
+}
+
+TEST(BatchRunnerEdges, ForEachStartsNoMoreWorkersThanIndices) {
+  // for_each(2, ...) on a 64-worker runner runs 2 workers: the calling
+  // thread and one started thread. A warm-up call on another runner
+  // first, so a sanitizer's helper thread, started with a process's first
+  // thread, is in the base.
+  exp::BatchRunner({.jobs = 2}).for_each(2, [](std::size_t, Rng&) {});
+  const std::size_t before = process_threads();
+
+  exp::BatchRunner runner({.jobs = 64});
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  std::size_t most_threads = 0;
+  runner.for_each(2, [&](std::size_t, Rng&) {
+    const std::size_t now = process_threads();
+    const std::scoped_lock lock(mutex);
+    ids.insert(std::this_thread::get_id());
+    most_threads = std::max(most_threads, now);
+  });
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), 2u);
+  EXPECT_LE(most_threads, before + 1);
 }
 
 }  // namespace

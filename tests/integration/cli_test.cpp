@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -37,6 +38,13 @@ std::string run_capture(const std::string& cmd, int* exit_code) {
 void write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path);
   out << text;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
 }
 
 /// The scenario document a task-set file stands for: inline workload,
@@ -189,11 +197,15 @@ TEST(CliTool, SpecRunMatchesLegacyTaskSetRun) {
 TEST(CliTool, RunRealReportsRuntimeCountsAndRpc) {
   // An in-process loopback daemon serves the document's fixed 20 ms model;
   // the 8 s horizon runs in 4 s of wall time (time_scale 0.5).
+  const std::string metrics_path = scratch_path("run_real_metrics.json");
   int rc = 0;
   const std::string out = run_capture(
       std::string(RTOFFLOAD_CLI_PATH) + " --run-real --spec " +
-          RTOFFLOAD_SPECS_DIR + "/runtime_fixed.json",
+          RTOFFLOAD_SPECS_DIR + "/runtime_fixed.json --metrics-out " +
+          metrics_path,
       &rc);
+  const Json metrics = Json::parse(read_file(metrics_path));
+  std::remove(metrics_path.c_str());
   // 2 flags deadline misses: timer jitter on a loaded host, not an error.
   ASSERT_TRUE(rc == 0 || rc == 2) << "exit code " << rc;
   const Json report = Json::parse(out);
@@ -202,6 +214,9 @@ TEST(CliTool, RunRealReportsRuntimeCountsAndRpc) {
   // Releases are anchored at k*T in protocol time, so the count is exact:
   // 80 (T = 100 ms) + 54 (T = 150 ms) + 100 (T = 80 ms) over 8 s.
   EXPECT_EQ(runtime.at("released").as_number(), 234.0);
+  // The runtime's telemetry reaches --metrics-out, with the same count.
+  EXPECT_EQ(metrics.at("counters").at("runtime.jobs_released").as_number(),
+            234.0);
   EXPECT_EQ(runtime.at("rpc").at("wire_errors").as_number(), 0.0);
   EXPECT_EQ(runtime.at("rpc").at("connection_error").as_string(), "");
   const Json::Array& per_task = runtime.at("per_task").as_array();
@@ -303,6 +318,75 @@ TEST(CliTool, JobsFlagRejectsGarbageAndOverflow) {
   }
   run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --jobs 2", &rc);
   EXPECT_EQ(rc, 0);
+}
+
+TEST(CliTool, SeveralFilesReportInArgumentOrderOnAnyWorkerCount) {
+  // Two task sets, a missing file and a malformed one, on 1 and on 3
+  // workers: the same stdout (each good file's report, in argument
+  // order, as if run alone), the errors on stderr in argument order, the
+  // worst exit code (1) and the same merged counters.
+  Json taskset = sample_taskset();
+  Json::Object& config = taskset.as_object().at("config").as_object();
+  config["horizon_ms"] = Json(2000);
+  const std::string first = scratch_path("several_first.json");
+  write_file(first, taskset.dump(2));
+  config["scenario"] = Json("busy");
+  config["solver"] = Json("heu-oe");
+  const std::string second = scratch_path("several_second.json");
+  write_file(second, taskset.dump(2));
+  const std::string missing = scratch_path("several_missing.json");
+  const std::string malformed = scratch_path("several_malformed.json");
+  write_file(malformed, R"({"tasks": [{"name": "broken"}]})");
+  const std::string inputs =
+      " " + first + " " + missing + " " + second + " " + malformed;
+
+  int rc = 0;
+  const std::string alone =
+      run_capture(std::string(RTOFFLOAD_CLI_PATH) + " " + first, &rc) +
+      run_capture(std::string(RTOFFLOAD_CLI_PATH) + " " + second, &rc);
+  struct Run {
+    std::string out, err;
+    int rc = 0;
+    Json counters;
+  };
+  const auto run_with = [&](const char* jobs) {
+    const std::string out_path = scratch_path("several_out.txt");
+    const std::string err_path = scratch_path("several_err.txt");
+    const std::string metrics_path = scratch_path("several_metrics.json");
+    Run r;
+    r.rc = WEXITSTATUS(std::system(
+        (std::string(RTOFFLOAD_CLI_PATH) + " --jobs " + jobs +
+         " --metrics-out " + metrics_path + inputs + " > " + out_path +
+         " 2> " + err_path)
+            .c_str()));
+    r.out = read_file(out_path);
+    r.err = read_file(err_path);
+    r.counters = Json::parse(read_file(metrics_path)).at("counters");
+    for (const std::string& path : {out_path, err_path, metrics_path}) {
+      std::remove(path.c_str());
+    }
+    return r;
+  };
+  const Run one = run_with("1");
+  const Run three = run_with("3");
+  for (const std::string& path : {first, second, malformed}) {
+    std::remove(path.c_str());
+  }
+
+  EXPECT_EQ(one.rc, 1);
+  EXPECT_EQ(three.rc, 1);
+  EXPECT_NE(one.out, "");
+  EXPECT_EQ(one.out, alone);
+  EXPECT_EQ(three.out, one.out);
+  EXPECT_EQ(three.err, one.err);
+  const std::size_t missing_at = one.err.find("cannot open '" + missing + "'");
+  const std::size_t malformed_at = one.err.find("(in '" + malformed + "')");
+  ASSERT_NE(missing_at, std::string::npos) << one.err;
+  ASSERT_NE(malformed_at, std::string::npos) << one.err;
+  EXPECT_LT(missing_at, malformed_at);
+  EXPECT_EQ(std::count(one.err.begin(), one.err.end(), '\n'), 2);
+  EXPECT_EQ(three.counters, one.counters);
+  EXPECT_GT(one.counters.at("sim.events").as_number(), 0.0);
 }
 
 TEST(CliTool, TaskSetReportsEqualTheirDocumentsAcrossScenarios) {

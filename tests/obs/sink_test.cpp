@@ -1,15 +1,14 @@
-// Sink / WorkerShards / PhaseProbe: the sharding-and-merge contract of
-// docs/ANALYSIS.md §8. Counters and histogram buckets are integers, so a
-// shard merge must be exact and order-independent; phase events append
-// with the claiming worker's id.
+// Sink / PhaseProbe: the sharding-and-merge contract of docs/ANALYSIS.md
+// §8. Counters and histogram buckets are integers, so a shard merge must
+// be exact and order-independent; phase events append with the absorbing
+// worker's id.
 
 #include "obs/sink.hpp"
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <chrono>
 #include <thread>
-#include <vector>
 
 namespace rt::obs {
 namespace {
@@ -34,57 +33,6 @@ TEST(Sink, AbsorbMergesMetricsAndRewritesWorker) {
   EXPECT_EQ(parent.phases()[0].end_ns, 200);
 }
 
-TEST(WorkerShards, LocalIsStablePerThreadAndMergeIsExact) {
-  Sink parent;
-  WorkerShards shards(parent, 4);
-  Sink& mine = shards.local();
-  EXPECT_EQ(&shards.local(), &mine);  // cached, no second claim
-  EXPECT_EQ(shards.claimed(), 1u);
-
-  mine.registry().counter("c").inc(5);
-
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&shards] {
-      Sink& s = shards.local();
-      EXPECT_EQ(&shards.local(), &s);
-      for (int i = 0; i < 100; ++i) s.registry().counter("c").inc();
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(shards.claimed(), static_cast<std::size_t>(kThreads) + 1);
-
-  Sink target;
-  shards.merge_into(target);
-  EXPECT_EQ(target.registry().counter("c").value(), 5u + kThreads * 100u);
-}
-
-TEST(WorkerShards, OverclaimThrows) {
-  Sink parent;
-  WorkerShards shards(parent, 0);  // one shard: the calling thread's
-  shards.local();
-  std::thread extra([&shards] {
-    EXPECT_THROW(shards.local(), std::logic_error);
-  });
-  extra.join();
-}
-
-TEST(WorkerShards, FreshSetInvalidatesThreadLocalCache) {
-  // A second WorkerShards (potentially at the same address as a destroyed
-  // one) must hand out its own shards, not a stale cached pointer.
-  Sink parent;
-  for (int round = 0; round < 3; ++round) {
-    WorkerShards shards(parent, 1);
-    Sink& s = shards.local();
-    s.registry().counter("round").inc();
-    Sink target;
-    shards.merge_into(target);
-    EXPECT_EQ(target.registry().counter("round").value(), 1u);
-  }
-}
-
 TEST(PhaseProbe, RecordsIntervalAndHistogram) {
   Sink sink;
   {
@@ -106,13 +54,20 @@ TEST(PhaseProbe, NullSinkIsNoOp) {
 
 TEST(Sink, ShardsShareTheParentTimeOrigin) {
   Sink parent;
-  WorkerShards shards(parent, 2);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Sink shard;
+  Sink unaligned;
+  shard.set_origin(parent.origin());
+  EXPECT_EQ(shard.origin(), parent.origin());
   // A shard's clock must be comparable with the parent's: both measure
-  // nanoseconds since the parent's origin.
+  // nanoseconds since the parent's origin, which a sink created later
+  // does not.
+  const std::int64_t unaligned_now = unaligned.now_ns();
   const std::int64_t parent_now = parent.now_ns();
-  const std::int64_t shard_now = shards.local().now_ns();
+  const std::int64_t shard_now = shard.now_ns();
   EXPECT_GE(shard_now, parent_now);
   EXPECT_LT(shard_now - parent_now, 1'000'000'000);  // within a second
+  EXPECT_LE(unaligned_now + 20'000'000, shard_now);
 }
 
 }  // namespace

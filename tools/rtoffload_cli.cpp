@@ -62,7 +62,6 @@
 #include "spec/registry.hpp"
 #include "spec/scenario_doc.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -289,7 +288,8 @@ rt::spec::ScenarioDoc doc_from_taskset(const std::string& text) {
   }));
 }
 
-// Analyze every file on `jobs` workers; reports print in argument order.
+// Analyze every file on `jobs` BatchRunner workers; reports print in
+// argument order.
 // Telemetry is collected per file (its own sink / trace track) and merged
 // in that same order, so the outputs are identical for every jobs value.
 int run_files(const std::vector<std::string>& files, unsigned jobs,
@@ -305,30 +305,28 @@ int run_files(const std::vector<std::string>& files, unsigned jobs,
   };
   std::vector<FileResult> results(files.size());
 
-  rt::util::parallel_for(files.size(), jobs,
-                         [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      FileResult& r = results[i];
-      if (want_metrics) r.sink = std::make_unique<rt::obs::Sink>();
-      if (want_trace) r.trace = std::make_unique<rt::obs::ChromeTraceWriter>();
-      try {
-        std::ifstream in(files[i]);
-        if (!in) {
-          r.error = "error: cannot open '" + files[i] + "'";
-          r.code = 1;
-          continue;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        std::ostringstream report;
-        r.code = run_scenario(
-            rt::spec::build_scenario(doc_from_taskset(buf.str())), report,
-            r.sink.get(), r.trace.get(), static_cast<int>(i));
-        r.output = report.str();
-      } catch (const std::exception& e) {
-        r.error = std::string("error: ") + e.what() + " (in '" + files[i] + "')";
+  rt::exp::BatchRunner runner({.jobs = jobs});
+  runner.for_each(files.size(), [&](std::size_t i, rt::Rng&) {
+    FileResult& r = results[i];
+    if (want_metrics) r.sink = std::make_unique<rt::obs::Sink>();
+    if (want_trace) r.trace = std::make_unique<rt::obs::ChromeTraceWriter>();
+    try {
+      std::ifstream in(files[i]);
+      if (!in) {
+        r.error = "error: cannot open '" + files[i] + "'";
         r.code = 1;
+        return;
       }
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      std::ostringstream report;
+      r.code = run_scenario(
+          rt::spec::build_scenario(doc_from_taskset(buf.str())), report,
+          r.sink.get(), r.trace.get(), static_cast<int>(i));
+      r.output = report.str();
+    } catch (const std::exception& e) {
+      r.error = std::string("error: ") + e.what() + " (in '" + files[i] + "')";
+      r.code = 1;
     }
   });
 
@@ -437,7 +435,6 @@ int run_real_spec(const std::string& path, const std::string& server_addr,
 
   runtime::RuntimeOptions options;
   options.apply_spec_section(doc.runtime);
-  options.sink = want_metrics ? &sink : nullptr;
   if (want_trace) options.trace_capacity = kTraceCapacity;
   std::optional<runtime::LoopbackGpuServer> loopback;
   if (server_addr.empty()) {
@@ -451,6 +448,7 @@ int run_real_spec(const std::string& path, const std::string& server_addr,
   }
 
   sim::SimConfig config = built.sim;
+  config.sink = want_metrics ? &sink : nullptr;
   std::optional<health::ModeController> controller;
   if (built.controller != nullptr) {
     controller.emplace(*built.controller);
@@ -524,7 +522,7 @@ unsigned parse_jobs(const std::string& flag, const std::string& text) {
     throw std::invalid_argument(flag + " expects a whole number >= 0, got '" +
                                 text + "'");
   }
-  return v == 0 ? rt::util::default_jobs() : static_cast<unsigned>(v);
+  return static_cast<unsigned>(v);
 }
 
 }  // namespace
