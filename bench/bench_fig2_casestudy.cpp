@@ -85,10 +85,13 @@ int main() {
 
     std::string weights, levels;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
-      weights += (i ? "," : "") + Table::fmt(permutations[ws][i], 0);
-      levels += (i ? "," : "") + (odm.decisions[i].offloaded()
-                                      ? std::to_string(odm.decisions[i].level)
-                                      : std::string("L"));
+      if (i > 0) {
+        weights += ',';
+        levels += ',';
+      }
+      weights += Table::fmt(permutations[ws][i], 0);
+      levels += odm.decisions[i].offloaded() ? std::to_string(odm.decisions[i].level)
+                                             : std::string("L");
     }
     table.add_row({std::to_string(ws + 1), weights, levels,
                    Table::fmt(normalized[0]), Table::fmt(normalized[1]),

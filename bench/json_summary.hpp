@@ -67,7 +67,7 @@ inline void write_json_summary(const std::string& path, std::string name,
   entry["config"] = std::move(config);
   entry["metrics"] = std::move(metrics);
   rt::Json::Array benchmarks;
-  benchmarks.push_back(rt::Json(std::move(entry)));
+  benchmarks.emplace_back(std::move(entry));
   write_json_summary(path, std::move(benchmarks));
 }
 

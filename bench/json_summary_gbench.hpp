@@ -52,7 +52,7 @@ class JsonSummaryReporter : public benchmark::ConsoleReporter {
         metrics[name] = static_cast<double>(counter);
       }
       entry["metrics"] = rt::Json(std::move(metrics));
-      entries_.push_back(rt::Json(std::move(entry)));
+      entries_.emplace_back(std::move(entry));
     }
     ConsoleReporter::ReportRuns(runs);
   }

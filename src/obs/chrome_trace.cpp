@@ -29,7 +29,7 @@ void ChromeTraceWriter::add_complete(std::string_view name,
   Json::Object ev = base_event(name, category, pid, tid, ts_ns);
   ev["ph"] = "X";
   ev["dur"] = to_us(dur_ns);
-  events_.push_back(Json(std::move(ev)));
+  events_.emplace_back(std::move(ev));
 }
 
 void ChromeTraceWriter::add_instant(std::string_view name,
@@ -38,7 +38,7 @@ void ChromeTraceWriter::add_instant(std::string_view name,
   Json::Object ev = base_event(name, category, pid, tid, ts_ns);
   ev["ph"] = "i";
   ev["s"] = "t";
-  events_.push_back(Json(std::move(ev)));
+  events_.emplace_back(std::move(ev));
 }
 
 void ChromeTraceWriter::name_thread(int pid, int tid, std::string_view name) {
@@ -50,7 +50,7 @@ void ChromeTraceWriter::name_thread(int pid, int tid, std::string_view name) {
   Json::Object args;
   args["name"] = std::string(name);
   ev["args"] = Json(std::move(args));
-  events_.push_back(Json(std::move(ev)));
+  events_.emplace_back(std::move(ev));
 }
 
 void ChromeTraceWriter::name_process(int pid, std::string_view name) {
@@ -62,7 +62,7 @@ void ChromeTraceWriter::name_process(int pid, std::string_view name) {
   Json::Object args;
   args["name"] = std::string(name);
   ev["args"] = Json(std::move(args));
-  events_.push_back(Json(std::move(ev)));
+  events_.emplace_back(std::move(ev));
 }
 
 void ChromeTraceWriter::append(const ChromeTraceWriter& other) {

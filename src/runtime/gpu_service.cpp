@@ -1,5 +1,6 @@
 #include "runtime/gpu_service.hpp"
 
+#include <exception>
 #include <utility>
 
 #include "net/wire.hpp"
@@ -61,22 +62,25 @@ void GpuService::on_accept(int fd) {
 void GpuService::on_message(const std::shared_ptr<net::Connection>& connection,
                             std::string_view payload) {
   net::OffloadRequest request;
+  Duration response;
   try {
     request = net::decode_request(payload);
-  } catch (const net::WireError&) {
+    server::Request sample_request;
+    sample_request.send_time = TimePoint(request.send_protocol_ns);
+    sample_request.compute_time = Duration(request.compute_ns);
+    sample_request.payload_bytes = static_cast<std::size_t>(request.payload_bytes);
+    sample_request.stream_id = request.task;
+    response = model_->sample(sample_request, rng_);
+  } catch (const std::exception&) {
+    // An undecodable frame, or a request the model cannot sample (a task
+    // it has no stream for): the peer does not speak this service's
+    // protocol, so drop it and keep serving the others.
     ++stats_.wire_errors;
     connection->close("wire error");
     return;
   }
   ++stats_.requests;
   obs::inc(requests_counter_);
-
-  server::Request sample_request;
-  sample_request.send_time = TimePoint(request.send_protocol_ns);
-  sample_request.compute_time = Duration(request.compute_ns);
-  sample_request.payload_bytes = static_cast<std::size_t>(request.payload_bytes);
-  sample_request.stream_id = request.task;
-  const Duration response = model_->sample(sample_request, rng_);
 
   if (response == server::kNoResponse) {
     ++stats_.drops;

@@ -38,7 +38,9 @@ struct GpuServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t replies = 0;
   std::uint64_t drops = 0;         ///< sampled kNoResponse: no reply sent
-  std::uint64_t wire_errors = 0;   ///< undecodable frames (connection closed)
+  /// Undecodable frames and requests the model cannot sample, such as an
+  /// unknown task; each closes its connection.
+  std::uint64_t wire_errors = 0;
 
   [[nodiscard]] Json to_json() const;
 };

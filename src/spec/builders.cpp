@@ -95,7 +95,7 @@ Json norm_empirical(const Json& j, const SpecPath& p) {
     if (!(std::isfinite(v) && v >= 0.0)) {
       throw SpecError(sp, "must be finite and >= 0");
     }
-    out_samples.push_back(Json(v));
+    out_samples.emplace_back(v);
   }
   Json::Object o;
   o["type"] = "empirical";
@@ -180,7 +180,7 @@ Json norm_routing(const Json& j, const SpecPath& p) {
       throw SpecError(mp, "must be an integer route index < " +
                               std::to_string(routes.size()));
     }
-    out_mapping.push_back(Json(v));
+    out_mapping.emplace_back(v);
   }
   Json::Object o;
   o["type"] = "routing";
@@ -346,7 +346,7 @@ void norm_weights(const Json& j, const SpecPath& p, std::size_t num_tasks,
     if (!w[i].is_number()) throw SpecError(wp, "must be a number");
     const double v = w[i].as_number();
     if (!(std::isfinite(v) && v > 0.0)) throw SpecError(wp, "must be > 0");
-    ws.push_back(Json(v));
+    ws.emplace_back(v);
   }
   out["weights"] = Json(std::move(ws));
 }
@@ -624,7 +624,7 @@ Json norm_explicit_controller(const Json& j, const SpecPath& p) {
     Json::Object d;
     d["level"] = Json(static_cast<double>(integer_or(decisions[i], dp, "level", 0)));
     d["response_ms"] = number_at_least(decisions[i], dp, "response_ms", 0.0, 0.0);
-    out_decisions.push_back(Json(std::move(d)));
+    out_decisions.emplace_back(std::move(d));
   }
   Json::Object o;
   o["type"] = "explicit";

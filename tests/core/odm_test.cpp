@@ -168,8 +168,10 @@ TEST(GreedyLocalChoice, CanViolateTheorem3) {
   for (int i = 0; i < 4; ++i) {
     // Offload weight (10 + 20) / (100 - 50) = 0.6 each; four of them blow
     // the capacity, while all-local (4 * 0.2) fits comfortably.
-    tasks.push_back(vision_task("t" + std::to_string(i), 100_ms, 20_ms, 10_ms,
-                                {{0_ms, 0.5}, {50_ms, 10.0}}));
+    // Appended: GCC 12 warns a false -Wrestrict on an inlined
+    // `"t" + std::to_string(i)`.
+    tasks.push_back(vision_task(std::string("t").append(std::to_string(i)), 100_ms,
+                                20_ms, 10_ms, {{0_ms, 0.5}, {50_ms, 10.0}}));
   }
   const DecisionVector greedy = greedy_local_choice(tasks);
   for (const auto& d : greedy) EXPECT_TRUE(d.offloaded());

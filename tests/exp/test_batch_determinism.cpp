@@ -29,6 +29,7 @@
 #include "sim/benefit_response.hpp"
 #include "sim/simulator.hpp"
 #include "spec/grid.hpp"
+#include "support/compare.hpp"
 
 namespace {
 
@@ -61,49 +62,14 @@ std::vector<exp::ScenarioOutcome> run_small_sweep(unsigned jobs,
   return exp::BatchRunner(plan.batch).run(plan.specs, sink);
 }
 
-/// Every SimMetrics field, exact double equality, not tolerances.
-void expect_metrics_equal(const sim::SimMetrics& x, const sim::SimMetrics& y) {
-  ASSERT_EQ(x.per_task.size(), y.per_task.size());
-  for (std::size_t i = 0; i < x.per_task.size(); ++i) {
-    SCOPED_TRACE("task " + std::to_string(i));
-    const sim::TaskMetrics& p = x.per_task[i];
-    const sim::TaskMetrics& q = y.per_task[i];
-    EXPECT_EQ(p.released, q.released);
-    EXPECT_EQ(p.completed, q.completed);
-    EXPECT_EQ(p.deadline_misses, q.deadline_misses);
-    EXPECT_EQ(p.local_runs, q.local_runs);
-    EXPECT_EQ(p.offload_attempts, q.offload_attempts);
-    EXPECT_EQ(p.timely_results, q.timely_results);
-    EXPECT_EQ(p.compensations, q.compensations);
-    EXPECT_EQ(p.late_results, q.late_results);
-    EXPECT_EQ(p.accrued_benefit, q.accrued_benefit);
-    EXPECT_EQ(p.observed_response_ms.count(), q.observed_response_ms.count());
-    EXPECT_EQ(p.observed_response_ms.sum(), q.observed_response_ms.sum());
-    EXPECT_EQ(p.observed_response_ms.min(), q.observed_response_ms.min());
-    EXPECT_EQ(p.observed_response_ms.max(), q.observed_response_ms.max());
-  }
-  EXPECT_EQ(x.cpu_busy_ns, y.cpu_busy_ns);
-  EXPECT_EQ(x.context_switches, y.context_switches);
-  EXPECT_EQ(x.trace_truncated, y.trace_truncated);
-  EXPECT_EQ(x.mode_changes, y.mode_changes);
-  EXPECT_EQ(x.time_in_degraded_ns, y.time_in_degraded_ns);
-  EXPECT_TRUE(x.end_time == y.end_time);
-}
-
 /// Bit-identical outcomes: decisions, claimed objective and every
 /// SimMetrics field.
 void expect_outcomes_equal(const exp::ScenarioOutcome& a,
                            const exp::ScenarioOutcome& b) {
   EXPECT_EQ(a.index, b.index);
   EXPECT_EQ(a.odm.claimed_objective, b.odm.claimed_objective);
-  ASSERT_EQ(a.decisions.size(), b.decisions.size());
-  for (std::size_t i = 0; i < a.decisions.size(); ++i) {
-    SCOPED_TRACE("decision " + std::to_string(i));
-    EXPECT_EQ(a.decisions[i].level, b.decisions[i].level);
-    EXPECT_EQ(a.decisions[i].response_time, b.decisions[i].response_time);
-    EXPECT_EQ(a.decisions[i].claimed_benefit, b.decisions[i].claimed_benefit);
-  }
-  expect_metrics_equal(a.metrics, b.metrics);
+  EXPECT_TRUE(core::decisions_equal(a.decisions, b.decisions));
+  EXPECT_TRUE(sim::metrics_equal(a.metrics, b.metrics));
 }
 
 TEST(ScenarioSeed, DeterministicAndDistinct) {
@@ -145,9 +111,9 @@ TEST(BatchDeterminism, SweepIdenticalAcrossWorkerCounts) {
     sim::SimConfig cfg = spec.sim;
     cfg.seed = exp::scenario_seed(plan.batch.base_seed, i);
     const std::unique_ptr<server::ResponseModel> srv = spec.server->clone();
-    expect_metrics_equal(
+    EXPECT_TRUE(sim::metrics_equal(
         r1[i].metrics,
-        sim::simulate(spec.tasks, r1[i].decisions, *srv, cfg, spec.profile).metrics);
+        sim::simulate(spec.tasks, r1[i].decisions, *srv, cfg, spec.profile).metrics));
   }
 
   // The sweep must have produced real signal, or the equalities above are

@@ -1,6 +1,7 @@
 // GpuService connection bookkeeping on a test-owned loop, pumped by hand
-// with run_once under a FakeClock: a zero-hold response model makes every
-// reply immediate, so no timer ever needs the clock to move.
+// with run_once under a FakeClock: every hold ends before the fake clock's
+// reading, so every reply is immediate and no timer needs the clock to
+// move.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -11,21 +12,25 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "core/benefit.hpp"
 #include "net/clock.hpp"
 #include "net/event_loop.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "runtime/gpu_service.hpp"
 #include "server/response_model.hpp"
+#include "sim/benefit_response.hpp"
 
 namespace rt::runtime {
 namespace {
 
 /// One length-prefixed request frame, as net::Connection writes it.
-std::string request_frame(std::uint64_t id) {
+std::string request_frame(std::uint64_t id, std::uint32_t task = 0) {
   net::OffloadRequest request;
   request.id = id;
+  request.task = task;
   const std::string payload = net::encode(request);
   std::string frame(4, '\0');
   const auto len = static_cast<std::uint32_t>(payload.size());
@@ -45,6 +50,25 @@ std::uint32_t frame_length(const std::string& bytes) {
 
 bool frame_complete(const std::string& bytes) {
   return bytes.size() >= 4 && bytes.size() >= 4 + frame_length(bytes);
+}
+
+/// Sends `frame` on `fd` and pumps `loop` until a whole reply frame or
+/// EOF arrives there. Returns the bytes read; `eof` says whether the
+/// service closed the connection.
+std::string exchange(net::EventLoop& loop, int fd, const std::string& frame,
+                     bool& eof) {
+  EXPECT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  std::string got;
+  eof = false;
+  for (int i = 0; i < 20000 && !eof && !frame_complete(got); ++i) {
+    loop.run_once(Duration::zero());
+    char buf[256];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n > 0) got.append(buf, static_cast<std::size_t>(n));
+    if (n == 0) eof = true;
+  }
+  return got;
 }
 
 TEST(GpuServiceTest, ConnectionAcceptedOnAJustClosedFdIsServed) {
@@ -73,23 +97,47 @@ TEST(GpuServiceTest, ConnectionAcceptedOnAJustClosedFdIsServed) {
   loop.run_once(Duration::zero());
   ASSERT_EQ(service.stats().connections, 2u);
 
-  const std::string frame = request_frame(77);
-  ASSERT_EQ(::send(b, frame.data(), frame.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(frame.size()));
-  std::string got;
   bool eof = false;
-  for (int i = 0; i < 20000 && !eof && !frame_complete(got); ++i) {
-    loop.run_once(Duration::zero());
-    char buf[256];
-    const ssize_t n = ::recv(b, buf, sizeof(buf), 0);
-    if (n > 0) got.append(buf, static_cast<std::size_t>(n));
-    if (n == 0) eof = true;
-  }
+  const std::string got = exchange(loop, b, request_frame(77), eof);
   ::close(b);
   ASSERT_FALSE(eof) << "the service closed B's connection";
   ASSERT_TRUE(frame_complete(got)) << "no reply for B";
   const net::OffloadResponse reply = net::decode_response(got.substr(4));
   EXPECT_EQ(reply.id, 77u);
+  EXPECT_EQ(service.stats().replies, 1u);
+}
+
+// A well-formed frame naming a task the model has no stream for is the
+// peer's fault, not the daemon's: the service counts it as a wire error,
+// closes that connection and serves the next one.
+TEST(GpuServiceTest, RequestForAnUnknownTaskClosesOnlyItsConnection) {
+  net::FakeClock clock{TimePoint(5'000'000)};
+  net::EventLoop loop{net::EventLoopOptions{&clock, nullptr}};
+  // One stream whose holds are at most 1 ms: every reply is due before
+  // the fake clock's 5 ms, so it is sent at once.
+  std::vector<core::BenefitFunction> curves{core::BenefitFunction(
+      {{Duration::zero(), 0.0}, {Duration::milliseconds(1), 1.0}})};
+  GpuService service(
+      loop, std::make_unique<sim::BenefitDrivenResponse>(std::move(curves)),
+      /*seed=*/1, net::SocketAddress{});
+
+  const int a = net::tcp_connect(service.address(), Duration::seconds(2));
+  bool eof = false;
+  std::string got;
+  EXPECT_NO_THROW(got = exchange(loop, a, request_frame(1, /*task=*/7), eof));
+  ::close(a);
+  EXPECT_TRUE(eof) << "the service kept the connection open";
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(service.stats().wire_errors, 1u);
+  EXPECT_EQ(service.stats().requests, 0u);
+
+  const int b = net::tcp_connect(service.address(), Duration::seconds(2));
+  EXPECT_NO_THROW(got = exchange(loop, b, request_frame(2, /*task=*/0), eof));
+  ::close(b);
+  ASSERT_FALSE(eof) << "the service closed the second connection";
+  ASSERT_TRUE(frame_complete(got)) << "no reply on the second connection";
+  EXPECT_EQ(net::decode_response(got.substr(4)).id, 2u);
+  EXPECT_EQ(service.stats().connections, 2u);
   EXPECT_EQ(service.stats().replies, 1u);
 }
 

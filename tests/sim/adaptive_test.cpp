@@ -18,6 +18,7 @@
 #include "sim/benefit_response.hpp"
 #include "sim/engine.hpp"
 #include "sim/simulator.hpp"
+#include "support/compare.hpp"
 #include "support/reference_engine.hpp"
 
 namespace rt::sim {
@@ -167,18 +168,7 @@ TEST(Adaptive, NeverTriggeringControllerLeavesMetricsUntouched) {
 
   EXPECT_EQ(inert.metrics.mode_changes, 0u);
   EXPECT_EQ(inert.metrics.time_in_degraded_ns, 0);
-  ASSERT_EQ(plain.metrics.per_task.size(), inert.metrics.per_task.size());
-  EXPECT_EQ(plain.metrics.cpu_busy_ns, inert.metrics.cpu_busy_ns);
-  EXPECT_EQ(plain.metrics.context_switches, inert.metrics.context_switches);
-  for (std::size_t i = 0; i < plain.metrics.per_task.size(); ++i) {
-    const auto& x = plain.metrics.per_task[i];
-    const auto& y = inert.metrics.per_task[i];
-    EXPECT_EQ(x.released, y.released) << i;
-    EXPECT_EQ(x.completed, y.completed) << i;
-    EXPECT_EQ(x.timely_results, y.timely_results) << i;
-    EXPECT_EQ(x.compensations, y.compensations) << i;
-    EXPECT_EQ(x.accrued_benefit, y.accrued_benefit) << i;
-  }
+  EXPECT_TRUE(metrics_equal(plain.metrics, inert.metrics));
 }
 
 // The fault injector is just another ResponseModel: with no controller the
@@ -197,29 +187,8 @@ TEST(Adaptive, FaultedStaticRunMatchesTheReferenceEngine) {
   SimEngine engine;
   const SimResult opt = engine.run(s.tasks, s.static_decisions, *srv_opt, cfg);
 
-  ASSERT_EQ(ref.metrics.per_task.size(), opt.metrics.per_task.size());
-  EXPECT_EQ(ref.metrics.cpu_busy_ns, opt.metrics.cpu_busy_ns);
-  EXPECT_EQ(ref.metrics.context_switches, opt.metrics.context_switches);
-  EXPECT_EQ(ref.metrics.end_time.ns(), opt.metrics.end_time.ns());
-  for (std::size_t i = 0; i < ref.metrics.per_task.size(); ++i) {
-    const auto& x = ref.metrics.per_task[i];
-    const auto& y = opt.metrics.per_task[i];
-    EXPECT_EQ(x.released, y.released) << i;
-    EXPECT_EQ(x.completed, y.completed) << i;
-    EXPECT_EQ(x.deadline_misses, y.deadline_misses) << i;
-    EXPECT_EQ(x.timely_results, y.timely_results) << i;
-    EXPECT_EQ(x.compensations, y.compensations) << i;
-    EXPECT_EQ(x.late_results, y.late_results) << i;
-    EXPECT_EQ(x.accrued_benefit, y.accrued_benefit) << i;
-  }
-  const auto& re = ref.trace.events();
-  const auto& oe = opt.trace.events();
-  ASSERT_EQ(re.size(), oe.size());
-  for (std::size_t i = 0; i < re.size(); ++i) {
-    EXPECT_EQ(re[i].time.ns(), oe[i].time.ns()) << "trace event " << i;
-    EXPECT_EQ(re[i].kind, oe[i].kind) << "trace event " << i;
-    EXPECT_EQ(re[i].task, oe[i].task) << "trace event " << i;
-  }
+  EXPECT_TRUE(metrics_equal(ref.metrics, opt.metrics));
+  EXPECT_TRUE(traces_equal(ref.trace, opt.trace));
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "sim/benefit_response.hpp"
 #include "sim/engine.hpp"
 #include "sim/simulator.hpp"
+#include "support/compare.hpp"
 #include "support/reference_engine.hpp"
 
 namespace rt::sim {
@@ -46,24 +47,6 @@ Fixture make_setup(std::uint64_t seed, std::size_t num_tasks = 12) {
   s.tasks = core::make_paper_simulation_taskset(rng, wl);
   s.decisions = core::decide_offloading(s.tasks).decisions;
   return s;
-}
-
-bool metrics_equal(const SimMetrics& a, const SimMetrics& b) {
-  if (a.per_task.size() != b.per_task.size()) return false;
-  if (a.cpu_busy_ns != b.cpu_busy_ns) return false;
-  for (std::size_t i = 0; i < a.per_task.size(); ++i) {
-    const auto& x = a.per_task[i];
-    const auto& y = b.per_task[i];
-    if (x.released != y.released || x.completed != y.completed ||
-        x.deadline_misses != y.deadline_misses ||
-        x.timely_results != y.timely_results ||
-        x.compensations != y.compensations ||
-        x.late_results != y.late_results ||
-        x.accrued_benefit != y.accrued_benefit) {
-      return false;
-    }
-  }
-  return true;
 }
 
 TEST(Determinism, IdenticalConfigIdenticalRun) {
@@ -145,46 +128,6 @@ TEST(Conservation, BenefitIsBoundedByReleasesTimesMaxValue) {
 // field and every trace event -- across the full scheduler x deadline x
 // release grid.
 
-void expect_bit_identical(const SimResult& ref, const SimResult& opt,
-                          const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(ref.metrics.per_task.size(), opt.metrics.per_task.size());
-  EXPECT_EQ(ref.metrics.cpu_busy_ns, opt.metrics.cpu_busy_ns);
-  EXPECT_EQ(ref.metrics.context_switches, opt.metrics.context_switches);
-  EXPECT_EQ(ref.metrics.trace_truncated, opt.metrics.trace_truncated);
-  EXPECT_EQ(ref.metrics.end_time.ns(), opt.metrics.end_time.ns());
-  for (std::size_t i = 0; i < ref.metrics.per_task.size(); ++i) {
-    SCOPED_TRACE("task " + std::to_string(i));
-    const auto& x = ref.metrics.per_task[i];
-    const auto& y = opt.metrics.per_task[i];
-    EXPECT_EQ(x.released, y.released);
-    EXPECT_EQ(x.completed, y.completed);
-    EXPECT_EQ(x.deadline_misses, y.deadline_misses);
-    EXPECT_EQ(x.local_runs, y.local_runs);
-    EXPECT_EQ(x.offload_attempts, y.offload_attempts);
-    EXPECT_EQ(x.timely_results, y.timely_results);
-    EXPECT_EQ(x.compensations, y.compensations);
-    EXPECT_EQ(x.late_results, y.late_results);
-    // Benefit and response stats accumulate in the same order, so they are
-    // bit-equal, not merely close.
-    EXPECT_EQ(x.accrued_benefit, y.accrued_benefit);
-    EXPECT_EQ(x.observed_response_ms.count(), y.observed_response_ms.count());
-    EXPECT_EQ(x.observed_response_ms.sum(), y.observed_response_ms.sum());
-    EXPECT_EQ(x.observed_response_ms.mean(), y.observed_response_ms.mean());
-    EXPECT_EQ(x.observed_response_ms.min(), y.observed_response_ms.min());
-    EXPECT_EQ(x.observed_response_ms.max(), y.observed_response_ms.max());
-  }
-  const auto& re = ref.trace.events();
-  const auto& oe = opt.trace.events();
-  ASSERT_EQ(re.size(), oe.size());
-  for (std::size_t i = 0; i < re.size(); ++i) {
-    EXPECT_EQ(re[i].time.ns(), oe[i].time.ns()) << "trace event " << i;
-    EXPECT_EQ(re[i].kind, oe[i].kind) << "trace event " << i;
-    EXPECT_EQ(re[i].task, oe[i].task) << "trace event " << i;
-    EXPECT_EQ(re[i].job, oe[i].job) << "trace event " << i;
-  }
-}
-
 TEST(Differential, EngineMatchesReferenceAcrossConfigGrid) {
   const SchedulerPolicy scheds[] = {SchedulerPolicy::kEdf,
                                     SchedulerPolicy::kFixedPriorityDm};
@@ -216,12 +159,13 @@ TEST(Differential, EngineMatchesReferenceAcrossConfigGrid) {
           const SimResult ref =
               simulate_reference(s.tasks, s.decisions, *srv_ref, cfg);
           const SimResult opt = engine.run(s.tasks, s.decisions, *srv_opt, cfg);
-          expect_bit_identical(
-              ref, opt,
+          const std::string label =
               "round=" + std::to_string(round) +
-                  " sched=" + (sched == SchedulerPolicy::kEdf ? "edf" : "fp") +
-                  " dl=" + (dl == DeadlinePolicy::kSplit ? "split" : "naive") +
-                  " rel=" + (rel == ReleasePolicy::kPeriodic ? "per" : "spor"));
+              " sched=" + (sched == SchedulerPolicy::kEdf ? "edf" : "fp") +
+              " dl=" + (dl == DeadlinePolicy::kSplit ? "split" : "naive") +
+              " rel=" + (rel == ReleasePolicy::kPeriodic ? "per" : "spor");
+          EXPECT_TRUE(metrics_equal(ref.metrics, opt.metrics)) << label;
+          EXPECT_TRUE(traces_equal(ref.trace, opt.trace)) << label;
         }
       }
     }
@@ -241,7 +185,8 @@ TEST(Differential, SimulateWrapperMatchesReferenceWithTruncatedTrace) {
   const SimResult ref = simulate_reference(s.tasks, s.decisions, *srv_a, cfg);
   const SimResult opt = simulate(s.tasks, s.decisions, *srv_b, cfg);
   EXPECT_TRUE(ref.metrics.trace_truncated);
-  expect_bit_identical(ref, opt, "truncated-trace");
+  EXPECT_TRUE(metrics_equal(ref.metrics, opt.metrics));
+  EXPECT_TRUE(traces_equal(ref.trace, opt.trace));
 }
 
 // ---------------------------------------------------------------------------
@@ -249,37 +194,6 @@ TEST(Differential, SimulateWrapperMatchesReferenceWithTruncatedTrace) {
 // serial engine run with seed = derive_seed(base_seed, r) against a fresh
 // server clone. Every metric field must be bit-identical, on the skeleton
 // fast path and on every fallback.
-
-void expect_metrics_bit_identical(const SimMetrics& ref, const SimMetrics& bat,
-                                  const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(ref.per_task.size(), bat.per_task.size());
-  EXPECT_EQ(ref.cpu_busy_ns, bat.cpu_busy_ns);
-  EXPECT_EQ(ref.context_switches, bat.context_switches);
-  EXPECT_EQ(ref.trace_truncated, bat.trace_truncated);
-  EXPECT_EQ(ref.mode_changes, bat.mode_changes);
-  EXPECT_EQ(ref.time_in_degraded_ns, bat.time_in_degraded_ns);
-  EXPECT_EQ(ref.end_time.ns(), bat.end_time.ns());
-  for (std::size_t i = 0; i < ref.per_task.size(); ++i) {
-    SCOPED_TRACE("task " + std::to_string(i));
-    const auto& x = ref.per_task[i];
-    const auto& y = bat.per_task[i];
-    EXPECT_EQ(x.released, y.released);
-    EXPECT_EQ(x.completed, y.completed);
-    EXPECT_EQ(x.deadline_misses, y.deadline_misses);
-    EXPECT_EQ(x.local_runs, y.local_runs);
-    EXPECT_EQ(x.offload_attempts, y.offload_attempts);
-    EXPECT_EQ(x.timely_results, y.timely_results);
-    EXPECT_EQ(x.compensations, y.compensations);
-    EXPECT_EQ(x.late_results, y.late_results);
-    EXPECT_EQ(x.accrued_benefit, y.accrued_benefit);
-    EXPECT_EQ(x.observed_response_ms.count(), y.observed_response_ms.count());
-    EXPECT_EQ(x.observed_response_ms.sum(), y.observed_response_ms.sum());
-    EXPECT_EQ(x.observed_response_ms.mean(), y.observed_response_ms.mean());
-    EXPECT_EQ(x.observed_response_ms.min(), y.observed_response_ms.min());
-    EXPECT_EQ(x.observed_response_ms.max(), y.observed_response_ms.max());
-  }
-}
 
 /// Runs the batch once and the serial engine K times (with derived seeds
 /// and fresh clones) and compares every replication bit for bit. Returns
@@ -301,8 +215,8 @@ BatchEngineStats expect_batch_matches_serial(
     SimConfig c = cfg;
     c.seed = derive_seed(cfg.seed, r);
     const SimResult s = serial.run(tasks, decisions, *srv, c);
-    expect_metrics_bit_identical(s.metrics, res.per_replication[r],
-                                 label + " rep " + std::to_string(r));
+    EXPECT_TRUE(metrics_equal(s.metrics, res.per_replication[r]))
+        << label << " rep " << r;
     manual_benefit.add(s.metrics.total_benefit());
   }
   // The streaming aggregate folds the same values in the same order.
@@ -571,7 +485,8 @@ TEST(Differential, HorizonCutsMidSliceMatchAcrossEngines) {
             simulate_reference(s.tasks, s.decisions, *srv_ref, traced);
         const SimResult opt = engine.run(s.tasks, s.decisions, *srv_opt, traced);
         ASSERT_FALSE(ref.metrics.trace_truncated) << label;
-        expect_bit_identical(ref, opt, label);
+        EXPECT_TRUE(metrics_equal(ref.metrics, opt.metrics)) << label;
+        EXPECT_TRUE(traces_equal(ref.trace, opt.trace)) << label;
 
         const BatchResult bat =
             batch.run(s.tasks, s.decisions, server, cfg, kReplications);
@@ -582,8 +497,8 @@ TEST(Differential, HorizonCutsMidSliceMatchAcrossEngines) {
           auto srv_r = server.clone();
           const SimResult ref_r =
               simulate_reference(s.tasks, s.decisions, *srv_r, c);
-          expect_metrics_bit_identical(ref_r.metrics, bat.per_replication[r],
-                                       label + " rep " + std::to_string(r));
+          EXPECT_TRUE(metrics_equal(ref_r.metrics, bat.per_replication[r]))
+              << label << " rep " << r;
         }
       }
     }
@@ -701,12 +616,13 @@ std::uint64_t expect_windows_match(const core::TaskSet& tasks,
     const std::unique_ptr<server::ResponseModel> srv = prototype.clone();
     const SimResult s = serial.run(tasks, decisions, *srv, c);
     const std::string at = label + " rep " + std::to_string(r);
-    expect_metrics_bit_identical(s.metrics, res.per_replication[r], at);
+    EXPECT_TRUE(metrics_equal(s.metrics, res.per_replication[r])) << at;
     if (r == 0 || r + 1 == replications) {
       const std::unique_ptr<server::ResponseModel> again = prototype.clone();
-      expect_metrics_bit_identical(
+      EXPECT_TRUE(metrics_equal(
           simulate_reference(tasks, decisions, *again, c).metrics,
-          res.per_replication[r], at + " (reference)");
+          res.per_replication[r]))
+          << at << " (reference)";
     }
   }
   return batch.stats().resync_windows;

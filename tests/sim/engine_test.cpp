@@ -17,6 +17,7 @@
 #include "obs/sink.hpp"
 #include "server/gpu_server.hpp"
 #include "server/response_model.hpp"
+#include "support/compare.hpp"
 #include "support/reference_engine.hpp"
 
 namespace rt::sim {
@@ -38,44 +39,6 @@ Fixture make_setup(std::uint64_t seed, std::size_t num_tasks = 12) {
   s.tasks = core::make_paper_simulation_taskset(rng, wl);
   s.decisions = core::decide_offloading(s.tasks).decisions;
   return s;
-}
-
-bool metrics_equal(const SimMetrics& a, const SimMetrics& b) {
-  if (a.per_task.size() != b.per_task.size()) return false;
-  if (a.cpu_busy_ns != b.cpu_busy_ns) return false;
-  if (a.context_switches != b.context_switches) return false;
-  for (std::size_t i = 0; i < a.per_task.size(); ++i) {
-    const auto& x = a.per_task[i];
-    const auto& y = b.per_task[i];
-    if (x.released != y.released || x.completed != y.completed ||
-        x.deadline_misses != y.deadline_misses ||
-        x.timely_results != y.timely_results ||
-        x.compensations != y.compensations ||
-        x.late_results != y.late_results ||
-        x.accrued_benefit != y.accrued_benefit) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void expect_same_trace(const Trace& ref, const Trace& opt) {
-  ASSERT_FALSE(ref.truncated());
-  ASSERT_EQ(ref.events().size(), opt.events().size());
-  for (std::size_t i = 0; i < ref.events().size(); ++i) {
-    const TraceEvent& a = ref.events()[i];
-    const TraceEvent& b = opt.events()[i];
-    EXPECT_EQ(a.time.ns(), b.time.ns()) << "trace event " << i;
-    EXPECT_EQ(a.kind, b.kind) << "trace event " << i;
-    EXPECT_EQ(a.task, b.task) << "trace event " << i;
-    EXPECT_EQ(a.job, b.job) << "trace event " << i;
-  }
-}
-
-bool traces_equal(const Trace& a, const Trace& b) {
-  return std::ranges::equal(a.events(), b.events(), [](const TraceEvent& x, const TraceEvent& y) {
-    return x.time == y.time && x.kind == y.kind && x.task == y.task && x.job == y.job;
-  });
 }
 
 // Regression for the seed engine's deferred in-flight cleanup: resolved
@@ -177,7 +140,8 @@ TEST(EngineInternals, ReusedEngineReproducesItsFirstRunBitForBit) {
     auto srv_fresh = server::make_scenario_server(server::Scenario::kBusy, 3);
     const SimResult want = fresh.run(st.tasks, st.set->decisions, *srv_fresh, st.cfg);
     EXPECT_TRUE(metrics_equal(want.metrics, results.back().metrics));
-    expect_same_trace(want.trace, results.back().trace);
+    ASSERT_FALSE(want.trace.truncated());
+    EXPECT_TRUE(traces_equal(want.trace, results.back().trace));
     EXPECT_EQ(fresh.stats().events_processed, reused.stats().events_processed);
   }
   // The edits change what runs: a stale schedule would show.
@@ -214,7 +178,8 @@ TEST(EngineInternals, EventHeapHoldsOnlyOffloadsInFlight) {
   server::FixedResponse srv_ref(1_ms);
   const SimResult ref = simulate_reference(tasks, core::all_local(2), srv_ref, cfg);
   EXPECT_TRUE(metrics_equal(ref.metrics, opt.metrics));
-  expect_same_trace(ref.trace, opt.trace);
+  ASSERT_FALSE(ref.trace.truncated());
+  EXPECT_TRUE(traces_equal(ref.trace, opt.trace));
 }
 
 // The armed slice end keeps the seq it was armed with. "long" (key 100 ms)
@@ -240,7 +205,8 @@ TEST(EngineInternals, SliceEndArmedBeforeAReleaseOnItsInstantPopsFirst) {
   const SimResult opt = engine.run(tasks, core::all_local(2), srv, cfg);
   const SimResult ref = simulate_reference(tasks, core::all_local(2), srv, cfg);
   EXPECT_TRUE(metrics_equal(ref.metrics, opt.metrics));
-  expect_same_trace(ref.trace, opt.trace);
+  ASSERT_FALSE(ref.trace.truncated());
+  EXPECT_TRUE(traces_equal(ref.trace, opt.trace));
 
   std::vector<TraceKind> at_100ms;
   for (const TraceEvent& ev : opt.trace.events()) {

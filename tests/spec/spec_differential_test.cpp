@@ -24,50 +24,13 @@
 #include "sim/simulator.hpp"
 #include "spec/grid.hpp"
 #include "spec/scenario_doc.hpp"
+#include "support/compare.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
 using namespace rt;
 
 namespace {
-
-void expect_metrics_equal(const sim::SimMetrics& a, const sim::SimMetrics& b) {
-  ASSERT_EQ(a.per_task.size(), b.per_task.size());
-  for (std::size_t i = 0; i < a.per_task.size(); ++i) {
-    SCOPED_TRACE("task " + std::to_string(i));
-    const sim::TaskMetrics& x = a.per_task[i];
-    const sim::TaskMetrics& y = b.per_task[i];
-    EXPECT_EQ(x.released, y.released);
-    EXPECT_EQ(x.completed, y.completed);
-    EXPECT_EQ(x.deadline_misses, y.deadline_misses);
-    EXPECT_EQ(x.local_runs, y.local_runs);
-    EXPECT_EQ(x.offload_attempts, y.offload_attempts);
-    EXPECT_EQ(x.timely_results, y.timely_results);
-    EXPECT_EQ(x.compensations, y.compensations);
-    EXPECT_EQ(x.late_results, y.late_results);
-    EXPECT_EQ(x.accrued_benefit, y.accrued_benefit);
-    EXPECT_EQ(x.observed_response_ms.count(), y.observed_response_ms.count());
-    EXPECT_EQ(x.observed_response_ms.sum(), y.observed_response_ms.sum());
-    EXPECT_EQ(x.observed_response_ms.min(), y.observed_response_ms.min());
-    EXPECT_EQ(x.observed_response_ms.max(), y.observed_response_ms.max());
-  }
-  EXPECT_EQ(a.cpu_busy_ns, b.cpu_busy_ns);
-  EXPECT_EQ(a.context_switches, b.context_switches);
-  EXPECT_EQ(a.mode_changes, b.mode_changes);
-  EXPECT_EQ(a.time_in_degraded_ns, b.time_in_degraded_ns);
-  EXPECT_TRUE(a.end_time == b.end_time);
-}
-
-void expect_decisions_equal(const core::DecisionVector& a,
-                            const core::DecisionVector& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("task " + std::to_string(i));
-    EXPECT_EQ(a[i].level, b[i].level);
-    EXPECT_TRUE(a[i].response_time == b[i].response_time);
-    EXPECT_EQ(a[i].claimed_benefit, b[i].claimed_benefit);
-  }
-}
 
 // The composed stack under test: faults(routing(bursty(lognormal), bounded))
 // with a pessimistic-odm controller. Must stay in sync with the inline
@@ -185,10 +148,11 @@ TEST(SpecDifferential, ComposedStackWithControllerIsBitIdentical) {
     const sim::SimResult inline_res = sim::simulate(
         tasks, inline_odm.decisions, *inline_server, inline_sim, {});
 
-    expect_decisions_equal(spec_odm.decisions, inline_odm.decisions);
+    EXPECT_TRUE(core::decisions_equal(spec_odm.decisions, inline_odm.decisions));
     EXPECT_EQ(spec_odm.claimed_objective, inline_odm.claimed_objective);
-    expect_decisions_equal(built.controller->degraded, controller_cfg.degraded);
-    expect_metrics_equal(spec_res.metrics, inline_res.metrics);
+    EXPECT_TRUE(
+        core::decisions_equal(built.controller->degraded, controller_cfg.degraded));
+    EXPECT_TRUE(sim::metrics_equal(spec_res.metrics, inline_res.metrics));
   }
 }
 
@@ -244,10 +208,11 @@ TEST(SpecDifferential, BatchPlanMatchesInlineSpecVector) {
   ASSERT_EQ(spec_out.size(), inline_out.size());
   for (std::size_t i = 0; i < spec_out.size(); ++i) {
     SCOPED_TRACE("scenario " + std::to_string(i));
-    expect_decisions_equal(spec_out[i].decisions, inline_out[i].decisions);
+    EXPECT_TRUE(
+        core::decisions_equal(spec_out[i].decisions, inline_out[i].decisions));
     EXPECT_EQ(spec_out[i].odm.claimed_objective,
               inline_out[i].odm.claimed_objective);
-    expect_metrics_equal(spec_out[i].metrics, inline_out[i].metrics);
+    EXPECT_TRUE(sim::metrics_equal(spec_out[i].metrics, inline_out[i].metrics));
   }
 }
 
@@ -306,10 +271,11 @@ TEST(SpecDifferential, Fig3DocMatchesInlineSweepConfig) {
   std::uint64_t timely = 0;
   for (std::size_t i = 0; i < spec_out.size(); ++i) {
     SCOPED_TRACE("scenario " + std::to_string(i));
-    expect_decisions_equal(spec_out[i].decisions, inline_out[i].decisions);
+    EXPECT_TRUE(
+        core::decisions_equal(spec_out[i].decisions, inline_out[i].decisions));
     EXPECT_EQ(spec_out[i].odm.claimed_objective,
               inline_out[i].odm.claimed_objective);
-    expect_metrics_equal(spec_out[i].metrics, inline_out[i].metrics);
+    EXPECT_TRUE(sim::metrics_equal(spec_out[i].metrics, inline_out[i].metrics));
     timely += spec_out[i].metrics.total_timely_results();
   }
   EXPECT_GT(timely, 0u) << "the grid offloaded nothing; the match is vacuous";
