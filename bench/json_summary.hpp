@@ -1,6 +1,8 @@
 #pragma once
-// Machine-readable bench summaries: one schema for every suite, so perf
-// tracking can diff BENCH_*.json files without scraping stdout.
+// Machine-readable summaries of the two hand-rolled timing harnesses,
+// bench_adaptive and bench_runtime, so their BENCH_*.json files can be
+// diffed without scraping stdout. Performance claims are measured by
+// rtoffload_bench/, not by these files.
 //
 //   {
 //     "git_describe": "v0-42-gabc1234",
@@ -12,9 +14,8 @@
 //     ]
 //   }
 //
-// google-benchmark suites get this for free via json_summary_gbench.hpp's
-// run_with_json_summary(); hand-rolled harnesses (e.g. bench_adaptive)
-// build their own config/metrics objects and call write_json_summary().
+// Each harness builds its own config/metrics objects and calls
+// write_json_summary().
 
 #include <cstdio>
 #include <fstream>

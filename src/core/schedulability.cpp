@@ -152,7 +152,7 @@ BusyBound busy_bound(const TaskSet& tasks, const DecisionVector& decisions,
 }
 
 /// The dbf step offsets (o, o+T, o+2T, ...) contributed by one task under
-/// its decision; a superset of the true change points is fine for QPA.
+/// its decision; a superset of the true change points is fine.
 void collect_offsets(const Task& task, const Decision& d,
                      std::vector<std::pair<std::int64_t, std::int64_t>>* out) {
   const std::int64_t period = task.period.ns();
@@ -223,73 +223,6 @@ PdaResult pda_feasible(const TaskSet& tasks, const DecisionVector& decisions,
     // Theorem 3 verdict rather than overclaim exactness.
     res.feasible = theorem3_feasible(tasks, decisions);
     return res;
-  }
-  res.feasible = true;
-  return res;
-}
-
-PdaResult qpa_feasible(const TaskSet& tasks, const DecisionVector& decisions,
-                       Duration horizon_cap) {
-  if (tasks.size() != decisions.size()) {
-    throw std::invalid_argument("qpa_feasible: decisions arity mismatch");
-  }
-  PdaResult res;
-  const BusyBound bound = busy_bound(tasks, decisions, horizon_cap);
-  if (bound.unbounded) {
-    res.feasible = false;
-    res.unbounded_utilization = true;
-    return res;
-  }
-  res.horizon = Duration::nanoseconds(bound.horizon_ns);
-  if (!bound.under_cap) {
-    res.feasible = theorem3_feasible(tasks, decisions);
-    return res;
-  }
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> streams;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    collect_offsets(tasks[i], decisions[i], &streams);
-  }
-
-  // Largest step point strictly below t (0 if none).
-  auto max_step_below = [&](std::int64_t t) -> std::int64_t {
-    std::int64_t best = 0;
-    for (const auto& [offset, period] : streams) {
-      if (t <= offset) continue;
-      const std::int64_t k = (t - 1 - offset) / period;
-      best = std::max(best, offset + k * period);
-    }
-    return best;
-  };
-  auto demand = [&](std::int64_t t) {
-    std::int64_t h = 0;
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      h = saturating_add(h, dbf_exact(tasks[i], decisions[i], Duration(t)));
-    }
-    return h;
-  };
-
-  std::int64_t d_min = INT64_MAX;
-  for (const auto& [offset, period] : streams) {
-    (void)period;
-    if (offset > 0) d_min = std::min(d_min, offset);
-  }
-  if (d_min == INT64_MAX) {  // no demand at all
-    res.feasible = true;
-    return res;
-  }
-
-  // Zhang-Burns iteration: walk t downward from just below the bound.
-  std::int64_t t = max_step_below(bound.horizon_ns + 1);
-  while (t >= d_min) {
-    const std::int64_t h = demand(t);
-    if (h > t) {
-      res.feasible = false;
-      res.violation_at = Duration::nanoseconds(t);
-      return res;
-    }
-    if (h <= d_min) break;  // nothing below can overflow anymore
-    t = (h < t) ? h : max_step_below(t);
   }
   res.feasible = true;
   return res;

@@ -79,13 +79,4 @@ struct PdaResult {
 PdaResult pda_feasible(const TaskSet& tasks, const DecisionVector& decisions,
                        Duration horizon_cap = Duration::seconds(3600));
 
-/// Quick Processor-demand Analysis (Zhang & Burns style): instead of
-/// enumerating every dbf step point, iterate downward from the busy-period
-/// bound -- t <- demand(t) while demand(t) < t -- which converges in a
-/// handful of demand evaluations on almost every instance. Same verdict as
-/// pda_feasible (both are exact over the same dbf), typically 10-100x
-/// fewer dbf evaluations; see bench_ablation_sched.
-PdaResult qpa_feasible(const TaskSet& tasks, const DecisionVector& decisions,
-                       Duration horizon_cap = Duration::seconds(3600));
-
 }  // namespace rt::core

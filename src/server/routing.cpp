@@ -24,8 +24,10 @@ RoutingResponse::RoutingResponse(std::vector<std::unique_ptr<ResponseModel>> rou
 }
 
 std::size_t RoutingResponse::route_for(std::size_t stream) const {
-  return stream < route_of_stream_.size() ? route_of_stream_[stream]
-                                          : route_of_stream_.back();
+  if (stream >= route_of_stream_.size()) {
+    throw std::out_of_range("RoutingResponse: unknown stream");
+  }
+  return route_of_stream_[stream];
 }
 
 Duration RoutingResponse::sample(const Request& req, Rng& rng) {

@@ -17,10 +17,8 @@ namespace rt::server {
 class RoutingResponse final : public ResponseModel {
  public:
   /// `routes` owns the component models; `route_of_stream[s]` picks the
-  /// component for stream s. Streams beyond the mapping use
-  /// `route_of_stream.back()` (convenient when tasks share one default
-  /// component). Throws when routes is empty, the mapping is empty, or a
-  /// mapping entry is out of range.
+  /// component for stream s. Throws when routes is empty, the mapping is
+  /// empty, or a mapping entry is out of range.
   RoutingResponse(std::vector<std::unique_ptr<ResponseModel>> routes,
                   std::vector<std::size_t> route_of_stream);
 
@@ -31,6 +29,8 @@ class RoutingResponse final : public ResponseModel {
   void reset() override;
   std::unique_ptr<ResponseModel> clone() const override;
 
+  /// Throws std::out_of_range for a stream past the mapping (an unknown
+  /// task), as BenefitDrivenResponse does.
   [[nodiscard]] std::size_t route_for(std::size_t stream) const;
 
  private:

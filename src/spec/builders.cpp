@@ -199,6 +199,12 @@ std::unique_ptr<server::ResponseModel> build_routing(const Json& j,
   for (const Json& m : j.at("route_of_stream").as_array()) {
     mapping.push_back(static_cast<std::size_t>(m.as_number()));
   }
+  if (ctx.tasks != nullptr && mapping.size() < ctx.tasks->size()) {
+    throw std::invalid_argument(
+        "routing: route_of_stream maps " + std::to_string(mapping.size()) +
+        " streams but the task set has " + std::to_string(ctx.tasks->size()) +
+        " tasks");
+  }
   return std::make_unique<server::RoutingResponse>(std::move(routes),
                                                    std::move(mapping));
 }

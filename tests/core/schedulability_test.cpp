@@ -199,69 +199,6 @@ TEST(Pda, AcceptsSetsTheLinearBoundRejects) {
   EXPECT_TRUE(res.feasible) << "exact analysis should absorb the bound's slack";
 }
 
-TEST(Qpa, MatchesKnownVerdicts) {
-  // Feasible mixed set (same as Pda.AgreesWithTheorem3OnEasySets).
-  const Task off = offloadable("off", 100_ms, 10_ms, 5_ms, 40_ms);
-  const Task loc = make_simple_task("loc", 50_ms, 20_ms, 1_ms, 20_ms);
-  const DecisionVector ds{Decision::offload(1, 40_ms), Decision::local()};
-  EXPECT_TRUE(qpa_feasible({off, loc}, ds).feasible);
-
-  // Overloaded local set: unbounded utilization.
-  const Task a = make_simple_task("a", 10_ms, 6_ms, 1_ms, 6_ms);
-  const Task b = make_simple_task("b", 10_ms, 6_ms, 1_ms, 6_ms);
-  const PdaResult res = qpa_feasible({a, b}, all_local(2));
-  EXPECT_FALSE(res.feasible);
-  EXPECT_TRUE(res.unbounded_utilization);
-
-  // The bounded-utilization violation from the PDA test.
-  Task c = offloadable("c", 1000_ms, 100_ms, 50_ms, 800_ms);
-  Task d = offloadable("d", 1000_ms, 100_ms, 50_ms, 800_ms);
-  const DecisionVector ds2{Decision::offload(1, 800_ms),
-                           Decision::offload(1, 800_ms)};
-  const PdaResult viol = qpa_feasible({c, d}, ds2);
-  EXPECT_FALSE(viol.feasible);
-  EXPECT_FALSE(viol.unbounded_utilization);
-  EXPECT_GT(viol.violation_at.ns(), 0);
-}
-
-TEST(Qpa, EmptySetAndArity) {
-  EXPECT_TRUE(qpa_feasible({}, {}).feasible);
-  const Task a = make_simple_task("a", 10_ms, 6_ms, 1_ms, 6_ms);
-  EXPECT_THROW(qpa_feasible({a}, {}), std::invalid_argument);
-}
-
-TEST(Qpa, AlwaysAgreesWithFullPda) {
-  // Both are exact over the same dbf, so verdicts must coincide on random
-  // sets across the feasibility boundary.
-  Rng rng(31);
-  int feasible_seen = 0, infeasible_seen = 0;
-  for (int trial = 0; trial < 120; ++trial) {
-    RandomTasksetConfig cfg;
-    cfg.num_tasks = 5;
-    cfg.total_local_utilization = rng.uniform(0.3, 1.1);
-    cfg.period_min = 20_ms;
-    cfg.period_max = 400_ms;
-    const TaskSet tasks = make_random_taskset(rng, cfg);
-    DecisionVector ds;
-    for (const auto& task : tasks) {
-      const auto level = static_cast<std::size_t>(rng.uniform_int(0, 3));
-      if (level == 0 || level >= task.benefit.size()) {
-        ds.push_back(Decision::local());
-      } else {
-        ds.push_back(
-            Decision::offload(level, task.benefit.point(level).response_time));
-      }
-    }
-    const PdaResult full = pda_feasible(tasks, ds);
-    const PdaResult quick = qpa_feasible(tasks, ds);
-    EXPECT_EQ(full.feasible, quick.feasible) << "trial " << trial;
-    (full.feasible ? feasible_seen : infeasible_seen)++;
-  }
-  // The sweep must actually straddle the boundary to mean anything.
-  EXPECT_GT(feasible_seen, 10);
-  EXPECT_GT(infeasible_seen, 10);
-}
-
 TEST(Pda, RandomSetsNeverContradictTheorem3Soundness) {
   // Theorem 3 feasible => PDA feasible (the exact test dominates the
   // sufficient one). 40 random sets.

@@ -8,8 +8,8 @@
 // as in the full table. The reference below is the full m x (axis+1)
 // table, kept here (and only here) so the claim stays checked: pick,
 // weight, profit and feasible must be equal on ODM instances, paper task
-// sets at every Fig. 3 estimation error, bounded-response tasks, the
-// bench's random shape, tie-heavy small-integer instances, capacities
+// sets at every Fig. 3 estimation error, bounded-response tasks, a
+// random shape, tie-heavy small-integer instances, capacities
 // swept across the binding range, huge weights and the edge cases.
 
 #include <gtest/gtest.h>
@@ -333,7 +333,9 @@ TEST(DpBand, BoundedResponseTasksTwoItemsPerLevel) {
   }
 }
 
-// The shape bench_mckp_perf's make_instance draws.
+// A random shape: per class, one light low-profit item and `items - 1`
+// heavier ones, under a capacity of 1,000,000 (the instances the retired
+// MCKP micro-benchmark timed).
 Instance bench_shape(int classes, int items, std::uint64_t seed) {
   rt::Rng rng(seed);
   Instance inst;

@@ -21,6 +21,7 @@
 #include "net/wire.hpp"
 #include "runtime/gpu_service.hpp"
 #include "server/response_model.hpp"
+#include "server/routing.hpp"
 #include "sim/benefit_response.hpp"
 
 namespace rt::runtime {
@@ -109,17 +110,14 @@ TEST(GpuServiceTest, ConnectionAcceptedOnAJustClosedFdIsServed) {
 
 // A well-formed frame naming a task the model has no stream for is the
 // peer's fault, not the daemon's: the service counts it as a wire error,
-// closes that connection and serves the next one.
-TEST(GpuServiceTest, RequestForAnUnknownTaskClosesOnlyItsConnection) {
+// closes that connection and serves the next one. `model` knows tasks 0
+// and 1 only; each of its holds is at most 1 ms, so every reply is due
+// before the fake clock's 5 ms and is sent at once.
+void expect_unknown_task_closes_only_its_connection(
+    std::unique_ptr<server::ResponseModel> model) {
   net::FakeClock clock{TimePoint(5'000'000)};
   net::EventLoop loop{net::EventLoopOptions{&clock, nullptr}};
-  // One stream whose holds are at most 1 ms: every reply is due before
-  // the fake clock's 5 ms, so it is sent at once.
-  std::vector<core::BenefitFunction> curves{core::BenefitFunction(
-      {{Duration::zero(), 0.0}, {Duration::milliseconds(1), 1.0}})};
-  GpuService service(
-      loop, std::make_unique<sim::BenefitDrivenResponse>(std::move(curves)),
-      /*seed=*/1, net::SocketAddress{});
+  GpuService service(loop, std::move(model), /*seed=*/1, net::SocketAddress{});
 
   const int a = net::tcp_connect(service.address(), Duration::seconds(2));
   bool eof = false;
@@ -132,13 +130,33 @@ TEST(GpuServiceTest, RequestForAnUnknownTaskClosesOnlyItsConnection) {
   EXPECT_EQ(service.stats().requests, 0u);
 
   const int b = net::tcp_connect(service.address(), Duration::seconds(2));
-  EXPECT_NO_THROW(got = exchange(loop, b, request_frame(2, /*task=*/0), eof));
+  EXPECT_NO_THROW(got = exchange(loop, b, request_frame(2, /*task=*/1), eof));
   ::close(b);
   ASSERT_FALSE(eof) << "the service closed the second connection";
   ASSERT_TRUE(frame_complete(got)) << "no reply on the second connection";
   EXPECT_EQ(net::decode_response(got.substr(4)).id, 2u);
   EXPECT_EQ(service.stats().connections, 2u);
   EXPECT_EQ(service.stats().replies, 1u);
+}
+
+TEST(GpuServiceTest, RequestForAnUnknownTaskClosesOnlyItsConnection) {
+  const core::BenefitFunction curve(
+      {{Duration::zero(), 0.0}, {Duration::milliseconds(1), 1.0}});
+  expect_unknown_task_closes_only_its_connection(
+      std::make_unique<sim::BenefitDrivenResponse>(
+          std::vector<core::BenefitFunction>{curve, curve}));
+}
+
+// A routing stack's tasks are the streams of its route_of_stream: a task
+// past the mapping is unknown, not the last route's.
+TEST(GpuServiceTest, RoutingStackRejectsAnUnknownTask) {
+  std::vector<std::unique_ptr<server::ResponseModel>> routes;
+  routes.push_back(std::make_unique<server::FixedResponse>(Duration::zero()));
+  routes.push_back(
+      std::make_unique<server::FixedResponse>(Duration::milliseconds(1)));
+  expect_unknown_task_closes_only_its_connection(
+      std::make_unique<server::RoutingResponse>(std::move(routes),
+                                                std::vector<std::size_t>{0, 1}));
 }
 
 }  // namespace

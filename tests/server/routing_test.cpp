@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "core/odm.hpp"
 #include "core/workload.hpp"
 #include "server/bursty.hpp"
@@ -30,13 +33,19 @@ TEST(RoutingResponse, RoutesByStreamId) {
   EXPECT_EQ(model->sample(req, rng), 70_ms);
 }
 
-TEST(RoutingResponse, StreamsBeyondMappingUseLastRoute) {
+// A stream past the mapping is an unknown task, not the last route's:
+// both sampling paths reject it, as BenefitDrivenResponse does.
+TEST(RoutingResponse, StreamsBeyondMappingAreRejected) {
   auto model = two_route_model();
   Rng rng(1);
   Request req;
-  req.stream_id = 99;
-  EXPECT_EQ(model->sample(req, rng), 70_ms);
-  EXPECT_EQ(model->route_for(99), 1u);
+  req.stream_id = 2;
+  EXPECT_THROW((void)model->sample(req, rng), std::out_of_range);
+  std::vector<Rng> rngs{Rng(1), Rng(2)};
+  std::vector<Duration> out(2);
+  EXPECT_THROW(model->sample_n(req, rngs, out), std::out_of_range);
+  EXPECT_THROW((void)model->route_for(99), std::out_of_range);
+  EXPECT_EQ(model->route_for(1), 1u);
 }
 
 TEST(RoutingResponse, Validation) {

@@ -218,6 +218,30 @@ TEST(SpecErrors, RoutingStreamIndexOutOfRange) {
   expect_error_at(doc, "$.server.route_of_stream[1]");
 }
 
+// The mapping is checked against the task set when the document is built:
+// a three-task set with two mapped streams names route_of_stream at
+// $.server, as the controller-arity build errors name $.controller.
+TEST(SpecErrors, RoutingMappingShorterThanTheTaskSet) {
+  Json doc = base_doc();
+  doc.as_object()["server"] = Json::parse(R"json({
+    "type": "routing",
+    "routes": [{"type": "fixed", "response_ms": 5}],
+    "route_of_stream": [0, 0]
+  })json");
+  const spec::ScenarioDoc parsed = spec::ScenarioDoc::parse(doc);
+  try {
+    (void)spec::build_scenario(parsed);
+    FAIL() << "expected a SpecError for the short mapping";
+  } catch (const spec::SpecError& e) {
+    const std::string msg = e.what();
+    EXPECT_EQ(msg.rfind("$.server", 0), 0u) << msg;
+    EXPECT_NE(msg.find("route_of_stream"), std::string::npos) << msg;
+  }
+  doc.as_object()["server"].as_object()["route_of_stream"] =
+      Json::parse("[0, 0, 0]");
+  EXPECT_NO_THROW((void)spec::build_scenario(spec::ScenarioDoc::parse(doc)));
+}
+
 TEST(SpecErrors, FaultsWithoutServer) {
   Json doc = base_doc();
   doc.as_object().erase("server");
