@@ -215,7 +215,7 @@ class Runtime : public sim::ProtocolCore<Runtime> {
     obs::observe(rpc_latency_ns_, wall_latency.ns());
     const Duration latency = wall_latency.scaled(1.0 / options_.time_scale);
     auto& tm = metrics_.per_task[fl.job.task];
-    tm.observed_response_ms.add(latency.ms());
+    tm.observed_response_ms.add(latency);
 
     if (fl.resolved) {
       // The compensation timer already won the race.

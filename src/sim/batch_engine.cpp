@@ -23,9 +23,11 @@
 // flight at t1 are loose: counted like table entries when alone on their
 // nanosecond off the pops, else the lane's next divergence.
 //
-// Sums in serial order: accrued_benefit folds the lane's table hits into
-// its running sum before each window, whose core continues it, and
-// observed_response_ms takes every draw in draw order.
+// One sum in serial order: accrued_benefit folds the lane's table hits
+// into its running sum before each window, whose core continues it.
+// observed_response_ms holds exact integer moments, which no order
+// changes: the column loop's draws and the windows' accumulate apart and
+// are merged when the replication is materialized.
 
 #include "sim/batch_engine.hpp"
 
@@ -124,9 +126,10 @@ struct Column {
 /// One lane's windows: what they changed, what they left in flight, and
 /// where the lane goes next.
 struct LaneState {
-  /// The windows' counts as modular deltas over the skeleton's, and an
-  /// offloaded task's accrued_benefit as its sum in completion order with
-  /// `folded` of its table hits added; `ctx` holds the table's too.
+  /// The windows' counts as modular deltas over the skeleton's, their
+  /// draws' response moments, and an offloaded task's accrued_benefit as
+  /// its sum in completion order with `folded` of its table hits added;
+  /// `ctx` holds the table's too.
   std::vector<TaskMetrics> task;
   std::vector<std::uint64_t> folded;
   std::uint64_t ctx = 0;
@@ -173,7 +176,7 @@ struct BatchSimEngine::Impl {
   std::vector<std::uint64_t> completed_;
   std::vector<std::uint64_t> misses_;
   std::vector<std::uint64_t> packed_;  ///< the lane loop's, unpacked above
-  std::vector<RunningStats> response_;
+  std::vector<DurationStats> response_;  ///< the loop's draws (windows': LaneState)
   /// [column % ring_rows_][lane] arrivals; a timer's instant t as ~t.
   std::vector<std::int64_t> ring_;
   std::vector<std::int64_t> loose_until_;  ///< [lane] latest counted loose arrival
@@ -422,8 +425,8 @@ struct BatchSimEngine::Impl {
     return sum;
   }
 
-  /// The skeleton's metrics plus lane s's (unpacked) counters and window
-  /// deltas.
+  /// The skeleton's metrics plus lane s's (unpacked) counters, window
+  /// deltas and the loop's and windows' response moments.
   SimMetrics materialize(const Skeleton& sk, std::size_t s) {
     SimMetrics m = sk.base;
     const LaneState& l = lanes_[s];
@@ -438,7 +441,8 @@ struct BatchSimEngine::Impl {
       tm.local_runs += x.local_runs;
       tm.compensations += x.compensations;
       tm.late_results += x.late_results;
-      tm.observed_response_ms = response_[k];
+      tm.observed_response_ms.merge(response_[k]);
+      tm.observed_response_ms.merge(x.observed_response_ms);
       tm.accrued_benefit =
           cache(i).offloaded
               ? fold(i, x.accrued_benefit, completed_[k] - misses_[k] - l.folded[i])
@@ -461,7 +465,7 @@ struct BatchSimEngine::Impl {
       for (std::uint32_t i = 0; i < n_; ++i) {
         const std::size_t k = at(i, s);
         timely_[k] = completed_[k] = misses_[k] = packed_[k] = 0;
-        response_[k] = RunningStats{};
+        response_[k] = DurationStats{};
       }
       loose_until_[s] = kNever;
       live_mask_[s] = 1;
@@ -504,15 +508,13 @@ struct BatchSimEngine::Impl {
       const std::uint32_t* reach = reach_rows_.data() + col.reach0;
       const std::size_t base = at(d.task, 0);
       std::uint64_t* packed = packed_.data() + base;
-      RunningStats* response = response_.data() + base;
+      DurationStats* response = response_.data() + base;
       const std::int64_t* ring = ring_.data();
       std::int64_t* here = ring_.data() + (c & ring_mask) * kLanes;
       for (std::size_t s = 0; s < span_; ++s) {
         if (!live_mask_[s]) continue;
         const Duration resp = row_[s];
-        // Statistics in draw order, as the serial engine records them at
-        // send.
-        if (resp != server::kNoResponse) response[s].add(resp.ms());
+        if (resp != server::kNoResponse) response[s].add(resp);
         const bool late = resp.ns() > d.window_ns;
         const std::int64_t a = d.send_ns + (late ? d.window_ns : resp.ns());
         const std::uint32_t k = interval_of(bounds, col.bounds, a);
@@ -589,11 +591,6 @@ struct BatchSimEngine::Impl {
       double& sum = l.task[i].accrued_benefit;
       sum = fold(i, sum, hits - std::exchange(l.folded[i], hits));
     }
-    // The core draws into the lane's TaskMetrics, the column loop into
-    // response_: one Welford accumulator in draw order either way.
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      l.task[i].observed_response_ms = response_[at(i, s)];
-    }
     core_.open(t0, flights_, reuse_, rngs_[s], server, l.task);
     ++stats_.resync_windows;
     const std::int64_t t1 = core_.run(l.pending_ns, stats_.resync_events);
@@ -605,9 +602,6 @@ struct BatchSimEngine::Impl {
       l.pending_ns = classify_loose(sk, l.loose);
     }
     core_.close(l.task, rngs_[s]);
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      response_[at(i, s)] = l.task[i].observed_response_ms;
-    }
     take_window(sk, l, t0, t1);
     live_mask_[s] = 0;
     --live_;

@@ -272,7 +272,7 @@ void CoreRunner::send_offload(const Offload& job, const TaskCache& tc) {
     response = server_->sample(req, rng_);
     if (response != server::kNoResponse) {
       auto& tm = metrics_.per_task[job.task];
-      tm.observed_response_ms.add(response.ms());
+      tm.observed_response_ms.add(response);
       if (response > tc.response_time) ++tm.late_results;
     }
   }

@@ -20,7 +20,7 @@ struct TaskMetrics {
   std::uint64_t compensations = 0;       ///< timer fired, fallback executed
   std::uint64_t late_results = 0;        ///< results after the timer (discarded)
   double accrued_benefit = 0.0;          ///< weighted, per the benefit semantics
-  RunningStats observed_response_ms;     ///< finite offload response times
+  DurationStats observed_response_ms;    ///< finite offload response times
 };
 
 struct SimMetrics {

@@ -33,6 +33,28 @@ void RunningStats::merge(const RunningStats& o) {
   max_ = std::max(max_, o.max_);
 }
 
+double DurationStats::mean() const {
+  if (n_ == 0) return 0.0;
+  return static_cast<double>(sum_) / (static_cast<double>(n_) * 1e6);
+}
+
+double DurationStats::variance() const {
+  if (n_ < 2) return 0.0;
+  // n * sum of squares - sum^2 = n (n-1) s^2, exact and never negative.
+  const auto n = static_cast<__int128>(n_);
+  const __int128 num = n * sum_sq_ - static_cast<__int128>(sum_) * sum_;
+  return static_cast<double>(num) /
+         (static_cast<double>(n_) * static_cast<double>(n_ - 1) * 1e12);
+}
+
+void DurationStats::merge(const DurationStats& o) {
+  n_ += o.n_;
+  sum_ += o.sum_;
+  sum_sq_ += o.sum_sq_;
+  min_ = std::min(min_, o.min_);
+  max_ = std::max(max_, o.max_);
+}
+
 double percentile(std::vector<double> samples, double p) {
   if (samples.empty()) throw std::invalid_argument("percentile: empty input");
   if (!(p >= 0.0 && p <= 100.0)) {

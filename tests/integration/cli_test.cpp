@@ -160,6 +160,63 @@ TEST(CliTool, ValidateRejectsInvalidSpec) {
   EXPECT_EQ(rc, 1);
 }
 
+/// --validate on `doc`: its exit code, and what it printed to stderr.
+std::string validate_stderr(const std::string& doc, int* exit_code) {
+  const std::string in_path = scratch_path("build_spec.json");
+  const std::string err_path = scratch_path("build_err.txt");
+  write_file(in_path, doc);
+  const int rc = std::system((std::string(RTOFFLOAD_CLI_PATH) + " --validate " +
+                              in_path + " > /dev/null 2> " + err_path)
+                                 .c_str());
+  *exit_code = WEXITSTATUS(rc);
+  const std::string err = read_file(err_path);
+  std::remove(in_path.c_str());
+  std::remove(err_path.c_str());
+  return err;
+}
+
+TEST(CliTool, ValidateBuildsTheDocument) {
+  // Both documents parse and normalize; only building them against the
+  // generated three-task set finds the arity error, as --spec does.
+  struct Case {
+    const char* name;
+    const char* doc;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"routing map shorter than the task set",
+       R"({"workload": {"type": "random", "num_tasks": 3},
+           "server": {"type": "routing",
+                      "routes": [{"type": "fixed", "response_ms": 5}],
+                      "route_of_stream": [0, 0]}})",
+       "$.server: routing: route_of_stream maps 2 streams but the task set has 3 "
+       "tasks"},
+      {"explicit controller of the wrong arity",
+       R"({"workload": {"type": "random", "num_tasks": 3},
+           "server": {"type": "fixed", "response_ms": 5},
+           "controller": {"type": "explicit",
+                          "decisions": [{"level": 0}]}})",
+       "$.controller: explicit controller: decisions arity (1) does not match "
+       "the task set (3)"},
+      {"one bad grid point of a sweep",
+       R"({"workload": {"type": "random", "num_tasks": 2},
+           "server": {"type": "routing",
+                      "routes": [{"type": "fixed", "response_ms": 5}],
+                      "route_of_stream": [0, 0]},
+           "sweep": {"axes": [{"path": "workload.num_tasks", "values": [2, 3]}]}})",
+       "route_of_stream maps 2 streams but the task set has 3 tasks (grid point "
+       "1)"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    int rc = 0;
+    const std::string err = validate_stderr(c.doc, &rc);
+    EXPECT_EQ(rc, 1);
+    EXPECT_NE(err.find(c.error), std::string::npos) << err;
+    EXPECT_EQ(err.find("ok:"), std::string::npos) << err;
+  }
+}
+
 TEST(CliTool, SpecRunMatchesLegacyTaskSetRun) {
   int rc = 0;
   const std::string sample =

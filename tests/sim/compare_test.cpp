@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,9 +16,9 @@
 namespace rt::sim {
 namespace {
 
-RunningStats stats_of(const std::vector<double>& xs) {
-  RunningStats s;
-  for (const double x : xs) s.add(x);
+DurationStats stats_of(const std::vector<std::int64_t>& ns) {
+  DurationStats s;
+  for (const std::int64_t x : ns) s.add(Duration(x));
   return s;
 }
 
@@ -35,7 +36,8 @@ SimMetrics sample_metrics() {
     t.compensations = 9 + i;
     t.late_results = 3 + i;
     t.accrued_benefit = 17.25 + static_cast<double>(i);
-    t.observed_response_ms = stats_of({1.5, 2.0 + static_cast<double>(i)});
+    t.observed_response_ms =
+        stats_of({1'500'000, 2'000'000 + static_cast<std::int64_t>(i)});
   }
   m.cpu_busy_ns = 123'456'789;
   m.context_switches = 321;
@@ -82,20 +84,19 @@ TEST(MetricsEqual, EveryTaskCounterAndTheBenefitAreCompared) {
 }
 
 TEST(MetricsEqual, EveryResponseStatisticIsCompared) {
-  // Each pair agrees on every statistic compared before the named one, so
-  // the comparison must reach it: the sum is a plain running total and the
-  // mean a running Welford update, and they round differently.
+  // Each pair agrees on every stored integer compared before the named
+  // one, so the comparison must reach it. The mean and the variance are
+  // functions of count, sum and sum of squares, so they need no witness.
   struct Witness {
     std::string field;
-    std::vector<double> a, b;
+    std::vector<std::int64_t> a, b;
   };
   const std::vector<Witness> witnesses = {
-      {"count()", {1.0}, {1.0, 1.0}},
-      {"sum()", {1.0, 2.0}, {1.0, 3.0}},
-      {"mean()", {0.1, 0.2, 0.3, 0.7, 1.1}, {0.1, 1.1, 0.2, 0.3, 0.7}},
-      {"variance()", {0.0, 2.0, 2.0, 4.0}, {0.0, 1.0, 3.0, 4.0}},
-      {"min()", {0.0, 3.0, 3.0}, {1.0, 1.0, 4.0}},
-      {"max()", {0.0, 1.0, 1.0, 4.0}, {0.0, 0.0, 3.0, 3.0}},
+      {"count()", {1}, {1, 1}},
+      {"sum_ns()", {1, 2}, {1, 3}},
+      {"sum_sq_ns2()", {0, 4}, {2, 2}},
+      {"min_ns()", {1, 5, 6}, {2, 3, 7}},
+      {"max_ns()", {0, 0, 3, 3}, {0, 1, 1, 4}},
   };
   for (const Witness& w : witnesses) {
     SimMetrics a = sample_metrics();
@@ -104,6 +105,18 @@ TEST(MetricsEqual, EveryResponseStatisticIsCompared) {
     b.per_task[2].observed_response_ms = stats_of(w.b);
     expect_named(metrics_equal(a, b), "task 2 observed_response_ms." + w.field + ":");
   }
+}
+
+TEST(MetricsEqual, SumOfSquaresPrintsInDecimal) {
+  // 2^82 and 2^81 ns^2: past 64 bits, with the same count and sum.
+  SimMetrics a = sample_metrics();
+  SimMetrics b = sample_metrics();
+  a.per_task[0].observed_response_ms = stats_of({0, std::int64_t{1} << 41});
+  b.per_task[0].observed_response_ms =
+      stats_of({std::int64_t{1} << 40, std::int64_t{1} << 40});
+  expect_named(metrics_equal(a, b),
+               "task 0 observed_response_ms.sum_sq_ns2(): "
+               "4835703278458516698824704 vs 2417851639229258349412352");
 }
 
 TEST(MetricsEqual, EveryRunFieldIsCompared) {

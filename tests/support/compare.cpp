@@ -21,7 +21,8 @@ class FirstDiff {
   void operator()(const char* field, const T& a, const T& b) {
     if (found() || same(a, b)) return;
     std::ostringstream msg;
-    msg << where_ << field << ": " << std::setprecision(17) << a << " vs " << b;
+    msg << where_ << field << ": " << std::setprecision(17) << text(a) << " vs "
+        << text(b);
     message_ = msg.str();
   }
 
@@ -31,6 +32,26 @@ class FirstDiff {
   }
 
  private:
+  /// What `out << v` prints; iostreams have no __int128 output.
+  template <class T>
+  static auto text(const T& v) {
+    if constexpr (std::is_same_v<T, __int128>) {
+      const bool negative = v < 0;
+      // Digits of |v| from the least significant, as an unsigned value so
+      // the most negative __int128 has one too.
+      auto rest = negative ? -static_cast<unsigned __int128>(v)
+                           : static_cast<unsigned __int128>(v);
+      std::string digits;
+      do {
+        digits.insert(digits.begin(), static_cast<char>('0' + rest % 10));
+        rest /= 10;
+      } while (rest != 0);
+      return negative ? "-" + digits : digits;
+    } else {
+      return v;
+    }
+  }
+
   template <class T>
   static bool same(const T& a, const T& b) {
     if constexpr (std::is_same_v<T, double>) {
@@ -68,11 +89,10 @@ namespace sim {
     RT_COMPARE(d, x, y, late_results);
     RT_COMPARE(d, x, y, accrued_benefit);
     RT_COMPARE(d, x, y, observed_response_ms.count());
-    RT_COMPARE(d, x, y, observed_response_ms.sum());
-    RT_COMPARE(d, x, y, observed_response_ms.mean());
-    RT_COMPARE(d, x, y, observed_response_ms.variance());
-    RT_COMPARE(d, x, y, observed_response_ms.min());
-    RT_COMPARE(d, x, y, observed_response_ms.max());
+    RT_COMPARE(d, x, y, observed_response_ms.sum_ns());
+    RT_COMPARE(d, x, y, observed_response_ms.sum_sq_ns2());
+    RT_COMPARE(d, x, y, observed_response_ms.min_ns());
+    RT_COMPARE(d, x, y, observed_response_ms.max_ns());
   }
   d.at("");
   RT_COMPARE(d, a, b, cpu_busy_ns);

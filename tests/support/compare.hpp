@@ -16,19 +16,22 @@
 
 namespace rt::sim {
 
-// Layout guards. A field added to either struct, or to RunningStats,
+// Layout guards. A field added to either struct, or to DurationStats,
 // changes its size (LP64 layout); the structured bindings also catch a
 // field that would fit in padding. Update metrics_equal() and
-// golden_test.cpp's fingerprint() together with these.
-static_assert(sizeof(TaskMetrics) == 120, "update metrics_equal() and fingerprint()");
+// golden_test.cpp's fingerprint() together with these. TaskMetrics is
+// 72 bytes of counters and benefit, 8 of padding to DurationStats's
+// 16-byte (__int128) alignment, and its 48.
+static_assert(sizeof(TaskMetrics) == 128, "update metrics_equal() and fingerprint()");
 static_assert(sizeof(SimMetrics) == 72, "update metrics_equal() and fingerprint()");
 inline void metrics_field_count_guard(const TaskMetrics& t, const SimMetrics& m) {
   [[maybe_unused]] const auto& [t0, t1, t2, t3, t4, t5, t6, t7, t8, t9] = t;
   [[maybe_unused]] const auto& [m0, m1, m2, m3, m4, m5, m6] = m;
 }
 
-/// Every per-task counter, accrued_benefit, observed_response_ms's count,
-/// sum, mean, variance(), min and max, then cpu_busy_ns,
+/// Every per-task counter, accrued_benefit, observed_response_ms's stored
+/// integers (count, sum, sum of squares, min and max: its mean and
+/// variance are functions of them), then cpu_busy_ns,
 /// context_switches, trace_truncated, mode_changes, time_in_degraded_ns
 /// and end_time.
 ::testing::AssertionResult metrics_equal(const SimMetrics& a, const SimMetrics& b);

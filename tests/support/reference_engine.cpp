@@ -300,7 +300,7 @@ class Engine {
       req.stream_id = sj->task;
       const Duration response = server_.sample(req, rng_);
       if (response != server::kNoResponse) {
-        tm.observed_response_ms.add(response.ms());
+        tm.observed_response_ms.add(response);
         if (response <= decision.response_time) {
           push_event(now_ + response, EventKind::kOffloadArrival, token);
         } else {

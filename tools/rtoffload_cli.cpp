@@ -7,7 +7,7 @@
 //   rtoffload_cli <taskset.json> ...    analyze + simulate each file
 //   rtoffload_cli --jobs N f1 f2 ...    process the files on N workers
 //   rtoffload_cli --spec spec.json      run a declarative scenario document
-//   rtoffload_cli --validate spec.json  check a document, print it normalized
+//   rtoffload_cli --validate spec.json  check and build a document, print it normalized
 //   rtoffload_cli --list-types          list registered component types
 //   rtoffload_cli --run-real --spec d   run a document on the real runtime
 //   rtoffload_cli --sample              print a sample task-set file
@@ -45,6 +45,8 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/odm.hpp"
@@ -477,14 +479,25 @@ int run_real_spec(const std::string& path, const std::string& server_addr,
   return metrics.total_deadline_misses() == 0 ? 0 : 2;
 }
 
-// Parse + validate + normalize a spec document; the normalized document
-// goes to stdout (valid input for --spec), diagnostics to stderr.
+// Parse + validate + normalize + build a spec document; the normalized
+// document goes to stdout (valid input for --spec), diagnostics to stderr.
 int validate_spec(const std::string& path) {
   using namespace rt;
   try {
     const spec::ScenarioDoc doc = spec::ScenarioDoc::parse_text(slurp(path));
-    // Expanding validates every grid point and each axis path.
+    // Expanding validates every grid point and each axis path; building
+    // each point runs the builders' checks against its generated task set
+    // (a routing map's or a controller's arity), as --spec would.
     const std::vector<spec::ScenarioDoc> grid = spec::expand_grid(doc);
+    for (std::size_t g = 0; g < grid.size(); ++g) {
+      try {
+        (void)spec::build_scenario(grid[g]);
+      } catch (const std::exception& e) {
+        if (grid.size() == 1) throw;
+        throw std::runtime_error(std::string(e.what()) + " (grid point " +
+                                 std::to_string(g) + ")");
+      }
+    }
     std::cout << doc.to_json().dump(2) << "\n";
     std::cerr << "ok: " << path << " (" << grid.size()
               << (grid.size() == 1 ? " scenario)" : " scenarios)") << "\n";
@@ -567,8 +580,9 @@ int main(int argc, char** argv) {
                      "grid prints one summary row per cell\n(--jobs "
                      "overrides the document's worker count). The paper's "
                      "Figure 3 sweep is\n--spec examples/specs/fig3.json.\n"
-                     "--validate parses and checks a document, prints it "
-                     "normalized with every default\nmaterialized, and exits "
+                     "--validate parses, checks and builds a document (every "
+                     "grid point), prints it\nnormalized with every default "
+                     "materialized, and exits "
                      "1 with a JSON-path-qualified message on any error.\n"
                      "--list-types lists the registered component types per "
                      "registry.\n--metrics-out writes a telemetry snapshot "
