@@ -84,9 +84,9 @@ OdmResult decide_offloading(const TaskSet& tasks, const OdmConfig& config) {
           : nullptr);
   OdmInstance odm = build_odm_instance(tasks, config);
 
-  res.raw_selection = mckp::solve(odm.instance, config.solver,
-                                  config.profit_scale, nullptr, config.sink);
-  res.lp_bound = mckp::lp_upper_bound(odm.instance);
+  res.raw_selection =
+      mckp::solve(odm.instance, config.solver, config.profit_scale, nullptr,
+                  config.sink, &res.lp_bound);
 
   res.decisions.reserve(tasks.size());
   if (res.raw_selection.feasible) {
@@ -104,8 +104,9 @@ OdmResult decide_offloading(const TaskSet& tasks, const OdmConfig& config) {
     }
     // Defense in depth: the solver is trusted for optimality, never for
     // timing safety. Re-verify with Theorem 3; degrade to all-local on any
-    // discrepancy.
-    if (!theorem3_feasible(tasks, res.decisions)) {
+    // discrepancy. A pass is the verdict on the returned decisions.
+    res.feasible = theorem3_feasible(tasks, res.decisions);
+    if (!res.feasible) {
       res.decisions.clear();
       res.claimed_objective = 0.0;
     }
@@ -117,9 +118,9 @@ OdmResult decide_offloading(const TaskSet& tasks, const OdmConfig& config) {
       res.decisions.push_back(Decision::local(claimed));
       res.claimed_objective += claimed;
     }
+    res.feasible = theorem3_feasible(tasks, res.decisions);
   }
 
-  res.feasible = theorem3_feasible(tasks, res.decisions);
   res.density = total_density(tasks, res.decisions).to_double();
   if (config.sink != nullptr) {
     auto& reg = config.sink->registry();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "obs/sink.hpp"
@@ -307,15 +308,22 @@ LpBound lp_bound(const Instance& inst, const GreedyState& st) {
 
 }  // namespace
 
-Selection solve_greedy_heu_oe(const Instance& inst) {
+Selection solve_greedy_heu_oe(const Instance& inst, double* lp_bound_out) {
   inst.validate();
   if (inst.classes.empty()) {
+    if (lp_bound_out != nullptr) *lp_bound_out = 0.0;
     Selection empty;
     empty.feasible = true;
     return empty;
   }
   const GreedyState st = prepare_greedy(inst);
-  if (!st.base.feasible) return st.base;  // even the cheapest picks overflow
+  if (!st.base.feasible) {  // even the cheapest picks overflow
+    if (lp_bound_out != nullptr) {
+      *lp_bound_out = -std::numeric_limits<double>::infinity();
+    }
+    return st.base;
+  }
+  if (lp_bound_out != nullptr) *lp_bound_out = lp_bound(inst, st).value;
   return greedy_heu_oe(inst, st);
 }
 
@@ -328,7 +336,8 @@ double lp_upper_bound(const Instance& inst) {
 }
 
 Selection solve_dp_profits(const Instance& inst, double profit_scale,
-                           DpWorkspace* ws, obs::Sink* sink) {
+                           DpWorkspace* ws, obs::Sink* sink,
+                           double* lp_bound_out) {
   inst.validate();
   if (!(profit_scale > 0.0)) {
     throw std::invalid_argument("solve_dp_profits: profit_scale must be > 0");
@@ -337,6 +346,7 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
       sink != nullptr ? &sink->registry().histogram("mckp.solve_ns") : nullptr);
   const std::size_t m = inst.classes.size();
   if (m == 0) {
+    if (lp_bound_out != nullptr) *lp_bound_out = 0.0;
     Selection empty;
     empty.feasible = true;
     return empty;
@@ -363,6 +373,7 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
   w.hi.resize(m);
   std::int64_t total_q = 0;
   std::int64_t min_weight_sum = 0;
+  std::int64_t g = 0;  // gcd of the kept scaled profits
   for (std::size_t c = 0; c < m; ++c) {
     reduced.push_back(reduce_class(inst.classes[c]));
     std::int64_t qmin = std::numeric_limits<std::int64_t>::max();
@@ -375,6 +386,7 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
       w.item_of.push_back(idx);
       qmin = std::min(qmin, v);
       qmax = std::max(qmax, v);
+      g = std::gcd(g, v);
     }
     w.class_begin.push_back(w.q.size());
     w.lo[c] = qmin;
@@ -396,7 +408,12 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
     reg.histogram("mckp.items_pruned")
         .add(static_cast<std::int64_t>(items_total - w.q.size()));
   }
-  if (min_weight_sum > inst.capacity) return min_weight_selection(inst);
+  if (min_weight_sum > inst.capacity) {
+    if (lp_bound_out != nullptr) {
+      *lp_bound_out = -std::numeric_limits<double>::infinity();
+    }
+    return min_weight_selection(inst);
+  }
 
   // Truncate the profit axis with the LP relaxation (Dantzig) bound: a
   // feasible selection's true profit is <= ub, so its scaled profit is
@@ -406,6 +423,7 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
   const GreedyState st = prepare_greedy(inst, std::move(reduced));
   std::int64_t axis = total_q;
   const LpBound lp = lp_bound(inst, st);
+  if (lp_bound_out != nullptr) *lp_bound_out = lp.value;
   // min_weight_sum fits, so the bound is finite; guard anyway against
   // pathological scales before the double -> int64 conversion.
   const double scaled_ub =
@@ -470,19 +488,39 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
     t_sum += magnitude;
   }
 
+  // The profit lattice. Every sum of kept scaled profits is a multiple of
+  // g, so the DP runs on p = g * j and never visits the cells between
+  // (Fig. 3's ladders step by 0.1 at scale 1000: g = 100). From here on
+  // q, lo, hi, total_q and lb count lattice steps; lb is a sum of kept
+  // profits, so it divides exactly, and the cap rounds down to the last
+  // multiple of g it admits. The dead test below still reads the
+  // unscaled profit g * j from the same doubles (for g = 1, the same
+  // expression as on the unscaled axis).
+  if (g == 0) g = 1;  // every kept profit is 0
+  if (g > 1) {
+    for (std::int64_t& v : w.q) v /= g;
+    for (std::size_t c = 0; c < m; ++c) {
+      w.lo[c] /= g;
+      w.hi[c] /= g;
+    }
+  }
+  const std::int64_t lattice_total = total_q / g;
+  const std::int64_t lattice_axis = axis / g;
+  const std::int64_t lattice_lb = lb / g;
+
   // Rows are built as the DP goes. Row c's targets are the previous row's
   // live range shifted by the class's [qmin, qmax] (lo/hi hold them until
-  // row c overwrites them), cut to [lb - sum_{c'>c} qmax, axis]. After the
-  // row is computed its dead ends are trimmed, so lo[c]/hi[c] end as the
-  // row's first/last live profit and choice[row_off[c] + (p - lo[c])]
-  // holds the flat kept-item index picked in class c on the min-weight
-  // path to p (-1 = unreachable). Dead cells inside the row are skipped
-  // where the next row reads them, beside the unreachable ones: most
-  // cells of a coarse-ladder row (Fig. 3) are unreachable, and a separate
-  // pass over them would cost more than the cut saves. Cells on a
-  // min-weight path to the answer are never dead, so they get the same
-  // weight and first-wins choice as in the full table; any other cell can
-  // only come out heavier (docs/ANALYSIS.md §7).
+  // row c overwrites them), cut to [lb - sum_{c'>c} qmax, axis]. Each
+  // row's min weights go to one reused scratch row; its dead ends are
+  // then trimmed, so lo[c]/hi[c] end as the row's first/last live cell,
+  // and only that live range is appended to the flat table `dp` at
+  // row_off[c]. No choice is stored: the reconstruction finds it again
+  // (below). Dead cells inside a row keep their weight; they are skipped
+  // where the next row reads them, beside the unreachable ones, and the
+  // reconstruction skips them by the same test. Cells on a min-weight
+  // path to the answer are never dead, so they get the same weight as in
+  // the full table; any other cell can only come out heavier
+  // (docs/ANALYSIS.md §7).
   //
   // Inner loop: both dp[i] and wt[k] are below kInfWeight (validate()), so
   // their sum cannot overflow, and a sum >= kInfWeight never beats a
@@ -491,17 +529,20 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
   const std::int64_t* const wt = w.wt.data();
   const std::int64_t capacity = inst.capacity;
   const auto need = static_cast<double>(lb);
-  // Whether reachable cell j of row c, of min weight `weight`, is dead;
-  // `reach` is the row's first profit plus reach[c].
-  const auto dead = [capacity, slope, need](double reach, std::size_t j,
-                                            std::int64_t weight) {
+  // Whether reachable cell j of a row, of min weight `weight`, is dead;
+  // `reach` is row_reach of the row's first cell.
+  const auto dead = [capacity, slope, need, g](double reach, std::size_t j,
+                                               std::int64_t weight) {
     return weight > capacity ||
-           reach + static_cast<double>(j) +
+           reach + static_cast<double>(g * static_cast<std::int64_t>(j)) +
                    slope * static_cast<double>(capacity - weight) <
                need;
   };
+  // The `reach` of a row of class c whose first cell is `first`.
+  const auto row_reach = [&w, g](std::size_t c, std::int64_t first) {
+    return static_cast<double>(g * first) + w.reach[c];
+  };
   w.row_off.resize(m);
-  w.choice.clear();
   w.dp.assign(1, 0);  // before class 0: the single cell p = 0, weight 0
   std::size_t dp_at = 0;
   std::int64_t prev_lo = 0;
@@ -512,9 +553,9 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
   bool answered = true;
   for (std::size_t c = 0; c < m; ++c) {
     prefix_qmax += w.hi[c];
-    const std::int64_t lo =
-        std::max(prev_lo + w.lo[c], lb - (total_q - prefix_qmax));
-    const std::int64_t hi = std::min(prev_hi + w.hi[c], axis);
+    const std::int64_t lo = std::max(prev_lo + w.lo[c],
+                                     lattice_lb - (lattice_total - prefix_qmax));
+    const std::int64_t hi = std::min(prev_hi + w.hi[c], lattice_axis);
     if (lo > hi) {
       answered = false;
       break;
@@ -522,32 +563,31 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
     const auto width = static_cast<std::size_t>(hi - lo + 1);
     cells += hi - lo + 1;
     w.next.assign(width, kInfWeight);
-    const std::size_t row_begin = w.choice.size();
-    w.choice.resize(row_begin + width, -1);
 
     const std::size_t k_begin = w.class_begin[c];
     const std::size_t k_end = w.class_begin[c + 1];
     const std::size_t prev_width = static_cast<std::size_t>(prev_hi - prev_lo) + 1;
     const std::int64_t* const dp = w.dp.data() + dp_at;
     std::int64_t* const next = w.next.data();
-    std::int32_t* const row = w.choice.data() + row_begin;
+    // q is non-decreasing within a class (undominated items ascend in
+    // profit), so the items that land source p in [lo, hi] are the run
+    // [kf, ke) with lo - p <= q[k] <= hi - p; both ends only move down as
+    // p grows.
+    std::size_t kf = k_end;
+    std::size_t ke = k_end;
     for (std::size_t i = 0; i < prev_width; ++i) {
       const std::int64_t base = dp[i];
       if (base >= kInfWeight || dead(prev_reach, i, base)) continue;
       const std::int64_t p = prev_lo + static_cast<std::int64_t>(i);
-      for (std::size_t k = k_begin; k < k_end; ++k) {
-        const std::int64_t tgt = p + q[k];
-        if (tgt < lo || tgt > hi) continue;
-        const auto j = static_cast<std::size_t>(tgt - lo);
-        const std::int64_t weight = base + wt[k];
-        if (weight < next[j]) {
-          next[j] = weight;
-          row[j] = static_cast<std::int32_t>(k);
-        }
+      while (ke > k_begin && q[ke - 1] > hi - p) --ke;
+      while (kf > k_begin && q[kf - 1] >= lo - p) --kf;
+      for (std::size_t k = kf; k < ke; ++k) {
+        const auto j = static_cast<std::size_t>(p + q[k] - lo);
+        next[j] = std::min(next[j], base + wt[k]);
       }
     }
 
-    const double reach = static_cast<double>(lo) + w.reach[c];
+    const double reach = row_reach(c, lo);
     const auto live = [&](std::size_t j) {
       return next[j] < kInfWeight && !dead(reach, j, next[j]);
     };
@@ -561,43 +601,75 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
     while (!live(last)) --last;
     w.lo[c] = lo + static_cast<std::int64_t>(first);
     w.hi[c] = lo + static_cast<std::int64_t>(last);
-    w.row_off[c] = row_begin + first;
-    w.choice.resize(row_begin + last + 1);
-    w.dp.swap(w.next);
-    dp_at = first;
+    dp_at = w.dp.size();
+    w.row_off[c] = dp_at;
+    w.dp.insert(w.dp.end(), next + first, next + last + 1);
     prev_lo = w.lo[c];
     prev_hi = w.hi[c];
-    prev_reach = static_cast<double>(prev_lo) + w.reach[c];
+    prev_reach = row_reach(c, prev_lo);
   }
   if (sink != nullptr) sink->registry().histogram("mckp.dp_cells").add(cells);
   if (!answered) return min_weight_selection(inst);
 
   // The last row's last live cell is the largest scaled profit that fits
-  // (heavier cells are dead): the answer.
+  // (heavier cells are dead): the answer. Walking back, cell t of row c
+  // came from cell t - q[k] of the row before, and the forward pass kept
+  // the first candidate to reach its min weight, visiting sources in
+  // ascending profit, then items in order. For a fixed t a lower source
+  // means a higher q[k], so that candidate is the item of highest q[k],
+  // then lowest index, whose source is live and not dead and whose
+  // source weight plus wt[k] is the cell's min weight. Dead sources are
+  // told apart by the very test the forward pass skipped them with, so
+  // this is the forward pass's choice by construction. (With the cut
+  // sound none could match here anyway: a dead source that matched
+  // would complete, through the path already rebuilt, to the answer.)
+  const auto source_weight = [&](std::size_t c, std::int64_t s) {
+    if (c == 0) return s == 0 ? std::int64_t{0} : kInfWeight;
+    if (s < w.lo[c - 1] || s > w.hi[c - 1]) return kInfWeight;
+    const auto i = static_cast<std::size_t>(s - w.lo[c - 1]);
+    const std::int64_t weight = w.dp[w.row_off[c - 1] + i];
+    if (weight >= kInfWeight ||
+        dead(row_reach(c - 1, w.lo[c - 1]), i, weight)) {
+      return kInfWeight;
+    }
+    return weight;
+  };
   std::vector<int> pick(m, -1);
-  std::int64_t p = w.hi[m - 1];
+  std::int64_t t = w.hi[m - 1];
   for (std::size_t c = m; c-- > 0;) {
-    const std::int32_t k =
-        p < w.lo[c] || p > w.hi[c]
-            ? -1
-            : w.choice[w.row_off[c] + static_cast<std::size_t>(p - w.lo[c])];
-    if (k < 0) throw std::logic_error("solve_dp_profits: broken DP path");
-    pick[c] = w.item_of[static_cast<std::size_t>(k)];
-    p -= w.q[static_cast<std::size_t>(k)];
+    const std::int64_t target =
+        w.dp[w.row_off[c] + static_cast<std::size_t>(t - w.lo[c])];
+    std::size_t best = w.class_begin[c + 1];
+    for (std::size_t k = w.class_begin[c]; k < w.class_begin[c + 1]; ++k) {
+      const std::int64_t from = source_weight(c, t - q[k]);
+      if (from < kInfWeight && from + wt[k] == target &&
+          (best == w.class_begin[c + 1] || q[k] > q[best])) {
+        best = k;
+      }
+    }
+    if (best == w.class_begin[c + 1]) {
+      throw std::logic_error("solve_dp_profits: broken DP path");
+    }
+    pick[c] = w.item_of[best];
+    t -= q[best];
   }
   return evaluate(inst, std::move(pick));
 }
 
 Selection solve(const Instance& inst, SolverKind kind, double profit_scale,
-                DpWorkspace* ws, obs::Sink* sink) {
+                DpWorkspace* ws, obs::Sink* sink, double* lp_bound_out) {
+  Selection sel;
   switch (kind) {
     case SolverKind::kDpProfits:
-      return solve_dp_profits(inst, profit_scale, ws, sink);
-    case SolverKind::kDpWeights: return solve_dp_weights(inst);
-    case SolverKind::kHeuOe: return solve_greedy_heu_oe(inst);
-    case SolverKind::kBruteForce: return solve_brute_force(inst);
+      return solve_dp_profits(inst, profit_scale, ws, sink, lp_bound_out);
+    case SolverKind::kHeuOe: return solve_greedy_heu_oe(inst, lp_bound_out);
+    case SolverKind::kDpWeights: sel = solve_dp_weights(inst); break;
+    case SolverKind::kBruteForce: sel = solve_brute_force(inst); break;
+    default: throw std::invalid_argument("solve: unknown solver kind");
   }
-  throw std::invalid_argument("solve: unknown solver kind");
+  // These two build no greedy state to take the bound from.
+  if (lp_bound_out != nullptr) *lp_bound_out = lp_upper_bound(inst);
+  return sel;
 }
 
 }  // namespace rt::mckp

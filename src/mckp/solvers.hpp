@@ -34,29 +34,30 @@ const char* to_string(SolverKind kind);
 /// defaults below both reference this constant so they cannot drift.
 inline constexpr double kDefaultProfitScale = 1000.0;
 
-/// Reusable scratch space for solve_dp_profits. The profit DP keeps, per
-/// class c, only the live cells of its row -- those that can still lead to
-/// an answer (see solve_dp_profits) -- and builds the rows as it goes: two
-/// weight rows as wide as the widest computed row plus one reconstruction
-/// row per class, appended back to back to `choice` (row c starts at
-/// row_off[c], cell p at row_off[c] + (p - lo[c])). At paper scale that is
-/// still up to megabytes, so the online ODM path (admission control, mode
-/// changes) reuses one workspace across calls instead of reallocating. A
-/// workspace serves one thread at a time; passing nullptr uses a
-/// per-thread (thread_local) workspace, which makes the plain call both
-/// allocation-free after warm-up and thread-safe. Contents are opaque
-/// scratch: valid only during a solve.
+/// Reusable scratch space for solve_dp_profits. The profit DP runs on the
+/// lattice of multiples of g, the gcd of the kept scaled profits, and keeps,
+/// per class c, only the live cells of its row -- those that can still
+/// lead to an answer (see solve_dp_profits). It builds the rows as it goes:
+/// each row's min weights go to one scratch row, and its live range is
+/// appended to one flat table (row c starts at row_off[c], lattice cell j
+/// at row_off[c] + (j - lo[c])). No choice is stored; the pick is rebuilt
+/// from the weights. At paper scale the table is still up to megabytes, so
+/// the online ODM path (admission control, mode changes) reuses one
+/// workspace across calls instead of reallocating. A workspace serves one
+/// thread at a time; passing nullptr uses a per-thread (thread_local)
+/// workspace, which makes the plain call both allocation-free after
+/// warm-up and thread-safe. Contents are opaque scratch: valid only during
+/// a solve.
 struct DpWorkspace {
-  std::vector<std::int64_t> dp;      ///< min weight per row cell, class c-1
-  std::vector<std::int64_t> next;    ///< the same for class c (double buffer)
-  std::vector<std::int32_t> choice;  ///< reconstruction rows, live ranges only
-  std::vector<std::int64_t> q;       ///< scaled profits of kept items, flat
+  std::vector<std::int64_t> dp;      ///< min weights, live ranges of every row
+  std::vector<std::int64_t> next;    ///< scratch: the row being computed
+  std::vector<std::int64_t> q;       ///< lattice profits of kept items, flat
   std::vector<std::int64_t> wt;      ///< weights of kept items, flat
   std::vector<std::int32_t> item_of; ///< original item index per kept item
   std::vector<std::size_t> class_begin;  ///< m+1 offsets into q/wt/item_of
-  std::vector<std::int64_t> lo;      ///< first live scaled profit per class
-  std::vector<std::int64_t> hi;      ///< last live scaled profit per class
-  std::vector<std::size_t> row_off;  ///< m offsets of the rows in choice
+  std::vector<std::int64_t> lo;      ///< first live lattice cell per class
+  std::vector<std::int64_t> hi;      ///< last live lattice cell per class
+  std::vector<std::size_t> row_off;  ///< m offsets of the rows in dp
   std::vector<double> reach;         ///< capacity cut: bound on classes > c
 };
 
@@ -72,31 +73,39 @@ Selection solve_brute_force(const Instance& inst);
 /// returns the largest profit whose minimal weight fits the capacity.
 /// The result is optimal with respect to the discretized profits (exact when
 /// all profit*profit_scale are integral). Weights stay exact int64
-/// throughout. Memory/time: O(num_classes * total_scaled_profit).
+/// throughout. Memory/time: O(num_classes * total_scaled_profit / g), g
+/// the gcd of the kept scaled profits.
 ///
 /// Returns feasible=false iff even the minimal-weight selection exceeds the
 /// capacity (no valid assignment of one item per class fits).
 ///
 /// Fast paths (transparent to the result, `pick` included): plain-dominance
 /// reduction shrinks every class to its undominated items before the DP
-/// (safe for exact solvers, unlike the hull); the profit axis is truncated
-/// at the LP relaxation upper bound plus rounding slack; and each row keeps
-/// only its live cells. A cell is dropped when no completion of it can
-/// fit and reach the HEU-OE answer: by profit alone (the most the
-/// remaining classes can add) and by capacity (a Lagrangian bound at the
-/// LP's multiplier over the capacity the cell leaves). Rows are built as
-/// the DP runs, each from the previous row's live range. `ws` supplies
-/// reusable buffers; nullptr selects a thread_local workspace.
+/// (safe for exact solvers, unlike the hull); the profit axis is the
+/// lattice of multiples of g, the gcd of the kept scaled profits (every
+/// sum of them is one), truncated at the LP relaxation upper bound plus
+/// rounding slack; and each row keeps only its live cells. A cell is
+/// dropped when no completion of it can fit and reach the HEU-OE answer:
+/// by profit alone (the most the remaining classes can add) and by
+/// capacity (a Lagrangian bound at the LP's multiplier over the capacity
+/// the cell leaves). Rows are built as the DP runs, each from the previous
+/// row's live range, and store min weights only: the pick is rebuilt
+/// backward, taking in each class the candidate the forward pass would
+/// have kept first. `ws` supplies reusable buffers; nullptr selects a
+/// thread_local workspace.
 ///
 /// A non-null `sink` records per-solve telemetry (docs/ANALYSIS.md §8):
 /// mckp.solves / items_total / items_kept counters, the items-pruned and
-/// dp-cells (cells computed, before dead cells are dropped) histograms,
-/// and a solve wall-time histogram. The decision is a pure function of
-/// (inst, profit_scale) either way; telemetry never alters the result.
+/// dp-cells (lattice cells computed, before dead cells are dropped)
+/// histograms, and a solve wall-time histogram. The decision is a pure
+/// function of (inst, profit_scale) either way; telemetry never alters the
+/// result. A non-null `lp_bound` receives lp_upper_bound(inst), bit for
+/// bit, from the state the solve builds anyway.
 Selection solve_dp_profits(const Instance& inst,
                            double profit_scale = kDefaultProfitScale,
                            DpWorkspace* ws = nullptr,
-                           obs::Sink* sink = nullptr);
+                           obs::Sink* sink = nullptr,
+                           double* lp_bound = nullptr);
 
 /// DP over a discretized capacity axis with `grid` cells. Item weights are
 /// rounded UP to the grid, so any selection reported feasible is truly
@@ -109,7 +118,8 @@ Selection solve_dp_weights(const Instance& inst, std::size_t grid = 10000);
 /// then apply convex-hull upgrade steps in order of decreasing incremental
 /// efficiency while they fit; finish with a residual pass that applies any
 /// remaining single-class upgrade (not only hull steps) that still fits.
-Selection solve_greedy_heu_oe(const Instance& inst);
+/// A non-null `lp_bound` receives lp_upper_bound(inst), bit for bit.
+Selection solve_greedy_heu_oe(const Instance& inst, double* lp_bound = nullptr);
 
 /// Upper bound from the LP relaxation (Dantzig-style on the hulls): greedy
 /// ascent value plus the fractional part of the first non-fitting hull step.
@@ -117,9 +127,12 @@ Selection solve_greedy_heu_oe(const Instance& inst);
 double lp_upper_bound(const Instance& inst);
 
 /// Dispatch helper. `ws` and `sink` are forwarded to solve_dp_profits for
-/// kDpProfits (other solvers ignore them).
+/// kDpProfits (other solvers ignore them). A non-null `lp_bound` receives
+/// lp_upper_bound(inst), bit for bit: the profit DP and HEU-OE take it from
+/// the greedy state they build, the other solvers compute it.
 Selection solve(const Instance& inst, SolverKind kind,
                 double profit_scale = kDefaultProfitScale,
-                DpWorkspace* ws = nullptr, obs::Sink* sink = nullptr);
+                DpWorkspace* ws = nullptr, obs::Sink* sink = nullptr,
+                double* lp_bound = nullptr);
 
 }  // namespace rt::mckp

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/workload.hpp"
 #include "util/rng.hpp"
 
@@ -126,6 +128,45 @@ TEST(DecideOffloading, OverloadedSetDegradesToAllLocalVerdict) {
   const OdmResult res = decide_offloading(tasks);
   EXPECT_FALSE(res.feasible);
   for (const auto& d : res.decisions) EXPECT_FALSE(d.offloaded());
+}
+
+TEST(DecideOffloading, LpBoundIsTheInstanceBoundForEverySolver) {
+  // decide_offloading takes the bound from the solve instead of computing
+  // it again; it must stay lp_upper_bound's value, bit for bit, and -inf
+  // when even the cheapest picks overflow.
+  Rng rng(8);
+  RandomTasksetConfig small;
+  small.num_tasks = 5;
+  small.benefit_points = 4;
+  const TaskSet overloaded{
+      vision_task("a", 10_ms, 8_ms, 1_ms, {{0_ms, 1.0}, {2_ms, 3.0}}),
+      vision_task("b", 10_ms, 8_ms, 1_ms, {{0_ms, 1.0}}),
+  };
+  const std::vector<TaskSet> sets{two_task_set(), make_random_taskset(rng, small),
+                                  make_paper_simulation_taskset(rng), overloaded};
+  for (const auto kind :
+       {mckp::SolverKind::kDpProfits, mckp::SolverKind::kDpWeights,
+        mckp::SolverKind::kHeuOe, mckp::SolverKind::kBruteForce}) {
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      // Brute force enumerates every selection: small sets only.
+      if (kind == mckp::SolverKind::kBruteForce && sets[s].size() > 5) continue;
+      for (const double x : {0.0, 0.3}) {
+        OdmConfig cfg;
+        cfg.solver = kind;
+        cfg.estimation_error = x;
+        const OdmResult res = decide_offloading(sets[s], cfg);
+        const double expected =
+            mckp::lp_upper_bound(build_odm_instance(sets[s], cfg).instance);
+        EXPECT_EQ(res.lp_bound, expected)
+            << mckp::to_string(kind) << " set " << s << " x=" << x;
+      }
+    }
+    OdmConfig cfg;
+    cfg.solver = kind;
+    EXPECT_EQ(decide_offloading(overloaded, cfg).lp_bound,
+              -std::numeric_limits<double>::infinity())
+        << mckp::to_string(kind);
+  }
 }
 
 TEST(DecideOffloading, EmptyTaskSet) {

@@ -1,16 +1,19 @@
 // Differential test for the profit DP's live cells (solvers.cpp).
 //
 // solve_dp_profits computes, per class, only the cells that can still
-// reach the HEU-OE answer: by profit (the band under the LP cap) and by
-// capacity (a Lagrangian bound over the capacity a cell leaves). The
-// claim is that this changes nothing: every cell on a min-weight path to
-// the answer has the same minimum weight and the same first-wins choice
-// as in the full table. The reference below is the full m x (axis+1)
-// table, kept here (and only here) so the claim stays checked: pick,
-// weight, profit and feasible must be equal on ODM instances, paper task
-// sets at every Fig. 3 estimation error, bounded-response tasks, a
-// random shape, tie-heavy small-integer instances, capacities
-// swept across the binding range, huge weights and the edge cases.
+// reach the HEU-OE answer, on the lattice of multiples of the gcd g of
+// the kept scaled profits: by profit (the band under the LP cap) and by
+// capacity (a Lagrangian bound over the capacity a cell leaves). It
+// stores min weights only and rebuilds the pick backward. The claim is
+// that this changes nothing: every cell on a min-weight path to the
+// answer has the same minimum weight as in the full table, and the
+// rebuilt pick is the full table's first-wins choice. The reference below
+// is the full m x (axis+1) table with a choice per cell, kept here (and
+// only here) so the claim stays checked: pick, weight, profit and
+// feasible must be equal on ODM instances, paper task sets at every
+// Fig. 3 estimation error, bounded-response tasks, a random shape,
+// tie-heavy small-integer instances, lattices, capacities swept across
+// the binding range, huge weights and the edge cases.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <cmath>
 #include <fstream>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -60,9 +64,11 @@ Selection min_weight_selection(const Instance& inst) {
 struct Reference {
   Selection sel;
   std::int64_t table_cells = 0;  ///< (axis+1) * m; 0 on early returns
-  /// Cells of the profit-only band: per class, [max(sum_{<=c} qmin,
-  /// lb - sum_{>c} qmax), min(axis, sum_{<=c} qmax)], lb the HEU-OE
-  /// answer's scaled profit. The capacity cut must compute fewer.
+  /// Lattice cells of the profit-only band: per class, the multiples of
+  /// g in [max(sum_{<=c} qmin, lb - sum_{>c} qmax), min(axis,
+  /// sum_{<=c} qmax)], lb the HEU-OE answer's scaled profit and g the gcd
+  /// of the kept scaled profits (1 if all are 0). The capacity cut must
+  /// compute no more.
   std::int64_t band_cells = 0;
 };
 
@@ -76,12 +82,18 @@ Reference reference_dp_profits(const Instance& inst, double profit_scale) {
     out.sel.feasible = true;
     return out;
   }
-  rt::mckp::DpWorkspace w;
+  // The reference's own tables, independent of DpWorkspace's layout.
+  struct {
+    std::vector<std::int64_t> q;         ///< scaled profits of kept items
+    std::vector<std::int64_t> wt;        ///< weights of kept items
+    std::vector<std::int32_t> item_of;   ///< original index per kept item
+    std::vector<std::size_t> class_begin{0};
+    std::vector<std::int64_t> dp;        ///< min weight per profit, class c-1
+    std::vector<std::int64_t> next;      ///< the same for class c
+    std::vector<std::int32_t> choice;    ///< m x (axis+1) first-wins items
+  } w;
 
-  w.q.clear();
-  w.wt.clear();
-  w.item_of.clear();
-  w.class_begin.assign(1, 0);
+  std::int64_t g = 0;
   std::vector<std::int64_t> qmins;
   std::vector<std::int64_t> qmaxs;
   std::int64_t total_q = 0;
@@ -97,6 +109,7 @@ Reference reference_dp_profits(const Instance& inst, double profit_scale) {
       w.q.push_back(v);
       w.wt.push_back(item.weight);
       w.item_of.push_back(idx);
+      g = std::gcd(g, v);
       qmin = std::min(qmin, v);
       qmax = std::max(qmax, v);
     }
@@ -142,7 +155,9 @@ Reference reference_dp_profits(const Instance& inst, double profit_scale) {
     prefix_qmax += qmaxs[c];
     const std::int64_t lo = std::max(prefix_qmin, lb - (total_q - prefix_qmax));
     const std::int64_t hi = std::min(axis, prefix_qmax);
-    out.band_cells += std::max<std::int64_t>(0, hi - lo + 1);
+    const std::int64_t step = g == 0 ? 1 : g;
+    // Multiples of step in [lo, hi]; both ends are >= 0 when lo <= hi.
+    if (lo <= hi) out.band_cells += hi / step - (lo + step - 1) / step + 1;
   }
 
   const auto P = static_cast<std::size_t>(axis);
@@ -547,6 +562,162 @@ TEST(DpBand, CapacityCutEdgeCases) {
   expect_same(odm_instance(rt::core::make_random_taskset(rng, cfg)), ws,
               "odm m=80");
   sweep_capacity(bench_shape(80, 6, 80), 4, ws, "bench m=80");
+}
+
+/// Fig. 3-shaped classes: ten items, profits 0.0, 0.1, ..., 0.9 (plus a
+/// jitter below half a scaled unit at scale 1000 when `jitter` is set, so
+/// scaled profits stay on the 0.1 ladder), weights ascending by random
+/// steps, some zero.
+Instance ladder(int classes, std::uint64_t seed, bool jitter) {
+  rt::Rng rng(seed);
+  Instance inst;
+  inst.capacity = 1'000'000;
+  for (int c = 0; c < classes; ++c) {
+    std::vector<Item> cls;
+    std::int64_t weight = rng.uniform_int(0, 30'000);
+    for (int j = 0; j < 10; ++j) {
+      const double bump = jitter ? rng.uniform(0.0, 0.0004) : 0.0;
+      cls.push_back({weight, 0.1 * j + bump});
+      weight += rng.uniform_int(0, 40'000);
+    }
+    inst.classes.push_back(std::move(cls));
+  }
+  return inst;
+}
+
+TEST(DpBand, ProfitLattice) {
+  rt::mckp::DpWorkspace ws;
+
+  // g = 10 and an LP cap of llround(14 + 1/2 + 1) = 16, not a multiple of
+  // 10: the one row holds the multiples of 10 in [lb, 16] = [10, 16], a
+  // single cell. A cap rounded up to 20 would compute two.
+  Instance cap;
+  cap.classes = {{{0, 0.0}, {5, 10.0}, {10, 20.0}}};
+  cap.capacity = 7;
+  EXPECT_EQ(expect_same(cap, ws, "g = 10, cap 16", 1.0).band, 1);
+
+  // Only the cheapest picks fit and they are worth nothing (lb = 0), on
+  // g = 250: the cap llround(0 + 3/2 + 1) = 3 admits lattice cell 0 only,
+  // one cell per class.
+  Instance zero_lb;
+  zero_lb.classes = {{{2, 0.0}, {5, 1.0}}, {{1, 0.0}, {3, 0.25}}, {{4, 0.0}, {9, 2.0}}};
+  zero_lb.capacity = 7;
+  EXPECT_EQ(expect_same(zero_lb, ws, "lb = 0, g = 250").band, 3);
+
+  // Every profit is 0: g is taken as 1, one cell (p = 0) per class.
+  Instance zeros;
+  zeros.classes = {{{3, 0.0}, {1, 0.0}}, {{0, 0.0}, {2, 0.0}}, {{4, 0.0}}};
+  zeros.capacity = 5;
+  EXPECT_EQ(expect_same(zeros, ws, "all-zero profits").band, 3);
+  zeros.capacity = 4;  // the cheapest picks weigh 5
+  EXPECT_FALSE(rt::mckp::solve_dp_profits(zeros, 1000.0, &ws).feasible);
+  expect_same(zeros, ws, "all-zero profits, overflow");
+
+  // Duplicate items, on g = 250.
+  Instance dup;
+  dup.classes = {{{2, 0.5}, {2, 0.5}, {4, 1.0}, {4, 1.0}, {0, 0.0}},
+                 {{1, 0.25}, {1, 0.25}, {3, 0.75}},
+                 {{0, 0.0}, {0, 0.0}},
+                 {{3, 1.25}, {1, 0.5}, {3, 1.25}}};
+  sweep_capacity(dup, 12, ws, "duplicates");
+
+  // Fig. 3 ladders (g = 100), then one class that breaks the lattice:
+  // a 0.25 step makes g = 50, a 0.123 profit makes g = 1.
+  for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2}}) {
+    Instance inst = ladder(12, seed, false);
+    Cells on_lattice;
+    std::int64_t wmax_sum = 0;
+    for (const auto& cls : inst.classes) wmax_sum += cls.back().weight;
+    for (int s = 1; s <= 4; ++s) {
+      inst.capacity = wmax_sum * s / 5;
+      on_lattice += expect_same(inst, ws, "ladder seed=" + std::to_string(seed));
+    }
+    Instance half = inst;
+    half.classes[5][9].profit = 0.95;
+    sweep_capacity(half, 4, ws, "g = 50 seed=" + std::to_string(seed));
+    Instance broken = inst;
+    broken.classes[5][3].profit = 0.323;
+    Cells off_lattice;
+    for (int s = 1; s <= 4; ++s) {
+      broken.capacity = wmax_sum * s / 5;
+      off_lattice += expect_same(broken, ws, "g = 1 seed=" + std::to_string(seed));
+    }
+    // The ladder's rows hold a hundredth of the cells a g = 1 axis would.
+    EXPECT_LT(20 * on_lattice.band, off_lattice.band)
+        << on_lattice.band << " vs " << off_lattice.band;
+  }
+}
+
+TEST(DpBand, EqualScaledProfitsDifferentWeights) {
+  // Profits 0.1 k plus a jitter below half a scaled unit: within a class,
+  // undominated items of different weights share a scaled profit (and
+  // g = 100), so the rebuilt pick must choose among sources exactly as
+  // the full table's first-wins order did.
+  rt::mckp::DpWorkspace ws;
+  rt::Rng rng(29);
+  for (int trial = 0; trial < 60; ++trial) {
+    Instance inst;
+    const int classes = static_cast<int>(rng.uniform_int(1, 8));
+    for (int c = 0; c < classes; ++c) {
+      std::vector<Item> cls;
+      const int items = static_cast<int>(rng.uniform_int(1, 8));
+      for (int j = 0; j < items; ++j) {
+        cls.push_back({rng.uniform_int(0, 6),
+                       0.1 * static_cast<double>(rng.uniform_int(0, 3)) +
+                           rng.uniform(0.0, 0.0004)});
+      }
+      inst.classes.push_back(std::move(cls));
+    }
+    sweep_capacity(inst, 8, ws, "equal scaled trial=" + std::to_string(trial));
+  }
+  for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{4}}) {
+    sweep_capacity(ladder(10, seed, true), 6, ws,
+                   "jittered ladder seed=" + std::to_string(seed));
+  }
+}
+
+// The DP's total work over fixed instance sets, pinned: the lattice cells
+// computed (mckp.dp_cells) on the benchmark's odm_admission shapes
+// (random task sets, n in {10, 30, 60}, 5 or 10 benefit points; g = 1)
+// and on Fig. 3 paper sets at x in {-0.2, 0, +0.2} (benefits on a 0.1
+// ladder; g = 100). The counts are deterministic, so a change to a cut,
+// to the band or to the lattice moves them: such a change re-records
+// them here and says why.
+TEST(DpCells, PinnedTotals) {
+  rt::mckp::DpWorkspace ws;
+  rt::obs::Sink admission;
+  for (const int n : {10, 30, 60}) {
+    for (const int points : {5, 10}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        rt::Rng rng(seed * 100 + static_cast<std::uint64_t>(n + points));
+        rt::core::RandomTasksetConfig cfg;
+        cfg.num_tasks = n;
+        cfg.benefit_points = points;
+        rt::mckp::solve_dp_profits(
+            odm_instance(rt::core::make_random_taskset(rng, cfg)),
+            rt::mckp::kDefaultProfitScale, &ws, &admission);
+      }
+    }
+  }
+  rt::obs::Sink paper;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    rt::Rng rng(seed);
+    const auto tasks = rt::core::make_paper_simulation_taskset(rng);
+    for (const double x : {-0.2, 0.0, 0.2}) {
+      rt::mckp::solve_dp_profits(odm_instance(tasks, x, /*weights=*/false),
+                                 rt::mckp::kDefaultProfitScale, &ws, &paper);
+    }
+  }
+  const auto* a = admission.registry().find_histogram("mckp.dp_cells");
+  const auto* f = paper.registry().find_histogram("mckp.dp_cells");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(a->count(), 18u);
+  EXPECT_EQ(f->count(), 9u);
+  // The admission count is the one the DP computed before the lattice
+  // (g = 1 there); the paper sets took 1,094,436 cells on the full axis.
+  EXPECT_EQ(a->sum(), 693'904);
+  EXPECT_EQ(f->sum(), 11'195);
 }
 
 }  // namespace
