@@ -38,135 +38,9 @@ Selection min_weight_selection(const Instance& inst) {
 const char* to_string(SolverKind kind) {
   switch (kind) {
     case SolverKind::kDpProfits: return "dp-profits";
-    case SolverKind::kDpWeights: return "dp-weights";
     case SolverKind::kHeuOe: return "heu-oe";
-    case SolverKind::kBruteForce: return "brute-force";
   }
   return "unknown";
-}
-
-Selection solve_brute_force(const Instance& inst) {
-  inst.validate();
-  double space = 1.0;
-  for (const auto& cls : inst.classes) space *= static_cast<double>(cls.size());
-  if (space > 2e7) {
-    throw std::invalid_argument("solve_brute_force: search space too large");
-  }
-  if (inst.classes.empty()) {
-    Selection empty;
-    empty.feasible = true;
-    return empty;
-  }
-
-  const std::size_t m = inst.classes.size();
-  std::vector<int> pick(m, 0);
-  Selection best;
-  best.feasible = false;
-  best.profit = -1.0;
-  bool found = false;
-
-  for (;;) {
-    Selection cur = evaluate(inst, pick);
-    if (cur.feasible &&
-        (!found || cur.profit > best.profit ||
-         (cur.profit == best.profit && cur.weight < best.weight))) {
-      best = cur;
-      found = true;
-    }
-    // Odometer increment.
-    std::size_t c = 0;
-    while (c < m) {
-      if (++pick[c] < static_cast<int>(inst.classes[c].size())) break;
-      pick[c] = 0;
-      ++c;
-    }
-    if (c == m) break;
-  }
-  if (!found) return min_weight_selection(inst);
-  return best;
-}
-
-Selection solve_dp_weights(const Instance& inst, std::size_t grid) {
-  inst.validate();
-  if (grid == 0) throw std::invalid_argument("solve_dp_weights: zero grid");
-  const std::size_t m = inst.classes.size();
-  if (m == 0) {
-    Selection empty;
-    empty.feasible = true;
-    return empty;
-  }
-  if (static_cast<double>(grid + 1) * static_cast<double>(m) > 4e8) {
-    throw std::invalid_argument("solve_dp_weights: grid too large");
-  }
-
-  // Item weight in grid units, rounded UP => any reported-feasible
-  // selection is truly feasible.
-  const std::int64_t cap = inst.capacity;
-  auto to_units = [&](std::int64_t w) -> std::int64_t {
-    if (w == 0) return 0;
-    if (cap == 0) return static_cast<std::int64_t>(grid) + 1;  // never fits
-    const auto g = static_cast<__int128>(grid);
-    const __int128 units = (static_cast<__int128>(w) * g + cap - 1) / cap;
-    return units > static_cast<__int128>(grid) + 1
-               ? static_cast<std::int64_t>(grid) + 1
-               : static_cast<std::int64_t>(units);
-  };
-
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> dp(grid + 1, kNegInf);  // dp[u]: max profit, units == u
-  std::vector<std::vector<std::int32_t>> choice(
-      m, std::vector<std::int32_t>(grid + 1, -1));
-
-  for (std::size_t j = 0; j < inst.classes[0].size(); ++j) {
-    const std::int64_t u = to_units(inst.classes[0][j].weight);
-    if (u > static_cast<std::int64_t>(grid)) continue;
-    const auto uu = static_cast<std::size_t>(u);
-    if (inst.classes[0][j].profit > dp[uu]) {
-      dp[uu] = inst.classes[0][j].profit;
-      choice[0][uu] = static_cast<std::int32_t>(j);
-    }
-  }
-
-  std::vector<double> next(grid + 1);
-  for (std::size_t c = 1; c < m; ++c) {
-    std::fill(next.begin(), next.end(), kNegInf);
-    for (std::size_t u = 0; u <= grid; ++u) {
-      if (dp[u] == kNegInf) continue;
-      for (std::size_t j = 0; j < inst.classes[c].size(); ++j) {
-        const std::int64_t du = to_units(inst.classes[c][j].weight);
-        const std::int64_t tgt = static_cast<std::int64_t>(u) + du;
-        if (tgt > static_cast<std::int64_t>(grid)) continue;
-        const auto t = static_cast<std::size_t>(tgt);
-        const double p = dp[u] + inst.classes[c][j].profit;
-        if (p > next[t]) {
-          next[t] = p;
-          choice[c][t] = static_cast<std::int32_t>(j);
-        }
-      }
-    }
-    dp.swap(next);
-  }
-
-  std::ptrdiff_t best_u = -1;
-  double best_profit = kNegInf;
-  for (std::size_t u = 0; u <= grid; ++u) {
-    if (dp[u] > best_profit) {
-      best_profit = dp[u];
-      best_u = static_cast<std::ptrdiff_t>(u);
-    }
-  }
-  if (best_u < 0) return min_weight_selection(inst);
-
-  std::vector<int> pick(m, -1);
-  auto u = static_cast<std::size_t>(best_u);
-  for (std::size_t c = m; c-- > 0;) {
-    const std::int32_t j = choice[c][u];
-    if (j < 0) throw std::logic_error("solve_dp_weights: broken DP path");
-    pick[c] = j;
-    u -= static_cast<std::size_t>(to_units(
-        inst.classes[c][static_cast<std::size_t>(j)].weight));
-  }
-  return evaluate(inst, std::move(pick));
 }
 
 namespace {
@@ -658,18 +532,12 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
 
 Selection solve(const Instance& inst, SolverKind kind, double profit_scale,
                 DpWorkspace* ws, obs::Sink* sink, double* lp_bound_out) {
-  Selection sel;
   switch (kind) {
     case SolverKind::kDpProfits:
       return solve_dp_profits(inst, profit_scale, ws, sink, lp_bound_out);
     case SolverKind::kHeuOe: return solve_greedy_heu_oe(inst, lp_bound_out);
-    case SolverKind::kDpWeights: sel = solve_dp_weights(inst); break;
-    case SolverKind::kBruteForce: sel = solve_brute_force(inst); break;
-    default: throw std::invalid_argument("solve: unknown solver kind");
   }
-  // These two build no greedy state to take the bound from.
-  if (lp_bound_out != nullptr) *lp_bound_out = lp_upper_bound(inst);
-  return sel;
+  throw std::invalid_argument("solve: unknown solver kind");
 }
 
 }  // namespace rt::mckp

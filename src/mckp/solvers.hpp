@@ -9,8 +9,9 @@
 //  (2) the HEU-OE heuristic from Khan's thesis [6] -- implemented as the
 //      classical convex-hull incremental-efficiency greedy with a residual
 //      upgrade pass (see DESIGN.md for the substitution note).
-// A brute-force solver (test oracle), a capacity-grid DP variant, and an
-// LP-relaxation upper bound complete the family.
+// An LP-relaxation upper bound completes the family. The exact oracles the
+// tests hold these against (enumeration, branch and bound) live in
+// tests/support.
 
 #include "mckp/instance.hpp"
 
@@ -21,10 +22,8 @@ class Sink;
 namespace rt::mckp {
 
 enum class SolverKind {
-  kDpProfits,   ///< Dudzinski-Walukiewicz DP (exact up to profit rounding)
-  kDpWeights,   ///< DP over a capacity grid (weights rounded UP: sound)
-  kHeuOe,       ///< greedy heuristic (feasible, near-optimal)
-  kBruteForce,  ///< exact enumeration (tiny instances only)
+  kDpProfits,  ///< Dudzinski-Walukiewicz DP (exact up to profit rounding)
+  kHeuOe,      ///< greedy heuristic (feasible, near-optimal)
 };
 
 const char* to_string(SolverKind kind);
@@ -60,11 +59,6 @@ struct DpWorkspace {
   std::vector<std::size_t> row_off;  ///< m offsets of the rows in dp
   std::vector<double> reach;         ///< capacity cut: bound on classes > c
 };
-
-/// Exact enumeration. Complexity is the product of class sizes; intended as
-/// a test oracle for small instances. Throws std::invalid_argument when the
-/// search space exceeds ~20M combinations.
-Selection solve_brute_force(const Instance& inst);
 
 /// Dudzinski-Walukiewicz dynamic program over profits.
 ///
@@ -107,13 +101,6 @@ Selection solve_dp_profits(const Instance& inst,
                            obs::Sink* sink = nullptr,
                            double* lp_bound = nullptr);
 
-/// DP over a discretized capacity axis with `grid` cells. Item weights are
-/// rounded UP to the grid, so any selection reported feasible is truly
-/// feasible (sound), but near-boundary selections may be missed
-/// (incomplete). Useful as a fast approximation and as an ablation of the
-/// profit-DP design choice.
-Selection solve_dp_weights(const Instance& inst, std::size_t grid = 10000);
-
 /// HEU-OE style greedy: start from the minimal-weight item of each class,
 /// then apply convex-hull upgrade steps in order of decreasing incremental
 /// efficiency while they fit; finish with a residual pass that applies any
@@ -127,9 +114,9 @@ Selection solve_greedy_heu_oe(const Instance& inst, double* lp_bound = nullptr);
 double lp_upper_bound(const Instance& inst);
 
 /// Dispatch helper. `ws` and `sink` are forwarded to solve_dp_profits for
-/// kDpProfits (other solvers ignore them). A non-null `lp_bound` receives
-/// lp_upper_bound(inst), bit for bit: the profit DP and HEU-OE take it from
-/// the greedy state they build, the other solvers compute it.
+/// kDpProfits (HEU-OE ignores them). A non-null `lp_bound` receives
+/// lp_upper_bound(inst), bit for bit, from the greedy state either solver
+/// builds.
 Selection solve(const Instance& inst, SolverKind kind,
                 double profit_scale = kDefaultProfitScale,
                 DpWorkspace* ws = nullptr, obs::Sink* sink = nullptr,

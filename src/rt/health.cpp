@@ -34,51 +34,23 @@ void HealthConfig::validate() const {
     throw std::invalid_argument(
         "HealthConfig: recover_above must exceed degrade_below (hysteresis)");
   }
-  if (!(ewma_alpha > 0.0 && ewma_alpha <= 1.0)) {
-    throw std::invalid_argument("HealthConfig: ewma_alpha outside (0, 1]");
-  }
   if (min_normal_dwell.is_negative() || min_degraded_dwell.is_negative()) {
     throw std::invalid_argument("HealthConfig: negative dwell time");
   }
 }
 
-void HealthMonitor::Window::push(bool timely, std::uint64_t mask,
-                                 std::size_t capacity) {
-  bits = ((bits << 1) | (timely ? 1u : 0u)) & mask;
-  if (count < capacity) ++count;
-}
-
-double HealthMonitor::Window::rate() const {
-  if (count == 0) return 0.0;
-  return static_cast<double>(std::popcount(bits)) / static_cast<double>(count);
-}
-
-HealthMonitor::HealthMonitor(HealthConfig config) : config_(config) {
-  config_.validate();
-  mask_ = config_.window == 64 ? ~0ull : ((1ull << config_.window) - 1ull);
-}
-
-void HealthMonitor::reset(std::size_t num_tasks) {
-  global_.clear();
-  per_task_.assign(num_tasks, Window{});
-  ewma_ms_.assign(num_tasks, -1.0);
-}
-
-void HealthMonitor::clear_window() {
-  global_.clear();
-  for (Window& w : per_task_) w.clear();
-}
-
-void HealthMonitor::record(std::size_t task, bool timely, Duration latency) {
-  global_.push(timely, mask_, config_.window);
-  per_task_[task].push(timely, mask_, config_.window);
-  const double ms = latency.ms();
-  double& ewma = ewma_ms_[task];
-  ewma = ewma < 0.0 ? ms : config_.ewma_alpha * ms + (1.0 - config_.ewma_alpha) * ewma;
-}
-
 ModeController::ModeController(ModeControllerConfig config)
-    : config_(std::move(config)), monitor_(config_.health) {}
+    : config_(std::move(config)) {
+  config_.health.validate();
+  const std::size_t w = config_.health.window;
+  window_mask_ = w == 64 ? ~0ull : ((1ull << w) - 1ull);
+}
+
+double ModeController::timely_rate() const {
+  if (window_count_ == 0) return 0.0;
+  return static_cast<double>(std::popcount(window_bits_)) /
+         static_cast<double>(window_count_);
+}
 
 void ModeController::begin_run(const core::DecisionVector& normal,
                                TimePoint start) {
@@ -92,29 +64,25 @@ void ModeController::begin_run(const core::DecisionVector& normal,
   for (std::size_t i = 0; i < normal.size(); ++i) {
     if (normal[i].offloaded()) normal_response_[i] = normal[i].response_time;
   }
-  monitor_.reset(normal.size());
+  window_bits_ = 0;
+  window_count_ = 0;
   mode_ = Mode::kNormal;
   mode_since_ = start;
   mode_changes_ = 0;
   armed_ = true;
 }
 
-void ModeController::on_outcome(std::size_t task, bool timely, Duration latency,
-                                TimePoint /*now*/) {
+void ModeController::on_outcome(std::size_t task, bool timely, Duration latency) {
   if (!armed_ || task >= normal_response_.size()) return;
   const Duration window = normal_response_[task];
-  if (window.is_zero()) {
-    // Local under the normal vector: its outcomes (possible when the
-    // degraded vector offloads more than the normal one) carry no shadow
-    // verdict, but the latency still feeds the scale estimate.
-    monitor_.record(task, timely, latency);
-    return;
-  }
   // Shadow timeliness: would this response have met the *normal* window?
   // In degraded mode the active window may be much wider, and a success
-  // against that fat window says nothing about recovery.
-  const bool shadow = timely && latency <= window;
-  monitor_.record(task, shadow, latency);
+  // against that fat window says nothing about recovery. A task local
+  // under the normal vector has no normal window (its outcomes come from a
+  // degraded vector that offloads more): its raw verdict stands.
+  const bool shadow = window.is_zero() ? timely : timely && latency <= window;
+  window_bits_ = ((window_bits_ << 1) | (shadow ? 1u : 0u)) & window_mask_;
+  if (window_count_ < config_.health.window) ++window_count_;
 }
 
 Mode ModeController::evaluate(TimePoint now) {
@@ -122,14 +90,13 @@ Mode ModeController::evaluate(TimePoint now) {
   const HealthConfig& h = config_.health;
   if (mode_ == Mode::kNormal) {
     if (now - mode_since_ < h.min_normal_dwell) return mode_;
-    if (monitor_.samples() >= h.min_samples &&
-        monitor_.timely_rate() < h.degrade_below) {
+    if (samples() >= h.min_samples && timely_rate() < h.degrade_below) {
       switch_to(Mode::kDegraded, now);
     }
   } else {
     if (now - mode_since_ < h.min_degraded_dwell) return mode_;
-    if (monitor_.samples() >= h.min_samples) {
-      if (monitor_.timely_rate() >= h.recover_above) switch_to(Mode::kNormal, now);
+    if (samples() >= h.min_samples) {
+      if (timely_rate() >= h.recover_above) switch_to(Mode::kNormal, now);
     } else {
       // Not enough evidence either way -- typical when the degraded vector
       // is all-local and generates no offload traffic. Probe: re-enter
@@ -144,7 +111,8 @@ void ModeController::switch_to(Mode mode, TimePoint now) {
   mode_ = mode;
   mode_since_ = now;
   ++mode_changes_;
-  monitor_.clear_window();
+  window_bits_ = 0;
+  window_count_ = 0;
 }
 
 double switch_envelope_density(const core::TaskSet& tasks,

@@ -7,15 +7,15 @@
 // every offloaded job burns its setup budget C_{i,1} only to fall back to
 // compensation. The adaptive loop here closes the gap:
 //
-//   * HealthMonitor ingests one observation per resolved offload -- did the
-//     result make the *normal-mode* response window, and how long did it
-//     take -- into fixed-size sliding windows (global + per task) and a
-//     per-task latency EWMA. Judging every outcome against the normal
-//     vector's window ("shadow timeliness") is what keeps the signal
-//     comparable across modes: a fat degraded-mode window that admits a
-//     slow response must not read as "the server is healthy again".
+//   * ModeController keeps one sliding window of the last `window`
+//     outcomes, one per resolved offload: did the result make the
+//     *normal-mode* response window. Judging every outcome against the
+//     normal vector's window ("shadow timeliness") is what keeps the
+//     signal comparable across modes: a fat degraded-mode window that
+//     admits a slow response must not read as "the server is healthy
+//     again".
 //
-//   * ModeController turns the monitored rate into a two-state machine
+//   * It turns the window's timely rate into a two-state machine
 //     (normal <-> degraded) with hysteresis: distinct degrade/recover
 //     thresholds, a minimum dwell time in each mode, and a window clear on
 //     every switch so each decision rests on post-switch evidence. When the
@@ -57,8 +57,6 @@ struct HealthConfig {
   /// Rate at or above which degraded mode recovers. Must exceed
   /// degrade_below: the gap is the hysteresis band.
   double recover_above = 0.8;
-  /// Weight of the newest latency observation in the per-task EWMA.
-  double ewma_alpha = 0.2;
   /// Minimum time in normal mode before a degrade is allowed (also from
   /// run start), and in degraded mode before a recover is allowed. Dwells
   /// bound the switch rate: at most one transition per dwell.
@@ -67,56 +65,6 @@ struct HealthConfig {
 
   /// Throws std::invalid_argument naming the offending field.
   void validate() const;
-};
-
-/// Sliding-window outcome rates plus per-task response EWMAs. reset() sizes
-/// it; record() is O(1) with no allocation.
-class HealthMonitor {
- public:
-  explicit HealthMonitor(HealthConfig config = {});
-
-  /// Clears everything and sizes the per-task state.
-  void reset(std::size_t num_tasks);
-  /// Drops all windowed outcomes but keeps the latency EWMAs (the latency
-  /// scale survives a mode switch; the success evidence does not).
-  void clear_window();
-
-  void record(std::size_t task, bool timely, Duration latency);
-
-  [[nodiscard]] std::size_t samples() const { return global_.count; }
-  [[nodiscard]] std::size_t samples(std::size_t task) const {
-    return per_task_[task].count;
-  }
-  /// Fraction of windowed observations that were timely; 0 when empty
-  /// (gate on samples() before trusting it).
-  [[nodiscard]] double timely_rate() const { return global_.rate(); }
-  [[nodiscard]] double timely_rate(std::size_t task) const {
-    return per_task_[task].rate();
-  }
-  /// Exponential moving average of observed latencies, in ms; negative
-  /// until the task has at least one observation.
-  [[nodiscard]] double response_ewma_ms(std::size_t task) const {
-    return ewma_ms_[task];
-  }
-
-  [[nodiscard]] const HealthConfig& config() const { return config_; }
-
- private:
-  /// Last-N outcomes packed into one word: bit 0 is the newest.
-  struct Window {
-    std::uint64_t bits = 0;
-    std::size_t count = 0;
-
-    void push(bool timely, std::uint64_t mask, std::size_t capacity);
-    [[nodiscard]] double rate() const;
-    void clear() { bits = 0; count = 0; }
-  };
-
-  HealthConfig config_;
-  std::uint64_t mask_ = 0;
-  Window global_;
-  std::vector<Window> per_task_;
-  std::vector<double> ewma_ms_;
 };
 
 struct ModeControllerConfig {
@@ -135,14 +83,14 @@ class ModeController {
   /// Re-arms the controller for a run over `normal` (the static vector the
   /// engine starts in): captures each task's normal-mode response window
   /// for shadow judging, materializes the degraded vector (all-local when
-  /// the config left it empty), and resets all monitor state. Throws when
-  /// a non-empty degraded vector's arity mismatches.
+  /// the config left it empty), and empties the window. Throws when a
+  /// non-empty degraded vector's arity mismatches.
   void begin_run(const core::DecisionVector& normal, TimePoint start);
 
   /// One resolved offload under whichever vector the job was released
   /// with: `timely` is the raw in-window verdict, `latency` the time from
   /// request send to resolution. Shadow semantics are applied here.
-  void on_outcome(std::size_t task, bool timely, Duration latency, TimePoint now);
+  void on_outcome(std::size_t task, bool timely, Duration latency);
 
   /// Hysteresis step; the engine calls this at job release boundaries and
   /// applies the returned mode to the job being released.
@@ -152,14 +100,22 @@ class ModeController {
   [[nodiscard]] const core::DecisionVector& degraded_decisions() const {
     return degraded_;
   }
-  [[nodiscard]] const HealthMonitor& monitor() const { return monitor_; }
   [[nodiscard]] std::uint64_t mode_changes() const { return mode_changes_; }
+  /// Outcomes in the window, at most HealthConfig::window.
+  [[nodiscard]] std::size_t samples() const { return window_count_; }
+  /// Fraction of the windowed outcomes that were (shadow-)timely; 0 when
+  /// empty (gate on samples() before trusting it).
+  [[nodiscard]] double timely_rate() const;
 
  private:
   void switch_to(Mode mode, TimePoint now);
 
   ModeControllerConfig config_;
-  HealthMonitor monitor_;
+  /// The last window_count_ outcomes, packed into one word: bit 0 is the
+  /// newest, and window_mask_ keeps the low HealthConfig::window bits.
+  std::uint64_t window_bits_ = 0;
+  std::uint64_t window_mask_ = 0;
+  std::size_t window_count_ = 0;
   core::DecisionVector degraded_;
   /// Normal-mode response window per task; zero for locally-run tasks.
   std::vector<Duration> normal_response_;

@@ -35,7 +35,6 @@ struct InFlight {
 class Runtime : public sim::ProtocolCore<Runtime> {
  public:
   static constexpr const char* kName = "runtime";
-  static constexpr const char* kMetricPrefix = "runtime";
 
   Runtime(const core::TaskSet& tasks, const core::DecisionVector& decisions,
           const sim::SimConfig& config, const sim::RequestProfile& profile,
@@ -76,6 +75,7 @@ class Runtime : public sim::ProtocolCore<Runtime> {
     loop_.run();
 
     finish();
+    sim::add_run_counters(sink_, "runtime", metrics_);
     result_.metrics = std::move(metrics_);
     result_.trace = std::move(trace_);
     return std::move(result_);
@@ -114,7 +114,9 @@ class Runtime : public sim::ProtocolCore<Runtime> {
     wire.send_wall_ns = fl.send_wall.ns();
     wire.compute_ns = tc.req.compute_time.ns();
     wire.payload_bytes = tc.req.payload_bytes;
-    if (options_.payload_padding && options_.max_frame_bytes > 64) {
+    // Pad the frame to the modeled uplink size (clamped to the frame
+    // limit), so the request's payload hits the wire.
+    if (options_.max_frame_bytes > 64) {
       wire.pad_bytes = static_cast<std::uint32_t>(std::min<std::uint64_t>(
           tc.req.payload_bytes, options_.max_frame_bytes - 64));
     }

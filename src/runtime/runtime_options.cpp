@@ -9,7 +9,6 @@ void RuntimeOptions::apply_spec_section(const Json& section) {
       static_cast<std::size_t>(section.at("max_frame_bytes").as_number());
   connect_timeout =
       Duration::from_ms(section.at("connect_timeout_ms").as_number());
-  payload_padding = section.at("payload_padding").as_bool();
 }
 
 void GpuServiceOptions::apply_spec_section(const Json& section) {

@@ -30,13 +30,10 @@ struct RuntimeOptions {
   std::size_t max_frame_bytes = std::size_t{1} << 20;
   /// Wall-clock budget for the initial connect.
   Duration connect_timeout = Duration::seconds(5);
-  /// Append payload_bytes of padding to each request frame (clamped to
-  /// the frame limit) so the modeled uplink size hits the wire.
-  bool payload_padding = true;
   /// Overrides config.trace_capacity when nonzero.
   std::size_t trace_capacity = 0;
 
-  /// Fills scale/frame/timeout/padding from a normalized $.runtime
+  /// Fills scale/frame/timeout from a normalized $.runtime
   /// section (spec::normalize_runtime output); `section` may be null, in
   /// which case the defaults stand. The listen address in the section is
   /// the *daemon's*; the connect target stays whatever the caller set.

@@ -218,8 +218,7 @@ struct BatchSimEngine::Impl {
         config.exec_policy != ExecTimePolicy::kAlwaysWcet ||
         config.release_policy != ReleasePolicy::kPeriodic ||
         !config.context_switch_overhead.is_zero() || config.controller != nullptr ||
-        config.sink != nullptr || config.trace_capacity != 0 ||
-        config.abort_on_deadline_miss) {
+        config.sink != nullptr || config.trace_capacity != 0) {
       ineligible = &stats_.ineligible_config;
     }
     for (std::size_t i = 0; ineligible == nullptr && i < tasks.size(); ++i) {

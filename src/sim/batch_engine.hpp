@@ -39,8 +39,8 @@ struct BatchEngineStats {
   std::uint64_t resync_windows = 0;
   std::uint64_t resync_events = 0;
   /// Serial replications by why the skeleton could not serve them: a
-  /// configuration outside its preconditions (policy, controller, sink,
-  /// trace or abort), a nonzero post WCET, or the tie precheck.
+  /// configuration outside its preconditions (policy, controller, sink
+  /// or trace), a nonzero post WCET, or the tie precheck.
   std::size_t ineligible_config = 0;
   std::size_t ineligible_post_wcet = 0;
   std::size_t ineligible_ties = 0;

@@ -100,7 +100,6 @@ struct Flight {
 class CoreRunner : public ProtocolCore<CoreRunner> {
  public:
   static constexpr const char* kName = "simulate";
-  static constexpr const char* kMetricPrefix = "sim";
 
   using ProtocolCore::task_cache;
 

@@ -41,6 +41,7 @@ SimResult CoreRunner::simulate(const core::TaskSet& tasks,
   stats_.pool_slots_peak = pool_slots_peak_;
   stats_.pool_slots_capacity = pool_.size();
   stats_.jobs_released = job_counter_;
+  add_run_counters(config_.sink, "sim", metrics_);
   if (config_.sink != nullptr) {
     auto& reg = config_.sink->registry();
     reg.counter("sim.events").inc(stats_.events_processed);

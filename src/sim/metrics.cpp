@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "obs/sink.hpp"
+
 namespace rt::sim {
 
 namespace {
@@ -12,6 +14,20 @@ std::uint64_t sum_over(const std::vector<TaskMetrics>& per_task, F field) {
   return total;
 }
 }  // namespace
+
+void add_run_counters(obs::Sink* sink, const std::string& prefix,
+                      const SimMetrics& metrics) {
+  if (sink == nullptr) return;
+  auto& reg = sink->registry();
+  reg.counter(prefix + ".jobs_released").inc(metrics.total_released());
+  for (std::size_t i = 0; i < metrics.per_task.size(); ++i) {
+    const TaskMetrics& tm = metrics.per_task[i];
+    const std::string task_prefix = prefix + ".task." + std::to_string(i);
+    reg.counter(task_prefix + ".timely").inc(tm.timely_results);
+    reg.counter(task_prefix + ".compensations").inc(tm.compensations);
+    reg.counter(task_prefix + ".misses").inc(tm.deadline_misses);
+  }
+}
 
 std::uint64_t SimMetrics::total_released() const {
   return sum_over(per_task, [](const TaskMetrics& m) { return m.released; });

@@ -8,6 +8,10 @@
 #include "util/stats.hpp"
 #include "util/time.hpp"
 
+namespace rt::obs {
+class Sink;
+}  // namespace rt::obs
+
 namespace rt::sim {
 
 struct TaskMetrics {
@@ -51,5 +55,12 @@ struct SimMetrics {
 
   [[nodiscard]] std::string summary() const;
 };
+
+/// Adds a finished run's counts to `sink` under `prefix` ("sim" for the
+/// simulator, "runtime" for the real runtime): <prefix>.jobs_released, and
+/// per task i <prefix>.task.<i>.timely, .compensations and .misses. A null
+/// sink is a no-op.
+void add_run_counters(obs::Sink* sink, const std::string& prefix,
+                      const SimMetrics& metrics);
 
 }  // namespace rt::sim

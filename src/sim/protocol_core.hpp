@@ -16,8 +16,7 @@
 // supplies only where events come from, with no virtual call on the event
 // path:
 //
-//   static constexpr const char* kName;          // error prefix
-//   static constexpr const char* kMetricPrefix;  // obs metric prefix
+//   static constexpr const char* kName;  // error prefix
 //   void arm_slice(TimePoint end);   // slice end of the running sub-job
 //   void cancel_slice();             // the armed slice end is void
 //   void send_offload(const Offload& job, const detail::TaskCache& tc);
@@ -42,7 +41,6 @@
 
 #include "core/decision.hpp"
 #include "core/task.hpp"
-#include "obs/sink.hpp"
 #include "rt/health.hpp"
 #include "sim/engine_detail.hpp"
 #include "sim/metrics.hpp"
@@ -125,11 +123,6 @@ class ProtocolCore {
     pool_live_ = 0;
     pool_slots_peak_ = 0;
 
-    released_counter_ = nullptr;
-    timely_counters_.clear();
-    comp_counters_.clear();
-    miss_counters_.clear();
-
     if (tasks.size() != decisions.size()) {
       throw std::invalid_argument(std::string(Driver::kName) +
                                   ": decisions arity mismatch");
@@ -170,22 +163,6 @@ class ProtocolCore {
       }
       detail::validate_decisions(tasks, degraded, Driver::kName);
       detail::fill_task_cache(tcache_degraded_, tasks, degraded, config_, profile);
-    }
-    // Resolve metric handles once, outside the event loop; with no sink
-    // every handle stays null and the per-event hooks are one branch each.
-    if (config_.sink != nullptr) {
-      auto& reg = config_.sink->registry();
-      const std::string prefix = Driver::kMetricPrefix;
-      released_counter_ = &reg.counter(prefix + ".jobs_released");
-      timely_counters_.resize(tasks.size());
-      comp_counters_.resize(tasks.size());
-      miss_counters_.resize(tasks.size());
-      for (std::size_t i = 0; i < tasks.size(); ++i) {
-        const std::string task_prefix = prefix + ".task." + std::to_string(i);
-        timely_counters_[i] = &reg.counter(task_prefix + ".timely");
-        comp_counters_[i] = &reg.counter(task_prefix + ".compensations");
-        miss_counters_[i] = &reg.counter(task_prefix + ".misses");
-      }
     }
   }
 
@@ -271,7 +248,6 @@ class ProtocolCore {
     const TaskCache& tc = cache_of(cur_mode_)[task_idx];
     auto& tm = metrics_.per_task[task_idx];
     ++tm.released;
-    obs::inc(released_counter_);
     const std::uint64_t job_id = ++job_counter_;
     trace_.record(now_, TraceKind::kRelease, task_idx, job_id);
 
@@ -330,15 +306,13 @@ class ProtocolCore {
     auto& tm = metrics_.per_task[job.task];
     if (timely) {
       ++tm.timely_results;
-      if (!timely_counters_.empty()) timely_counters_[job.task]->inc();
       trace_.record(now_, TraceKind::kResultTimely, job.task, job.job_id);
     } else {
       ++tm.compensations;
-      if (!comp_counters_.empty()) comp_counters_[job.task]->inc();
       trace_.record(now_, TraceKind::kTimerFired, job.task, job.job_id);
     }
     if (controller_ != nullptr) {
-      controller_->on_outcome(job.task, timely, wait, now_);
+      controller_->on_outcome(job.task, timely, wait);
     }
 
     const TaskCache& tc = cache_of(job.mode)[job.task];
@@ -431,18 +405,9 @@ class ProtocolCore {
     trace_.record(now_, TraceKind::kModeChange, mode, metrics_.mode_changes);
   }
 
-  void note_miss(const SubJob& sj, bool final_phase) {
+  void note_miss(const SubJob& sj) {
     ++metrics_.per_task[sj.task].deadline_misses;
-    if (!miss_counters_.empty()) miss_counters_[sj.task]->inc();
     trace_.record(now_, TraceKind::kDeadlineMiss, sj.task, sj.job_id);
-    if (config_.abort_on_deadline_miss) {
-      throw std::logic_error(std::string(Driver::kName) +
-                             ": deadline miss for task '" +
-                             (*tasks_)[sj.task].name + "' at " +
-                             now_.to_string() +
-                             (final_phase ? " (job deadline)"
-                                          : " (sub-job deadline)"));
-    }
   }
 
   void complete_subjob(std::uint32_t slot) {
@@ -452,7 +417,7 @@ class ProtocolCore {
     auto& tm = metrics_.per_task[sj.task];
 
     if (sj.phase == detail::Phase::kSetup) {
-      if (now_ > sj.abs_deadline) note_miss(sj, false);
+      if (now_ > sj.abs_deadline) note_miss(sj);
       ++tm.offload_attempts;
       trace_.record(now_, TraceKind::kSetupDone, sj.task, sj.job_id);
       driver().send_offload(
@@ -464,7 +429,7 @@ class ProtocolCore {
     // Local or second phase: the job is complete.
     ++tm.completed;
     const bool missed = now_ > sj.job_deadline;
-    if (missed) note_miss(sj, true);
+    if (missed) note_miss(sj);
     trace_.record(now_, TraceKind::kJobComplete, sj.task, sj.job_id);
 
     if (missed) return;  // a late result earns nothing
@@ -528,12 +493,6 @@ class ProtocolCore {
   health::ModeController* controller_ = nullptr;
   std::uint8_t cur_mode_ = 0;
   TimePoint mode_since_;
-
-  // Telemetry handles; all null (vectors empty) when config_.sink is null.
-  obs::Counter* released_counter_ = nullptr;
-  std::vector<obs::Counter*> timely_counters_;
-  std::vector<obs::Counter*> comp_counters_;
-  std::vector<obs::Counter*> miss_counters_;
 };
 
 }  // namespace rt::sim

@@ -531,13 +531,12 @@ BuiltWorkload build_casestudy_workload(const Json& j, const BuildContext&) {
 
 Json norm_health(const Json& j, const SpecPath& p) {
   check_keys(j, p, {"window", "min_samples", "degrade_below", "recover_above",
-                    "ewma_alpha", "min_normal_dwell_ms", "min_degraded_dwell_ms"});
+                    "min_normal_dwell_ms", "min_degraded_dwell_ms"});
   health::HealthConfig hc;
   hc.window = static_cast<std::size_t>(integer_or(j, p, "window", 32));
   hc.min_samples = static_cast<std::size_t>(integer_or(j, p, "min_samples", 8));
   hc.degrade_below = number_in(j, p, "degrade_below", 0.5, 0.0, 1.0);
   hc.recover_above = number_in(j, p, "recover_above", 0.8, 0.0, 1.0);
-  hc.ewma_alpha = number_in(j, p, "ewma_alpha", 0.2, 0.0, 1.0);
   hc.min_normal_dwell = ms_field(j, p, "min_normal_dwell_ms", 500.0, 0.0);
   hc.min_degraded_dwell = ms_field(j, p, "min_degraded_dwell_ms", 2000.0, 0.0);
   try {
@@ -550,7 +549,6 @@ Json norm_health(const Json& j, const SpecPath& p) {
   o["min_samples"] = Json(static_cast<double>(hc.min_samples));
   o["degrade_below"] = hc.degrade_below;
   o["recover_above"] = hc.recover_above;
-  o["ewma_alpha"] = hc.ewma_alpha;
   o["min_normal_dwell_ms"] = hc.min_normal_dwell.ms();
   o["min_degraded_dwell_ms"] = hc.min_degraded_dwell.ms();
   return Json(std::move(o));
@@ -562,7 +560,6 @@ health::HealthConfig build_health(const Json& j) {
   hc.min_samples = static_cast<std::size_t>(j.at("min_samples").as_number());
   hc.degrade_below = j.at("degrade_below").as_number();
   hc.recover_above = j.at("recover_above").as_number();
-  hc.ewma_alpha = j.at("ewma_alpha").as_number();
   hc.min_normal_dwell = Duration::from_ms(j.at("min_normal_dwell_ms").as_number());
   hc.min_degraded_dwell =
       Duration::from_ms(j.at("min_degraded_dwell_ms").as_number());

@@ -78,9 +78,8 @@ health::ModeControllerConfig build_controller(const Json& normalized,
 namespace {
 
 // The solvers a document may name, in listing order, under
-// mckp::to_string's names (brute force is a test oracle, not a choice).
+// mckp::to_string's names.
 constexpr mckp::SolverKind kSpecSolvers[] = {mckp::SolverKind::kDpProfits,
-                                             mckp::SolverKind::kDpWeights,
                                              mckp::SolverKind::kHeuOe};
 
 }  // namespace

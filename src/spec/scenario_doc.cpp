@@ -190,8 +190,7 @@ sim::SimConfig build_sim_config(const Json& normalized) {
 // free of a net/ dependency.
 Json normalize_runtime(const Json& obj, const SpecPath& path) {
   check_keys(obj, path,
-             {"listen", "time_scale", "max_frame_bytes", "connect_timeout_ms",
-              "payload_padding"});
+             {"listen", "time_scale", "max_frame_bytes", "connect_timeout_ms"});
   Json::Object out;
   const std::string listen = string_or(obj, path, "listen", "127.0.0.1:0");
   const std::size_t colon = listen.rfind(':');
@@ -213,7 +212,6 @@ Json normalize_runtime(const Json& obj, const SpecPath& path) {
   out["max_frame_bytes"] = static_cast<double>(max_frame);
   out["connect_timeout_ms"] =
       number_above(obj, path, "connect_timeout_ms", 5000.0, 0.0);
-  out["payload_padding"] = bool_or(obj, path, "payload_padding", true);
   return Json(std::move(out));
 }
 

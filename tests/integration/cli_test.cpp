@@ -453,7 +453,7 @@ TEST(CliTool, TaskSetReportsEqualTheirDocumentsAcrossScenarios) {
   const std::string taskset_path = scratch_path("family_taskset.json");
   const std::string doc_path = scratch_path("family_doc.json");
   for (const char* scenario : {"idle", "not-busy", "busy", "dead"}) {
-    for (const char* solver : {"dp-profits", "heu-oe", "dp-weights"}) {
+    for (const char* solver : {"dp-profits", "heu-oe"}) {
       SCOPED_TRACE(std::string(scenario) + " / " + solver);
       Json taskset = sample;
       Json::Object& config = taskset.as_object().at("config").as_object();

@@ -11,6 +11,7 @@
 #include "img/quality.hpp"
 #include "sim/benefit_response.hpp"
 #include "sim/simulator.hpp"
+#include "support/compare.hpp"
 
 namespace rt {
 namespace {
@@ -89,8 +90,8 @@ TEST(Figure2Shape, ScenarioOrderingAndFloor) {
     auto run = [&](server::ResponseModel& srv) {
       sim::SimConfig cfg;
       cfg.horizon = 10_s;
-      cfg.abort_on_deadline_miss = true;
       const sim::SimResult res = sim::simulate(tasks, odm.decisions, srv, cfg, profile);
+      EXPECT_TRUE(sim::no_misses(res.metrics));
       return res.metrics.total_benefit();
     };
     server::NeverResponds dead;
@@ -168,8 +169,8 @@ TEST(Figure3Shape, SimulationMatchesAnalyticExpectation) {
   sim::SimConfig cfg;
   cfg.horizon = Duration::seconds(400);  // ~600 waves of T~650ms
   cfg.benefit_semantics = sim::BenefitSemantics::kTimelyCount;
-  cfg.abort_on_deadline_miss = true;
   const sim::SimResult res = sim::simulate(tasks, odm.decisions, srv, cfg);
+  EXPECT_TRUE(sim::no_misses(res.metrics));
 
   double per_wave = 0.0;
   for (std::size_t i = 0; i < tasks.size(); ++i) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "mckp/solvers.hpp"
+#include "support/brute_force.hpp"
 #include "util/rng.hpp"
 
 namespace rt::mckp {
@@ -109,7 +110,7 @@ TEST_P(BranchBoundProperty, DominatesEveryOtherSolver) {
     const Selection bb = solve_branch_bound(inst);
     if (!bb.feasible) continue;
     EXPECT_GE(bb.profit, solve_greedy_heu_oe(inst).profit - 1e-9);
-    EXPECT_GE(bb.profit, solve_dp_weights(inst, 2000).profit - 1e-9);
+    EXPECT_GE(bb.profit, solve_dp_profits(inst).profit - 1e-9);
     EXPECT_LE(bb.profit, lp_upper_bound(inst) + 1e-9);
   }
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "support/brute_force.hpp"
 #include "util/rng.hpp"
 
 namespace rt::mckp {
@@ -118,23 +119,6 @@ TEST(DpProfits, ZeroCapacityOnlyFreeItems) {
   EXPECT_EQ(sel.weight, 0);
 }
 
-TEST(DpWeights, MatchesOptimumOnRoundGrid) {
-  const Selection sel = solve_dp_weights(small_instance(), 100);
-  ASSERT_TRUE(sel.feasible);
-  EXPECT_DOUBLE_EQ(sel.profit, 9.5);
-}
-
-TEST(DpWeights, RoundingUpIsSoundNeverOverCapacity) {
-  Rng rng(99);
-  for (int trial = 0; trial < 30; ++trial) {
-    const Instance inst = random_instance(rng, 5, 4, 1000);
-    const Selection sel = solve_dp_weights(inst, 37);  // coarse, adversarial grid
-    if (sel.feasible) {
-      EXPECT_LE(sel.weight, inst.capacity);
-    }
-  }
-}
-
 TEST(Greedy, FeasibleAndReasonable) {
   const Selection sel = solve_greedy_heu_oe(small_instance());
   ASSERT_TRUE(sel.feasible);
@@ -166,8 +150,7 @@ TEST(LpBound, InfeasibleIsMinusInfinity) {
 TEST(SolveDispatch, AllKindsRun) {
   const Instance inst = small_instance();
   for (const SolverKind kind :
-       {SolverKind::kDpProfits, SolverKind::kDpWeights, SolverKind::kHeuOe,
-        SolverKind::kBruteForce}) {
+       {SolverKind::kDpProfits, SolverKind::kHeuOe}) {
     const Selection sel = solve(inst, kind, 100.0);
     EXPECT_TRUE(sel.feasible) << to_string(kind);
   }
@@ -213,21 +196,6 @@ TEST_P(SolverPropertyTest, HeuristicNeverBeatsExactAndStaysFeasible) {
       EXPECT_LE(greedy.weight, inst.capacity);
       EXPECT_LE(greedy.profit, bf.profit + 1e-9);
       EXPECT_LE(bf.profit, lp_upper_bound(inst) + 1e-9);
-    }
-  }
-}
-
-TEST_P(SolverPropertyTest, DpWeightsNeverBeatsDpProfits) {
-  Rng rng(GetParam() ^ 0x777ull);
-  for (int trial = 0; trial < 10; ++trial) {
-    Instance inst = random_instance(rng, 5, 4, 300);
-    for (auto& cls : inst.classes) {
-      for (auto& item : cls) item.profit = std::floor(item.profit);
-    }
-    const Selection exact = solve_dp_profits(inst, 1.0);
-    const Selection grid = solve_dp_weights(inst, 1000);
-    if (exact.feasible && grid.feasible) {
-      EXPECT_LE(grid.profit, exact.profit + 1e-9);
     }
   }
 }

@@ -20,6 +20,7 @@
 
 #include "mckp/instance.hpp"
 #include "mckp/solvers.hpp"
+#include "support/brute_force.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -255,7 +255,7 @@ TEST(BatchedDifferential, ScenarioServerMatchesAcrossConfigGrid) {
   // Two skeleton-eligible configurations (the naive deadline policy stays
   // eligible) plus every precondition of the skeleton gate: fixed-priority
   // dispatch, sporadic releases, stochastic execution, dispatch overhead,
-  // a nonzero post WCET, a trace, abort-on-miss and a telemetry sink. Each
+  // a nonzero post WCET, a trace and a telemetry sink. Each
   // runs against the scenario servers, whose late draws run resync
   // windows, and against the all-timely
   // benefit-driven server, on which an eligible configuration must take
@@ -293,8 +293,6 @@ TEST(BatchedDifferential, ScenarioServerMatchesAcrossConfigGrid) {
        }},
       {"trace", false,
        [](SimConfig& c, core::TaskSet&) { c.trace_capacity = 256; }},
-      {"abort-on-miss", false,
-       [](SimConfig& c, core::TaskSet&) { c.abort_on_deadline_miss = true; }},
       {"sink", false, [&sink](SimConfig& c, core::TaskSet&) { c.sink = &sink; }},
   };
   const Fixture s = make_setup(101);

@@ -4,6 +4,7 @@
 
 #include "core/odm.hpp"
 #include "server/gpu_server.hpp"
+#include "support/compare.hpp"
 
 namespace rt::sim {
 namespace {
@@ -82,13 +83,11 @@ TEST(Simulator, DeadServerStillMeetsDeadlines) {
   const TaskSet tasks{offload_task("a", 100_ms, 30_ms, 5_ms, 50_ms, 1.0, 8.0)};
   const DecisionVector ds{Decision::offload(1, 50_ms)};
   server::NeverResponds srv;
-  SimConfig cfg = quick_config();
-  cfg.abort_on_deadline_miss = true;  // throws on any miss
-  const SimResult res = simulate(tasks, ds, srv, cfg);
+  const SimResult res = simulate(tasks, ds, srv, quick_config());
   const auto& m = res.metrics.per_task[0];
   EXPECT_EQ(m.compensations, 10u);
   EXPECT_EQ(m.late_results, 0u);  // nothing ever arrived
-  EXPECT_EQ(m.deadline_misses, 0u);
+  EXPECT_TRUE(no_misses(res.metrics));
 }
 
 TEST(Simulator, ResponseAtExactlyRCountsAsTimely) {
@@ -145,17 +144,6 @@ TEST(Simulator, OverloadedLocalSetMissesDeadlines) {
   EXPECT_GT(res.metrics.total_deadline_misses(), 0u);
   // Missed jobs earn nothing.
   EXPECT_LT(res.metrics.total_benefit(), 20.0);
-}
-
-TEST(Simulator, AbortOnMissThrows) {
-  const TaskSet tasks{
-      make_simple_task("a", 100_ms, 70_ms, 1_ms, 70_ms),
-      make_simple_task("b", 100_ms, 70_ms, 1_ms, 70_ms),
-  };
-  server::FixedResponse srv(10_ms);
-  SimConfig cfg = quick_config();
-  cfg.abort_on_deadline_miss = true;
-  EXPECT_THROW(simulate(tasks, core::all_local(2), srv, cfg), std::logic_error);
 }
 
 TEST(Simulator, NaiveDeadlinePolicyCanMissWhereSplitDoesNot) {

@@ -277,9 +277,29 @@ TEST(SpecErrors, HealthFieldOutOfRange) {
   Json doc = base_doc();
   doc.as_object()["controller"] = Json::parse(R"json({
     "type": "all-local",
-    "health": {"ewma_alpha": 2.0}
+    "health": {"recover_above": 2.0}
   })json");
-  expect_error_at(doc, "$.controller.health.ewma_alpha");
+  expect_error_at(doc, "$.controller.health.recover_above");
+}
+
+TEST(SpecErrors, RemovedOptionsFailWhereTheyAreNamed) {
+  // The grid-DP solver, the health monitor's latency EWMA and the runtime's
+  // padding switch are gone: a document naming one fails at its location
+  // instead of being read as if the option were still there.
+  Json solver = base_doc();
+  solver.as_object()["odm"] = Json::parse(R"({"solver": "dp-weights"})");
+  expect_error_at(solver, "$.odm.solver: unknown solver 'dp-weights'");
+
+  Json ewma = base_doc();
+  ewma.as_object()["controller"] = Json::parse(R"json({
+    "type": "all-local",
+    "health": {"ewma_alpha": 0.2}
+  })json");
+  expect_error_at(ewma, "$.controller.health: unknown key 'ewma_alpha'");
+
+  Json padding = base_doc();
+  padding.as_object()["runtime"] = Json::parse(R"({"payload_padding": true})");
+  expect_error_at(padding, "$.runtime: unknown key 'payload_padding'");
 }
 
 TEST(SpecErrors, EmptySweepAxisValues) {

@@ -5,7 +5,7 @@
 // this solver is exact on real-valued profits: depth-first search over
 // classes (largest profit spread first), pruned by the Dantzig LP bound on
 // the remaining suffix. Only the solver tests call it (they check the DP
-// against it), so it lives in tests/support (rt_mckp_branch_bound), not in
+// against it), so it lives in tests/support (rt_mckp_oracles), not in
 // the production library.
 
 #include "mckp/instance.hpp"

@@ -120,6 +120,16 @@ namespace sim {
   return d.result();
 }
 
+::testing::AssertionResult no_misses(const SimMetrics& m) {
+  for (std::size_t i = 0; i < m.per_task.size(); ++i) {
+    if (m.per_task[i].deadline_misses != 0) {
+      return ::testing::AssertionFailure()
+             << "task " << i << " deadline_misses: " << m.per_task[i].deadline_misses;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 }  // namespace sim
 
 namespace core {

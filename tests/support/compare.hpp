@@ -39,6 +39,11 @@ inline void metrics_field_count_guard(const TaskMetrics& t, const SimMetrics& m)
 /// Event count, truncation flag, and each event's time, kind, task and job.
 ::testing::AssertionResult traces_equal(const Trace& a, const Trace& b);
 
+/// Success when no task missed a deadline; otherwise names the first task
+/// with a miss and its count (`task 2 deadline_misses: 3`). A guarantee
+/// test writes EXPECT_TRUE(no_misses(result.metrics)) after the run.
+::testing::AssertionResult no_misses(const SimMetrics& m);
+
 }  // namespace rt::sim
 
 namespace rt::core {

@@ -262,15 +262,9 @@ class Engine {
     complete_subjob(sj);
   }
 
-  void note_miss(const SubJob& sj, bool final_phase) {
-    auto& tm = metrics_.per_task[sj.task];
-    ++tm.deadline_misses;
+  void note_miss(const SubJob& sj) {
+    ++metrics_.per_task[sj.task].deadline_misses;
     trace_.record(now_, TraceKind::kDeadlineMiss, sj.task, sj.job_id);
-    if (config_.abort_on_deadline_miss) {
-      throw std::logic_error("simulate: deadline miss for task '" +
-                             tasks_[sj.task].name + "' at " + now_.to_string() +
-                             (final_phase ? " (job deadline)" : " (sub-job deadline)"));
-    }
   }
 
   void complete_subjob(SubJob* sj) {
@@ -279,7 +273,7 @@ class Engine {
     auto& tm = metrics_.per_task[sj->task];
 
     if (sj->phase == Phase::kSetup) {
-      if (now_ > sj->abs_deadline) note_miss(*sj, false);
+      if (now_ > sj->abs_deadline) note_miss(*sj);
       ++tm.offload_attempts;
       trace_.record(now_, TraceKind::kSetupDone, sj->task, sj->job_id);
 
@@ -314,7 +308,7 @@ class Engine {
     // Local or second phase: the job is complete.
     ++tm.completed;
     const bool missed = now_ > sj->job_deadline;
-    if (missed) note_miss(*sj, true);
+    if (missed) note_miss(*sj);
     trace_.record(now_, TraceKind::kJobComplete, sj->task, sj->job_id);
 
     if (missed) return;  // a late result earns nothing

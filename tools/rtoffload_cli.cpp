@@ -34,7 +34,7 @@
 //
 // A task-set file {"tasks": [...], "config": {...}} is shorthand for a
 // scenario document with an inline workload; config accepts
-//   solver: "dp-profits" | "heu-oe" | "dp-weights"   (default dp-profits)
+//   solver: "dp-profits" | "heu-oe"                  (default dp-profits)
 //   scenario: "idle" | "not-busy" | "busy" | "dead"  (default not-busy)
 //   horizon_ms, seed, estimation_error, exact_pda (bool)
 // and each task follows core/serialization.hpp. Every input runs as the
