@@ -66,17 +66,7 @@ ScenarioOutcome BatchRunner::run_one(const ScenarioSpec& spec,
       sim::BatchResult res =
           batch.run(spec.tasks, out.decisions, *spec.server, cfg,
                      spec.replications, spec.profile);
-      if (shard != nullptr) {
-        const sim::BatchEngineStats& st = batch.stats();
-        auto& reg = shard->registry();
-        reg.counter("batch.fast_replications").inc(st.fast_replications);
-        reg.counter("batch.fallback_replications").inc(st.fallback_replications);
-        reg.counter("sim.batch.resync_windows").inc(st.resync_windows);
-        reg.counter("sim.batch.resync_events").inc(st.resync_events);
-        reg.counter("sim.batch.ineligible.config").inc(st.ineligible_config);
-        reg.counter("sim.batch.ineligible.post_wcet").inc(st.ineligible_post_wcet);
-        reg.counter("sim.batch.ineligible.ties").inc(st.ineligible_ties);
-      }
+      sim::add_batch_counters(shard, batch.stats());
       out.metrics = std::move(res.per_replication.front());
       out.aggregate = std::move(res.aggregate);
     } else {

@@ -33,7 +33,9 @@ struct Request {
 };
 
 /// Interface: maps a request to the total response time experienced by the
-/// client (uplink + queueing + compute + downlink), or kNoResponse.
+/// client (uplink + queueing + compute + downlink), or kNoResponse. A
+/// response time is never negative (tests/server/sample_n_test.cpp checks
+/// every registered type); the simulators reject one.
 ///
 /// Stateful implementations (the queueing server) require non-decreasing
 /// send_time across calls, which a discrete-event simulation provides

@@ -102,19 +102,30 @@ std::uint64_t field(std::uint64_t packed, OutcomeField at) {
   return (packed >> at) & 0xFFFF;
 }
 
-/// Index of arrival t's interval: the boundaries below it, branch-free.
-std::uint32_t interval_of(const std::int64_t* bounds, std::uint32_t n,
-                          std::int64_t t) {
+/// The widest draw window R the column loop serves: arrivals and bounds
+/// are stored as 32-bit offsets from their column's send, in [0, R].
+constexpr std::int64_t kMaxWindow = std::numeric_limits<std::int32_t>::max();
+/// Ring entries that are no arrival offset. An arrival offset is at most
+/// R, and its offset from a later column's send (the offset plus a send
+/// delta below the earlier window) at most 2 * kMaxWindow - 1: both stay
+/// below these.
+constexpr std::uint32_t kRingNone = 0xFFFFFFFF;   ///< a window's column
+constexpr std::uint32_t kRingTimer = 0xFFFFFFFE;  ///< a timer at send + R
+static_assert(2 * static_cast<std::uint64_t>(kMaxWindow) - 1 < kRingTimer);
+
+/// Index of the interval of arrival offset `off`: the boundaries below it.
+std::uint32_t interval_of(const std::int32_t* bounds, std::uint32_t n,
+                          std::int32_t off) {
   std::uint32_t k = 0;
   for (std::uint32_t b = 0; b < n; ++b) {
-    k += static_cast<std::uint32_t>(bounds[b] < t);
+    k += static_cast<std::uint32_t>(bounds[b] < off);
   }
   return k;
 }
 
 /// Draw column c's slice of the outcome table: its window (send, send + R]
-/// split at the boundaries bounds_[bound0, bound0 + bounds), interval k
-/// holding the arrivals in (bound k-1, bound k].
+/// split at the boundaries send + bounds_[bound0, bound0 + bounds),
+/// interval k holding the arrivals in (bound k-1, bound k].
 struct Column {
   std::uint32_t bound0 = 0;
   std::uint32_t bounds = 0;
@@ -157,13 +168,15 @@ struct BatchSimEngine::Impl {
   // Outcome table, one slice per draw column, built as the first block
   // reaches the column.
   std::vector<Column> columns_;
-  std::vector<std::int64_t> bounds_;
+  std::vector<std::int32_t> bounds_;  ///< offsets from the column's send, in (0, R)
   std::vector<std::int64_t> pop_at_;  ///< per interval: the pop at its upper end
   std::vector<std::uint64_t> outcomes_;  ///< per interval, packed
   std::size_t built_ = 0;             ///< columns built so far
   std::size_t build_pop_ = 0;         ///< first pop after the last built send
-  /// Per column, the ring rows of its active columns.
+  /// Per column, the ring rows of its active columns, and their send
+  /// deltas send_c - send_e, each below R_e.
   std::vector<std::uint32_t> reach_rows_;
+  std::vector<std::uint32_t> reach_delta_;
   /// A power of two, deep enough for every column a window takes over.
   std::size_t ring_rows_ = 1;
 
@@ -177,8 +190,9 @@ struct BatchSimEngine::Impl {
   std::vector<std::uint64_t> misses_;
   std::vector<std::uint64_t> packed_;  ///< the lane loop's, unpacked above
   std::vector<DurationStats> response_;  ///< the loop's draws (windows': LaneState)
-  /// [column % ring_rows_][lane] arrivals; a timer's instant t as ~t.
-  std::vector<std::int64_t> ring_;
+  /// [column % ring_rows_][lane] arrival offsets from the column's send,
+  /// kRingTimer or kRingNone.
+  std::vector<std::uint32_t> ring_;
   std::vector<std::int64_t> loose_until_;  ///< [lane] latest counted loose arrival
   std::vector<std::vector<double>> benefit_sums_;  ///< [task][hits]
   std::vector<LaneState> lanes_;
@@ -213,14 +227,7 @@ struct BatchSimEngine::Impl {
     const std::unique_ptr<server::ResponseModel> server = prototype.clone();
 
     // Why the skeleton cannot serve the run, if it cannot.
-    std::size_t* ineligible = nullptr;
-    if (config.scheduler_policy != SchedulerPolicy::kEdf ||
-        config.exec_policy != ExecTimePolicy::kAlwaysWcet ||
-        config.release_policy != ReleasePolicy::kPeriodic ||
-        !config.context_switch_overhead.is_zero() || config.controller != nullptr ||
-        config.sink != nullptr || config.trace_capacity != 0) {
-      ineligible = &stats_.ineligible_config;
-    }
+    std::size_t* ineligible = config_cause(config);
     for (std::size_t i = 0; ineligible == nullptr && i < tasks.size(); ++i) {
       if (decisions[i].offloaded() && !tasks[i].post_wcet.is_zero()) {
         ineligible = &stats_.ineligible_post_wcet;
@@ -229,7 +236,13 @@ struct BatchSimEngine::Impl {
     Skeleton sk;
     if (ineligible == nullptr) {
       sk = core_.record(tasks, decisions, config, profile);
-      if (!ties_replayable(sk.pops)) ineligible = &stats_.ineligible_ties;
+      if (std::ranges::any_of(sk.draws, [](const SkelDraw& d) {
+            return d.window_ns > kMaxWindow;
+          })) {
+        ineligible = &stats_.ineligible_wide_window;
+      } else if (!ties_replayable(sk.pops)) {
+        ineligible = &stats_.ineligible_ties;
+      }
     }
     if (ineligible == nullptr) {
       prepare(sk, config.horizon.ns(), tasks.size());
@@ -251,6 +264,27 @@ struct BatchSimEngine::Impl {
     }
     for (const SimMetrics& m : result.per_replication) result.aggregate.add(m);
     return result;
+  }
+
+  /// The counter of the first precondition `config` breaks, or null.
+  std::size_t* config_cause(const SimConfig& config) {
+    BatchEngineStats& st = stats_;
+    if (config.scheduler_policy != SchedulerPolicy::kEdf) {
+      return &st.ineligible_scheduler;
+    }
+    if (config.exec_policy != ExecTimePolicy::kAlwaysWcet) {
+      return &st.ineligible_exec_policy;
+    }
+    if (config.release_policy != ReleasePolicy::kPeriodic) {
+      return &st.ineligible_release_policy;
+    }
+    if (!config.context_switch_overhead.is_zero()) {
+      return &st.ineligible_context_switch;
+    }
+    if (config.controller != nullptr) return &st.ineligible_controller;
+    if (config.sink != nullptr) return &st.ineligible_sink;
+    if (config.trace_capacity != 0) return &st.ineligible_trace;
+    return nullptr;
   }
 
   /// Per-skeleton setup: sizes the lane buffers, finds each column's
@@ -282,9 +316,15 @@ struct BatchSimEngine::Impl {
     }
     ring_rows_ = std::bit_ceil(span + 1);
     reach_rows_.resize(reach.size());
-    for (std::size_t k = 0; k < reach.size(); ++k) {
-      reach_rows_[k] =
-          static_cast<std::uint32_t>((reach[k] & (ring_rows_ - 1)) * kLanes);
+    reach_delta_.resize(reach.size());
+    for (std::size_t c = 0; c < columns; ++c) {
+      const Column& col = columns_[c];
+      for (std::uint32_t k = col.reach0; k < col.reach0 + col.reaches; ++k) {
+        const std::uint32_t e = reach[k];
+        reach_rows_[k] = static_cast<std::uint32_t>((e & (ring_rows_ - 1)) * kLanes);
+        reach_delta_[k] =
+            static_cast<std::uint32_t>(sk.draws[c].send_ns - sk.draws[e].send_ns);
+      }
     }
     bounds_.clear();
     pop_at_.clear();
@@ -340,7 +380,7 @@ struct BatchSimEngine::Impl {
       if (pop) hi = sk.pops[q].time_ns;
       pop_at_.push_back(pop ? hi : kNever);
       if (hi >= top) break;
-      bounds_.push_back(hi);
+      bounds_.push_back(static_cast<std::int32_t>(hi - d.send_ns));
       lo = hi;
     }
     col.bounds = static_cast<std::uint32_t>(bounds_.size() - col.bound0);
@@ -481,6 +521,11 @@ struct BatchSimEngine::Impl {
     next_event_ = kNoColumn;
     const std::size_t columns = sk.draws.size();
     const std::size_t ring_mask = ring_rows_ - 1;
+    // Per lane: the arrival offset, its interval, and whether an active
+    // column's arrival shares its nanosecond.
+    std::int32_t off[kLanes] = {};
+    std::uint32_t interval[kLanes] = {};
+    std::uint32_t same[kLanes] = {};
     for (std::size_t c = 0; c < columns; ++c) {
       if (live_ == 0) {
         if (next_event_ >= columns) break;
@@ -501,36 +546,63 @@ struct BatchSimEngine::Impl {
                       std::span<Duration>(row_.data(), span_));
 
       const Column& col = columns_[c];
-      const std::int64_t* bounds = bounds_.data() + col.bound0;
+      const std::int32_t* bounds = bounds_.data() + col.bound0;
       const std::int64_t* pop_at = pop_at_.data() + col.interval0;
       const std::uint64_t* outcomes = outcomes_.data() + col.interval0;
       const std::uint32_t* reach = reach_rows_.data() + col.reach0;
+      const std::uint32_t* delta = reach_delta_.data() + col.reach0;
       const std::size_t base = at(d.task, 0);
       std::uint64_t* packed = packed_.data() + base;
       DurationStats* response = response_.data() + base;
-      const std::int64_t* ring = ring_.data();
-      std::int64_t* here = ring_.data() + (c & ring_mask) * kLanes;
-      for (std::size_t s = 0; s < span_; ++s) {
+      const std::uint32_t* ring = ring_.data();
+      std::uint32_t* here = ring_.data() + (c & ring_mask) * kLanes;
+      const std::size_t lanes_now = span_;
+      // Passes across the lanes, parked ones too (their results are not
+      // used), in 32 bits so that baseline SSE2 compares four lanes at
+      // once. The arrival offset: the response, or R for a late one.
+      const auto window = static_cast<std::uint64_t>(d.window_ns);
+      for (std::size_t s = 0; s < lanes_now; ++s) {
+        off[s] = static_cast<std::int32_t>(
+            std::min(static_cast<std::uint64_t>(row_[s].ns()), window));
+        interval[s] = 0;
+        same[s] = 0;
+      }
+      // The arrival's interval: the boundaries below it.
+      for (std::uint32_t b = 0; b < col.bounds; ++b) {
+        const std::int32_t bound = bounds[b];
+        for (std::size_t s = 0; s < lanes_now; ++s) {
+          interval[s] += static_cast<std::uint32_t>(bound < off[s]);
+        }
+      }
+      // An active column's arrival on the same nanosecond: its offset
+      // equals this one's plus the send delta.
+      for (std::uint32_t e = 0; e < col.reaches; ++e) {
+        const std::uint32_t* row = ring + reach[e];
+        const std::uint32_t de = delta[e];
+        for (std::size_t s = 0; s < lanes_now; ++s) {
+          const auto mine = static_cast<std::uint32_t>(off[s]) + de;
+          same[s] |= static_cast<std::uint32_t>(row[s] == mine);
+        }
+      }
+      for (std::size_t s = 0; s < lanes_now; ++s) {
         if (!live_mask_[s]) continue;
         const Duration resp = row_[s];
         if (resp != server::kNoResponse) response[s].add(resp);
         const bool late = resp.ns() > d.window_ns;
-        const std::int64_t a = d.send_ns + (late ? d.window_ns : resp.ns());
-        const std::uint32_t k = interval_of(bounds, col.bounds, a);
-        bool same_ns = false;
-        for (std::uint32_t e = 0; e < col.reaches; ++e) {
-          same_ns |= ring[reach[e] + s] == a;
-        }
+        const std::int64_t a = d.send_ns + off[s];
+        const std::uint32_t k = interval[s];
+        bool same_ns = same[s] != 0;
         if (d.send_ns < loose_until_[s]) {
           same_ns |= std::ranges::any_of(lanes_[s].loose, [a](const Flight& f) {
             return f.counted && f.time_ns == a;
           });
         }
-        here[s] = late ? ~a : a;
+        here[s] = late ? kRingTimer : static_cast<std::uint32_t>(off[s]);
         packed[s] += outcomes[k];
         const bool leaves = late | (a == pop_at[k]) | (resp.ns() <= 0) |
                             (same_ns & (a < horizon_));
         if (!leaves) continue;
+        if (resp.is_negative()) throw std::domain_error(kNegativeResponse);
         // The lane runs as before until the timer fires or the arrival
         // pops; its window opens at the idle instant before that, now if
         // the loop has drawn past it.
@@ -619,7 +691,7 @@ struct BatchSimEngine::Impl {
       loose_until_[s] = std::max(loose_until_[s], f.time_ns);
     }
     // The window replaced every column the ring holds for the lane.
-    for (std::size_t r = 0; r < ring_.size(); r += kLanes) ring_[r + s] = kNever;
+    for (std::size_t r = 0; r < ring_.size(); r += kLanes) ring_[r + s] = kRingNone;
     if (l.pending_ns != kNone) {
       l.window_at = column_at(sk, idle_before(sk, l.pending_ns));
     }
@@ -658,13 +730,14 @@ struct BatchSimEngine::Impl {
     const std::size_t first = drawn_to > ring_rows_ ? drawn_to - ring_rows_ : 0;
     for (std::size_t e = first; e < drawn_to; ++e) {
       const SkelDraw& de = sk.draws[e];
-      const std::int64_t v = ring_[(e & (ring_rows_ - 1)) * kLanes + s];
-      if (v == kNever) continue;  // a window's
-      const bool timer = v < 0;
-      const std::int64_t a = timer ? ~v : v;
+      const std::uint32_t v = ring_[(e & (ring_rows_ - 1)) * kLanes + s];
+      if (v == kRingNone) continue;  // a window's
+      const bool timer = v == kRingTimer;
+      const auto off = static_cast<std::int32_t>(timer ? de.window_ns : v);
+      const std::int64_t a = de.send_ns + off;
       if (de.send_ns < t0 && a < t0) continue;  // landed
       const Column& col = columns_[e];
-      const std::uint32_t k = interval_of(bounds_.data() + col.bound0, col.bounds, a);
+      const std::uint32_t k = interval_of(bounds_.data() + col.bound0, col.bounds, off);
       apply(s, de.task, outcomes_[col.interval0 + k], ~std::uint64_t{0});
       (de.send_ns < t0 ? flights_ : reuse_)
           .push_back(Flight{a, de.send_ns, de.deadline_ns, de.task, 0, timer, true});

@@ -12,10 +12,14 @@
 // 128 replications walk its draw columns together (one
 // ResponseModel::sample_n per column, one table lookup per lane), and a
 // replication that leaves the skeleton's path re-runs the core alone
-// between two idle instants (a resync window), then rejoins. Other
-// configurations, and skeletons with a completion and a release on one
-// nanosecond, run every replication on the serial engine. The parity
-// argument is in batch_engine.cpp, the rules in docs/ANALYSIS.md §12.
+// between two idle instants (a resync window), then rejoins. Per column,
+// the lanes' interval counts and same-nanosecond checks run as passes
+// across the lanes on 32-bit offsets from the column's send, which
+// baseline SSE2 vectorizes; so a draw window R must be below 2^31 ns.
+// Other configurations, wider windows, and skeletons with a completion
+// and a release on one nanosecond run every replication on the serial
+// engine, counted per cause in BatchEngineStats. The parity argument is
+// in batch_engine.cpp, the rules in docs/ANALYSIS.md §12.
 
 #include <cstddef>
 #include <cstdint>
@@ -38,11 +42,21 @@ struct BatchEngineStats {
   /// Resync windows run, and the events their protocol cores popped.
   std::uint64_t resync_windows = 0;
   std::uint64_t resync_events = 0;
-  /// Serial replications by why the skeleton could not serve them: a
-  /// configuration outside its preconditions (policy, controller, sink
-  /// or trace), a nonzero post WCET, or the tie precheck.
-  std::size_t ineligible_config = 0;
+  /// Serial replications by why the skeleton could not serve them, the
+  /// first that holds in this order: a configuration outside its
+  /// preconditions (scheduler, execution-time policy, release policy,
+  /// context-switch overhead, controller, telemetry sink, trace), a
+  /// nonzero post WCET, a draw window R of 2^31 ns or more, or the tie
+  /// precheck.
+  std::size_t ineligible_scheduler = 0;
+  std::size_t ineligible_exec_policy = 0;
+  std::size_t ineligible_release_policy = 0;
+  std::size_t ineligible_context_switch = 0;
+  std::size_t ineligible_controller = 0;
+  std::size_t ineligible_sink = 0;
+  std::size_t ineligible_trace = 0;
   std::size_t ineligible_post_wcet = 0;
+  std::size_t ineligible_wide_window = 0;
   std::size_t ineligible_ties = 0;
 };
 

@@ -35,6 +35,10 @@ namespace rt::sim::detail {
 constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::min();
 /// No instant yet: above every instant.
 constexpr std::int64_t kNone = std::numeric_limits<std::int64_t>::max();
+/// What every engine throws for a response time below zero, which would
+/// put the reply before its request.
+inline constexpr const char* kNegativeResponse =
+    "simulate: the server model returned a negative response time";
 
 /// One request send point of the skeleton, in serial draw order.
 struct SkelDraw {

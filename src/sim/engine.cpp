@@ -271,6 +271,7 @@ void CoreRunner::send_offload(const Offload& job, const TaskCache& tc) {
     server::Request req = tc.req;
     req.send_time = now_;
     response = server_->sample(req, rng_);
+    if (response.is_negative()) throw std::domain_error(kNegativeResponse);
     if (response != server::kNoResponse) {
       auto& tm = metrics_.per_task[job.task];
       tm.observed_response_ms.add(response);

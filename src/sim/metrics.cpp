@@ -1,8 +1,10 @@
 #include "sim/metrics.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "obs/sink.hpp"
+#include "sim/batch_engine.hpp"
 
 namespace rt::sim {
 
@@ -26,6 +28,30 @@ void add_run_counters(obs::Sink* sink, const std::string& prefix,
     reg.counter(task_prefix + ".timely").inc(tm.timely_results);
     reg.counter(task_prefix + ".compensations").inc(tm.compensations);
     reg.counter(task_prefix + ".misses").inc(tm.deadline_misses);
+  }
+}
+
+void add_batch_counters(obs::Sink* sink, const BatchEngineStats& stats) {
+  if (sink == nullptr) return;
+  auto& reg = sink->registry();
+  reg.counter("batch.fast_replications").inc(stats.fast_replications);
+  reg.counter("batch.fallback_replications").inc(stats.fallback_replications);
+  reg.counter("sim.batch.resync_windows").inc(stats.resync_windows);
+  reg.counter("sim.batch.resync_events").inc(stats.resync_events);
+  const std::pair<const char*, std::size_t> causes[] = {
+      {"scheduler", stats.ineligible_scheduler},
+      {"exec_policy", stats.ineligible_exec_policy},
+      {"release_policy", stats.ineligible_release_policy},
+      {"context_switch", stats.ineligible_context_switch},
+      {"controller", stats.ineligible_controller},
+      {"sink", stats.ineligible_sink},
+      {"trace", stats.ineligible_trace},
+      {"post_wcet", stats.ineligible_post_wcet},
+      {"wide_window", stats.ineligible_wide_window},
+      {"ties", stats.ineligible_ties},
+  };
+  for (const auto& [cause, count] : causes) {
+    reg.counter(std::string("sim.batch.ineligible.") + cause).inc(count);
   }
 }
 

@@ -63,4 +63,13 @@ struct SimMetrics {
 void add_run_counters(obs::Sink* sink, const std::string& prefix,
                       const SimMetrics& metrics);
 
+struct BatchEngineStats;
+
+/// Adds a BatchSimEngine run's replication split to `sink`:
+/// batch.fast_replications, batch.fallback_replications,
+/// sim.batch.resync_windows and .resync_events, and one
+/// sim.batch.ineligible.<cause> per fallback cause. A null sink is a
+/// no-op.
+void add_batch_counters(obs::Sink* sink, const BatchEngineStats& stats);
+
 }  // namespace rt::sim

@@ -322,6 +322,38 @@ TEST(CliTool, ReplicationsAddAggregateAndKeepRepZeroReport) {
             agg.at("total_benefit").at("min").as_number());
 }
 
+TEST(CliTool, ReplicatedRunWritesWhereReplicationsWent) {
+  // A single-scenario document with sim.replications > 1 writes the batch
+  // engine's split to --metrics-out. The telemetry sink itself keeps the
+  // engine off its shared-skeleton path, so every replication is counted
+  // under the sink cause.
+  Json doc = taskset_as_doc(sample_taskset());
+  doc.as_object().at("sim").as_object()["replications"] = Json(8);
+  const std::string doc_path = scratch_path("replicated_metrics.json");
+  const std::string metrics_path = scratch_path("replicated_snapshot.json");
+  write_file(doc_path, doc.dump(2));
+  int rc = 0;
+  (void)run_capture(std::string(RTOFFLOAD_CLI_PATH) + " --spec " + doc_path +
+                        " --metrics-out " + metrics_path,
+                    &rc);
+  const std::string snapshot = read_file(metrics_path);
+  std::remove(doc_path.c_str());
+  std::remove(metrics_path.c_str());
+  ASSERT_EQ(rc, 0);
+  const Json metrics = Json::parse(snapshot);
+  const Json& counters = metrics.at("counters");
+  EXPECT_EQ(counters.at("batch.fast_replications").as_number(), 0.0);
+  EXPECT_EQ(counters.at("batch.fallback_replications").as_number(), 8.0);
+  EXPECT_EQ(counters.at("sim.batch.ineligible.sink").as_number(), 8.0);
+  for (const char* cause :
+       {"scheduler", "exec_policy", "release_policy", "context_switch", "controller",
+        "trace", "post_wcet", "wide_window", "ties"}) {
+    const std::string name = std::string("sim.batch.ineligible.") + cause;
+    EXPECT_EQ(counters.at(name).as_number(), 0.0) << name;
+  }
+  EXPECT_EQ(counters.at("sim.batch.resync_windows").as_number(), 0.0);
+}
+
 TEST(CliTool, ReplicationsFlagRejectsBadValues) {
   int rc = 0;
   Json doc = taskset_as_doc(sample_taskset());

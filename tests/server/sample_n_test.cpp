@@ -178,6 +178,29 @@ TEST(SampleN, BatchedSamplingMatchesSequentialForEveryType) {
   }
 }
 
+TEST(SampleN, NoRegisteredTypeReturnsANegativeResponse) {
+  // The simulators store an arrival as its offset from the send, and
+  // reject a negative response; every registered model, over a second of
+  // send times and every stream, answers at or after the send.
+  for (const auto& [type, text] : type_docs()) {
+    const std::unique_ptr<server::ResponseModel> model = build(text);
+    std::vector<Rng> rngs;
+    for (std::uint64_t i = 0; i < 16; ++i) rngs.emplace_back(derive_seed(0xD1CE, i));
+    std::vector<Duration> out(rngs.size());
+    for (std::size_t step = 0; step < 100; ++step) {
+      server::Request req;
+      req.send_time = TimePoint{} + Duration::from_ms(10.0 * static_cast<double>(step));
+      req.compute_time = Duration::from_ms(1.0 + static_cast<double>(step % 7));
+      req.payload_bytes = 512 * (step % 5 + 1);
+      req.stream_id = step % 4;
+      model->sample_n(req, std::span<Rng>(rngs), std::span<Duration>(out));
+      for (const Duration d : out) {
+        ASSERT_FALSE(d.is_negative()) << type << " at step " << step << ": " << d.ns();
+      }
+    }
+  }
+}
+
 TEST(SampleN, ComposedWrapperStackMatches) {
   // Wrappers recursively forward sample_n; a three-deep stack with state
   // at every level (fault windows, burst phases, per-stream routes) is the

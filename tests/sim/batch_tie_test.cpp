@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -657,10 +660,118 @@ TEST(BatchTie, PaperSetsMatchSerial) {
   EXPECT_GE(timely_only, 3u);
 }
 
+// ---------------------------------------------------------------------
+// The column loop's 32-bit offsets. Arrivals and boundaries are stored
+// relative to their column's send, so every window R up to 2^31 - 1 ns
+// must be served exactly, at both ends of the response range; a wider one
+// takes the serial engine.
+
+/// Stateless: each draw is one of `choices`, picked uniformly.
+class ChoiceResponse final : public server::ResponseModel {
+ public:
+  explicit ChoiceResponse(std::vector<Duration> choices)
+      : choices_(std::move(choices)) {}
+  Duration sample(const server::Request&, Rng& rng) override {
+    return choices_[rng.next() % choices_.size()];
+  }
+  bool is_stateless() const override { return true; }
+  std::unique_ptr<server::ResponseModel> clone() const override {
+    return std::make_unique<ChoiceResponse>(choices_);
+  }
+
+ private:
+  std::vector<Duration> choices_;
+};
+
+constexpr Duration kWidestWindow = Duration::nanoseconds(0x7FFF'FFFF);
+
+/// A and C offload with window W, in periods of 4W. Alone, A's setup
+/// runs [0, 2 ms) and C's [2 ms, 2 ms + W - 1 ns), so C sends at the
+/// largest delta from A's send at which A's window is still open. With
+/// `pops`, B, a local 100 us job every 10 ms (every W / 4 when shorter),
+/// puts pops into the windows.
+Scenario wide_sends(Duration w, bool pops) {
+  const Duration period = w * 4;
+  Scenario s;
+  s.tasks = {offload_task("A", period, w * 2, 2_ms, 5_ms, w),
+             offload_task("C", period, w * 3, w - Duration::nanoseconds(1), 5_ms, w)};
+  s.decisions = {offload(s.tasks[0]), offload(s.tasks[1])};
+  if (pops) {
+    const Duration b = std::min(10_ms, w / 4);
+    s.tasks.push_back(local_task("B", b, b, 100_us));
+    s.decisions.push_back(core::Decision::local());
+  }
+  s.cfg = tie_config(period * 3);
+  return s;
+}
+
+TEST(BatchTie, ArrivalsTieAtTheLargestSendDelta) {
+  // A answers at R and C after 1 ns: both arrive at 2 ms + W, where A's
+  // offset W equals C's 1 ns plus the send delta W - 1 ns.
+  for (const Duration w : {10_ms, kWidestWindow}) {
+    Scenario s = wide_sends(w, false);
+    s.server = fixed_per_task({w, Duration::nanoseconds(1)});
+    const std::string label = "W=" + std::to_string(w.ns()) + "ns";
+    expect_ties_resolved(expect_parity(s, 4, label), 4, label);
+  }
+}
+
+TEST(BatchTie, EdgeResponsesMatchSerialUpToTheWidestWindow) {
+  // Responses of exactly 0, 1 ns, R - 1 ns, R and R + 1 ns, and none,
+  // mixed across the lanes of every column; 130 replications cross a
+  // block.
+  for (const Duration w : {10_ms, kWidestWindow}) {
+    Scenario s = wide_sends(w, true);
+    const Duration ns1 = Duration::nanoseconds(1);
+    s.server = std::make_unique<ChoiceResponse>(std::vector<Duration>{
+        0_ms, ns1, w / 2, w - ns1, w, w + ns1, server::kNoResponse});
+    const std::string label = "W=" + std::to_string(w.ns()) + "ns";
+    const BatchEngineStats st = expect_parity(s, 130, label);
+    EXPECT_EQ(st.fast_replications, 130u) << label;
+    EXPECT_GT(st.resync_windows, 0u) << label;
+  }
+}
+
+TEST(BatchTie, WindowOf2To31NsRunsSerially) {
+  // One nanosecond wider than the offsets hold: every replication takes
+  // the serial engine, under its own cause.
+  const Duration w = kWidestWindow + Duration::nanoseconds(1);
+  Scenario s = wide_sends(w, true);
+  s.server = std::make_unique<ChoiceResponse>(std::vector<Duration>{
+      0_ms, w, w + Duration::nanoseconds(1), server::kNoResponse});
+  const BatchEngineStats st = expect_parity(s, 6, "W=2^31ns");
+  EXPECT_EQ(st.ineligible_wide_window, 6u);
+  EXPECT_EQ(st.fallback_replications, 6u);
+}
+
+TEST(BatchTie, NegativeResponseIsRejectedOnBothPaths) {
+  Scenario s = wide_sends(10_ms, true);
+  const Duration before_send = Duration::nanoseconds(-1);
+  s.server = std::make_unique<ChoiceResponse>(std::vector<Duration>{before_send});
+  const auto message = [&](const std::function<void()>& run) -> std::string {
+    try {
+      run();
+    } catch (const std::domain_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  const std::string serial = message([&] {
+    const std::unique_ptr<server::ResponseModel> srv = s.server->clone();
+    (void)SimEngine().run(s.tasks, s.decisions, *srv, s.cfg);
+  });
+  const std::string batch = message([&] {
+    (void)BatchSimEngine().run(s.tasks, s.decisions, *s.server, s.cfg, 4);
+  });
+  EXPECT_NE(serial, "");
+  EXPECT_EQ(batch, serial);
+}
+
 TEST(BatchTie, RunnerReportsWhereReplicationsWent) {
   // The runner hands its telemetry shard to the engine as SimConfig::sink,
   // which the fast path does not serve, so here every replication runs
-  // serially; the split and the window counters are reported all the same.
+  // serially, counted under the sink cause; the window counters are
+  // reported all the same.
   exp::ScenarioSpec spec;
   Rng rng(10);
   core::PaperSimConfig wl;
@@ -683,8 +794,8 @@ TEST(BatchTie, RunnerReportsWhereReplicationsWent) {
   EXPECT_EQ(value("batch.fast_replications") +
                 value("batch.fallback_replications"),
             8u);
-  EXPECT_EQ(value("sim.batch.ineligible.config"),
-            value("batch.fallback_replications"));
+  EXPECT_EQ(value("sim.batch.ineligible.sink"), 8u);
+  EXPECT_EQ(value("batch.fallback_replications"), 8u);
   (void)value("sim.batch.resync_windows");
   (void)value("sim.batch.resync_events");
 }

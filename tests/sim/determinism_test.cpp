@@ -251,49 +251,61 @@ TEST(BatchedDifferential, FastPathMatchesSerialOnBenefitDrivenWorkload) {
   EXPECT_GT(st.fast_replications, 0u);
 }
 
-TEST(BatchedDifferential, ScenarioServerMatchesAcrossConfigGrid) {
-  // Two skeleton-eligible configurations (the naive deadline policy stays
-  // eligible) plus every precondition of the skeleton gate: fixed-priority
-  // dispatch, sporadic releases, stochastic execution, dispatch overhead,
-  // a nonzero post WCET, a trace and a telemetry sink. Each
-  // runs against the scenario servers, whose late draws run resync
-  // windows, and against the all-timely
-  // benefit-driven server, on which an eligible configuration must take
-  // the fast path and an ineligible one must fall back for every
-  // replication.
+/// One batch run of a differential grid.
+struct GridRun {
+  const core::TaskSet& tasks;
+  const core::DecisionVector& decisions;
+  const server::ResponseModel& server;
+  const SimConfig& cfg;
+  std::size_t replications;
+  std::string label;
+};
+
+/// Two skeleton-eligible configurations (the naive deadline policy stays
+/// eligible) plus every precondition of the skeleton gate: fixed-priority
+/// dispatch, sporadic releases, stochastic execution, dispatch overhead,
+/// a nonzero post WCET, a trace and a telemetry sink. Each runs against
+/// the scenario servers, whose late draws run resync windows, and against
+/// the all-timely benefit-driven server. `visit` gets each run with the
+/// fallback cause its configuration is counted under (null: eligible)
+/// and whether its server is all timely.
+using Cause = std::size_t BatchEngineStats::*;
+void config_grid(
+    const std::function<void(const GridRun&, Cause cause, bool all_timely)>& visit) {
   obs::Sink sink;
   struct Variant {
     const char* name;
-    bool eligible;
+    Cause cause;
     std::function<void(SimConfig&, core::TaskSet&)> mutate;
   };
   const Variant variants[] = {
-      {"eligible", true, [](SimConfig&, core::TaskSet&) {}},
-      {"naive-deadline", true,
+      {"eligible", nullptr, [](SimConfig&, core::TaskSet&) {}},
+      {"naive-deadline", nullptr,
        [](SimConfig& c, core::TaskSet&) {
          c.deadline_policy = DeadlinePolicy::kNaive;
        }},
-      {"fp-dm", false,
+      {"fp-dm", &BatchEngineStats::ineligible_scheduler,
        [](SimConfig& c, core::TaskSet&) {
          c.scheduler_policy = SchedulerPolicy::kFixedPriorityDm;
        }},
-      {"sporadic", false,
+      {"sporadic", &BatchEngineStats::ineligible_release_policy,
        [](SimConfig& c, core::TaskSet&) {
          c.release_policy = ReleasePolicy::kSporadic;
        }},
-      {"uniform-exec", false,
+      {"uniform-exec", &BatchEngineStats::ineligible_exec_policy,
        [](SimConfig& c, core::TaskSet&) {
          c.exec_policy = ExecTimePolicy::kUniformFraction;
        }},
-      {"ctx-overhead", false,
+      {"ctx-overhead", &BatchEngineStats::ineligible_context_switch,
        [](SimConfig& c, core::TaskSet&) { c.context_switch_overhead = 10_us; }},
-      {"post-wcet", false,
+      {"post-wcet", &BatchEngineStats::ineligible_post_wcet,
        [](SimConfig&, core::TaskSet& tasks) {
          for (auto& t : tasks) t.post_wcet = std::min(t.compensation_wcet, 100_us);
        }},
-      {"trace", false,
+      {"trace", &BatchEngineStats::ineligible_trace,
        [](SimConfig& c, core::TaskSet&) { c.trace_capacity = 256; }},
-      {"sink", false, [&sink](SimConfig& c, core::TaskSet&) { c.sink = &sink; }},
+      {"sink", &BatchEngineStats::ineligible_sink,
+       [&sink](SimConfig& c, core::TaskSet&) { c.sink = &sink; }},
   };
   const Fixture s = make_setup(101);
   std::vector<core::BenefitFunction> gs;
@@ -316,16 +328,27 @@ TEST(BatchedDifferential, ScenarioServerMatchesAcrossConfigGrid) {
       cfg.horizon = 3_s;
       core::TaskSet tasks = s.tasks;
       v.mutate(cfg, tasks);
-      const std::string label = std::string(v.name) + "/" + srv.name;
-      const BatchEngineStats st = expect_batch_matches_serial(
-          tasks, s.decisions, *srv.model, cfg, 6, label);
-      if (!v.eligible) {
-        EXPECT_EQ(st.fast_replications, 0u) << label;
-      } else if (srv.all_timely) {
-        EXPECT_GT(st.fast_replications, 0u) << label;
-      }
+      visit({tasks, s.decisions, *srv.model, cfg, 6,
+             std::string(v.name) + "/" + srv.name},
+            v.cause, srv.all_timely);
     }
   }
+}
+
+TEST(BatchedDifferential, ScenarioServerMatchesAcrossConfigGrid) {
+  // An ineligible configuration must fall back for every replication,
+  // counted under its own cause; on the all-timely server an eligible one
+  // must take the fast path.
+  config_grid([](const GridRun& g, Cause cause, bool all_timely) {
+    const BatchEngineStats st = expect_batch_matches_serial(
+        g.tasks, g.decisions, g.server, g.cfg, g.replications, g.label);
+    if (cause != nullptr) {
+      EXPECT_EQ(st.fast_replications, 0u) << g.label;
+      EXPECT_EQ(st.*cause, g.replications) << g.label;
+    } else if (all_timely) {
+      EXPECT_GT(st.fast_replications, 0u) << g.label;
+    }
+  });
 }
 
 TEST(BatchedDifferential, ComposedFaultRoutingBurstyStackMatches) {
@@ -401,6 +424,7 @@ TEST(BatchedDifferential, AdaptiveControllerPathMatchesSerial) {
       s.tasks, s.decisions, server, cfg, 4, "adaptive");
   EXPECT_EQ(st.fast_replications, 0u);
   EXPECT_EQ(st.fallback_replications, 4u);
+  EXPECT_EQ(st.ineligible_controller, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -626,16 +650,15 @@ std::uint64_t expect_windows_match(const core::TaskSet& tasks,
   return batch.stats().resync_windows;
 }
 
-TEST(BatchedDifferential, ResyncWindowsMatchSerialOverHorizonsAndPerturbations) {
-  // x < 0 admits windows R shorter than the curves the server draws from,
-  // so responses come late; at x >= 0 only the curves' tails (G below 1)
-  // fail to answer; microsecond-lattice draws also put arrivals on pops.
-  // Horizons cut anywhere to the nanosecond, and K = 130 crosses a
-  // 128-lane block.
+/// x < 0 admits windows R shorter than the curves the server draws from,
+/// so responses come late; at x >= 0 only the curves' tails (G below 1)
+/// fail to answer; microsecond-lattice draws also put arrivals on pops.
+/// Horizons cut anywhere to the nanosecond, and K = 130 crosses a 128-lane
+/// block. The last two runs lift every curve to G(0) > 0 (`lifted`).
+void window_grid(const std::function<void(const GridRun&, bool lifted)>& visit) {
   Rng pick(0x5E5C);
   const std::size_t reps[] = {1, 4, 130};
   std::size_t k = 0;
-  std::uint64_t windows = 0;
   for (int round = 0; round < 3; ++round) {
     for (const int n : {12, 30}) {
       for (const double x : {-0.4, -0.2, -0.1, 0.0, 0.2}) {
@@ -648,26 +671,57 @@ TEST(BatchedDifferential, ResyncWindowsMatchSerialOverHorizonsAndPerturbations) 
           cfg.horizon =
               Duration::nanoseconds(pick.uniform_int(300'000'000, 5'000'000'000));
           const std::size_t replications = reps[k++ % 3];
-          windows += expect_windows_match(
-              pc.tasks, pc.decisions, *pc.server, cfg, replications,
-              "n=" + std::to_string(n) + " x=" + std::to_string(x) +
-                  " K=" + std::to_string(replications) + " H=" +
-                  std::to_string(cfg.horizon.ns()) +
-                  (sem == BenefitSemantics::kTimelyCount ? " count" : " quality"));
+          visit({pc.tasks, pc.decisions, *pc.server, cfg, replications,
+                 "n=" + std::to_string(n) + " x=" + std::to_string(x) +
+                     " K=" + std::to_string(replications) + " H=" +
+                     std::to_string(cfg.horizon.ns()) +
+                     (sem == BenefitSemantics::kTimelyCount ? " count" : " quality")},
+                false);
         }
       }
     }
   }
-  EXPECT_GT(windows, 0u);
   for (const double x : {-0.4, -0.1}) {
     const PaperCase pc = paper_case(31, 30, x, true);
     SimConfig cfg = batch_base_config();
     cfg.benefit_semantics = BenefitSemantics::kQualityValue;
     cfg.horizon = Duration::nanoseconds(4'321'987'654);
-    EXPECT_GT(expect_windows_match(pc.tasks, pc.decisions, *pc.server, cfg, 130,
-                                   "G(0) > 0 x=" + std::to_string(x)),
-              0u);
+    visit({pc.tasks, pc.decisions, *pc.server, cfg, 130,
+           "G(0) > 0 x=" + std::to_string(x)},
+          true);
   }
+}
+
+TEST(BatchedDifferential, ResyncWindowsMatchSerialOverHorizonsAndPerturbations) {
+  std::uint64_t windows = 0;
+  window_grid([&](const GridRun& g, bool lifted) {
+    const std::uint64_t w = expect_windows_match(g.tasks, g.decisions, g.server,
+                                                 g.cfg, g.replications, g.label);
+    if (lifted) {
+      EXPECT_GT(w, 0u) << g.label;
+    }
+    windows += w;
+  });
+  EXPECT_GT(windows, 0u);
+}
+
+TEST(BatchedDifferential, PinnedFastPathTotals) {
+  // The fast path's deterministic counts over the two grids above: a
+  // change that moves replications to the serial engine, or that opens
+  // more or fewer windows, fails here even when every result still
+  // matches.
+  std::uint64_t fast = 0;
+  std::uint64_t windows = 0;
+  BatchSimEngine batch;
+  const auto add = [&](const GridRun& g) {
+    (void)batch.run(g.tasks, g.decisions, g.server, g.cfg, g.replications);
+    fast += batch.stats().fast_replications;
+    windows += batch.stats().resync_windows;
+  };
+  config_grid([&](const GridRun& g, Cause, bool) { add(g); });
+  window_grid([&](const GridRun& g, bool) { add(g); });
+  EXPECT_EQ(fast, 2'996u);
+  EXPECT_EQ(windows, 10'792u);
 }
 
 TEST(BatchedDifferential, StatefulModelRunsWindowsOneLaneAtATime) {

@@ -228,6 +228,7 @@ int run_scenario(rt::spec::BuiltScenario run, std::ostream& os,
     sim::BatchResult bres =
         engine.run(run.tasks, odm.decisions, *run.server, run.sim,
                    run.replications, run.profile);
+    sim::add_batch_counters(sink, engine.stats());
     for (const sim::SimMetrics& m : bres.per_replication) {
       exit_misses += m.total_deadline_misses();
     }
