@@ -243,34 +243,28 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
   w.wt.clear();
   w.item_of.clear();
   w.class_begin.assign(1, 0);
-  w.lo.resize(m);
-  w.hi.resize(m);
   std::int64_t total_q = 0;
   std::int64_t min_weight_sum = 0;
   std::int64_t g = 0;  // gcd of the kept scaled profits
   for (std::size_t c = 0; c < m; ++c) {
     reduced.push_back(reduce_class(inst.classes[c]));
-    std::int64_t qmin = std::numeric_limits<std::int64_t>::max();
-    std::int64_t qmax = 0;
     for (const int idx : reduced.back().undominated) {
       const Item& item = inst.classes[c][static_cast<std::size_t>(idx)];
       const std::int64_t v = scaled(item);
       w.q.push_back(v);
       w.wt.push_back(item.weight);
       w.item_of.push_back(idx);
-      qmin = std::min(qmin, v);
-      qmax = std::max(qmax, v);
       g = std::gcd(g, v);
     }
     w.class_begin.push_back(w.q.size());
-    w.lo[c] = qmin;
-    w.hi[c] = qmax;
     // undominated.front() is the min-weight item of the class.
     min_weight_sum = add_weight_sat(
         min_weight_sum,
         inst.classes[c][static_cast<std::size_t>(reduced.back().undominated.front())]
             .weight);
-    total_q += qmax;
+    // Undominated items ascend in profit, so q is non-decreasing within a
+    // class: its last entry is the class's largest scaled profit.
+    total_q += w.q.back();
   }
   if (sink != nullptr) {
     std::size_t items_total = 0;
@@ -365,71 +359,69 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
   // The profit lattice. Every sum of kept scaled profits is a multiple of
   // g, so the DP runs on p = g * j and never visits the cells between
   // (Fig. 3's ladders step by 0.1 at scale 1000: g = 100). From here on
-  // q, lo, hi, total_q and lb count lattice steps; lb is a sum of kept
-  // profits, so it divides exactly, and the cap rounds down to the last
-  // multiple of g it admits. The dead test below still reads the
-  // unscaled profit g * j from the same doubles (for g = 1, the same
-  // expression as on the unscaled axis).
+  // q, total_q and lb count lattice steps; lb is a sum of kept profits, so
+  // it divides exactly, and the cap rounds down to the last multiple of g
+  // it admits. The dead test below still reads the unscaled profit g * j
+  // from the same doubles (for g = 1, the same expression as on the
+  // unscaled axis).
   if (g == 0) g = 1;  // every kept profit is 0
   if (g > 1) {
     for (std::int64_t& v : w.q) v /= g;
-    for (std::size_t c = 0; c < m; ++c) {
-      w.lo[c] /= g;
-      w.hi[c] /= g;
-    }
   }
   const std::int64_t lattice_total = total_q / g;
   const std::int64_t lattice_axis = axis / g;
   const std::int64_t lattice_lb = lb / g;
 
-  // Rows are built as the DP goes. Row c's targets are the previous row's
-  // live range shifted by the class's [qmin, qmax] (lo/hi hold them until
-  // row c overwrites them), cut to [lb - sum_{c'>c} qmax, axis]. Each
-  // row's min weights go to one reused scratch row; its dead ends are
-  // then trimmed, so lo[c]/hi[c] end as the row's first/last live cell,
-  // and only that live range is appended to the flat table `dp` at
-  // row_off[c]. No choice is stored: the reconstruction finds it again
-  // (below). Dead cells inside a row keep their weight; they are skipped
-  // where the next row reads them, beside the unreachable ones, and the
-  // reconstruction skips them by the same test. Cells on a min-weight
-  // path to the answer are never dead, so they get the same weight as in
-  // the full table; any other cell can only come out heavier
-  // (docs/ANALYSIS.md §7).
+  // Rows are built as the DP goes, each stored as its Pareto list: the
+  // cells (p, min weight) that are not dead and are strictly lighter than
+  // every cell of higher profit in the row, in ascending p (and so
+  // ascending weight). A cell (p, w) beside a cell (p' > p, w' <= w) is
+  // never on a path to the answer: the completion that takes p to the
+  // answer would take p' above it at no more weight. Row c's targets are
+  // the previous row's stored cells shifted by the class's [qmin, qmax],
+  // cut to [lb - sum_{c'>c} qmax, axis]; its min weights go to one reused
+  // scratch row, and one backward pass keeps the Pareto cells. Only those
+  // that are not dead are appended to the flat cell_p/cell_w, at
+  // row_begin[c+1]; row 0 there is the empty selection (p = 0, weight 0).
+  // No choice is stored: the reconstruction finds it again (below). Cells
+  // on a min-weight path to the answer are neither dead nor dominated, so
+  // they get the same weight as in the full table; any other cell can
+  // only come out heavier (docs/ANALYSIS.md §7).
   //
-  // Inner loop: both dp[i] and wt[k] are below kInfWeight (validate()), so
-  // their sum cannot overflow, and a sum >= kInfWeight never beats a
-  // next[] entry (<= kInfWeight) -- the same outcome as add_weight_sat.
+  // Inner loop: both a stored weight and wt[k] are below kInfWeight
+  // (validate()), so their sum cannot overflow, and a sum >= kInfWeight
+  // never beats a next[] entry (<= kInfWeight) -- the same outcome as
+  // add_weight_sat.
   const std::int64_t* const q = w.q.data();
   const std::int64_t* const wt = w.wt.data();
   const std::int64_t capacity = inst.capacity;
   const auto need = static_cast<double>(lb);
   // Whether reachable cell j of a row, of min weight `weight`, is dead;
-  // `reach` is row_reach of the row's first cell.
-  const auto dead = [capacity, slope, need, g](double reach, std::size_t j,
+  // `reach` is the row's reach at its first cell, g * lo + reach[c].
+  const auto dead = [capacity, slope, need, g](double reach, std::int64_t j,
                                                std::int64_t weight) {
     return weight > capacity ||
-           reach + static_cast<double>(g * static_cast<std::int64_t>(j)) +
+           reach + static_cast<double>(g * j) +
                    slope * static_cast<double>(capacity - weight) <
                need;
   };
-  // The `reach` of a row of class c whose first cell is `first`.
-  const auto row_reach = [&w, g](std::size_t c, std::int64_t first) {
-    return static_cast<double>(g * first) + w.reach[c];
-  };
-  w.row_off.resize(m);
-  w.dp.assign(1, 0);  // before class 0: the single cell p = 0, weight 0
-  std::size_t dp_at = 0;
-  std::int64_t prev_lo = 0;
-  std::int64_t prev_hi = 0;
-  double prev_reach = std::numeric_limits<double>::infinity();  // never dead
+  w.cell_p.assign(1, 0);
+  w.cell_w.assign(1, 0);
+  w.row_begin.assign({0, 1});
   std::int64_t prefix_qmax = 0;
   std::int64_t cells = 0;
   bool answered = true;
   for (std::size_t c = 0; c < m; ++c) {
-    prefix_qmax += w.hi[c];
-    const std::int64_t lo = std::max(prev_lo + w.lo[c],
-                                     lattice_lb - (lattice_total - prefix_qmax));
-    const std::int64_t hi = std::min(prev_hi + w.hi[c], lattice_axis);
+    const std::size_t k_begin = w.class_begin[c];
+    const std::size_t k_end = w.class_begin[c + 1];
+    const std::size_t src_begin = w.row_begin[c];
+    const std::size_t src_end = w.row_begin[c + 1];
+    prefix_qmax += q[k_end - 1];
+    const std::int64_t lo =
+        std::max(w.cell_p[src_begin] + q[k_begin],
+                 lattice_lb - (lattice_total - prefix_qmax));
+    const std::int64_t hi =
+        std::min(w.cell_p[src_end - 1] + q[k_end - 1], lattice_axis);
     if (lo > hi) {
       answered = false;
       break;
@@ -437,22 +429,20 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
     const auto width = static_cast<std::size_t>(hi - lo + 1);
     cells += hi - lo + 1;
     w.next.assign(width, kInfWeight);
-
-    const std::size_t k_begin = w.class_begin[c];
-    const std::size_t k_end = w.class_begin[c + 1];
-    const std::size_t prev_width = static_cast<std::size_t>(prev_hi - prev_lo) + 1;
-    const std::int64_t* const dp = w.dp.data() + dp_at;
+    w.next_at.resize(width);
     std::int64_t* const next = w.next.data();
-    // q is non-decreasing within a class (undominated items ascend in
-    // profit), so the items that land source p in [lo, hi] are the run
-    // [kf, ke) with lo - p <= q[k] <= hi - p; both ends only move down as
-    // p grows.
+    std::int64_t* const at = w.next_at.data();
+
+    // q is non-decreasing within a class, so the items that land source p
+    // in [lo, hi] are the run [kf, ke) with lo - p <= q[k] <= hi - p; both
+    // ends only move down as p grows.
+    const std::int64_t* const src_p = w.cell_p.data();
+    const std::int64_t* const src_w = w.cell_w.data();
     std::size_t kf = k_end;
     std::size_t ke = k_end;
-    for (std::size_t i = 0; i < prev_width; ++i) {
-      const std::int64_t base = dp[i];
-      if (base >= kInfWeight || dead(prev_reach, i, base)) continue;
-      const std::int64_t p = prev_lo + static_cast<std::int64_t>(i);
+    for (std::size_t i = src_begin; i < src_end; ++i) {
+      const std::int64_t p = src_p[i];
+      const std::int64_t base = src_w[i];
       while (ke > k_begin && q[ke - 1] > hi - p) --ke;
       while (kf > k_begin && q[kf - 1] >= lo - p) --kf;
       for (std::size_t k = kf; k < ke; ++k) {
@@ -461,71 +451,93 @@ Selection solve_dp_profits(const Instance& inst, double profit_scale,
       }
     }
 
-    const double reach = row_reach(c, lo);
-    const auto live = [&](std::size_t j) {
-      return next[j] < kInfWeight && !dead(reach, j, next[j]);
-    };
-    std::size_t first = 0;
-    while (first < width && !live(first)) ++first;
-    if (first == width) {
+    // The Pareto cells, from the top: a cell is kept when it is strictly
+    // lighter than every cell above it. Every cell is written just below
+    // the kept list, whose front only moves down when the cell is kept;
+    // the front never passes the cell read, so the list builds in place,
+    // ascending, in next[front, width) and at[front, width).
+    std::int64_t lightest = kInfWeight;
+    std::size_t front = width;
+    for (std::size_t j = width; j-- > 0;) {
+      const std::int64_t weight = next[j];
+      next[front - 1] = weight;
+      at[front - 1] = static_cast<std::int64_t>(j);
+      front -= static_cast<std::size_t>(weight < lightest);
+      lightest = std::min(lightest, weight);
+    }
+    // Append the Pareto cells that are not dead: every one is written, and
+    // the end only moves past the live ones. The rows end at row_begin, not
+    // at the arrays' size, which grows by doubling so that few rows resize.
+    const double reach = static_cast<double>(g * lo) + w.reach[c];
+    const std::size_t room = src_end + (width - front);
+    if (w.cell_p.size() < room) {
+      w.cell_p.resize(2 * room);
+      w.cell_w.resize(2 * room);
+    }
+    std::int64_t* const out_p = w.cell_p.data() + src_end;
+    std::int64_t* const out_w = w.cell_w.data() + src_end;
+    std::size_t kept = 0;
+    for (std::size_t i = front; i < width; ++i) {
+      out_p[kept] = lo + at[i];
+      out_w[kept] = next[i];
+      kept += static_cast<std::size_t>(!dead(reach, at[i], next[i]));
+    }
+    if (kept == 0) {  // no live cell
       answered = false;
       break;
     }
-    std::size_t last = width - 1;
-    while (!live(last)) --last;
-    w.lo[c] = lo + static_cast<std::int64_t>(first);
-    w.hi[c] = lo + static_cast<std::int64_t>(last);
-    dp_at = w.dp.size();
-    w.row_off[c] = dp_at;
-    w.dp.insert(w.dp.end(), next + first, next + last + 1);
-    prev_lo = w.lo[c];
-    prev_hi = w.hi[c];
-    prev_reach = row_reach(c, prev_lo);
+    w.row_begin.push_back(src_end + kept);
   }
-  if (sink != nullptr) sink->registry().histogram("mckp.dp_cells").add(cells);
+  if (sink != nullptr) {
+    auto& reg = sink->registry();
+    reg.histogram("mckp.dp_cells").add(cells);
+    reg.histogram("mckp.dp_kept_cells")
+        .add(static_cast<std::int64_t>(w.row_begin.back() - 1));
+  }
   if (!answered) return min_weight_selection(inst);
 
-  // The last row's last live cell is the largest scaled profit that fits
-  // (heavier cells are dead): the answer. Walking back, cell t of row c
-  // came from cell t - q[k] of the row before, and the forward pass kept
+  // The last row's last cell is the largest scaled profit that fits
+  // (every stored cell fits): the answer. Walking back, cell t of row c
+  // came from cell t - q[k] of the row before, and the full table kept
   // the first candidate to reach its min weight, visiting sources in
   // ascending profit, then items in order. For a fixed t a lower source
-  // means a higher q[k], so that candidate is the item of highest q[k],
-  // then lowest index, whose source is live and not dead and whose
-  // source weight plus wt[k] is the cell's min weight. Dead sources are
-  // told apart by the very test the forward pass skipped them with, so
-  // this is the forward pass's choice by construction. (With the cut
-  // sound none could match here anyway: a dead source that matched
-  // would complete, through the path already rebuilt, to the answer.)
-  const auto source_weight = [&](std::size_t c, std::int64_t s) {
-    if (c == 0) return s == 0 ? std::int64_t{0} : kInfWeight;
-    if (s < w.lo[c - 1] || s > w.hi[c - 1]) return kInfWeight;
-    const auto i = static_cast<std::size_t>(s - w.lo[c - 1]);
-    const std::int64_t weight = w.dp[w.row_off[c - 1] + i];
-    if (weight >= kInfWeight ||
-        dead(row_reach(c - 1, w.lo[c - 1]), i, weight)) {
-      return kInfWeight;
-    }
-    return weight;
-  };
+  // means a higher q[k], so that candidate is the item of highest q[k]
+  // whose source is stored and whose source weight plus wt[k] is the
+  // cell's min weight. (Items of one q[k] share the source and differ in
+  // weight -- kept items ascend strictly in weight -- so at most one of
+  // them matches.) A source that is not stored lies on no path to the
+  // answer, so it is never the full table's candidate here, and a stored
+  // source that matches is one of its candidates (its weight is no
+  // lighter than the full table's).
   std::vector<int> pick(m, -1);
-  std::int64_t t = w.hi[m - 1];
+  const std::int64_t* const cell_p = w.cell_p.data();
+  std::int64_t t = w.cell_p[w.row_begin.back() - 1];
+  std::int64_t target = w.cell_w[w.row_begin.back() - 1];
   for (std::size_t c = m; c-- > 0;) {
-    const std::int64_t target =
-        w.dp[w.row_off[c] + static_cast<std::size_t>(t - w.lo[c])];
-    std::size_t best = w.class_begin[c + 1];
-    for (std::size_t k = w.class_begin[c]; k < w.class_begin[c + 1]; ++k) {
-      const std::int64_t from = source_weight(c, t - q[k]);
-      if (from < kInfWeight && from + wt[k] == target &&
-          (best == w.class_begin[c + 1] || q[k] > q[best])) {
+    // q is non-decreasing within a class, so the sources t - q[k] ascend
+    // as k descends and one index walks the source row (ascending in
+    // profit) from the lowest of them; the first match is the candidate.
+    const std::size_t k_begin = w.class_begin[c];
+    const std::size_t none = w.class_begin[c + 1];
+    const std::size_t row_end = w.row_begin[c + 1];
+    auto i = static_cast<std::size_t>(
+        std::lower_bound(cell_p + w.row_begin[c], cell_p + row_end, t - q[none - 1]) -
+        cell_p);
+    std::size_t best = none;
+    for (std::size_t k = none; k-- > k_begin && i < row_end;) {
+      const std::int64_t from = t - q[k];
+      while (i < row_end && cell_p[i] < from) ++i;
+      if (i < row_end && cell_p[i] == from && w.cell_w[i] + wt[k] == target) {
         best = k;
+        break;
       }
     }
-    if (best == w.class_begin[c + 1]) {
+    if (best == none) {
       throw std::logic_error("solve_dp_profits: broken DP path");
     }
     pick[c] = w.item_of[best];
     t -= q[best];
+    target -= wt[best];
   }
   return evaluate(inst, std::move(pick));
 }

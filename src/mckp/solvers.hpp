@@ -35,28 +35,29 @@ inline constexpr double kDefaultProfitScale = 1000.0;
 
 /// Reusable scratch space for solve_dp_profits. The profit DP runs on the
 /// lattice of multiples of g, the gcd of the kept scaled profits, and keeps,
-/// per class c, only the live cells of its row -- those that can still
-/// lead to an answer (see solve_dp_profits). It builds the rows as it goes:
-/// each row's min weights go to one scratch row, and its live range is
-/// appended to one flat table (row c starts at row_off[c], lattice cell j
-/// at row_off[c] + (j - lo[c])). No choice is stored; the pick is rebuilt
-/// from the weights. At paper scale the table is still up to megabytes, so
-/// the online ODM path (admission control, mode changes) reuses one
-/// workspace across calls instead of reallocating. A workspace serves one
-/// thread at a time; passing nullptr uses a per-thread (thread_local)
-/// workspace, which makes the plain call both allocation-free after
-/// warm-up and thread-safe. Contents are opaque scratch: valid only during
-/// a solve.
+/// per class c, only its row's Pareto cells: those that can still lead to
+/// an answer and are strictly lighter than every cell of higher profit
+/// (see solve_dp_profits). It builds the rows as it goes: each row's min
+/// weights go to one scratch row, and its Pareto cells are appended to two
+/// flat arrays, lattice profit and min weight, in ascending profit (row r
+/// holds cells [row_begin[r], row_begin[r+1]); row 0 is the empty
+/// selection, row c+1 the row after class c; the arrays may run past the
+/// last row's end). No choice is stored; the pick is rebuilt from the
+/// weights. The online ODM path (admission control, mode changes) reuses
+/// one workspace across calls instead of reallocating. A workspace serves
+/// one thread at a time; passing nullptr uses a per-thread (thread_local)
+/// workspace, which makes the plain call both allocation-free after warm-up
+/// and thread-safe. Contents are opaque scratch: valid only during a solve.
 struct DpWorkspace {
-  std::vector<std::int64_t> dp;      ///< min weights, live ranges of every row
+  std::vector<std::int64_t> cell_p;  ///< lattice profits of every row's cells
+  std::vector<std::int64_t> cell_w;  ///< min weights of every row's cells
+  std::vector<std::size_t> row_begin;  ///< m+2 row offsets into cell_p/cell_w
   std::vector<std::int64_t> next;    ///< scratch: the row being computed
+  std::vector<std::int64_t> next_at; ///< scratch: its Pareto cells' offsets
   std::vector<std::int64_t> q;       ///< lattice profits of kept items, flat
   std::vector<std::int64_t> wt;      ///< weights of kept items, flat
   std::vector<std::int32_t> item_of; ///< original item index per kept item
   std::vector<std::size_t> class_begin;  ///< m+1 offsets into q/wt/item_of
-  std::vector<std::int64_t> lo;      ///< first live lattice cell per class
-  std::vector<std::int64_t> hi;      ///< last live lattice cell per class
-  std::vector<std::size_t> row_off;  ///< m offsets of the rows in dp
   std::vector<double> reach;         ///< capacity cut: bound on classes > c
 };
 
@@ -78,23 +79,25 @@ struct DpWorkspace {
 /// (safe for exact solvers, unlike the hull); the profit axis is the
 /// lattice of multiples of g, the gcd of the kept scaled profits (every
 /// sum of them is one), truncated at the LP relaxation upper bound plus
-/// rounding slack; and each row keeps only its live cells. A cell is
-/// dropped when no completion of it can fit and reach the HEU-OE answer:
-/// by profit alone (the most the remaining classes can add) and by
+/// rounding slack; and each row keeps only its live, undominated cells. A
+/// cell is dropped when no completion of it can fit and reach the HEU-OE
+/// answer: by profit alone (the most the remaining classes can add) and by
 /// capacity (a Lagrangian bound at the LP's multiplier over the capacity
-/// the cell leaves). Rows are built as the DP runs, each from the previous
-/// row's live range, and store min weights only: the pick is rebuilt
-/// backward, taking in each class the candidate the forward pass would
-/// have kept first. `ws` supplies reusable buffers; nullptr selects a
+/// the cell leaves); or when a cell of higher profit in its row weighs no
+/// more (a Pareto row). Rows are built as the DP runs, each from the
+/// previous row's stored cells, and store min weights only: the pick is
+/// rebuilt backward, taking in each class the candidate the full table
+/// would have kept first. `ws` supplies reusable buffers; nullptr selects a
 /// thread_local workspace.
 ///
 /// A non-null `sink` records per-solve telemetry (docs/ANALYSIS.md §8):
-/// mckp.solves / items_total / items_kept counters, the items-pruned and
-/// dp-cells (lattice cells computed, before dead cells are dropped)
-/// histograms, and a solve wall-time histogram. The decision is a pure
-/// function of (inst, profit_scale) either way; telemetry never alters the
-/// result. A non-null `lp_bound` receives lp_upper_bound(inst), bit for
-/// bit, from the state the solve builds anyway.
+/// mckp.solves / items_total / items_kept counters, the items-pruned,
+/// dp-cells (lattice cells computed, before dead and dominated cells are
+/// dropped) and dp-kept-cells (cells stored over all rows) histograms, and
+/// a solve wall-time histogram. The decision is a pure function of (inst,
+/// profit_scale) either way; telemetry never alters the result. A non-null
+/// `lp_bound` receives lp_upper_bound(inst), bit for bit, from the state
+/// the solve builds anyway.
 Selection solve_dp_profits(const Instance& inst,
                            double profit_scale = kDefaultProfitScale,
                            DpWorkspace* ws = nullptr,

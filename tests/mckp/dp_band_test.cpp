@@ -32,6 +32,7 @@
 #include "mckp/instance.hpp"
 #include "mckp/solvers.hpp"
 #include "obs/sink.hpp"
+#include "support/brute_force.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 
@@ -216,11 +217,13 @@ Reference reference_dp_profits(const Instance& inst, double profit_scale) {
 
 struct Cells {
   std::int64_t band = 0;         ///< cells computed (mckp.dp_cells)
+  std::int64_t kept = 0;         ///< cells stored (mckp.dp_kept_cells)
   std::int64_t table = 0;        ///< the full table's cells
   std::int64_t profit_band = 0;  ///< the profit-only band's cells
 
   void operator+=(const Cells& o) {
     band += o.band;
+    kept += o.kept;
     table += o.table;
     profit_band += o.profit_band;
   }
@@ -240,13 +243,17 @@ Cells expect_same(const Instance& inst, rt::mckp::DpWorkspace& ws,
   EXPECT_EQ(got.profit, ref.sel.profit) << what;
   EXPECT_EQ(got.feasible, ref.sel.feasible) << what;
   const auto* band = sink.registry().find_histogram("mckp.dp_cells");
+  const auto* kept = sink.registry().find_histogram("mckp.dp_kept_cells");
   Cells cells;
   if (ref.table_cells > 0) {
     EXPECT_NE(band, nullptr) << what;
-    if (band == nullptr) return cells;
+    EXPECT_NE(kept, nullptr) << what;
+    if (band == nullptr || kept == nullptr) return cells;
     EXPECT_LE(band->sum(), ref.table_cells) << what;
     EXPECT_LE(band->sum(), ref.band_cells) << what;
+    EXPECT_LE(kept->sum(), band->sum()) << what;
     cells.band = band->sum();
+    cells.kept = kept->sum();
     cells.table = ref.table_cells;
     cells.profit_band = ref.band_cells;
   }
@@ -418,11 +425,9 @@ TEST(DpBand, MinWeightOverflowAndSingleClass) {
 
 /// The capacities over which the capacity binds: sum of the lightest item
 /// per class (only the cheapest picks fit) to sum of the heaviest (every
-/// pick fits, so the LP multiplier is 0). Solves `inst` at steps + 1
-/// evenly spaced capacities, both ends included.
-void sweep_capacity(Instance inst, int steps, rt::mckp::DpWorkspace& ws,
-                    const std::string& what,
-                    double scale = rt::mckp::kDefaultProfitScale) {
+/// pick fits, so the LP multiplier is 0), at steps + 1 evenly spaced
+/// points, both ends included.
+std::vector<std::int64_t> binding_capacities(const Instance& inst, int steps) {
   std::int64_t wmin_sum = 0;
   std::int64_t wmax_sum = 0;
   for (const auto& cls : inst.classes) {
@@ -436,8 +441,20 @@ void sweep_capacity(Instance inst, int steps, rt::mckp::DpWorkspace& ws,
     wmax_sum += wmax;
   }
   const auto span = static_cast<double>(wmax_sum - wmin_sum);
+  std::vector<std::int64_t> out;
   for (int s = 0; s <= steps; ++s) {
-    inst.capacity = wmin_sum + static_cast<std::int64_t>(span * s / steps);
+    out.push_back(wmin_sum + static_cast<std::int64_t>(span * s / steps));
+  }
+  return out;
+}
+
+/// Solves `inst` at each of its binding capacities (binding_capacities).
+void sweep_capacity(Instance inst, int steps, rt::mckp::DpWorkspace& ws,
+                    const std::string& what,
+                    double scale = rt::mckp::kDefaultProfitScale) {
+  const std::vector<std::int64_t> caps = binding_capacities(inst, steps);
+  for (std::size_t s = 0; s < caps.size(); ++s) {
+    inst.capacity = caps[s];
     expect_same(inst, ws, what + " capacity step " + std::to_string(s), scale);
   }
 }
@@ -676,6 +693,46 @@ TEST(DpBand, EqualScaledProfitsDifferentWeights) {
   }
 }
 
+TEST(DpBand, ParetoRowsOnTinyWeightRanges) {
+  // Weights within a span of 2 per class under integer profits up to 20:
+  // most cells of a row share their min weight with cells of other
+  // profits, so the Pareto rows drop most of them, and the dominance
+  // test meets its tie (a cell beside one of higher profit and equal
+  // weight) in most rows. Each capacity of the binding range is held to
+  // the full table (pick included) and, profits being whole at scale 1,
+  // to enumeration (profit, weight).
+  rt::mckp::DpWorkspace ws;
+  rt::Rng rng(37);
+  Cells total;
+  for (int trial = 0; trial < 120; ++trial) {
+    Instance inst;
+    const int classes = static_cast<int>(rng.uniform_int(2, 7));
+    for (int c = 0; c < classes; ++c) {
+      std::vector<Item> cls;
+      const std::int64_t base = rng.uniform_int(0, 3);
+      const int items = static_cast<int>(rng.uniform_int(1, 5));
+      for (int j = 0; j < items; ++j) {
+        cls.push_back({base + rng.uniform_int(0, 2),
+                       static_cast<double>(rng.uniform_int(0, 20))});
+      }
+      inst.classes.push_back(std::move(cls));
+    }
+    for (const std::int64_t cap : binding_capacities(inst, 8)) {
+      inst.capacity = cap;
+      const std::string what =
+          "tiny trial=" + std::to_string(trial) + " capacity=" + std::to_string(cap);
+      total += expect_same(inst, ws, what, 1.0);
+      const Selection got = rt::mckp::solve_dp_profits(inst, 1.0, &ws);
+      const Selection bf = rt::mckp::solve_brute_force(inst);
+      EXPECT_EQ(got.feasible, bf.feasible) << what;
+      EXPECT_EQ(got.profit, bf.profit) << what;
+      EXPECT_EQ(got.weight, bf.weight) << what;
+    }
+  }
+  // Non-vacuous: the rows store 42 % of the cells computed.
+  EXPECT_LT(2 * total.kept, total.band) << total.kept << " of " << total.band;
+}
+
 // The DP's total work over fixed instance sets, pinned: the lattice cells
 // computed (mckp.dp_cells) on the benchmark's odm_admission shapes
 // (random task sets, n in {10, 30, 60}, 5 or 10 benefit points; g = 1)
@@ -710,14 +767,25 @@ TEST(DpCells, PinnedTotals) {
   }
   const auto* a = admission.registry().find_histogram("mckp.dp_cells");
   const auto* f = paper.registry().find_histogram("mckp.dp_cells");
+  const auto* a_kept = admission.registry().find_histogram("mckp.dp_kept_cells");
+  const auto* f_kept = paper.registry().find_histogram("mckp.dp_kept_cells");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(f, nullptr);
+  ASSERT_NE(a_kept, nullptr);
+  ASSERT_NE(f_kept, nullptr);
   EXPECT_EQ(a->count(), 18u);
   EXPECT_EQ(f->count(), 9u);
-  // The admission count is the one the DP computed before the lattice
-  // (g = 1 there); the paper sets took 1,094,436 cells on the full axis.
-  EXPECT_EQ(a->sum(), 693'904);
+  EXPECT_EQ(a_kept->count(), 18u);
+  EXPECT_EQ(f_kept->count(), 9u);
+  // The paper sets took 1,094,436 cells on the full axis. A row's range
+  // starts at its source row's first stored cell, which dominance can
+  // put above the first live one (693,904 admission cells without it).
+  EXPECT_EQ(a->sum(), 693'855);
   EXPECT_EQ(f->sum(), 11'195);
+  // The cells stored over all rows: the DP's work per decide, since each
+  // stored cell is one source scattered into the next row.
+  EXPECT_EQ(a_kept->sum(), 45'721);
+  EXPECT_EQ(f_kept->sum(), 7'035);
 }
 
 }  // namespace

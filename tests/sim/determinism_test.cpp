@@ -746,6 +746,73 @@ TEST(BatchedDifferential, StatefulModelRunsWindowsOneLaneAtATime) {
             0u);
 }
 
+/// Stateless: every arrival lands on an instant where the batch engine's
+/// outcome table may put an interval boundary. Three draws in four arrive
+/// at the next release of a task picked at random (every task releases at
+/// the multiples of its period); the rest at the sending job's deadline,
+/// or, once that has passed, at the last instant before the horizon. An
+/// arrival on a boundary belongs to the interval that the boundary ends.
+class BoundaryAlignedResponse final : public server::ResponseModel {
+ public:
+  BoundaryAlignedResponse(const core::TaskSet& tasks, Duration horizon)
+      : horizon_ns_(horizon.ns()) {
+    for (const auto& t : tasks) {
+      periods_ns_.push_back(t.period.ns());
+      deadlines_ns_.push_back(t.deadline.ns());
+    }
+  }
+  Duration sample(const server::Request& req, Rng& rng) override {
+    const std::int64_t send = req.send_time.ns();
+    const std::uint64_t draw = rng.next();
+    std::int64_t at = horizon_ns_ - 1;
+    if (draw % 4 != 0) {
+      const std::int64_t period = periods_ns_[(draw / 4) % periods_ns_.size()];
+      at = (send / period + 1) * period;
+    } else {
+      const std::int64_t period = periods_ns_[req.stream_id];
+      const std::int64_t deadline = send / period * period + deadlines_ns_[req.stream_id];
+      if (deadline > send) at = deadline;
+    }
+    return Duration::nanoseconds(at - send);
+  }
+  bool is_stateless() const override { return true; }
+  std::unique_ptr<server::ResponseModel> clone() const override {
+    return std::make_unique<BoundaryAlignedResponse>(*this);
+  }
+
+ private:
+  std::vector<std::int64_t> periods_ns_;
+  std::vector<std::int64_t> deadlines_ns_;
+  std::int64_t horizon_ns_;
+};
+
+TEST(BatchedDifferential, BoundaryAlignedArrivalsMatchSerial) {
+  // Arrivals exactly on releases, deadlines and the horizon's last instant:
+  // the nanoseconds where an off-by-one in the interval count would move a
+  // post into the interval after the pop.
+  std::size_t fast = 0;
+  for (const std::uint64_t seed : {std::uint64_t{3}, std::uint64_t{11}}) {
+    for (const int n : {12, 30}) {
+      for (const double x : {-0.2, 0.0, 0.2}) {
+        for (const BenefitSemantics sem :
+             {BenefitSemantics::kTimelyCount, BenefitSemantics::kQualityValue}) {
+          const PaperCase pc = paper_case(seed, n, x, sem == BenefitSemantics::kQualityValue);
+          SimConfig cfg = batch_base_config();
+          cfg.benefit_semantics = sem;
+          cfg.horizon = 2_s;
+          const BoundaryAlignedResponse server(pc.tasks, cfg.horizon);
+          fast += expect_batch_matches_serial(
+                      pc.tasks, pc.decisions, server, cfg, 8,
+                      "aligned seed=" + std::to_string(seed) + " n=" +
+                          std::to_string(n) + " x=" + std::to_string(x))
+                      .fast_replications;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fast, 0u);
+}
+
 TEST(BatchedDifferential, SingleReplicationEqualsPlainSerialRun) {
   // K = 1 must reduce to exactly today's pipeline: one serial-equivalent
   // run under derive_seed(seed, 0).
