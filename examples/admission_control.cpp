@@ -84,7 +84,7 @@ int main() {
       sim::simulate(accepted, final_decisions.decisions, srv, cfg);
   sim::per_task_report(accepted, res.metrics, final_decisions.decisions)
       .print(std::cout);
-  std::cout << "\n" << sim::one_line_summary(res.metrics) << "\n";
+  std::cout << "\n" << res.metrics.summary() << "\n";
 
   const bool ok = res.metrics.total_deadline_misses() == 0;
   std::cout << (ok ? "Every admitted task met every deadline."

@@ -109,7 +109,7 @@ int main() {
               << Table::fmt(predicted, 3) << ", achieved "
               << Table::fmt(achieved, 3) << "\n";
   }
-  std::cout << "\n" << sim::one_line_summary(res.metrics) << "\n"
+  std::cout << "\n" << res.metrics.summary() << "\n"
             << (res.metrics.total_deadline_misses() == 0
                     ? "Zero deadline misses: the guarantee never depended on "
                       "the estimates being right."

@@ -66,7 +66,6 @@ ScenarioOutcome BatchRunner::run_one(const ScenarioSpec& spec,
       sim::BatchResult res =
           batch.run(spec.tasks, out.decisions, *spec.server, cfg,
                      spec.replications, spec.profile);
-      sim::add_batch_counters(shard, batch.stats());
       out.metrics = std::move(res.per_replication.front());
       out.aggregate = std::move(res.aggregate);
     } else {

@@ -35,9 +35,11 @@
 #include <bit>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/sink.hpp"
 #include "sim/core_runner.hpp"
 #include "util/rng.hpp"
 
@@ -156,6 +158,41 @@ struct LaneState {
   std::size_t window_at = kNoColumn;
 };
 
+/// Adds a run's replication split to `sink`: batch.fast_replications,
+/// batch.fallback_replications, sim.batch.resync_windows and
+/// .resync_events, and one sim.batch.ineligible.<cause> per fallback
+/// cause. A null sink is a no-op.
+void add_batch_counters(obs::Sink* sink, const BatchEngineStats& stats) {
+  if (sink == nullptr) return;
+  auto& reg = sink->registry();
+  reg.counter("batch.fast_replications").inc(stats.fast_replications);
+  reg.counter("batch.fallback_replications").inc(stats.fallback_replications);
+  reg.counter("sim.batch.resync_windows").inc(stats.resync_windows);
+  reg.counter("sim.batch.resync_events").inc(stats.resync_events);
+  const std::pair<const char*, std::size_t> causes[] = {
+      {"scheduler", stats.ineligible_scheduler},
+      {"exec_policy", stats.ineligible_exec_policy},
+      {"release_policy", stats.ineligible_release_policy},
+      {"context_switch", stats.ineligible_context_switch},
+      {"controller", stats.ineligible_controller},
+      {"trace", stats.ineligible_trace},
+      {"post_wcet", stats.ineligible_post_wcet},
+      {"wide_window", stats.ineligible_wide_window},
+      {"ties", stats.ineligible_ties},
+  };
+  for (const auto& [cause, count] : causes) {
+    reg.counter(std::string("sim.batch.ineligible.") + cause).inc(count);
+  }
+}
+
+/// A hit count below zero has wrapped: the lane's counters are broken,
+/// and summing it would take about 2^64 additions. Out of line, so the
+/// check costs the lane loop's callers nothing.
+[[noreturn, gnu::cold, gnu::noinline]] void negative_hits(std::uint32_t task) {
+  throw std::logic_error("batch: task " + std::to_string(task) +
+                         " has a negative hit count");
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -262,7 +299,11 @@ struct BatchSimEngine::Impl {
             core_.simulate(tasks, decisions, *server, cfg, profile).metrics;
       }
     }
-    for (const SimMetrics& m : result.per_replication) result.aggregate.add(m);
+    for (const SimMetrics& m : result.per_replication) {
+      result.aggregate.add(m);
+      add_sim_counters(config.sink, m, config.controller != nullptr);
+    }
+    add_batch_counters(config.sink, stats_);
     return result;
   }
 
@@ -282,7 +323,6 @@ struct BatchSimEngine::Impl {
       return &st.ineligible_context_switch;
     }
     if (config.controller != nullptr) return &st.ineligible_controller;
-    if (config.sink != nullptr) return &st.ineligible_sink;
     if (config.trace_capacity != 0) return &st.ineligible_trace;
     return nullptr;
   }
@@ -450,6 +490,7 @@ struct BatchSimEngine::Impl {
   /// `hits` additions of the task's benefit per completion (timely for an
   /// offloaded task, local for a local one), in a row from 0.
   double benefit_of(std::uint32_t task, std::uint64_t hits) {
+    if (static_cast<std::int64_t>(hits) < 0) negative_hits(task);
     std::vector<double>& sums = benefit_sums_[task];
     const TaskCache& tc = cache(task);
     const double b = tc.offloaded ? tc.timely_benefit : tc.local_benefit;
@@ -460,6 +501,7 @@ struct BatchSimEngine::Impl {
   /// `sum` followed by `hits` additions of the task's timely benefit.
   double fold(std::uint32_t task, double sum, std::uint64_t hits) {
     if (sum == 0.0) return benefit_of(task, hits);
+    if (static_cast<std::int64_t>(hits) < 0) negative_hits(task);
     for (; hits > 0; --hits) sum += cache(task).timely_benefit;
     return sum;
   }

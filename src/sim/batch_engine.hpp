@@ -18,8 +18,9 @@
 // baseline SSE2 vectorizes; so a draw window R must be below 2^31 ns.
 // Other configurations, wider windows, and skeletons with a completion
 // and a release on one nanosecond run every replication on the serial
-// engine, counted per cause in BatchEngineStats. The parity argument is
-// in batch_engine.cpp, the rules in docs/ANALYSIS.md §12.
+// engine, counted per cause in BatchEngineStats; a telemetry sink is no
+// cause. The parity argument is in batch_engine.cpp, the rules in
+// docs/ANALYSIS.md §12.
 
 #include <cstddef>
 #include <cstdint>
@@ -45,15 +46,14 @@ struct BatchEngineStats {
   /// Serial replications by why the skeleton could not serve them, the
   /// first that holds in this order: a configuration outside its
   /// preconditions (scheduler, execution-time policy, release policy,
-  /// context-switch overhead, controller, telemetry sink, trace), a
-  /// nonzero post WCET, a draw window R of 2^31 ns or more, or the tie
-  /// precheck.
+  /// context-switch overhead, controller, trace: only a serial run
+  /// records one), a nonzero post WCET, a draw window R of 2^31 ns or
+  /// more, or the tie precheck.
   std::size_t ineligible_scheduler = 0;
   std::size_t ineligible_exec_policy = 0;
   std::size_t ineligible_release_policy = 0;
   std::size_t ineligible_context_switch = 0;
   std::size_t ineligible_controller = 0;
-  std::size_t ineligible_sink = 0;
   std::size_t ineligible_trace = 0;
   std::size_t ineligible_post_wcet = 0;
   std::size_t ineligible_wide_window = 0;
@@ -80,7 +80,8 @@ class BatchSimEngine {
   /// Runs `replications` replications of the scenario, replication r
   /// under derive_seed(config.seed, r), on one internal clone of the
   /// prototype (never mutated), reset between replications. A configured
-  /// config.controller is honoured through the serial path.
+  /// config.controller is honoured through the serial path. config.sink
+  /// gets each replication's sim.* counters and the run's split.
   BatchResult run(const core::TaskSet& tasks,
                   const core::DecisionVector& decisions,
                   const server::ResponseModel& prototype,

@@ -17,8 +17,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/sink.hpp"
-#include "obs/timer.hpp"
 #include "sim/core_runner.hpp"
 #include "util/dary_heap.hpp"
 
@@ -32,29 +30,12 @@ SimResult CoreRunner::simulate(const core::TaskSet& tasks,
                                const RequestProfile& profile) {
   reset(tasks, decisions, config, profile);
   stats_ = EngineStats{};
-  obs::ScopedTimer run_timer(
-      config_.sink != nullptr ? &config_.sink->registry().histogram("sim.run_ns") : nullptr);
   begin(0);
   server_ = &server;
   run(kNone, stats_.events_processed);
   finish();
   stats_.pool_slots_peak = pool_slots_peak_;
   stats_.pool_slots_capacity = pool_.size();
-  stats_.jobs_released = job_counter_;
-  add_run_counters(config_.sink, "sim", metrics_);
-  if (config_.sink != nullptr) {
-    auto& reg = config_.sink->registry();
-    reg.counter("sim.events").inc(stats_.events_processed);
-    reg.histogram("sim.pool_slots_peak")
-        .add(static_cast<std::int64_t>(stats_.pool_slots_peak));
-    reg.histogram("sim.in_flight_peak")
-        .add(static_cast<std::int64_t>(stats_.in_flight_peak));
-    if (config_.controller != nullptr) {
-      reg.counter("sim.mode_changes").inc(metrics_.mode_changes);
-      reg.counter("sim.time_in_degraded_ns")
-          .inc(static_cast<std::uint64_t>(metrics_.time_in_degraded_ns));
-    }
-  }
   SimResult result;
   result.metrics = std::move(metrics_);
   result.trace = std::move(trace_);
@@ -332,7 +313,9 @@ SimResult SimEngine::run(const core::TaskSet& tasks,
                          const core::DecisionVector& decisions,
                          server::ResponseModel& server, const SimConfig& config,
                          const RequestProfile& profile) {
-  return core_->simulate(tasks, decisions, server, config, profile);
+  SimResult result = core_->simulate(tasks, decisions, server, config, profile);
+  add_sim_counters(config.sink, result.metrics, config.controller != nullptr);
+  return result;
 }
 
 const EngineStats& SimEngine::stats() const { return core_->stats(); }

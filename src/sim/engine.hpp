@@ -58,9 +58,8 @@ struct EngineStats {
   /// Events stepped: releases, slice ends, replies and compensation
   /// timers. Lower than the seed engine's count for the same scenario:
   /// timers elided by a timely arrival never queue, and a superseded slice
-  /// end is overwritten instead of popped.
+  /// end is overwritten instead of popped. Equals total_events() (sim.events).
   std::uint64_t events_processed = 0;
-  std::uint64_t jobs_released = 0;
   /// Most sub-job slots ever live at once (concurrent sub-jobs).
   std::size_t pool_slots_peak = 0;
   /// Slots allocated in the pool (>= peak only through reuse of a larger

@@ -1,10 +1,8 @@
 #include "sim/metrics.hpp"
 
 #include <sstream>
-#include <utility>
 
 #include "obs/sink.hpp"
-#include "sim/batch_engine.hpp"
 
 namespace rt::sim {
 
@@ -31,27 +29,15 @@ void add_run_counters(obs::Sink* sink, const std::string& prefix,
   }
 }
 
-void add_batch_counters(obs::Sink* sink, const BatchEngineStats& stats) {
+void add_sim_counters(obs::Sink* sink, const SimMetrics& metrics, bool controller) {
   if (sink == nullptr) return;
+  add_run_counters(sink, "sim", metrics);
   auto& reg = sink->registry();
-  reg.counter("batch.fast_replications").inc(stats.fast_replications);
-  reg.counter("batch.fallback_replications").inc(stats.fallback_replications);
-  reg.counter("sim.batch.resync_windows").inc(stats.resync_windows);
-  reg.counter("sim.batch.resync_events").inc(stats.resync_events);
-  const std::pair<const char*, std::size_t> causes[] = {
-      {"scheduler", stats.ineligible_scheduler},
-      {"exec_policy", stats.ineligible_exec_policy},
-      {"release_policy", stats.ineligible_release_policy},
-      {"context_switch", stats.ineligible_context_switch},
-      {"controller", stats.ineligible_controller},
-      {"sink", stats.ineligible_sink},
-      {"trace", stats.ineligible_trace},
-      {"post_wcet", stats.ineligible_post_wcet},
-      {"wide_window", stats.ineligible_wide_window},
-      {"ties", stats.ineligible_ties},
-  };
-  for (const auto& [cause, count] : causes) {
-    reg.counter(std::string("sim.batch.ineligible.") + cause).inc(count);
+  reg.counter("sim.events").inc(metrics.total_events());
+  if (controller) {
+    reg.counter("sim.mode_changes").inc(metrics.mode_changes);
+    reg.counter("sim.time_in_degraded_ns")
+        .inc(static_cast<std::uint64_t>(metrics.time_in_degraded_ns));
   }
 }
 
@@ -69,6 +55,13 @@ std::uint64_t SimMetrics::total_compensations() const {
 }
 std::uint64_t SimMetrics::total_timely_results() const {
   return sum_over(per_task, [](const TaskMetrics& m) { return m.timely_results; });
+}
+
+std::uint64_t SimMetrics::total_events() const {
+  return sum_over(per_task, [](const TaskMetrics& m) {
+    return m.released + m.offload_attempts + m.completed + m.timely_results +
+           m.compensations;
+  });
 }
 
 double SimMetrics::total_benefit() const {

@@ -49,6 +49,10 @@ struct SimMetrics {
   [[nodiscard]] std::uint64_t total_deadline_misses() const;
   [[nodiscard]] std::uint64_t total_compensations() const;
   [[nodiscard]] std::uint64_t total_timely_results() const;
+  /// Events the serial engine steps in a run with these metrics: one per
+  /// release, per sub-job completion (a setup, or a job's last sub-job)
+  /// and per offload resolution (a timely reply or a compensation timer).
+  [[nodiscard]] std::uint64_t total_events() const;
   [[nodiscard]] double total_benefit() const;
   /// Fraction of the horizon the CPU was executing sub-jobs.
   [[nodiscard]] double cpu_utilization() const;
@@ -63,13 +67,10 @@ struct SimMetrics {
 void add_run_counters(obs::Sink* sink, const std::string& prefix,
                       const SimMetrics& metrics);
 
-struct BatchEngineStats;
-
-/// Adds a BatchSimEngine run's replication split to `sink`:
-/// batch.fast_replications, batch.fallback_replications,
-/// sim.batch.resync_windows and .resync_events, and one
-/// sim.batch.ineligible.<cause> per fallback cause. A null sink is a
-/// no-op.
-void add_batch_counters(obs::Sink* sink, const BatchEngineStats& stats);
+/// Adds a simulated run's sim.* counters, derived from its metrics alone
+/// so that every engine path writes the same: add_run_counters under
+/// "sim", sim.events and, under a controller, sim.mode_changes and
+/// sim.time_in_degraded_ns. A null sink is a no-op.
+void add_sim_counters(obs::Sink* sink, const SimMetrics& metrics, bool controller);
 
 }  // namespace rt::sim

@@ -1,6 +1,5 @@
 #include "sim/report.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace rt::sim {
@@ -44,20 +43,6 @@ Table per_task_report(const core::TaskSet& tasks, const SimMetrics& metrics,
     table.add_row(std::move(row));
   }
   return table;
-}
-
-std::string one_line_summary(const SimMetrics& metrics) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "jobs=%llu timely=%llu comp=%llu misses=%llu benefit=%.1f cpu=%.1f%%",
-                static_cast<unsigned long long>(metrics.total_released()),
-                static_cast<unsigned long long>(metrics.total_timely_results()),
-                static_cast<unsigned long long>(metrics.total_compensations()),
-                static_cast<unsigned long long>(metrics.total_deadline_misses()),
-                metrics.total_benefit(), metrics.cpu_utilization() * 100.0);
-  std::string out = buf;
-  if (metrics.trace_truncated) out += " trace=truncated";
-  return out;
 }
 
 }  // namespace rt::sim

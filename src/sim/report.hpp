@@ -14,8 +14,4 @@ namespace rt::sim {
 Table per_task_report(const core::TaskSet& tasks, const SimMetrics& metrics,
                       const core::DecisionVector& decisions = {});
 
-/// One-line roll-up, e.g. for logs:
-/// "jobs=300 timely=120 comp=30 misses=0 benefit=345.0 cpu=49.6%".
-std::string one_line_summary(const SimMetrics& metrics);
-
 }  // namespace rt::sim

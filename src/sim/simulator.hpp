@@ -89,12 +89,12 @@ struct SimConfig {
   Duration context_switch_overhead = Duration::zero();
   std::uint64_t seed = 42;
   std::size_t trace_capacity = 0;  ///< 0 disables tracing
-  /// Optional telemetry sink (docs/ANALYSIS.md §8): per-task
-  /// timely/compensation/miss counters, the event-loop counter, and a
-  /// run wall-time histogram, all added at run end. nullptr (the default)
-  /// is a strict no-op: the event loop touches no metric either way. The
-  /// sink is single-threaded: give each concurrent simulation its own
-  /// shard (exp::BatchRunner does this automatically).
+  /// Optional telemetry sink (docs/ANALYSIS.md §8): the sim.* counters,
+  /// derived from each run's SimMetrics at run end (sim::add_sim_counters),
+  /// so the sink selects no engine path. nullptr (the default) is a strict
+  /// no-op: the event loop touches no metric either way. The sink is
+  /// single-threaded: give each concurrent simulation its own shard
+  /// (exp::BatchRunner does this automatically).
   obs::Sink* sink = nullptr;
   /// Optional adaptive degraded-mode controller (rt/health.hpp). The
   /// engine re-arms it at run start (begin_run over the static decisions),

@@ -54,13 +54,20 @@ spec::BatchPlan small_sweep_plan() {
   return spec::plan_batch(spec::ScenarioDoc::parse_text(kSmallSweepDoc));
 }
 
-/// Runs the small grid on `jobs` workers, reporting into `sink` if given.
+/// Runs the small grid on `jobs` workers, reporting into `sink` if given,
+/// with `replications` Monte-Carlo replications per point.
 std::vector<exp::ScenarioOutcome> run_small_sweep(unsigned jobs,
-                                                  obs::Sink* sink = nullptr) {
+                                                  obs::Sink* sink = nullptr,
+                                                  std::size_t replications = 1) {
   spec::BatchPlan plan = small_sweep_plan();
   plan.batch.jobs = jobs;
+  for (exp::ScenarioSpec& spec : plan.specs) spec.replications = replications;
   return exp::BatchRunner(plan.batch).run(plan.specs, sink);
 }
+
+/// Replications per point of the replicated small grid: its x = -0.2
+/// points send late draws, so the batch engines run resync windows.
+constexpr std::size_t kSweepReplications = 8;
 
 /// Bit-identical outcomes: decisions, claimed objective and every
 /// SimMetrics field.
@@ -70,6 +77,36 @@ void expect_outcomes_equal(const exp::ScenarioOutcome& a,
   EXPECT_EQ(a.odm.claimed_objective, b.odm.claimed_objective);
   EXPECT_TRUE(core::decisions_equal(a.decisions, b.decisions));
   EXPECT_TRUE(sim::metrics_equal(a.metrics, b.metrics));
+}
+
+/// Runs the small grid with `replications` per point on 1 and 8 workers,
+/// each under a sink, and expects identical merged counters and value
+/// histograms.
+void expect_merged_counters_equal(std::size_t replications) {
+  obs::Sink s1, s8;
+  (void)run_small_sweep(1, &s1, replications);
+  (void)run_small_sweep(8, &s8, replications);
+
+  ASSERT_EQ(s1.registry().counters().size(), s8.registry().counters().size());
+  for (const auto& [name, c] : s1.registry().counters()) {
+    SCOPED_TRACE(name);
+    const obs::Counter* other = s8.registry().find_counter(name);
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(c.value(), other->value());
+  }
+  for (const auto& [name, h] : s1.registry().histograms()) {
+    if (name.size() > 3 && name.compare(name.size() - 3, 3, "_ns") == 0) {
+      continue;  // wall-clock durations carry no determinism promise
+    }
+    SCOPED_TRACE(name);
+    const obs::LogHistogram* other = s8.registry().find_histogram(name);
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(h.count(), other->count());
+    EXPECT_EQ(h.sum(), other->sum());
+    for (std::size_t b = 0; b < obs::LogHistogram::kBuckets; ++b) {
+      EXPECT_EQ(h.bucket_count(b), other->bucket_count(b));
+    }
+  }
 }
 
 TEST(ScenarioSeed, DeterministicAndDistinct) {
@@ -132,52 +169,47 @@ TEST(BatchDeterminism, SweepIdenticalAcrossWorkerCounts) {
 
 TEST(BatchDeterminism, TelemetryDoesNotPerturbResults) {
   // Attaching a sink must be pure observation: the sweep's outcomes stay
-  // bit-identical to a telemetry-free run.
-  const std::vector<exp::ScenarioOutcome> bare = run_small_sweep(2);
-  obs::Sink sink;
-  const std::vector<exp::ScenarioOutcome> observed = run_small_sweep(2, &sink);
+  // bit-identical to a telemetry-free run, and a replicated sweep's batch
+  // engines serve the same replications on the fast path either way.
+  for (const std::size_t k : {std::size_t{1}, kSweepReplications}) {
+    SCOPED_TRACE("replications " + std::to_string(k));
+    const std::vector<exp::ScenarioOutcome> bare = run_small_sweep(2, nullptr, k);
+    obs::Sink sink;
+    const std::vector<exp::ScenarioOutcome> observed = run_small_sweep(2, &sink, k);
 
-  ASSERT_EQ(observed.size(), bare.size());
-  for (std::size_t i = 0; i < bare.size(); ++i) {
-    SCOPED_TRACE(i);
-    expect_outcomes_equal(observed[i], bare[i]);
+    ASSERT_EQ(observed.size(), bare.size());
+    for (std::size_t i = 0; i < bare.size(); ++i) {
+      SCOPED_TRACE(i);
+      expect_outcomes_equal(observed[i], bare[i]);
+      EXPECT_EQ(observed[i].aggregate.total_benefit.mean(),
+                bare[i].aggregate.total_benefit.mean());
+      EXPECT_EQ(observed[i].aggregate.total_benefit.stddev(),
+                bare[i].aggregate.total_benefit.stddev());
+    }
+
+    // The merged counters must have recorded the sweep.
+    obs::MetricRegistry& reg = sink.registry();
+    EXPECT_EQ(reg.counter("batch.scenarios").value(), bare.size());
+    EXPECT_GT(reg.counter("sim.events").value(), 0u);
+    EXPECT_GT(reg.counter("odm.decisions").value(), 0u);
+    EXPECT_GT(reg.histogram("mckp.items_pruned").count(), 0u);
+    EXPECT_FALSE(sink.phases().empty());
+    if (k > 1) {
+      EXPECT_EQ(reg.counter("batch.fast_replications").value(), bare.size() * k);
+      EXPECT_EQ(reg.counter("batch.fallback_replications").value(), 0u);
+      EXPECT_GT(reg.counter("sim.batch.resync_windows").value(), 0u);
+    }
   }
-
-  // The merged counters must have recorded the sweep.
-  EXPECT_EQ(sink.registry().counter("batch.scenarios").value(), bare.size());
-  EXPECT_GT(sink.registry().counter("sim.events").value(), 0u);
-  EXPECT_GT(sink.registry().counter("odm.decisions").value(), 0u);
-  EXPECT_GT(sink.registry().histogram("mckp.items_pruned").count(), 0u);
-  EXPECT_FALSE(sink.phases().empty());
 }
 
 TEST(BatchDeterminism, MergedCountersIdenticalAcrossWorkerCounts) {
   // Counters and value histograms (not the *_ns wall-clock ones) are
   // integer sums over per-scenario work, so the merged totals must be
-  // identical for every worker count.
-  obs::Sink s1, s8;
-  (void)run_small_sweep(1, &s1);
-  (void)run_small_sweep(8, &s8);
-
-  ASSERT_EQ(s1.registry().counters().size(), s8.registry().counters().size());
-  for (const auto& [name, c] : s1.registry().counters()) {
-    SCOPED_TRACE(name);
-    const obs::Counter* other = s8.registry().find_counter(name);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(c.value(), other->value());
-  }
-  for (const auto& [name, h] : s1.registry().histograms()) {
-    if (name.size() > 3 && name.compare(name.size() - 3, 3, "_ns") == 0) {
-      continue;  // wall-clock durations carry no determinism promise
-    }
-    SCOPED_TRACE(name);
-    const obs::LogHistogram* other = s8.registry().find_histogram(name);
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(h.count(), other->count());
-    EXPECT_EQ(h.sum(), other->sum());
-    for (std::size_t b = 0; b < obs::LogHistogram::kBuckets; ++b) {
-      EXPECT_EQ(h.bucket_count(b), other->bucket_count(b));
-    }
+  // identical for every worker count, the batch engines' fast path and
+  // resync windows included.
+  for (const std::size_t k : {std::size_t{1}, kSweepReplications}) {
+    SCOPED_TRACE("replications " + std::to_string(k));
+    expect_merged_counters_equal(k);
   }
 }
 

@@ -324,9 +324,9 @@ TEST(CliTool, ReplicationsAddAggregateAndKeepRepZeroReport) {
 
 TEST(CliTool, ReplicatedRunWritesWhereReplicationsWent) {
   // A single-scenario document with sim.replications > 1 writes the batch
-  // engine's split to --metrics-out. The telemetry sink itself keeps the
-  // engine off its shared-skeleton path, so every replication is counted
-  // under the sink cause.
+  // engine's split to --metrics-out. The telemetry sink selects no path:
+  // the configuration is eligible, so the shared skeleton serves every
+  // replication, as it does without --metrics-out.
   Json doc = taskset_as_doc(sample_taskset());
   doc.as_object().at("sim").as_object()["replications"] = Json(8);
   const std::string doc_path = scratch_path("replicated_metrics.json");
@@ -342,16 +342,16 @@ TEST(CliTool, ReplicatedRunWritesWhereReplicationsWent) {
   ASSERT_EQ(rc, 0);
   const Json metrics = Json::parse(snapshot);
   const Json& counters = metrics.at("counters");
-  EXPECT_EQ(counters.at("batch.fast_replications").as_number(), 0.0);
-  EXPECT_EQ(counters.at("batch.fallback_replications").as_number(), 8.0);
-  EXPECT_EQ(counters.at("sim.batch.ineligible.sink").as_number(), 8.0);
+  EXPECT_EQ(counters.at("batch.fast_replications").as_number(), 8.0);
+  EXPECT_EQ(counters.at("batch.fallback_replications").as_number(), 0.0);
+  EXPECT_FALSE(counters.contains("sim.batch.ineligible.sink"));
   for (const char* cause :
        {"scheduler", "exec_policy", "release_policy", "context_switch", "controller",
         "trace", "post_wcet", "wide_window", "ties"}) {
     const std::string name = std::string("sim.batch.ineligible.") + cause;
     EXPECT_EQ(counters.at(name).as_number(), 0.0) << name;
   }
-  EXPECT_EQ(counters.at("sim.batch.resync_windows").as_number(), 0.0);
+  EXPECT_GT(counters.at("sim.batch.resync_windows").as_number(), 0.0);
 }
 
 TEST(CliTool, ReplicationsFlagRejectsBadValues) {

@@ -12,7 +12,7 @@ the repository root, with the build in build/:
 
   python3 tests/metrics_counters.py build/tools/rtoffload_cli \\
       examples/specs/fig3.json examples/specs/adaptive_outage.json \\
-      > tests/golden/cli_counters.txt
+      examples/specs/montecarlo.json > tests/golden/cli_counters.txt
 """
 import json
 import pathlib

@@ -769,9 +769,8 @@ TEST(BatchTie, NegativeResponseIsRejectedOnBothPaths) {
 
 TEST(BatchTie, RunnerReportsWhereReplicationsWent) {
   // The runner hands its telemetry shard to the engine as SimConfig::sink,
-  // which the fast path does not serve, so here every replication runs
-  // serially, counted under the sink cause; the window counters are
-  // reported all the same.
+  // which selects no path: the runner reports the split, windows included,
+  // that the engine gives the same replications without a sink.
   exp::ScenarioSpec spec;
   Rng rng(10);
   core::PaperSimConfig wl;
@@ -784,20 +783,24 @@ TEST(BatchTie, RunnerReportsWhereReplicationsWent) {
   spec.replications = 8;
   obs::Sink sink;
   exp::BatchRunner runner;
-  (void)runner.run({spec}, &sink);
+  const std::vector<exp::ScenarioOutcome> out = runner.run({spec}, &sink);
   const obs::MetricRegistry& reg = sink.registry();
   const auto value = [&](const char* name) -> std::uint64_t {
     const obs::Counter* c = reg.find_counter(name);
     EXPECT_NE(c, nullptr) << name;
     return c != nullptr ? c->value() : 0;
   };
-  EXPECT_EQ(value("batch.fast_replications") +
-                value("batch.fallback_replications"),
-            8u);
-  EXPECT_EQ(value("sim.batch.ineligible.sink"), 8u);
-  EXPECT_EQ(value("batch.fallback_replications"), 8u);
-  (void)value("sim.batch.resync_windows");
-  (void)value("sim.batch.resync_events");
+  SimConfig cfg = spec.sim;
+  cfg.seed = exp::scenario_seed(runner.config().base_seed, 0);
+  BatchSimEngine engine;
+  (void)engine.run(spec.tasks, out[0].decisions, *spec.server, cfg, spec.replications);
+  const BatchEngineStats& st = engine.stats();
+  EXPECT_EQ(value("batch.fast_replications"), st.fast_replications);
+  EXPECT_EQ(value("batch.fallback_replications"), st.fallback_replications);
+  EXPECT_EQ(value("sim.batch.resync_windows"), st.resync_windows);
+  EXPECT_EQ(value("sim.batch.resync_events"), st.resync_events);
+  EXPECT_EQ(st.fast_replications, 8u);
+  EXPECT_EQ(reg.find_counter("sim.batch.ineligible.sink"), nullptr);
 }
 
 }  // namespace

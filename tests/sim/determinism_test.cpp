@@ -261,10 +261,10 @@ struct GridRun {
   std::string label;
 };
 
-/// Two skeleton-eligible configurations (the naive deadline policy stays
-/// eligible) plus every precondition of the skeleton gate: fixed-priority
-/// dispatch, sporadic releases, stochastic execution, dispatch overhead,
-/// a nonzero post WCET, a trace and a telemetry sink. Each runs against
+/// Three skeleton-eligible configurations (the naive deadline policy and a
+/// telemetry sink stay eligible) plus every precondition of the skeleton
+/// gate: fixed-priority dispatch, sporadic releases, stochastic execution,
+/// dispatch overhead, a nonzero post WCET and a trace. Each runs against
 /// the scenario servers, whose late draws run resync windows, and against
 /// the all-timely benefit-driven server. `visit` gets each run with the
 /// fallback cause its configuration is counted under (null: eligible)
@@ -304,7 +304,7 @@ void config_grid(
        }},
       {"trace", &BatchEngineStats::ineligible_trace,
        [](SimConfig& c, core::TaskSet&) { c.trace_capacity = 256; }},
-      {"sink", &BatchEngineStats::ineligible_sink,
+      {"sink", nullptr,
        [&sink](SimConfig& c, core::TaskSet&) { c.sink = &sink; }},
   };
   const Fixture s = make_setup(101);
@@ -347,6 +347,48 @@ TEST(BatchedDifferential, ScenarioServerMatchesAcrossConfigGrid) {
       EXPECT_EQ(st.*cause, g.replications) << g.label;
     } else if (all_timely) {
       EXPECT_GT(st.fast_replications, 0u) << g.label;
+    }
+  });
+}
+
+TEST(EngineInternals, StatsReachTheSinkAsMetrics) {
+  // Every sim.* counter is derived from SimMetrics: sim.events is the
+  // engine's event count, which is one event per release, sub-job
+  // completion and offload resolution. So K serial runs under a sink and
+  // one batch run of the same K replications under another, fast path or
+  // not, write the same counters, besides the batch run's split.
+  config_grid([](const GridRun& g, Cause, bool) {
+    obs::Sink serial_sink;
+    SimEngine serial;
+    for (std::size_t r = 0; r < g.replications; ++r) {
+      obs::Sink run_sink;
+      const std::unique_ptr<server::ResponseModel> srv = g.server.clone();
+      SimConfig c = g.cfg;
+      c.seed = derive_seed(g.cfg.seed, r);
+      c.sink = &run_sink;
+      const SimResult res = serial.run(g.tasks, g.decisions, *srv, c);
+      const std::uint64_t events = serial.stats().events_processed;
+      EXPECT_EQ(run_sink.registry().counter("sim.events").value(), events)
+          << g.label << " rep " << r;
+      EXPECT_EQ(res.metrics.total_events(), events) << g.label << " rep " << r;
+      serial_sink.absorb(run_sink, 0);
+    }
+    obs::Sink batch_sink;
+    SimConfig c = g.cfg;
+    c.sink = &batch_sink;
+    (void)BatchSimEngine().run(g.tasks, g.decisions, g.server, c, g.replications);
+    const auto& want = serial_sink.registry().counters();
+    const auto split = [](const std::string& name) {
+      return name.starts_with("batch.") || name.starts_with("sim.batch.");
+    };
+    ASSERT_EQ(std::ranges::count_if(batch_sink.registry().counters(),
+                                    [&](const auto& kv) { return !split(kv.first); }),
+              std::ranges::ssize(want))
+        << g.label;
+    for (const auto& [name, counter] : want) {
+      const obs::Counter* other = batch_sink.registry().find_counter(name);
+      ASSERT_NE(other, nullptr) << g.label << " " << name;
+      EXPECT_EQ(other->value(), counter.value()) << g.label << " " << name;
     }
   });
 }
@@ -720,8 +762,8 @@ TEST(BatchedDifferential, PinnedFastPathTotals) {
   };
   config_grid([&](const GridRun& g, Cause, bool) { add(g); });
   window_grid([&](const GridRun& g, bool) { add(g); });
-  EXPECT_EQ(fast, 2'996u);
-  EXPECT_EQ(windows, 10'792u);
+  EXPECT_EQ(fast, 3'014u);
+  EXPECT_EQ(windows, 10'808u);
 }
 
 TEST(BatchedDifferential, StatefulModelRunsWindowsOneLaneAtATime) {

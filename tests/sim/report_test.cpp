@@ -54,14 +54,5 @@ TEST(Report, ArityMismatchThrows) {
                std::invalid_argument);
 }
 
-TEST(Report, OneLineSummaryMentionsEverything) {
-  const SimResult res = run_simple();
-  const std::string s = one_line_summary(res.metrics);
-  EXPECT_NE(s.find("jobs=10"), std::string::npos);
-  EXPECT_NE(s.find("timely=10"), std::string::npos);
-  EXPECT_NE(s.find("misses=0"), std::string::npos);
-  EXPECT_NE(s.find("cpu="), std::string::npos);
-}
-
 }  // namespace
 }  // namespace rt::sim

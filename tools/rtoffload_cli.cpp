@@ -228,7 +228,6 @@ int run_scenario(rt::spec::BuiltScenario run, std::ostream& os,
     sim::BatchResult bres =
         engine.run(run.tasks, odm.decisions, *run.server, run.sim,
                    run.replications, run.profile);
-    sim::add_batch_counters(sink, engine.stats());
     for (const sim::SimMetrics& m : bres.per_replication) {
       exit_misses += m.total_deadline_misses();
     }
@@ -438,7 +437,6 @@ int run_real_spec(const std::string& path, const std::string& server_addr,
 
   runtime::RuntimeOptions options;
   options.apply_spec_section(doc.runtime);
-  if (want_trace) options.trace_capacity = kTraceCapacity;
   std::optional<runtime::LoopbackGpuServer> loopback;
   if (server_addr.empty()) {
     runtime::GpuServiceOptions service_options;
@@ -452,6 +450,7 @@ int run_real_spec(const std::string& path, const std::string& server_addr,
 
   sim::SimConfig config = built.sim;
   config.sink = want_metrics ? &sink : nullptr;
+  if (want_trace) config.trace_capacity = kTraceCapacity;
   std::optional<health::ModeController> controller;
   if (built.controller != nullptr) {
     controller.emplace(*built.controller);
